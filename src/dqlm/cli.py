@@ -490,24 +490,10 @@ def _parse_float_list(text, name):
 # -- model construction ----------------------------------------------------
 
 def model_from_config(cfg, kind_override=None):
-    m = cfg["model"]
-    lay = dict(m["layout"])
+    model = cfg["model"]
     if kind_override is not None:
-        lay["kind"] = kind_override
-    ham = m.get("hamiltonian", {})
-    ham_kind = ham.get("kind", "qlm")
-    if lay["kind"] == "hierarchical" and ham_kind == "qlm":
-        ham_kind = "hierarchical"
-    if lay["kind"] == "square-2d" and ham_kind == "qlm":
-        ham_kind = "qlm-2d"
-    jumps = tuple(JumpSpec(**j) for j in m.get("jumps", []))
-    dis = m.get("disorder")
-    disorder = DisorderSpec(**dis) if dis else None
-    layout = build_layout(lay["kind"], lay["L"], lay.get("Ly", 0))
-    return ModelSpec(layout=layout, hamiltonian=ham_kind,
-                     J=ham.get("J", 1.0), J1=ham.get("J1", 1.0),
-                     J2=ham.get("J2", 1.0), twist=ham.get("twist", 0.0),
-                     jumps=jumps, disorder=disorder)
+        model = {**model, "layout": {**model["layout"], "kind": kind_override}}
+    return ModelSpec.from_dict(model)
 
 
 def _dense_cap(cfg):
@@ -572,7 +558,6 @@ def run_steady_state(cfg, rec):
     superop = assemble(spec, sector=dsec)
     states = steady_states(superop, dsec, tol=_kernel_tol(cfg), cap=cap)
     rec.timings["kernel"] = time.perf_counter() - t0
-    ham, jumps = build_hamiltonian(spec), build_jump_set(spec)
     site_diag = site_number_diagonals(spec.layout)
     link_diag = link_z_diagonals(spec.layout)
     rows = []
@@ -583,7 +568,7 @@ def run_steady_state(cfg, rec):
             rows.append((idx, "site_density", pos, float((diag * arr).sum())))
         for pos, arr in enumerate(link_diag, start=1):
             rows.append((idx, "link_sz", pos, float((diag * arr).sum())))
-        residuals.append(steady_residual(ham, jumps, rho))
+        residuals.append(steady_residual(superop.hamiltonian, superop.jumps, rho))
     rec.csv("steady_state_profiles.csv",
             ("state[index]", "kind[name]", "position[index]", "value[1]"),
             rows)

@@ -13,10 +13,11 @@ i.e. with the factor 2 on the gain term and no 1/2 on the anticommutator;
 all analytic rates downstream (relaxation at 2(gamma_u+gamma_d), the
 eigenvalue ladder) assume this normalization.
 
-Superoperators come in two representations: an assembled sparse matrix on
-the full pair space or on a `DoubleSectorBasis` (with leakage detection),
-and a matrix-free form that applies the generator to a sparse density
-operator by operator products. Both close over the same (H, jumps).
+Every superoperator is a sparse matrix assembled on a `DoubleSectorBasis`
+of (ket, bra) pairs, with leakage detection: a weak sector, a
+charge-difference block, or the full pair space (`full_pairs`, whose key
+order is the vec order above). `lindblad_apply` applies the same generator
+to a sparse density operator by operator products, without a basis.
 """
 
 from dataclasses import dataclass
@@ -26,9 +27,7 @@ import scipy.sparse as sp
 
 from .lattice import SparseOperator
 from .models import build_hamiltonian, build_jump_set, bulk_hamiltonian, twist_term
-from .symmetry import DoubleSectorBasis, SectorLeakageError
-
-MAX_FULL_PAIR_STATES = 1024   # full kron assembly walks nstates**2 pairs
+from .symmetry import SectorLeakageError, full_pairs
 
 CONVENTION = "vec-rowmajor/AxBT"
 
@@ -48,39 +47,32 @@ class VectorizedState:
 
 
 class Superoperator:
-    """Liouvillian in matrix or matrix-free form.
+    """Liouvillian assembled on a pair basis.
 
-    matrix     : scipy CSR on the pair basis, or None for matrix-free
-    sector     : DoubleSectorBasis or None (full pair space)
+    matrix     : scipy CSR on the pair basis
+    sector     : the DoubleSectorBasis it is assembled on
+    basis, dim : the sector's tag and dimension
     hamiltonian, jumps : the operators the generator closes over
     """
 
-    def __init__(self, basis, dim, matrix=None, sector=None,
-                 hamiltonian=None, jumps=None):
-        self.basis = basis
-        self.dim = dim
+    def __init__(self, matrix, sector, hamiltonian, jumps):
+        self.basis = sector.tag
+        self.dim = sector.dim
         self.matrix = matrix
         self.sector = sector
         self.hamiltonian = hamiltonian
-        self.jumps = jumps or []
+        self.jumps = jumps
         self.convention = CONVENTION
 
     @property
     def nnz(self):
-        return self.matrix.nnz if self.matrix is not None else None
+        return self.matrix.nnz
 
     def apply(self, vec):
-        if self.matrix is None:
-            raise AssemblyError("matrix-free superoperator: use apply_operator")
         return self.matrix @ vec
 
-    def apply_operator(self, rho):
-        """L[rho] by operator products; works in both representations."""
-        return lindblad_apply(self.hamiltonian, self.jumps, rho)
-
     def __repr__(self):
-        mode = "matrix-free" if self.matrix is None else f"nnz={self.nnz}"
-        return f"Superoperator(dim={self.dim}, {mode}, basis={self.basis!r})"
+        return f"Superoperator(dim={self.dim}, nnz={self.nnz}, basis={self.basis!r})"
 
 
 def lindblad_apply(hamiltonian, jumps, rho):
@@ -113,18 +105,6 @@ def _term_list(ham_ket, ham_bra, jumps):
         terms.append((loss, eye))
         terms.append((eye, loss))
     return terms
-
-
-def _assemble_full(terms, layout):
-    if layout.nstates > MAX_FULL_PAIR_STATES:
-        raise AssemblyError(
-            f"full pair space of {layout.nstates}**2 is too large to assemble; "
-            "project into a sector or use the matrix-free form")
-    dim2 = layout.nstates ** 2
-    out = sp.csr_matrix((dim2, dim2), dtype=np.complex128)
-    for a, b in terms:
-        out = out + sp.kron(a.matrix, b.matrix.transpose(), format="csr")
-    return out
 
 
 def _assemble_on_pairs(terms, dsec, leak_tol=1e-12):
@@ -183,30 +163,18 @@ def _assemble_on_pairs(terms, dsec, leak_tol=1e-12):
 
 def _build(terms, layout, sector, hamiltonian, jumps, leak_tol=1e-12):
     if sector is None:
-        matrix = _assemble_full(terms, layout)
-        basis = f"pairs[{layout.basis_tag}:full]"
-        return Superoperator(basis, layout.nstates ** 2, matrix=matrix,
-                             hamiltonian=hamiltonian, jumps=jumps)
+        sector = full_pairs(layout)
     matrix = _assemble_on_pairs(terms, sector, leak_tol)
-    return Superoperator(sector.tag, sector.dim, matrix=matrix, sector=sector,
-                         hamiltonian=hamiltonian, jumps=jumps)
+    return Superoperator(matrix, sector, hamiltonian, jumps)
 
 
 def assemble(spec, sector=None, leak_tol=1e-12):
-    """Assembled Liouvillian of a ModelSpec, full or sector-projected."""
+    """Assembled Liouvillian of a ModelSpec on `sector`, or on the full
+    pair space when no sector is given."""
     h = build_hamiltonian(spec)
     jumps = build_jump_set(spec)
     return _build(_term_list(h, h, jumps), spec.layout, sector, h, jumps,
                   leak_tol)
-
-
-def matrix_free(spec):
-    """Matrix-free Liouvillian (only `apply_operator` available)."""
-    h = build_hamiltonian(spec)
-    jumps = build_jump_set(spec)
-    return Superoperator(f"pairs[{spec.layout.basis_tag}:full]",
-                         spec.layout.nstates ** 2, matrix=None,
-                         hamiltonian=h, jumps=jumps)
 
 
 def assemble_twisted(spec, phi, variant, sector=None, leak_tol=1e-12):
@@ -242,19 +210,6 @@ def assemble_twisted(spec, phi, variant, sector=None, leak_tol=1e-12):
 
 # -- vectorization -------------------------------------------------------
 
-def vectorize(rho):
-    """Full-space row-major flattening with trace/Hermiticity metadata."""
-    dense = rho.toarray()
-    vec = dense.reshape(-1)
-    herm = float(np.linalg.norm(dense - dense.conj().T))
-    return VectorizedState(vec, f"pairs[{rho.basis}:full]",
-                           complex(np.trace(dense)), herm)
-
-
-def devectorize(vec, dim, basis="unknown"):
-    return SparseOperator(sp.csr_matrix(np.asarray(vec).reshape(dim, dim)), basis)
-
-
 def vectorize_into(rho, dsec, leak_tol=1e-12):
     """Embed a sparse density operator into a DoubleSectorBasis."""
     coo = rho.matrix.tocoo()
@@ -279,16 +234,11 @@ def devectorize_from(vec, dsec, basis=None):
     return SparseOperator(m, basis or dsec.layout.basis_tag)
 
 
-def trace_vector(dsec_or_dim):
+def trace_vector(dsec):
     """vec(I) restricted to the basis: the left null functional of L."""
-    if isinstance(dsec_or_dim, DoubleSectorBasis):
-        v = np.zeros(dsec_or_dim.dim, dtype=np.complex128)
-        v[dsec_or_dim.diag_positions] = 1.0
-        return v
-    dim = int(np.sqrt(dsec_or_dim))
-    if dim * dim != dsec_or_dim:
-        raise AssemblyError(f"pair dimension {dsec_or_dim} is not a square")
-    return np.identity(dim, dtype=np.complex128).reshape(-1)
+    v = np.zeros(dsec.dim, dtype=np.complex128)
+    v[dsec.diag_positions] = 1.0
+    return v
 
 
 def sector_trace(vec, dsec):
@@ -317,12 +267,3 @@ def diagonal_expectation(vec, dsec, diag_values):
     d = dsec.diag_positions
     return complex(np.sum(vec[d] * np.asarray(diag_values)[dsec.kets[d]]))
 
-
-def weak_symmetry_generator(gauss_op):
-    """The double-space generator O -> G O - O G as a sparse matrix."""
-    g = gauss_op.matrix
-    n = g.shape[0]
-    if n > MAX_FULL_PAIR_STATES:
-        raise AssemblyError("weak-symmetry generator only built on small spaces")
-    eye = sp.identity(n, dtype=np.complex128, format="csr")
-    return sp.kron(g, eye, format="csr") - sp.kron(eye, g.transpose(), format="csr")

@@ -125,12 +125,19 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(d):
+        """Inverse of `to_dict`. A "qlm" Hamiltonian kind (the default)
+        on a hierarchical or square-2d layout means that layout's own
+        Hamiltonian."""
         lay = d["layout"]
         layout = build_layout(lay["kind"], lay["L"], lay.get("Ly", 0))
         ham = d.get("hamiltonian", {})
+        kind = ham.get("kind", "qlm")
+        if kind == "qlm":
+            kind = {"hierarchical": "hierarchical",
+                    "square-2d": "qlm-2d"}.get(layout.kind, kind)
         jumps = tuple(JumpSpec(**j) for j in d.get("jumps", []))
         dis = DisorderSpec(**d["disorder"]) if d.get("disorder") else None
-        return ModelSpec(layout, ham.get("kind", "qlm"), J=ham.get("J", 1.0),
+        return ModelSpec(layout, kind, J=ham.get("J", 1.0),
                          J1=ham.get("J1", 1.0), J2=ham.get("J2", 1.0),
                          twist=ham.get("twist", 0.0), jumps=jumps, disorder=dis)
 

@@ -32,7 +32,7 @@ from .liouvillian import (
     devectorize_from,
     trace_vector,
 )
-from .symmetry import partition_double_space, weak_sector
+from .symmetry import SectorLeakageError, partition_double_space, weak_sector
 
 DENSE_CAP = 6000
 KERNEL_TOL = 1e-9
@@ -184,21 +184,30 @@ def state_fidelity(rho, sigma):
     return float(np.sqrt(np.clip(vals, 0.0, None)).sum() ** 2)
 
 
-def full_spectrum(spec, cap=DENSE_CAP, leak_tol=1e-12):
+def full_spectrum(spec, cap=DENSE_CAP):
     """Union spectrum over every charge-difference block of the model.
 
-    Exhausts the complete double space, so each eigenvalue of the full
-    generator appears exactly once; block labels keep the provenance.
+    The generator is assembled once on the full pair space and each block
+    is sliced out of it. The blocks' pair and nonzero counts must add up
+    to those of the full matrix (else `SectorLeakageError`), so no coupling
+    is cut and each eigenvalue of the full generator appears exactly once;
+    block labels keep the provenance.
     """
+    full = assemble(spec)
+    blocks = [(delta, dsec, full.matrix[dsec.keys][:, dsec.keys])
+              for delta, dsec in partition_double_space(spec.layout)]
+    pairs = sum(dsec.dim for _, dsec, _ in blocks)
+    nnz = sum(block.nnz for _, _, block in blocks)
+    if pairs != full.dim or nnz != full.nnz:
+        raise SectorLeakageError(
+            f"charge-difference blocks hold {pairs} pairs and {nnz} entries; "
+            f"the full generator has {full.dim} and {full.nnz}")
     vals = []
     labels = []
-    for delta, dsec in partition_double_space(spec.layout):
-        if dsec.dim == 0:
-            continue
-        superop = assemble(spec, sector=dsec, leak_tol=leak_tol)
-        block = spectrum_of(superop, cap=cap)
-        vals.append(block.eigenvalues)
-        labels.extend([delta] * block.dim)
+    for delta, dsec, block in blocks:
+        spectrum = eig_dense(block, basis=dsec.tag, cap=cap)
+        vals.append(spectrum.eigenvalues)
+        labels.extend([delta] * spectrum.dim)
     merged = np.concatenate(vals) if vals else np.zeros(0, dtype=np.complex128)
     order = canonical_order(merged)
     return Spectrum(merged[order], None, spec.layout.basis_tag,

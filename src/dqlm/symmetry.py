@@ -13,6 +13,9 @@ Two kinds of basis are built here:
   vectorized density matrices. Jump operators shift ket and bra gauge
   configurations identically, so the difference delta = g_ket - g_bra is
   conserved and partitions the double space into closed blocks.
+  `full_pairs` is the whole double space and `partition_double_space`
+  its split into those blocks; both are capped at
+  `MAX_FULL_PAIR_STATES` basis states.
 """
 
 from dataclasses import dataclass
@@ -22,7 +25,7 @@ import numpy as np
 from .lattice import LayoutError, SparseOperator, diagonal_operator, state_bit
 
 MAX_ENUM_SPINS = 22          # sector enumeration walks all 2**total_spins states
-MAX_DOUBLE_SWEEP_STATES = 2048   # full double-space partition walks nstates**2 pairs
+MAX_FULL_PAIR_STATES = 1024  # full pair-space bases hold nstates**2 pairs
 
 
 class SectorLeakageError(ValueError):
@@ -214,16 +217,12 @@ def gauss_generator(layout, site):
     site : int or (int, int)
         1-based site index; a coordinate pair for ``square-2d``.
     """
-    table = gauge_charge_table(layout)
-    if layout.kind == "square-2d":
-        x, y = site
-        layout.site_slot_2d(x, y)  # bounds check
-        col = (y - 1) * layout.L + (x - 1)
-    else:
-        if not 1 <= site <= layout.L:
-            raise LayoutError(f"site {site} outside 1..{layout.L}")
-        col = site - 1
-    return diagonal_operator(layout.total_spins, table[:, col] * 0.5)
+    coeffs = generator_slot_coefficients(layout, site)
+    idx = _index_column(layout)
+    g = np.zeros(idx.size, dtype=np.int16)
+    for slot in np.nonzero(coeffs)[0]:
+        g += coeffs[slot] * _z2(idx, slot)
+    return diagonal_operator(layout.total_spins, g * 0.5)
 
 
 def charge_operators(layout):
@@ -411,6 +410,22 @@ def weak_sector(layout, n_particles=None):
     return DoubleSectorBasis(layout, kets, bras, label)
 
 
+def _check_full_pair_size(layout):
+    if layout.nstates > MAX_FULL_PAIR_STATES:
+        raise InfeasibleSectorError(
+            f"full pair space of {layout.nstates}**2 pairs is not supported "
+            f"(> {MAX_FULL_PAIR_STATES}**2); use a weak sector")
+
+
+def full_pairs(layout):
+    """Every (ket, bra) pair; key order ket*nstates + bra is the
+    row-major vec order."""
+    _check_full_pair_size(layout)
+    n = layout.nstates
+    keys = np.arange(n * n, dtype=np.int64)
+    return DoubleSectorBasis(layout, keys // n, keys % n, "full")
+
+
 def partition_double_space(layout):
     """Split all (ket, bra) pairs into blocks of constant
     delta = g_ket - g_bra.
@@ -418,9 +433,7 @@ def partition_double_space(layout):
     Returns a list of (delta_tuple, DoubleSectorBasis), covering the
     double space exactly once. Feasible only for small systems.
     """
-    if layout.nstates > MAX_DOUBLE_SWEEP_STATES:
-        raise InfeasibleSectorError(
-            f"double-space sweep over {layout.nstates}**2 pairs is not supported")
+    _check_full_pair_size(layout)
     table = gauge_charge_table(layout).astype(np.int16)
     n = layout.nstates
     delta = (table[:, None, :] - table[None, :, :]).reshape(n * n, -1)
@@ -455,8 +468,3 @@ def project_operator(op, sector, leak_tol=1e-12):
             f"operator leaks out of {sector.tag}: ||(1-P)AP||_F = {leak_norm:.3e}")
     return SparseOperator(cols[states], sector.tag)
 
-
-def expectation_in_state(op, state_index):
-    """<state| op |state> for one basis state."""
-    col = op.matrix[:, [state_index]].toarray().ravel()
-    return complex(col[state_index])

@@ -174,3 +174,11 @@ def test_spec_roundtrip():
     for spec in specs:
         again = ModelSpec.from_dict(spec.to_dict())
         assert again == spec
+    # a "qlm" kind, given or by default, on a hierarchical or square-2d
+    # layout is read as that layout's own Hamiltonian
+    for spec in specs[3:5]:
+        d = spec.to_dict()
+        d["hamiltonian"]["kind"] = "qlm"
+        assert ModelSpec.from_dict(d) == spec
+        del d["hamiltonian"]["kind"]
+        assert ModelSpec.from_dict(d) == spec

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from dqlm import numerics
 from dqlm.exact import exact_steady_state, link_polarization
 from dqlm.lattice import build_layout
 from dqlm.liouvillian import (
@@ -34,7 +35,12 @@ from dqlm.numerics import (
     weak_spectrum,
     winding_scan,
 )
-from dqlm.symmetry import weak_sector
+from dqlm.symmetry import (
+    DoubleSectorBasis,
+    SectorLeakageError,
+    partition_double_space,
+    weak_sector,
+)
 
 
 def biased_chain(L, gamma_up, gamma_down, kind="chain-obc"):
@@ -115,10 +121,12 @@ def test_kernel_and_steady_states_match_exact():
         assert abs(val - link_polarization(1.5)) < 1e-9
 
 
-def test_full_spectrum_covers_every_pair():
+def test_full_spectrum_covers_every_pair(monkeypatch):
     spec = biased_chain(3, 0.5, 0.2)
     union = full_spectrum(spec)
     assert union.dim == spec.layout.nstates ** 2
+    unsplit = eig_dense(assemble(spec).matrix).eigenvalues
+    assert multiset_distance(union.eigenvalues, unsplit) < 1e-8
     assert union.max_real() < 1e-10
     # L+1 steady states in the charge-matched sector plus the two dark
     # coherences between the frozen all-empty and all-full matter
@@ -127,6 +135,23 @@ def test_full_spectrum_covers_every_pair():
     assert union.block_labels is not None and len(union.block_labels) == union.dim
     weak = weak_spectrum(spec)[0]
     assert len(weak.kernel_indices()) == 4
+
+    # a wrong partition: the delta=0 block's first pair cut off on its own
+    # and the rest merged with a second block. Pair counts still add up,
+    # but the couplings of the cut pair are lost.
+    blocks = partition_double_space(spec.layout)
+    zero = next(i for i, (delta, _) in enumerate(blocks) if not any(delta))
+    other = (zero + 1) % len(blocks)
+    (d0, a), (d1, b) = blocks[zero], blocks[other]
+    lone = DoubleSectorBasis(spec.layout, a.kets[:1], a.bras[:1], "lone")
+    merged = DoubleSectorBasis(spec.layout,
+                               np.concatenate([a.kets[1:], b.kets]),
+                               np.concatenate([a.bras[1:], b.bras]), "merged")
+    wrong = [blk for i, blk in enumerate(blocks) if i not in (zero, other)]
+    wrong += [(d0, lone), (d1, merged)]
+    monkeypatch.setattr(numerics, "partition_double_space", lambda _: wrong)
+    with pytest.raises(SectorLeakageError):
+        full_spectrum(spec)
 
 
 def test_dephasing_kernel_counts_gauge_configs():
@@ -139,6 +164,8 @@ def test_dephasing_kernel_counts_gauge_configs():
     # full pair space: dark space = link-diagonal operators commuting with
     # H; cross-check the Liouvillian count against that constraint kernel
     union = full_spectrum(spec)
+    unsplit = eig_dense(assemble(spec).matrix).eigenvalues
+    assert multiset_distance(union.eigenvalues, unsplit) < 1e-8
     ham = build_hamiltonian(spec).toarray()
     n = layout.nstates
     from dqlm.lattice import state_bit
