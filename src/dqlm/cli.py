@@ -36,7 +36,7 @@ from .exact import (
     steady_site_coefficients,
 )
 from .lattice import build_layout, commutator
-from .liouvillian import AssemblyError, assemble, assemble_twisted, \
+from .liouvillian import LEAK_TOL, AssemblyError, assemble, assemble_twisted, \
     diagonal_expectation, lindblad_apply, steady_residual
 from .models import (
     DisorderSpec,
@@ -504,6 +504,10 @@ def _kernel_tol(cfg):
     return cfg.get("tolerances", {}).get("kernel_tol", KERNEL_TOL)
 
 
+def _leak_tol(cfg):
+    return cfg.get("tolerances", {}).get("leak_tol", LEAK_TOL)
+
+
 def _weak_sector_checked(layout, n_particles, cap):
     dsec = weak_sector(layout, n_particles)
     if dsec.dim == 0:
@@ -537,7 +541,7 @@ def run_spectrum(cfg, rec):
             spec.layout.kind, spec.layout.kind)
         t0 = time.perf_counter()
         dsec = _weak_sector_checked(spec.layout, n_part, cap)
-        superop = assemble(spec, sector=dsec)
+        superop = assemble(spec, sector=dsec, leak_tol=_leak_tol(cfg))
         spectrum = spectrum_of(superop, cap=cap)
         rec.timings[f"spectrum_{tag}"] = time.perf_counter() - t0
         rec.csv(f"spectrum_{tag}.csv", SPECTRUM_HEADER,
@@ -555,7 +559,7 @@ def run_steady_state(cfg, rec):
     spec = model_from_config(cfg)
     t0 = time.perf_counter()
     dsec = _weak_sector_checked(spec.layout, n_part, cap)
-    superop = assemble(spec, sector=dsec)
+    superop = assemble(spec, sector=dsec, leak_tol=_leak_tol(cfg))
     states = steady_states(superop, dsec, tol=_kernel_tol(cfg), cap=cap)
     rec.timings["kernel"] = time.perf_counter() - t0
     site_diag = site_number_diagonals(spec.layout)
@@ -593,7 +597,7 @@ def run_dynamics(cfg, rec):
                        "sector.n_particles must match the initial occupation")
     dsec = _weak_sector_checked(layout, n_part, cap=None)
     t0 = time.perf_counter()
-    superop = assemble(spec, sector=dsec)
+    superop = assemble(spec, sector=dsec, leak_tol=_leak_tol(cfg))
     rec.timings["assemble"] = time.perf_counter() - t0
 
     slots = _site_slots(layout)
@@ -646,7 +650,8 @@ def run_winding(cfg, rec):
     for j, phi in enumerate(phis):
         t0 = time.perf_counter()
         try:
-            superop = assemble_twisted(spec, phi, variant, sector=dsec)
+            superop = assemble_twisted(spec, phi, variant, sector=dsec,
+                                       leak_tol=_leak_tol(cfg))
         except AssemblyError as exc:
             raise CliError(EXIT_CONFIG, "usage", str(exc))
         spectrum = spectrum_of(superop, cap=cap)

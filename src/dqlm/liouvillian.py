@@ -30,6 +30,7 @@ from .models import build_hamiltonian, build_jump_set, bulk_hamiltonian, twist_t
 from .symmetry import SectorLeakageError, full_pairs
 
 CONVENTION = "vec-rowmajor/AxBT"
+LEAK_TOL = 1e-12
 
 
 class AssemblyError(ValueError):
@@ -107,7 +108,7 @@ def _term_list(ham_ket, ham_bra, jumps):
     return terms
 
 
-def _assemble_on_pairs(terms, dsec, leak_tol=1e-12):
+def _assemble_on_pairs(terms, dsec, leak_tol=LEAK_TOL):
     """Restrict sum_k A_k rho B_k to a DoubleSectorBasis.
 
     Every term individually maps the sector into itself for a legal
@@ -161,14 +162,14 @@ def _assemble_on_pairs(terms, dsec, leak_tol=1e-12):
     return m
 
 
-def _build(terms, layout, sector, hamiltonian, jumps, leak_tol=1e-12):
+def _build(terms, layout, sector, hamiltonian, jumps, leak_tol=LEAK_TOL):
     if sector is None:
         sector = full_pairs(layout)
     matrix = _assemble_on_pairs(terms, sector, leak_tol)
     return Superoperator(matrix, sector, hamiltonian, jumps)
 
 
-def assemble(spec, sector=None, leak_tol=1e-12):
+def assemble(spec, sector=None, leak_tol=LEAK_TOL):
     """Assembled Liouvillian of a ModelSpec on `sector`, or on the full
     pair space when no sector is given."""
     h = build_hamiltonian(spec)
@@ -177,7 +178,7 @@ def assemble(spec, sector=None, leak_tol=1e-12):
                   leak_tol)
 
 
-def assemble_twisted(spec, phi, variant, sector=None, leak_tol=1e-12):
+def assemble_twisted(spec, phi, variant, sector=None, leak_tol=LEAK_TOL):
     """The two twisted-boundary constructions on a periodic chain.
 
     variant="lindblad"     : proper Lindbladian of H_pbc(phi); its spectrum
@@ -210,7 +211,7 @@ def assemble_twisted(spec, phi, variant, sector=None, leak_tol=1e-12):
 
 # -- vectorization -------------------------------------------------------
 
-def vectorize_into(rho, dsec, leak_tol=1e-12):
+def vectorize_into(rho, dsec, leak_tol=LEAK_TOL):
     """Embed a sparse density operator into a DoubleSectorBasis."""
     coo = rho.matrix.tocoo()
     pos = dsec.lookup(coo.row, coo.col)

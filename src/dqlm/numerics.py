@@ -2,9 +2,20 @@
 
 Eigenvalue lists are always returned in one canonical order (real part
 descending, ties broken by imaginary part ascending) so that CSV output
-and multiset comparisons are reproducible. Dense eigendecomposition is
-capped (default 6000) because the cost is cubic; sector projection is
-the intended way to stay below the cap.
+and multiset comparisons are reproducible.
+
+Before any dense eigendecomposition a generator is split into the weakly
+connected components of its nonzero pattern (`coupled_components`): the
+finest block-diagonal split the matrix itself proves, which refines every
+weak-symmetry label at once (particle number inside a weak sector, the
+charge difference and more in the full pair space). Each component is
+diagonalized on its own, and the blocks' nonzeros must add up to the
+matrix's (else `SectorLeakageError`). In `full_spectrum` a component whose
+rho -> rho^+ mirror is another component is diagonalized once: a
+Lindbladian preserves Hermiticity, so the partner's spectrum is the
+complex conjugate. Dense eigendecomposition is capped (default 6000) per
+component because the cost is cubic; sector projection is the intended
+way to keep the components below the cap.
 
 Steady states are taken from eigenpairs with |lambda| below the kernel
 bin (1e-9), orthonormalized, devectorized, Hermitized, and
@@ -23,6 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 
 from .lattice import SparseOperator
@@ -32,13 +44,14 @@ from .liouvillian import (
     devectorize_from,
     trace_vector,
 )
-from .symmetry import SectorLeakageError, partition_double_space, weak_sector
+from .symmetry import SectorLeakageError, gauge_charge_table, weak_sector
 
 DENSE_CAP = 6000
 KERNEL_TOL = 1e-9
 DEGENERACY_BIN = 1e-7
 RESIDUAL_TOL = 1e-8
 MATCH_DENSE_LIMIT = 2000
+MIRROR_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -53,6 +66,8 @@ class Spectrum:
     vectors: np.ndarray = None
     basis: str = "unknown"
     residual_max: float = 0.0
+    # provenance of each eigenvalue: the component index in `spectrum_of`,
+    # the charge difference delta in `full_spectrum`
     block_labels: tuple = None
 
     @property
@@ -115,8 +130,68 @@ def eig_dense(matrix, want_vectors=False, basis="unknown", cap=DENSE_CAP):
     return Spectrum(vals, vecs, basis, residual_max=worst)
 
 
+def coupled_components(matrix):
+    """Weakly connected components of a square CSR matrix's nonzero
+    pattern: index arrays, each ascending, ordered by their first index."""
+    # a real 0/1 pattern: the graph routine would cast complex data to real
+    pattern = sp.csr_matrix(
+        (np.ones(matrix.nnz, dtype=np.int8), matrix.indices, matrix.indptr),
+        shape=matrix.shape)
+    count, labels = connected_components(pattern, directed=True,
+                                         connection="weak")
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(count)
+    labels = rank[labels]
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+
+
+def _diagonal_blocks(matrix, components):
+    """The diagonal blocks of a CSR `matrix` on `components`, sliced from
+    one symmetric permutation. Their nonzeros must add up to the matrix's:
+    otherwise the split cut a coupling (`SectorLeakageError`)."""
+    order = np.concatenate(components)
+    if not np.array_equal(np.sort(order), np.arange(matrix.shape[0])):
+        raise SectorLeakageError(
+            f"components do not cover the {matrix.shape[0]} indices "
+            "exactly once")
+    permuted = matrix[order][:, order]
+    bounds = np.cumsum([0] + [c.size for c in components])
+    blocks = [permuted[a:b, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    nnz = sum(block.nnz for block in blocks)
+    if nnz != matrix.nnz:
+        raise SectorLeakageError(
+            f"{len(blocks)} diagonal blocks hold {nnz} of the generator's "
+            f"{matrix.nnz} nonzeros")
+    return blocks
+
+
 def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
-    return eig_dense(superop.matrix, want_vectors, superop.basis, cap)
+    """Spectrum of an assembled generator, one dense eig per coupled
+    component. Eigenvalues are merged in canonical order and labelled by
+    component; vectors are scattered block-diagonally, and the residual
+    is the worst block's. A single component is diagonalized as is."""
+    components = coupled_components(superop.matrix)
+    if len(components) == 1:
+        return eig_dense(superop.matrix, want_vectors, superop.basis, cap)
+    parts = [eig_dense(block, want_vectors, superop.basis, cap)
+             for block in _diagonal_blocks(superop.matrix, components)]
+    merged = np.concatenate([part.eigenvalues for part in parts])
+    labels = np.repeat(np.arange(len(parts)), [part.dim for part in parts])
+    order = canonical_order(merged)
+    vectors = None
+    if want_vectors:
+        column = np.empty(order.size, dtype=np.int64)
+        column[order] = np.arange(order.size)
+        vectors = np.zeros((superop.dim, superop.dim), dtype=np.complex128)
+        start = 0
+        for comp, part in zip(components, parts):
+            vectors[np.ix_(comp, column[start:start + part.dim])] = part.vectors
+            start += part.dim
+    return Spectrum(merged[order], vectors, superop.basis,
+                    residual_max=max(part.residual_max for part in parts),
+                    block_labels=tuple(labels[order].tolist()))
 
 
 def kernel_dimension(matrix, tol=KERNEL_TOL, method="eig"):
@@ -136,14 +211,19 @@ def kernel_dimension(matrix, tol=KERNEL_TOL, method="eig"):
 def steady_states(superop, dsec, tol=KERNEL_TOL, cap=DENSE_CAP):
     """Kernel basis as density matrices: Hermitized and trace-normalized.
 
-    Kernel vectors are orthonormalized before devectorization; operators
-    whose trace vanishes (possible for degenerate kernels) fall back to
+    States come in component order (see `spectrum_of`), so a component
+    with a one-dimensional kernel, such as one particle-number sector,
+    always gives the same state, that sector's own steady state. Kernel
+    vectors are orthonormalized before devectorization; operators whose
+    trace vanishes (possible for degenerate kernels) fall back to
     Frobenius normalization.
     """
     spec = spectrum_of(superop, want_vectors=True, cap=cap)
     idx = spec.kernel_indices(tol)
     if idx.size == 0:
         raise SolverError("empty kernel; a Lindblad generator always has one")
+    if spec.block_labels is not None:
+        idx = idx[np.argsort(np.asarray(spec.block_labels)[idx], kind="stable")]
     block = spec.vectors[:, idx]
     block, _ = np.linalg.qr(block)
     tvec = trace_vector(dsec)
@@ -185,40 +265,62 @@ def state_fidelity(rho, sigma):
 
 
 def full_spectrum(spec, cap=DENSE_CAP):
-    """Union spectrum over every charge-difference block of the model.
+    """Union spectrum of the model's generator on the full pair space.
 
-    The generator is assembled once on the full pair space and each block
-    is sliced out of it. The blocks' pair and nonzero counts must add up
-    to those of the full matrix (else `SectorLeakageError`), so no coupling
-    is cut and each eigenvalue of the full generator appears exactly once;
-    block labels keep the provenance.
+    The generator is assembled once and split into its coupled components
+    (`coupled_components`); each eigenvalue appears exactly once and is
+    labelled with the charge difference delta = g_ket - g_bra of its
+    component's first pair. A component whose mirror {(b, a)} is another
+    component is diagonalized once: the partner's spectrum is the complex
+    conjugate, because a Lindbladian maps rho^+ to L[rho]^+. The partner
+    block must equal the conjugate of the mirrored block within
+    `MIRROR_TOL` (relative), else `SolverError`.
     """
     full = assemble(spec)
-    blocks = [(delta, dsec, full.matrix[dsec.keys][:, dsec.keys])
-              for delta, dsec in partition_double_space(spec.layout)]
-    pairs = sum(dsec.dim for _, dsec, _ in blocks)
-    nnz = sum(block.nnz for _, _, block in blocks)
-    if pairs != full.dim or nnz != full.nnz:
-        raise SectorLeakageError(
-            f"charge-difference blocks hold {pairs} pairs and {nnz} entries; "
-            f"the full generator has {full.dim} and {full.nnz}")
-    vals = []
+    n = spec.layout.nstates
+    components = coupled_components(full.matrix)
+    blocks = _diagonal_blocks(full.matrix, components)
+    owner = np.empty(full.dim, dtype=np.int64)
+    for c, comp in enumerate(components):
+        owner[comp] = c
+    table = gauge_charge_table(spec.layout).astype(np.int16)
+    spectra = [None] * len(components)
+    for c, comp in enumerate(components):
+        if spectra[c] is not None:
+            continue
+        spectra[c] = eig_dense(blocks[c], cap=cap).eigenvalues
+        mirror = (comp % n) * n + comp // n
+        partner = owner[mirror[0]]
+        if partner == c:
+            continue
+        if (components[partner].size != comp.size
+                or np.any(owner[mirror] != partner)):
+            raise SolverError(
+                f"the mirror of component {c} is not a component")
+        within = np.searchsorted(components[partner], mirror)
+        mirrored = blocks[partner].toarray()[np.ix_(within, within)]
+        own = blocks[c].toarray()
+        gap = np.linalg.norm(mirrored - own.conj())
+        if gap > MIRROR_TOL * np.linalg.norm(own):
+            raise SolverError(
+                f"component {partner} differs from the conjugate mirror of "
+                f"component {c} by {gap:.3e}; not a Lindbladian")
+        spectra[partner] = spectra[c].conj()
+    merged = np.concatenate(spectra)
     labels = []
-    for delta, dsec, block in blocks:
-        spectrum = eig_dense(block, basis=dsec.tag, cap=cap)
-        vals.append(spectrum.eigenvalues)
-        labels.extend([delta] * spectrum.dim)
-    merged = np.concatenate(vals) if vals else np.zeros(0, dtype=np.complex128)
+    for comp, values in zip(components, spectra):
+        first = comp[0]
+        delta = table[first // n] - table[first % n]
+        labels.extend([tuple(int(v) for v in delta)] * values.size)
     order = canonical_order(merged)
     return Spectrum(merged[order], None, spec.layout.basis_tag,
                     block_labels=tuple(labels[i] for i in order))
 
 
-def weak_spectrum(spec, n_particles=None, want_vectors=False, cap=DENSE_CAP,
-                  leak_tol=1e-12):
+def weak_spectrum(spec, n_particles=None, want_vectors=False, cap=DENSE_CAP):
     """Spectrum on the weak gauge sector (matching ket/bra charges)."""
     dsec = weak_sector(spec.layout, n_particles)
-    superop = assemble(spec, sector=dsec, leak_tol=leak_tol)
+    superop = assemble(spec, sector=dsec)
     return spectrum_of(superop, want_vectors, cap=cap), dsec, superop
 
 
@@ -267,14 +369,12 @@ def hull_violation(inner, outer):
     return float(dist.max())
 
 
-def winding_scan(spec, phis, variant, n_particles=None, cap=DENSE_CAP,
-                 leak_tol=1e-12):
+def winding_scan(spec, phis, variant, n_particles=None, cap=DENSE_CAP):
     """Weak-sector spectra of the twisted generator on a phase grid."""
     dsec = weak_sector(spec.layout, n_particles)
     out = []
     for phi in phis:
-        superop = assemble_twisted(spec, float(phi), variant, sector=dsec,
-                                   leak_tol=leak_tol)
+        superop = assemble_twisted(spec, float(phi), variant, sector=dsec)
         out.append(spectrum_of(superop, cap=cap))
     return out
 

@@ -16,6 +16,12 @@ Two kinds of basis are built here:
   `full_pairs` is the whole double space and `partition_double_space`
   its split into those blocks; both are capped at
   `MAX_FULL_PAIR_STATES` basis states.
+
+No spectrum is computed block by block along these labels: `numerics`
+splits each assembled generator into the coupled components of its
+nonzero pattern, a finer split. `partition_double_space` is kept as the
+cross-check oracle that every such component lies inside one
+charge-difference block.
 """
 
 from dataclasses import dataclass
@@ -357,6 +363,11 @@ class DoubleSectorBasis:
         self.bras = bras[order]
         self.keys = keys[order]
         self.tag = f"pairs[{layout.basis_tag}:{label}]"
+        # on the full pair space a pair's position is its key
+        n_pairs = layout.nstates ** 2
+        self._keys_are_positions = (
+            self.keys.size == n_pairs
+            and np.array_equal(self.keys, np.arange(n_pairs)))
 
     @property
     def dim(self):
@@ -369,6 +380,8 @@ class DoubleSectorBasis:
     def lookup(self, kets, bras):
         """Positions of (ket, bra) pairs; -1 where the pair is absent."""
         keys = np.asarray(kets, dtype=np.int64) * self.layout.nstates + bras
+        if self._keys_are_positions:
+            return keys
         if self.dim == 0:
             return np.full(keys.shape, -1, dtype=np.int64)
         pos = np.searchsorted(self.keys, keys)

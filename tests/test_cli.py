@@ -7,10 +7,12 @@ import os
 import numpy as np
 import pytest
 
+from dqlm import cli
 from dqlm.cli import main
-from dqlm.exact import ensemble_marginals, exact_steady_state
+from dqlm.exact import enumeration_marginals, ensemble_marginals, \
+    exact_steady_state
 from dqlm.lattice import build_layout
-from dqlm.numerics import multiset_distance
+from dqlm.numerics import multiset_distance, positivity_defect
 
 
 def run(*argv):
@@ -186,6 +188,62 @@ def test_steady_state_kernel_and_profiles(tmp_path):
     assert lines[0] == "state[index],kind[name],position[index],value[1]"
     # five states, four sites and three links each
     assert len(lines) - 1 == 5 * 7
+
+
+def test_steady_state_one_positive_state_per_particle_number(tmp_path,
+                                                            monkeypatch):
+    states = []
+    real = cli.steady_states
+
+    def recording(*args, **kwargs):
+        states.extend(real(*args, **kwargs))
+        return states
+
+    monkeypatch.setattr(cli, "steady_states", recording)
+    out = tmp_path / "ss5"
+    assert run("steady-state", "--L", "5", "--disorder-seed", "7",
+               "--output-dir", str(out)) == 0
+    assert len(states) == 6
+    assert max(positivity_defect(rho) for rho in states) < 1e-10
+    with open(out / "steady_state_profiles.csv", encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().strip().splitlines()[1:]]
+    layout = build_layout("chain-obc", 5)
+    profiles = {}
+    for state, kind, pos, value in rows:
+        if kind == "site_density":
+            profiles.setdefault(int(state), {})[int(pos)] = float(value)
+    assert sorted(profiles) == list(range(6))
+    for state, sites in profiles.items():
+        density = np.array([sites[n] for n in range(1, 6)])
+        # state k is the steady state of the k-particle sector
+        assert abs(density.sum() - state) < 1e-10
+        exact = enumeration_marginals(
+            exact_steady_state(layout, beta=1.5, n_particles=state))
+        assert np.abs(density - exact["site_density"]).max() < 1e-9
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["diagnostics"]["kernel_dim"] == 6
+    assert manifest["diagnostics"]["max_residual"] < 1e-10
+
+
+def test_leak_tol_reaches_assembly(tmp_path, monkeypatch):
+    seen = []
+    real = cli.assemble
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("leak_tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble", recording)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"task": "spectrum",
+         "model": {"layout": {"kind": "chain-obc", "L": 3}},
+         "tolerances": {"leak_tol": 3e-9}}))
+    assert run("spectrum", "--config", str(cfg_path),
+               "--output-dir", str(tmp_path / "o")) == 0
+    assert run("steady-state", "--L", "3",
+               "--output-dir", str(tmp_path / "p")) == 0
+    assert seen == [3e-9, cli.LEAK_TOL]
 
 
 def test_profile_chain_fraction_equals_absolute(tmp_path):

@@ -10,11 +10,13 @@ from dqlm.exact import exact_steady_state, link_polarization
 from dqlm.lattice import build_layout
 from dqlm.liouvillian import (
     assemble,
+    assemble_twisted,
     diagonal_expectation,
     steady_residual,
     vectorize_into,
 )
-from dqlm.models import JumpSpec, ModelSpec, build_hamiltonian, build_jump_set
+from dqlm.models import DisorderSpec, JumpSpec, ModelSpec, build_hamiltonian, \
+    build_jump_set
 from dqlm.numerics import (
     SolverError,
     Spectrum,
@@ -36,7 +38,6 @@ from dqlm.numerics import (
     winding_scan,
 )
 from dqlm.symmetry import (
-    DoubleSectorBasis,
     SectorLeakageError,
     partition_double_space,
     weak_sector,
@@ -136,22 +137,75 @@ def test_full_spectrum_covers_every_pair(monkeypatch):
     weak = weak_spectrum(spec)[0]
     assert len(weak.kernel_indices()) == 4
 
-    # a wrong partition: the delta=0 block's first pair cut off on its own
-    # and the rest merged with a second block. Pair counts still add up,
-    # but the couplings of the cut pair are lost.
-    blocks = partition_double_space(spec.layout)
-    zero = next(i for i, (delta, _) in enumerate(blocks) if not any(delta))
-    other = (zero + 1) % len(blocks)
-    (d0, a), (d1, b) = blocks[zero], blocks[other]
-    lone = DoubleSectorBasis(spec.layout, a.kets[:1], a.bras[:1], "lone")
-    merged = DoubleSectorBasis(spec.layout,
-                               np.concatenate([a.kets[1:], b.kets]),
-                               np.concatenate([a.bras[1:], b.bras]), "merged")
-    wrong = [blk for i, blk in enumerate(blocks) if i not in (zero, other)]
-    wrong += [(d0, lone), (d1, merged)]
-    monkeypatch.setattr(numerics, "partition_double_space", lambda _: wrong)
+    # a wrong split: the first component's first pair cut off on its own.
+    # Pair counts still add up, but the couplings of the cut pair are lost.
+    components = numerics.coupled_components(assemble(spec).matrix)
+    wrong = [components[0][:1], components[0][1:]] + components[1:]
+    monkeypatch.setattr(numerics, "coupled_components", lambda _: wrong)
     with pytest.raises(SectorLeakageError):
         full_spectrum(spec)
+
+
+def test_components_refine_charge_difference_blocks():
+    spec = biased_chain(3, 0.5, 0.2)
+    full = assemble(spec)
+    owner = np.full(full.dim, -1)
+    for i, (_, dsec) in enumerate(partition_double_space(spec.layout)):
+        owner[dsec.keys] = i
+    components = numerics.coupled_components(full.matrix)
+    assert sum(comp.size for comp in components) == full.dim
+    for comp in components:
+        assert np.all(owner[comp] == owner[comp[0]])
+    assert len(components) > len(partition_double_space(spec.layout))
+
+
+def test_full_spectrum_partner_spectra_match_direct_eig():
+    # every delta != 0 block is the rho -> rho^+ mirror of the -delta block,
+    # so half of these eigenvalues are conjugates, not eigensolver output;
+    # disorder makes each block's own spectrum not closed under conjugation
+    spec = ModelSpec(layout=build_layout("chain-obc", 3),
+                     jumps=(JumpSpec(family="biased", gamma_up=0.5,
+                                     gamma_down=0.2),),
+                     disorder=DisorderSpec(seed=3))
+    union = full_spectrum(spec)
+    matrix = assemble(spec).matrix
+    checked = 0
+    for delta, dsec in partition_double_space(spec.layout):
+        if not any(delta):
+            continue
+        direct = eig_dense(matrix[dsec.keys][:, dsec.keys]).eigenvalues
+        mine = [value for value, label
+                in zip(union.eigenvalues, union.block_labels) if label == delta]
+        assert multiset_distance(mine, direct) < 1e-10
+        checked += 1
+    assert checked > 0
+
+
+def test_full_spectrum_refuses_a_non_lindblad_generator(monkeypatch):
+    # the double-space twist is not of Lindblad form: the conjugate of a
+    # component's mirror is not its partner, so the reuse must refuse
+    spec = biased_chain(3, 0.5, 0.2, kind="chain-pbc")
+    twisted = assemble_twisted(spec, 0.7, "double-space")
+    monkeypatch.setattr(numerics, "assemble", lambda _: twisted)
+    with pytest.raises(SolverError, match="conjugate mirror"):
+        full_spectrum(spec)
+
+
+def test_split_spectrum_matches_unsplit_eig():
+    spec = biased_chain(4, 2.4, 1.6)
+    dsec = weak_sector(spec.layout)
+    superop = assemble(spec, sector=dsec)
+    split = numerics.spectrum_of(superop, want_vectors=True)
+    assert len(set(split.block_labels)) == spec.layout.L + 1
+    unsplit = eig_dense(superop.matrix)
+    assert multiset_distance(split.eigenvalues, unsplit.eigenvalues) < 1e-10
+    assert np.array_equal(split.eigenvalues,
+                          split.eigenvalues[canonical_order(split.eigenvalues)])
+    dense = superop.matrix.toarray()
+    residual = np.linalg.norm(dense @ split.vectors
+                              - split.vectors * split.eigenvalues, axis=0)
+    assert residual.max() < 1e-8
+    assert split.residual_max < 1e-8
 
 
 def test_dephasing_kernel_counts_gauge_configs():

@@ -9,6 +9,7 @@ from dqlm.symmetry import (
     SectorSpec,
     charge_operators,
     enumerate_sector,
+    full_pairs,
     gauge_charge_table,
     gauge_charges,
     gauge_sector_census,
@@ -192,6 +193,22 @@ def test_weak_sector_structure():
     pos = dsec.lookup(dsec.kets[:5], dsec.bras[:5])
     assert np.array_equal(pos, np.arange(5))
     assert dsec.lookup(np.array([dsec.kets[0]]), np.array([dsec.bras[0] ^ 1]))[0] in (-1, *range(dsec.dim))
+
+
+def test_full_pair_lookup_matches_searchsorted():
+    lay = build_layout("chain-obc", 3)
+    full = full_pairs(lay)
+    n = lay.nstates
+    rng = np.random.default_rng(3)
+    kets, bras = rng.integers(0, n, 500), rng.integers(0, n, 500)
+    pos = full.lookup(kets, bras)
+    assert np.array_equal(pos, np.searchsorted(full.keys, kets * n + bras))
+    assert np.array_equal(full.kets[pos], kets)
+    assert np.array_equal(full.bras[pos], bras)
+    # the same pairs without the last one take the searchsorted path
+    most = DoubleSectorBasis(lay, full.kets[:-1], full.bras[:-1], "most")
+    kept = kets * n + bras < n * n - 1
+    assert np.array_equal(most.lookup(kets[kept], bras[kept]), pos[kept])
 
 
 def test_partition_double_space_covers_once():
