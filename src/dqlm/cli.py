@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 import jsonschema
 import numpy as np
@@ -35,10 +36,11 @@ from .exact import (
     special_steady_states,
     steady_site_coefficients,
 )
-from .lattice import build_layout, commutator
+from .lattice import LAYOUT_KINDS, LayoutError, build_layout, commutator
 from .liouvillian import LEAK_TOL, AssemblyError, assemble, assemble_twisted, \
     diagonal_expectation, lindblad_apply, steady_residual
 from .models import (
+    JUMP_FAMILIES,
     DisorderSpec,
     JumpSpec,
     ModelError,
@@ -90,8 +92,7 @@ SCHEMA = {
                     "additionalProperties": False,
                     "required": ["kind", "L"],
                     "properties": {
-                        "kind": {"enum": ["chain-obc", "chain-pbc",
-                                          "hierarchical", "square-2d"]},
+                        "kind": {"enum": list(LAYOUT_KINDS)},
                         "L": {"type": "integer", "minimum": 2},
                         "Ly": {"type": "integer", "minimum": 0},
                     },
@@ -112,13 +113,9 @@ SCHEMA = {
                         "additionalProperties": False,
                         "required": ["family"],
                         "properties": {
-                            "family": {"enum": ["biased", "x-like",
-                                                "dephasing", "gauge-fix",
-                                                "effective-asep"]},
-                            "gamma_up": _RATE, "gamma_down": _RATE,
-                            "gamma_up_v": _RATE, "gamma_down_v": _RATE,
-                            "gamma": _RATE, "strength": _RATE,
-                            "gamma_right": _RATE, "gamma_left": _RATE,
+                            "family": {"enum": list(JUMP_FAMILIES)},
+                            **{f.name: _RATE for f in fields(JumpSpec)
+                               if f.name != "family"},
                         },
                     },
                 },
@@ -527,7 +524,7 @@ SPECTRUM_HEADER = ("re_lambda[J]", "im_lambda[J]")
 
 
 def run_spectrum(cfg, rec):
-    boundary = cfg.get("spectrum", {}).get("boundary", "obc")
+    boundary = cfg["spectrum"]["boundary"]
     n_part = cfg.get("sector", {}).get("n_particles")
     cap = _dense_cap(cfg)
     kinds = {"obc": ["chain-obc"], "pbc": ["chain-pbc"],
@@ -584,8 +581,8 @@ def run_steady_state(cfg, rec):
 def run_dynamics(cfg, rec):
     spec = model_from_config(cfg)
     layout = spec.layout
-    dyn = cfg.get("dynamics", {})
-    sites = dyn.get("initial_sites", [1, 2])
+    dyn = cfg["dynamics"]
+    sites = dyn["initial_sites"]
     if any(s < 1 or s > layout.L for s in sites) or len(set(sites)) != len(sites):
         raise CliError(EXIT_CONFIG, "usage",
                        f"initial sites must be distinct values in 1..{layout.L}")
@@ -605,16 +602,14 @@ def run_dynamics(cfg, rec):
     for s in sites:
         state |= 1 << slots[s - 1]
     v0 = pure_state_vector(state, dsec)
-    times = np.linspace(0.0, dyn.get("t_final", 40.0),
-                        dyn.get("t_points", 81))
+    times = np.linspace(0.0, dyn["t_final"], dyn["t_points"])
     site_diag = site_number_diagonals(layout)
     obs = {f"N_{n}": (lambda v, a=arr: diagonal_expectation(v, dsec, a))
            for n, arr in enumerate(site_diag, start=1)}
     t0 = time.perf_counter()
     try:
         series = evolve(superop.matrix, v0, times, observables=obs,
-                        dsec=dsec, rtol=dyn.get("rtol", 1e-9),
-                        atol=dyn.get("atol", 1e-9))
+                        dsec=dsec, rtol=dyn["rtol"], atol=dyn["atol"])
     except SolverError as exc:
         raise CliError(EXIT_SOLVER, "integration", str(exc))
     rec.timings["evolve"] = time.perf_counter() - t0
@@ -638,15 +633,14 @@ def run_dynamics(cfg, rec):
 
 def run_winding(cfg, rec):
     spec = model_from_config(cfg, kind_override="chain-pbc")
-    wind = cfg.get("winding", {})
-    steps = wind.get("phi_steps", 8)
-    variant = wind.get("variant", "double-space")
+    steps = cfg["winding"]["phi_steps"]
+    variant = cfg["winding"]["variant"]
     n_part = cfg.get("sector", {}).get("n_particles")
     cap = _dense_cap(cfg)
     dsec = _weak_sector_checked(spec.layout, n_part, cap)
     phis = [2.0 * np.pi * j / steps for j in range(steps)]
     spectra = []
-    summary = []
+    summary_rows = []
     for j, phi in enumerate(phis):
         t0 = time.perf_counter()
         try:
@@ -660,10 +654,10 @@ def run_winding(cfg, rec):
         rec.csv(f"spectrum_phi_{j:03d}.csv", SPECTRUM_HEADER,
                 ((v.real, v.imag) for v in spectrum.eigenvalues),
                 phi=phi, variant=variant)
-        summary.append((phi, spectrum.max_real(),
-                        len(spectrum.kernel_indices(_kernel_tol(cfg)))))
+        summary_rows.append((phi, spectrum.max_real(),
+                             len(spectrum.kernel_indices(_kernel_tol(cfg)))))
     rec.csv("winding_summary.csv",
-            ("phi[rad]", "max_re_lambda[J]", "kernel_count[1]"), summary)
+            ("phi[rad]", "max_re_lambda[J]", "kernel_count[1]"), summary_rows)
     rec.diagnostics["variant"] = variant
     rec.diagnostics["sector_dim"] = dsec.dim
     rec.diagnostics["max_drift_from_phi0"] = float(max(
@@ -675,12 +669,12 @@ def run_winding(cfg, rec):
 
 
 def _profile_layout(prof):
-    kind = prof.get("layout", "chain")
+    kind = prof["layout"]
     if kind == "chain":
-        return build_layout("chain-obc", prof.get("L", 8))
+        return build_layout("chain-obc", prof["L"])
     if kind == "hierarchical":
-        return build_layout("hierarchical", prof.get("L", 8))
-    return build_layout("square-2d", prof.get("L", 2), prof.get("Ly", 2))
+        return build_layout("hierarchical", prof["L"])
+    return build_layout("square-2d", prof["L"], prof["Ly"])
 
 
 def _filling_to_count(f, n_sites):
@@ -688,15 +682,15 @@ def _filling_to_count(f, n_sites):
 
 
 def run_profile(cfg, rec):
-    prof = cfg.get("profile", {})
+    prof = cfg["profile"]
     layout = _profile_layout(prof)
-    beta = prof.get("beta", 3.0)
-    alpha = prof.get("alpha", 1.0)
-    alpha_prime = prof.get("alpha_prime", 1.0)
+    beta = prof["beta"]
+    alpha = prof["alpha"]
+    alpha_prime = prof["alpha_prime"]
     beta_prime = prof.get("beta_prime")
     t0 = time.perf_counter()
     if layout.kind == "chain-obc":
-        fillings = prof.get("fillings", [0.5])
+        fillings = prof["fillings"]
         counts = [_filling_to_count(f, layout.L) for f in fillings]
         if any(not 0 <= n <= layout.L for n in counts):
             raise CliError(EXIT_SECTOR, "empty-sector",
@@ -737,10 +731,7 @@ def run_profile(cfg, rec):
         if beta_prime is None:
             raise CliError(EXIT_CONFIG, "usage",
                            "square-2d profile needs beta_prime")
-        fillings = prof.get("fillings")
-        n_sites = layout.L * layout.Ly
-        n_part = (_filling_to_count(fillings[0], n_sites)
-                  if fillings else None)
+        n_part = _filling_to_count(prof["fillings"][0], layout.L * layout.Ly)
         ens = exact_steady_state(layout, beta, alpha, beta_prime=beta_prime,
                                  n_particles=n_part)
         marg = ensemble_marginals(ens)
@@ -834,7 +825,7 @@ def _verify_rows(L):
 
 
 def run_verify_exact(cfg, rec):
-    L = cfg.get("verify", {}).get("L", 4)
+    L = cfg["verify"]["L"]
     t0 = time.perf_counter()
     rows = _verify_rows(L)
     rec.timings["battery"] = time.perf_counter() - t0
@@ -887,9 +878,7 @@ def build_parser():
         p.add_argument("--J", type=float)
         p.add_argument("--J1", type=float)
         p.add_argument("--J2", type=float)
-        p.add_argument("--jump-family",
-                       choices=["biased", "x-like", "dephasing", "gauge-fix",
-                                "effective-asep"])
+        p.add_argument("--jump-family", choices=JUMP_FAMILIES)
         p.add_argument("--gamma-up", type=float, dest="gamma_up")
         p.add_argument("--gamma-down", type=float, dest="gamma_down")
         p.add_argument("--gamma-up-v", type=float, dest="gamma_up_v")
@@ -956,7 +945,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         cfg = build_config(args)
-        out_dir = cfg.get("output_dir", "runs")
+        out_dir = cfg["output_dir"]
         os.makedirs(out_dir, exist_ok=True)
         rec = Recorder(out_dir, cfg)
         RUNNERS[cfg["task"]](cfg, rec)
@@ -972,6 +961,9 @@ def main(argv=None):
             kind, code = "empty-sector", EXIT_SECTOR
         _emit_error(code, kind, str(exc))
         return code
+    except LayoutError as exc:
+        _emit_error(EXIT_CONFIG, "model", str(exc))
+        return EXIT_CONFIG
     except InfeasibleSectorError as exc:
         _emit_error(EXIT_SECTOR, "infeasible-sector", str(exc))
         return EXIT_SECTOR

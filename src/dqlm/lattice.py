@@ -153,35 +153,6 @@ class LatticeLayout:
         self._check_xy(x, y, self.L, self.Ly - 1)
         return self.L * self.Ly + (self.L - 1) * self.Ly + (y - 1) * self.L + (x - 1)
 
-    # -- generic labels ----------------------------------------------
-    def slot_labels(self):
-        """Human-readable label per slot, index-aligned with the slot map."""
-        lab = [None] * self.total_spins
-        if self.kind in ("chain-obc", "chain-pbc"):
-            for n in range(1, self.L + 1):
-                lab[self.site_slot(n)] = f"site:{n}"
-            for m in range(1, self.n_links + 1):
-                other = m + 1 if m < self.L else 1
-                lab[self.link_slot(m)] = f"link:{m}-{other}"
-        elif self.kind == "hierarchical":
-            for n in range(1, self.L + 1):
-                lab[self.top_slot(n)] = f"top:{n}"
-            for m in range(1, self.L):
-                lab[self.mid_slot(m)] = f"mid:{m}-{m + 1}"
-            for j in range(2, self.L):
-                lab[self.bot_slot(j)] = f"bot:{j}"
-        else:
-            for y in range(1, self.Ly + 1):
-                for x in range(1, self.L + 1):
-                    lab[self.site_slot_2d(x, y)] = f"site:{x},{y}"
-            for y in range(1, self.Ly + 1):
-                for x in range(1, self.L):
-                    lab[self.hlink_slot(x, y)] = f"hlink:{x}+,{y}"
-            for y in range(1, self.Ly):
-                for x in range(1, self.L + 1):
-                    lab[self.vlink_slot(x, y)] = f"vlink:{x},{y}+"
-        return lab
-
     def _need(self, *kinds):
         if self.kind not in kinds:
             raise LayoutError(f"slot map not defined for {self.kind!r}")
@@ -200,13 +171,6 @@ def build_layout(kind, L, Ly=0):
 def state_bit(state, slot):
     """Bit of `state` at `slot` (works on scalars and arrays)."""
     return (state >> slot) & 1
-
-
-def format_state(layout, state):
-    """Render a basis state as label=bit pairs, slot order."""
-    bits = [(state >> k) & 1 for k in range(layout.total_spins)]
-    return " ".join(f"{lab}={'1' if b else '0'}"
-                    for lab, b in zip(layout.slot_labels(), bits))
 
 
 class SparseOperator:
@@ -242,9 +206,6 @@ class SparseOperator:
     def diagonal(self):
         return self.matrix.diagonal()
 
-    def apply(self, vec):
-        return self.matrix @ vec
-
     def adjoint(self):
         return SparseOperator(self.matrix.conjugate().transpose(), self.basis)
 
@@ -253,10 +214,6 @@ class SparseOperator:
 
     def frobenius_norm(self):
         return float(np.linalg.norm(self.matrix.data)) if self.matrix.nnz else 0.0
-
-    def is_hermitian(self, tol=1e-12):
-        d = self.matrix - self.matrix.conjugate().transpose()
-        return (np.abs(d.data).max() if d.nnz else 0.0) <= tol
 
     def _check(self, other):
         if not isinstance(other, SparseOperator):
@@ -293,12 +250,6 @@ class SparseOperator:
 def commutator(a, b):
     """[a, b] with basis checking."""
     return (a @ b) - (b @ a)
-
-
-def identity_operator(total_spins):
-    n = 1 << total_spins
-    return SparseOperator(sp.identity(n, dtype=np.complex128, format="csr"),
-                          f"spins:{total_spins}")
 
 
 def diagonal_operator(total_spins, values):

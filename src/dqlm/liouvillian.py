@@ -1,4 +1,4 @@
-"""Vectorization convention and Liouvillian superoperator assembly.
+"""Vectorization conventions and Liouvillian superoperator assembly.
 
 Convention (pinned): vec(rho) flattens row-major, so the pair (i, j) with
 ket index i and bra index j sits at position i*dim + j, and
@@ -20,8 +20,6 @@ order is the vec order above). `lindblad_apply` applies the same generator
 to a sparse density operator by operator products, without a basis.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -29,22 +27,11 @@ from .lattice import SparseOperator
 from .models import build_hamiltonian, build_jump_set, bulk_hamiltonian, twist_term
 from .symmetry import SectorLeakageError, full_pairs
 
-CONVENTION = "vec-rowmajor/AxBT"
 LEAK_TOL = 1e-12
 
 
 class AssemblyError(ValueError):
     """Superoperator construction outside supported sizes or layouts."""
-
-
-@dataclass
-class VectorizedState:
-    """A density operator flattened onto a pair basis, with diagnostics."""
-
-    vector: np.ndarray
-    basis: str
-    trace: complex
-    herm_defect: float
 
 
 class Superoperator:
@@ -63,14 +50,10 @@ class Superoperator:
         self.sector = sector
         self.hamiltonian = hamiltonian
         self.jumps = jumps
-        self.convention = CONVENTION
 
     @property
     def nnz(self):
         return self.matrix.nnz
-
-    def apply(self, vec):
-        return self.matrix @ vec
 
     def __repr__(self):
         return f"Superoperator(dim={self.dim}, nnz={self.nnz}, basis={self.basis!r})"
@@ -212,7 +195,8 @@ def assemble_twisted(spec, phi, variant, sector=None, leak_tol=LEAK_TOL):
 # -- vectorization -------------------------------------------------------
 
 def vectorize_into(rho, dsec, leak_tol=LEAK_TOL):
-    """Embed a sparse density operator into a DoubleSectorBasis."""
+    """vec(rho) of a sparse density operator on a DoubleSectorBasis; the
+    inverse of `devectorize_from`."""
     coo = rho.matrix.tocoo()
     pos = dsec.lookup(coo.row, coo.col)
     bad = pos < 0
@@ -223,8 +207,7 @@ def vectorize_into(rho, dsec, leak_tol=LEAK_TOL):
                 f"state has weight {outside:.3e} outside {dsec.tag}")
     vec = np.zeros(dsec.dim, dtype=np.complex128)
     np.add.at(vec, pos[~bad], coo.data[~bad])
-    return VectorizedState(vec, dsec.tag, sector_trace(vec, dsec),
-                           herm_defect(vec, dsec))
+    return vec
 
 
 def devectorize_from(vec, dsec, basis=None):
@@ -240,27 +223,6 @@ def trace_vector(dsec):
     v = np.zeros(dsec.dim, dtype=np.complex128)
     v[dsec.diag_positions] = 1.0
     return v
-
-
-def sector_trace(vec, dsec):
-    return complex(np.sum(vec[dsec.diag_positions]))
-
-
-def conjugate_pair_vector(vec, dsec):
-    """vec(rho^+): conjugate and swap ket with bra."""
-    pos = dsec.lookup(dsec.bras, dsec.kets)
-    if np.any(pos < 0):
-        raise SectorLeakageError("sector is not closed under conjugation")
-    out = np.empty_like(vec)
-    out[pos] = np.conj(vec)
-    return out
-
-
-def herm_defect(vec, dsec):
-    try:
-        return float(np.linalg.norm(vec - conjugate_pair_vector(vec, dsec)))
-    except SectorLeakageError:
-        return float("nan")
 
 
 def diagonal_expectation(vec, dsec, diag_values):

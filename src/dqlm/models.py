@@ -19,7 +19,7 @@ Jump families, one list entry per operator:
                   sites only, chains only
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,10 +70,9 @@ class JumpSpec:
     def __post_init__(self):
         if self.family not in JUMP_FAMILIES:
             raise ModelError(f"unknown jump family {self.family!r}")
-        for name in ("gamma_up", "gamma_down", "gamma_up_v", "gamma_down_v",
-                     "gamma", "strength", "gamma_right", "gamma_left"):
-            if getattr(self, name) < 0:
-                raise ModelError(f"negative rate {name}={getattr(self, name)}")
+        for f in fields(self):
+            if f.name != "family" and getattr(self, f.name) < 0:
+                raise ModelError(f"negative rate {f.name}={getattr(self, f.name)}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Dense spectra, kernel extraction, winding scans, and time evolution.
+"""Dense spectra, kernel extraction, and time evolution.
 
 Eigenvalue lists are always returned in one canonical order (real part
 descending, ties broken by imaginary part ascending) so that CSV output
@@ -19,9 +19,8 @@ way to keep the components below the cap.
 
 Steady states are taken from eigenpairs with |lambda| below the kernel
 bin (1e-9), orthonormalized, devectorized, Hermitized, and
-trace-normalized; an SVD cross-check of the kernel dimension is
-available for matrices up to 1000 rows. Degeneracy counting bins
-eigenvalues within 1e-7 of the reference value.
+trace-normalized. Degeneracy counting bins eigenvalues within 1e-7 of
+the reference value.
 
 Time integration uses adaptive high-order explicit Runge-Kutta
 (dormand-prince 8th order) with absolute/relative tolerances 1e-9 by
@@ -37,13 +36,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 
-from .lattice import SparseOperator
-from .liouvillian import (
-    assemble,
-    assemble_twisted,
-    devectorize_from,
-    trace_vector,
-)
+from .liouvillian import assemble, devectorize_from, trace_vector
 from .symmetry import SectorLeakageError, gauge_charge_table, weak_sector
 
 DENSE_CAP = 6000
@@ -96,20 +89,12 @@ def eig_dense(matrix, want_vectors=False, basis="unknown", cap=DENSE_CAP):
     With vectors requested, every eigenpair residual is checked against
     ``RESIDUAL_TOL`` and the worst one is reported in the result.
     """
-    if sp.issparse(matrix):
-        n = matrix.shape[0]
-        if n > cap:
-            raise SolverError(
-                f"dimension {n} exceeds the dense cap {cap}; project onto a "
-                "smaller sector or reduce L")
-        dense = matrix.toarray()
-    else:
-        dense = np.asarray(matrix)
-        n = dense.shape[0]
-        if n > cap:
-            raise SolverError(
-                f"dimension {n} exceeds the dense cap {cap}; project onto a "
-                "smaller sector or reduce L")
+    n = np.shape(matrix)[0]
+    if n > cap:
+        raise SolverError(
+            f"dimension {n} exceeds the dense cap {cap}; project onto a "
+            "smaller sector or reduce L")
+    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
     if n == 0:
         empty = np.zeros(0, dtype=np.complex128)
         vecs = np.zeros((0, 0), dtype=np.complex128) if want_vectors else None
@@ -194,20 +179,6 @@ def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
                     block_labels=tuple(labels[order].tolist()))
 
 
-def kernel_dimension(matrix, tol=KERNEL_TOL, method="eig"):
-    """Kernel count by eigenvalue bin, or by SVD on small matrices."""
-    if method == "svd":
-        if matrix.shape[0] > 1000:
-            raise SolverError("svd cross-check limited to dimension 1000")
-        dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-        if dense.shape[0] == 0:
-            return 0
-        return int(np.count_nonzero(np.linalg.svd(dense, compute_uv=False) < tol))
-    if method != "eig":
-        raise SolverError(f"unknown kernel method {method!r}")
-    return len(eig_dense(matrix).kernel_indices(tol))
-
-
 def steady_states(superop, dsec, tol=KERNEL_TOL, cap=DENSE_CAP):
     """Kernel basis as density matrices: Hermitized and trace-normalized.
 
@@ -251,17 +222,6 @@ def positivity_defect(rho):
     dense = rho.toarray()
     vals = np.linalg.eigvalsh((dense + dense.conj().T) / 2)
     return float(max(0.0, -vals.min()))
-
-
-def state_fidelity(rho, sigma):
-    """Uhlmann fidelity of two (almost) positive density matrices."""
-    a = rho.toarray() if hasattr(rho, "toarray") else np.asarray(rho)
-    b = sigma.toarray() if hasattr(sigma, "toarray") else np.asarray(sigma)
-    wa, va = np.linalg.eigh((a + a.conj().T) / 2)
-    root = (va * np.sqrt(np.clip(wa, 0.0, None))) @ va.conj().T
-    inner = root @ ((b + b.conj().T) / 2) @ root
-    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    return float(np.sqrt(np.clip(vals, 0.0, None)).sum() ** 2)
 
 
 def full_spectrum(spec, cap=DENSE_CAP):
@@ -369,16 +329,6 @@ def hull_violation(inner, outer):
     return float(dist.max())
 
 
-def winding_scan(spec, phis, variant, n_particles=None, cap=DENSE_CAP):
-    """Weak-sector spectra of the twisted generator on a phase grid."""
-    dsec = weak_sector(spec.layout, n_particles)
-    out = []
-    for phi in phis:
-        superop = assemble_twisted(spec, float(phi), variant, sector=dsec)
-        out.append(spectrum_of(superop, cap=cap))
-    return out
-
-
 @dataclass
 class StateSeries:
     """Time grid, tracked observables, and sanity defects of a run."""
@@ -388,9 +338,6 @@ class StateSeries:
     trace_defect: np.ndarray = None
     positivity_defect: np.ndarray = None
     final_vector: np.ndarray = None
-
-    def observable(self, name):
-        return self.observables[name]
 
 
 def evolve(matrix, v0, t_grid, observables=None, dsec=None,

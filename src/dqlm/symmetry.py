@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LayoutError, SparseOperator, diagonal_operator, state_bit
+from .lattice import LayoutError, diagonal_operator, state_bit
 
 MAX_ENUM_SPINS = 22          # sector enumeration walks all 2**total_spins states
 MAX_FULL_PAIR_STATES = 1024  # full pair-space bases hold nstates**2 pairs
@@ -114,12 +114,6 @@ def gauge_charge_table(layout):
                 g += _z2(idx, layout.vlink_slot(x, y - 1))
             G[:, (y - 1) * Lx + (x - 1)] = g
     return G
-
-
-def gauge_charges(layout, state):
-    """Doubled gauge eigenvalues of one basis state, as a tuple."""
-    table = gauge_charge_table(layout)
-    return tuple(int(v) for v in table[state])
 
 
 def site_occupation_table(layout):
@@ -231,37 +225,6 @@ def gauss_generator(layout, site):
     return diagonal_operator(layout.total_spins, g * 0.5)
 
 
-def charge_operators(layout):
-    """Conserved charges as diagonal operators.
-
-    chains       : N (occupied sites), D (sum_n n * occupation),
-                   Sz (sum of link s^z)
-    hierarchical : N (occupied top spins), D (sum_n n*top_occ + mid_occ)
-    square-2d    : N (occupied sites)
-    """
-    idx = _index_column(layout)
-    tag_dim = layout.total_spins
-    occ = site_occupation_table(layout).astype(np.float64)
-    ops = {"N": diagonal_operator(tag_dim, occ)}
-    if layout.kind in ("chain-obc", "chain-pbc"):
-        d = np.zeros(idx.size)
-        for n in range(1, layout.L + 1):
-            d += n * state_bit(idx, layout.site_slot(n))
-        ops["D"] = diagonal_operator(tag_dim, d)
-        sz = np.zeros(idx.size)
-        for m in range(1, layout.n_links + 1):
-            sz += state_bit(idx, layout.link_slot(m)) - 0.5
-        ops["Sz"] = diagonal_operator(tag_dim, sz)
-    elif layout.kind == "hierarchical":
-        d = np.zeros(idx.size)
-        for n in range(1, layout.L + 1):
-            d += n * state_bit(idx, layout.top_slot(n))
-        for m in range(1, layout.L):
-            d += state_bit(idx, layout.mid_slot(m))
-        ops["D"] = diagonal_operator(tag_dim, d)
-    return ops
-
-
 @dataclass(frozen=True)
 class SectorSpec:
     """Constraints cutting out a Hilbert-space sector.
@@ -298,24 +261,6 @@ class SectorBasis:
     @property
     def dim(self):
         return self.states.size
-
-    def positions(self, states):
-        """Positions of full-space states inside this sector (must belong)."""
-        pos = np.searchsorted(self.states, states)
-        if np.any(pos >= self.dim) or np.any(self.states[pos] != states):
-            raise SectorLeakageError("state outside sector")
-        return pos
-
-    def summary(self):
-        return {
-            "tag": self.tag,
-            "dim": int(self.dim),
-            "total_spins": self.layout.total_spins,
-            "n_particles": self.spec.n_particles,
-            "gauge": list(self.spec.gauge) if self.spec.gauge else None,
-            "hier_charges": (list(self.spec.hier_charges)
-                             if self.spec.hier_charges else None),
-        }
 
 
 def enumerate_sector(layout, spec):
@@ -390,10 +335,6 @@ class DoubleSectorBasis:
         pos[bad] = -1
         return pos
 
-    def summary(self):
-        return {"tag": self.tag, "dim": int(self.dim),
-                "total_spins": self.layout.total_spins}
-
 
 def weak_sector(layout, n_particles=None):
     """Pairs (a, b) with identical gauge configurations, optionally at
@@ -462,22 +403,3 @@ def partition_double_space(layout):
         label = "delta=" + ",".join(str(v) for v in key)
         out.append((key, DoubleSectorBasis(layout, chunk // n, chunk % n, label)))
     return out
-
-
-def project_operator(op, sector, leak_tol=1e-12):
-    """Restrict a full-space operator to a `SectorBasis`.
-
-    Raises `SectorLeakageError` if the sector is not invariant:
-    || (1-P) A P ||_F > leak_tol.
-    """
-    states = sector.states
-    cols = op.matrix[:, states].tocsr()
-    outside = np.ones(op.dim, dtype=bool)
-    outside[states] = False
-    leak = cols[outside]
-    leak_norm = float(np.linalg.norm(leak.data)) if leak.nnz else 0.0
-    if leak_norm > leak_tol:
-        raise SectorLeakageError(
-            f"operator leaks out of {sector.tag}: ||(1-P)AP||_F = {leak_norm:.3e}")
-    return SparseOperator(cols[states], sector.tag)
-

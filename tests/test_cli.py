@@ -136,6 +136,21 @@ def test_oversized_sector_exits_3(tmp_path, capsys):
     assert stderr_error(capsys)["kind"] == "sector-too-large"
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--boundary", "pbc", "--L", "2"),
+    ("steady-state", "--layout", "hierarchical", "--L", "2"),
+    ("spectrum", "--layout", "square-2d", "--L", "2"),
+    ("spectrum", "--L", "4", "--Ly", "2"),
+    ("winding", "--L", "2"),
+])
+def test_unbuildable_layout_exits_2(tmp_path, capsys, argv):
+    code = run(*argv, "--output-dir", str(tmp_path / "o"))
+    assert code == 2
+    err = stderr_error(capsys)
+    assert err["exit_code"] == 2
+    assert err["kind"] == "model"
+
+
 def test_dynamics_initial_site_validation(tmp_path, capsys):
     code = run("dynamics", "--L", "4", "--initial-sites", "1,9",
                "--output-dir", str(tmp_path / "o"))

@@ -13,7 +13,6 @@ from dqlm.liouvillian import (
     assemble_twisted,
     diagonal_expectation,
     steady_residual,
-    vectorize_into,
 )
 from dqlm.models import DisorderSpec, JumpSpec, ModelSpec, build_hamiltonian, \
     build_jump_set
@@ -26,16 +25,13 @@ from dqlm.numerics import (
     full_spectrum,
     hausdorff_distance,
     hull_violation,
-    kernel_dimension,
     link_z_diagonals,
     multiset_distance,
     positivity_defect,
     pure_state_vector,
     site_number_diagonals,
-    state_fidelity,
     steady_states,
     weak_spectrum,
-    winding_scan,
 )
 from dqlm.symmetry import (
     SectorLeakageError,
@@ -94,7 +90,8 @@ def test_kernel_and_steady_states_match_exact():
     spec = biased_chain(4, 0.3, 0.2)
     spectrum, dsec, superop = weak_spectrum(spec)
     assert len(spectrum.kernel_indices()) == 5
-    assert kernel_dimension(superop.matrix, method="svd") == 5
+    singular = np.linalg.svd(superop.matrix.toarray(), compute_uv=False)
+    assert np.count_nonzero(singular < 1e-9) == 5
     assert spectrum.max_real() < 1e-10
     assert multiset_distance(spectrum.eigenvalues,
                              np.conj(spectrum.eigenvalues)) < 1e-8
@@ -114,7 +111,7 @@ def test_kernel_and_steady_states_match_exact():
     assert abs(complex(rho_ed.matrix.diagonal().sum()) - 1) < 1e-10
     assert positivity_defect(rho_ed) < 1e-10
     rho_exact = exact_steady_state(spec.layout, 1.5, n_particles=2).materialize()
-    assert state_fidelity(rho_ed, rho_exact) > 1 - 1e-10
+    assert (rho_ed - rho_exact).frobenius_norm() < 1e-10
 
     zdiags = link_z_diagonals(spec.layout)
     for diag in zdiags:
@@ -265,22 +262,6 @@ def test_hull_violation_signs():
     assert hull_violation(np.array([0j, 0.5 + 0.5j]), square) <= 0.0
 
 
-def test_winding_scan_variants():
-    spec = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
-    phis = [0.0, 0.3, 1.0]
-    proper = winding_scan(spec, phis, "lindblad", n_particles=2)
-    for later in proper[1:]:
-        assert multiset_distance(proper[0].eigenvalues,
-                                 later.eigenvalues) < 1e-8
-
-    loop = winding_scan(spec, [0.0, np.pi / 2, np.pi], "double-space",
-                        n_particles=2)
-    assert multiset_distance(loop[0].eigenvalues,
-                             loop[2].eigenvalues) < 1e-8
-    assert hausdorff_distance(loop[0].eigenvalues,
-                              loop[1].eigenvalues) > 1e-4
-
-
 def test_evolve_single_link_closed_form():
     gu, gd = 0.9, 0.3
     spec = ModelSpec(layout=build_layout("chain-obc", 2), J=0.0,
@@ -300,7 +281,7 @@ def test_evolve_single_link_closed_form():
     beta = gu / gd
     closed = (link_polarization(beta)
               + (-0.5 - link_polarization(beta)) * np.exp(-2 * (gu + gd) * times))
-    assert np.abs(series.observable("sz").real - closed).max() < 1e-8
+    assert np.abs(series.observables["sz"].real - closed).max() < 1e-8
     assert series.trace_defect.max() < 1e-9
     assert series.positivity_defect.max() < 1e-8
 
@@ -326,8 +307,6 @@ def test_evolve_guards():
         evolve(mat, np.zeros(2), [0.0])
     with pytest.raises(SolverError):
         evolve(mat, np.zeros(2), [0.0, 0.0])
-    with pytest.raises(SolverError):
-        kernel_dimension(np.eye(3), method="qr")
     dsec = weak_sector(build_layout("chain-obc", 2), n_particles=1)
     with pytest.raises(SolverError):
         pure_state_vector(0, dsec)  # empty chain is N=0, not in N=1 sector
