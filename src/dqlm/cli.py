@@ -7,9 +7,9 @@ digits) plus a manifest JSON with the config echo, artifact hashes,
 timings, and diagnostics. Files are written atomically (temp + rename)
 and CSV payloads are byte-identical across reruns of the same config.
 
-Exit codes: 0 success, 2 config/flag error, 3 infeasible or oversized
-sector, 4 solver or verification failure. Errors print one JSON object
-on stderr.
+Exit codes: 0 success, 2 config/flag error, 3 infeasible sector or a
+block over the dense cap, 4 solver or verification failure. Errors print
+one JSON object on stderr.
 """
 
 import argparse
@@ -51,6 +51,7 @@ from .models import (
 from .numerics import (
     DENSE_CAP,
     KERNEL_TOL,
+    DenseCapError,
     SolverError,
     evolve,
     hausdorff_distance,
@@ -505,16 +506,11 @@ def _leak_tol(cfg):
     return cfg.get("tolerances", {}).get("leak_tol", LEAK_TOL)
 
 
-def _weak_sector_checked(layout, n_particles, cap):
+def _weak_sector_checked(layout, n_particles):
     dsec = weak_sector(layout, n_particles)
     if dsec.dim == 0:
         raise CliError(EXIT_SECTOR, "empty-sector",
                        f"sector N={n_particles} holds no states")
-    if cap is not None and dsec.dim > cap:
-        raise CliError(
-            EXIT_SECTOR, "sector-too-large",
-            f"sector dimension {dsec.dim} exceeds the dense cap {cap}; "
-            "reduce L or pick a smaller particle number")
     return dsec
 
 
@@ -537,7 +533,7 @@ def run_spectrum(cfg, rec):
         tag = {"chain-obc": "obc", "chain-pbc": "pbc"}.get(
             spec.layout.kind, spec.layout.kind)
         t0 = time.perf_counter()
-        dsec = _weak_sector_checked(spec.layout, n_part, cap)
+        dsec = _weak_sector_checked(spec.layout, n_part)
         superop = assemble(spec, sector=dsec, leak_tol=_leak_tol(cfg))
         spectrum = spectrum_of(superop, cap=cap)
         rec.timings[f"spectrum_{tag}"] = time.perf_counter() - t0
@@ -548,6 +544,8 @@ def run_spectrum(cfg, rec):
         rec.diagnostics[f"{tag}_kernel"] = len(
             spectrum.kernel_indices(_kernel_tol(cfg)))
         rec.diagnostics[f"{tag}_max_real"] = spectrum.max_real()
+        rec.diagnostics[f"{tag}_blocks"] = len(spectrum.block_dims)
+        rec.diagnostics[f"{tag}_max_block_dim"] = max(spectrum.block_dims)
 
 
 def run_steady_state(cfg, rec):
@@ -555,9 +553,11 @@ def run_steady_state(cfg, rec):
     cap = _dense_cap(cfg)
     spec = model_from_config(cfg)
     t0 = time.perf_counter()
-    dsec = _weak_sector_checked(spec.layout, n_part, cap)
+    dsec = _weak_sector_checked(spec.layout, n_part)
     superop = assemble(spec, sector=dsec, leak_tol=_leak_tol(cfg))
-    states = steady_states(superop, dsec, tol=_kernel_tol(cfg), cap=cap)
+    spectrum = spectrum_of(superop, want_vectors=True, cap=cap)
+    states = steady_states(superop, dsec, tol=_kernel_tol(cfg), cap=cap,
+                           spectrum=spectrum)
     rec.timings["kernel"] = time.perf_counter() - t0
     site_diag = site_number_diagonals(spec.layout)
     link_diag = link_z_diagonals(spec.layout)
@@ -576,6 +576,8 @@ def run_steady_state(cfg, rec):
     rec.diagnostics["kernel_dim"] = len(states)
     rec.diagnostics["max_residual"] = float(max(residuals))
     rec.diagnostics["sector_dim"] = dsec.dim
+    rec.diagnostics["blocks"] = len(spectrum.block_dims)
+    rec.diagnostics["max_block_dim"] = max(spectrum.block_dims)
 
 
 def run_dynamics(cfg, rec):
@@ -592,7 +594,7 @@ def run_dynamics(cfg, rec):
     if n_part != len(sites):
         raise CliError(EXIT_CONFIG, "usage",
                        "sector.n_particles must match the initial occupation")
-    dsec = _weak_sector_checked(layout, n_part, cap=None)
+    dsec = _weak_sector_checked(layout, n_part)
     t0 = time.perf_counter()
     superop = assemble(spec, sector=dsec, leak_tol=_leak_tol(cfg))
     rec.timings["assemble"] = time.perf_counter() - t0
@@ -637,7 +639,7 @@ def run_winding(cfg, rec):
     variant = cfg["winding"]["variant"]
     n_part = cfg.get("sector", {}).get("n_particles")
     cap = _dense_cap(cfg)
-    dsec = _weak_sector_checked(spec.layout, n_part, cap)
+    dsec = _weak_sector_checked(spec.layout, n_part)
     phis = [2.0 * np.pi * j / steps for j in range(steps)]
     spectra = []
     summary_rows = []
@@ -660,6 +662,8 @@ def run_winding(cfg, rec):
             ("phi[rad]", "max_re_lambda[J]", "kernel_count[1]"), summary_rows)
     rec.diagnostics["variant"] = variant
     rec.diagnostics["sector_dim"] = dsec.dim
+    rec.diagnostics["blocks"] = [len(s.block_dims) for s in spectra]
+    rec.diagnostics["max_block_dim"] = [max(s.block_dims) for s in spectra]
     rec.diagnostics["max_drift_from_phi0"] = float(max(
         multiset_distance(spectra[0].eigenvalues, s.eigenvalues)
         for s in spectra))
@@ -966,6 +970,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except InfeasibleSectorError as exc:
         _emit_error(EXIT_SECTOR, "infeasible-sector", str(exc))
+        return EXIT_SECTOR
+    except DenseCapError as exc:
+        _emit_error(EXIT_SECTOR, "sector-too-large", str(exc))
         return EXIT_SECTOR
     except (SolverError, AssemblyError, SectorLeakageError,
             np.linalg.LinAlgError) as exc:

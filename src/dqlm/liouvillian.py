@@ -41,15 +41,19 @@ class Superoperator:
     sector     : the DoubleSectorBasis it is assembled on
     basis, dim : the sector's tag and dimension
     hamiltonian, jumps : the operators the generator closes over
+    twists     : (phi_ket, phi_bra) on a chain-pbc layout, else None: the
+                 boundary twists of the ket and bra Hamiltonians, which fix
+                 the generator's translation symmetry (see `numerics`)
     """
 
-    def __init__(self, matrix, sector, hamiltonian, jumps):
+    def __init__(self, matrix, sector, hamiltonian, jumps, twists=None):
         self.basis = sector.tag
         self.dim = sector.dim
         self.matrix = matrix
         self.sector = sector
         self.hamiltonian = hamiltonian
         self.jumps = jumps
+        self.twists = twists
 
     @property
     def nnz(self):
@@ -145,11 +149,11 @@ def _assemble_on_pairs(terms, dsec, leak_tol=LEAK_TOL):
     return m
 
 
-def _build(terms, layout, sector, hamiltonian, jumps, leak_tol=LEAK_TOL):
+def _build(terms, layout, sector, hamiltonian, jumps, leak_tol, twists):
     if sector is None:
         sector = full_pairs(layout)
     matrix = _assemble_on_pairs(terms, sector, leak_tol)
-    return Superoperator(matrix, sector, hamiltonian, jumps)
+    return Superoperator(matrix, sector, hamiltonian, jumps, twists)
 
 
 def assemble(spec, sector=None, leak_tol=LEAK_TOL):
@@ -157,8 +161,10 @@ def assemble(spec, sector=None, leak_tol=LEAK_TOL):
     pair space when no sector is given."""
     h = build_hamiltonian(spec)
     jumps = build_jump_set(spec)
+    twists = ((spec.twist, spec.twist) if spec.layout.kind == "chain-pbc"
+              else None)
     return _build(_term_list(h, h, jumps), spec.layout, sector, h, jumps,
-                  leak_tol)
+                  leak_tol, twists)
 
 
 def assemble_twisted(spec, phi, variant, sector=None, leak_tol=LEAK_TOL):
@@ -182,14 +188,16 @@ def assemble_twisted(spec, phi, variant, sector=None, leak_tol=LEAK_TOL):
     h_ket = bulk + twist_term(layout, spec.J, phi % (2 * np.pi))
     if variant == "lindblad":
         h_bra = h_ket
+        twists = (phi, phi)
     elif variant == "double-space":
         # (I (x) M) vec(rho) = rho M^T, so the right operand must be
         # M^T = H_bulk + H_twist(-phi) to realize +i I (x) (H_bulk+H_twist(phi))
         h_bra = bulk + twist_term(layout, spec.J, (-phi) % (2 * np.pi))
+        twists = (phi, -phi)
     else:
         raise AssemblyError(f"unknown twisted variant {variant!r}")
     return _build(_term_list(h_ket, h_bra, jumps), layout, sector, h_ket, jumps,
-                  leak_tol)
+                  leak_tol, twists)
 
 
 # -- vectorization -------------------------------------------------------

@@ -4,9 +4,23 @@ Eigenvalue lists are always returned in one canonical order (real part
 descending, ties broken by imaginary part ascending) so that CSV output
 and multiset comparisons are reproducible.
 
-Before any dense eigendecomposition a generator is split into the weakly
-connected components of its nonzero pattern (`coupled_components`): the
-finest block-diagonal split the matrix itself proves, which refines every
+A periodic-chain generator (`Superoperator.twists` set) is first resolved
+into total-momentum blocks (`momentum_blocks`). Translation by one unit
+cell, dressed as X_phi = exp(-i phi N_1) T so that it carries the
+wrap-bond twist phi along, commutes with the Hamiltonian H_pbc(phi) and
+with every uniform jump family; on the pair basis it acts as the monomial
+superoperator S(rho) = X_ket rho X_bra^+ (ket and bra translated
+together). Each block is B_k^+ M B_k on the orthonormal Bloch basis B_k
+of S's eigenvalues with momentum k, about L blocks of dimension d/L. A
+generator that does not commute with S (a model that is not uniform, or
+the double-space twist with site-hopping jumps), a pair basis that
+translation does not map onto itself, or blocks whose Frobenius weights
+do not add up to the generator's raise `SectorLeakageError`.
+
+Before any dense eigendecomposition each momentum block, or the whole
+generator on every other layout, is split into the weakly connected
+components of its nonzero pattern (`coupled_components`): the finest
+block-diagonal split the matrix itself proves, which refines every
 weak-symmetry label at once (particle number inside a weak sector, the
 charge difference and more in the full pair space). Each component is
 diagonalized on its own, and the blocks' nonzeros must add up to the
@@ -14,8 +28,10 @@ matrix's (else `SectorLeakageError`). In `full_spectrum` a component whose
 rho -> rho^+ mirror is another component is diagonalized once: a
 Lindbladian preserves Hermiticity, so the partner's spectrum is the
 complex conjugate. Dense eigendecomposition is capped (default 6000) per
-component because the cost is cubic; sector projection is the intended
-way to keep the components below the cap.
+block because the cost is cubic (`DenseCapError`); sector projection is
+the intended way to keep the blocks below the cap. Eigenvectors are
+returned as one dense array over the whole pair basis, so a request for
+them also caps the basis dimension.
 
 Steady states are taken from eigenpairs with |lambda| below the kernel
 bin (1e-9), orthonormalized, devectorized, Hermitized, and
@@ -36,8 +52,15 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 
-from .liouvillian import assemble, devectorize_from, trace_vector
-from .symmetry import SectorLeakageError, gauge_charge_table, weak_sector
+from .lattice import state_bit
+from .liouvillian import LEAK_TOL, assemble, devectorize_from, trace_vector
+from .symmetry import (
+    SectorLeakageError,
+    gauge_charge_table,
+    site_occupation_table,
+    translate_states,
+    weak_sector,
+)
 
 DENSE_CAP = 6000
 KERNEL_TOL = 1e-9
@@ -51,6 +74,10 @@ class SolverError(RuntimeError):
     """Eigen- or ODE-solver breakdown, or a request over the dense cap."""
 
 
+class DenseCapError(SolverError):
+    """A block to diagonalize is larger than the dense cap."""
+
+
 @dataclass
 class Spectrum:
     """Canonically ordered eigenvalues with optional right eigenvectors."""
@@ -59,9 +86,11 @@ class Spectrum:
     vectors: np.ndarray = None
     basis: str = "unknown"
     residual_max: float = 0.0
-    # provenance of each eigenvalue: the component index in `spectrum_of`,
+    # provenance of each eigenvalue: the block index in `spectrum_of`,
     # the charge difference delta in `full_spectrum`
     block_labels: tuple = None
+    # dimension of each block that went through a dense eig
+    block_dims: tuple = ()
 
     @property
     def dim(self):
@@ -91,18 +120,18 @@ def eig_dense(matrix, want_vectors=False, basis="unknown", cap=DENSE_CAP):
     """
     n = np.shape(matrix)[0]
     if n > cap:
-        raise SolverError(
+        raise DenseCapError(
             f"dimension {n} exceeds the dense cap {cap}; project onto a "
             "smaller sector or reduce L")
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
     if n == 0:
         empty = np.zeros(0, dtype=np.complex128)
         vecs = np.zeros((0, 0), dtype=np.complex128) if want_vectors else None
-        return Spectrum(empty, vecs, basis)
+        return Spectrum(empty, vecs, basis, block_dims=(0,))
     if not want_vectors:
         vals = np.linalg.eigvals(dense)
         order = canonical_order(vals)
-        return Spectrum(vals[order], None, basis)
+        return Spectrum(vals[order], None, basis, block_dims=(n,))
     vals, vecs = np.linalg.eig(dense)
     order = canonical_order(vals)
     vals, vecs = vals[order], vecs[:, order]
@@ -112,7 +141,7 @@ def eig_dense(matrix, want_vectors=False, basis="unknown", cap=DENSE_CAP):
     if worst > RESIDUAL_TOL:
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds "
                           f"{RESIDUAL_TOL:.1e}")
-    return Spectrum(vals, vecs, basis, residual_max=worst)
+    return Spectrum(vals, vecs, basis, residual_max=worst, block_dims=(n,))
 
 
 def coupled_components(matrix):
@@ -152,16 +181,139 @@ def _diagonal_blocks(matrix, components):
     return blocks
 
 
+def _translation(dsec, twists):
+    """The translation superoperator S(rho) = X_ket rho X_bra^+ on a
+    periodic-chain pair basis, X = exp(-i phi N_1) T for the ket's and
+    the bra's twist phi: pair p goes to `image[p]` with the phase
+    exp(i `angle[p]`). Raises `SectorLeakageError` unless the basis is
+    closed under translation."""
+    layout = dsec.layout
+    phi_ket, phi_bra = twists
+    kets = translate_states(layout, dsec.kets)
+    bras = translate_states(layout, dsec.bras)
+    image = dsec.lookup(kets, bras)
+    if np.any(image < 0):
+        raise SectorLeakageError(f"{dsec.tag} is not closed under translation")
+    site = layout.site_slot(1)
+    angle = -(phi_ket * state_bit(kets, site) - phi_bra * state_bit(bras, site))
+    return image, angle
+
+
+def _bloch_basis(dsec, twists, image, angle):
+    """Orthonormal eigenbasis of the translation S (see `_translation`),
+    sparse CSC with its columns grouped by momentum k = 0..L-1, and the
+    column bounds of the groups.
+
+    S^L is the phase exp(-i (phi_ket N_ket - phi_bra N_bra)) on a pair,
+    so S's eigenvalues on it are lam0 exp(2 pi i k / L) with
+    lam0 = exp(-i (phi_ket N_ket - phi_bra N_bra) / L). An orbit
+    p_0 -> p_1 -> ... of length l (a divisor of L) carries the momenta k
+    with k l = 0 mod L, each with the Bloch vector
+    sum_m exp(i c_m - 2 pi i k m / L) e_{p_m} / sqrt(l), where c_m sums
+    the angles of S over the first m steps, each less arg lam0.
+    """
+    layout = dsec.layout
+    L = layout.L
+    dim = dsec.dim
+    occupation = site_occupation_table(layout)
+    phi_ket, phi_bra = twists
+    step = angle + (phi_ket * occupation[dsec.kets]
+                    - phi_bra * occupation[dsec.bras]) / L
+    walk = np.empty((L + 1, dim), dtype=np.int64)
+    walk[0] = np.arange(dim)
+    for t in range(L):
+        walk[t + 1] = image[walk[t]]
+    # T^L is the identity, so every orbit closes within L steps
+    length = np.argmax(walk[1:] == walk[0], axis=0) + 1
+    reps = np.nonzero(walk[:L].min(axis=0) == walk[0])[0]
+    members = walk[:L, reps]
+    phases = np.cumsum(np.vstack([np.zeros(reps.size), step[members[:-1]]]),
+                       axis=0)
+    span = length[reps]
+    t = np.arange(L)[:, None]
+    rows, cols, vals, bounds = [], [], [], [0]
+    for k in range(L):
+        keep = (k * span) % L == 0
+        inside = t < span[keep]
+        column = np.broadcast_to(bounds[-1] + np.arange(np.count_nonzero(keep)),
+                                 inside.shape)
+        rows.append(members[:, keep][inside])
+        cols.append(column[inside])
+        vals.append((np.exp(1j * (phases[:, keep] - 2 * np.pi * k * t / L))
+                     / np.sqrt(span[keep]))[inside])
+        bounds.append(bounds[-1] + np.count_nonzero(keep))
+    basis = sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim))
+    return basis, bounds
+
+
+def momentum_blocks(superop):
+    """A periodic-chain generator resolved into total-momentum blocks.
+
+    Returns (bloch, block) per momentum k: `bloch` is the sparse
+    orthonormal Bloch basis B_k of the block and `block` = B_k^+ M B_k.
+    Raises `SectorLeakageError` when M does not commute with the
+    translation within `LEAK_TOL` relative (a model that is not uniform),
+    or when the blocks' squared Frobenius norms do not add up to M's
+    (weight off the block diagonal).
+    """
+    matrix = superop.matrix
+    dim = superop.dim
+    image, angle = _translation(superop.sector, superop.twists)
+    shift = sp.csr_matrix((np.exp(1j * angle), (image, np.arange(dim))),
+                          shape=(dim, dim))
+    norm_sq = float(np.sum(np.abs(matrix.data) ** 2))
+    commutator = (shift @ matrix - matrix @ shift).data
+    if np.linalg.norm(commutator) > LEAK_TOL * np.sqrt(norm_sq):
+        raise SectorLeakageError(
+            f"the generator on {superop.basis} does not commute with the "
+            f"translation: ||[S, M]||_F = {np.linalg.norm(commutator):.3e}")
+    basis, bounds = _bloch_basis(superop.sector, superop.twists, image, angle)
+    rotated = (basis.conj().T @ matrix @ basis).tocsr()
+    out = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if b > a:
+            out.append((basis[:, a:b], rotated[a:b, a:b]))
+    kept_sq = sum(float(np.sum(np.abs(block.data) ** 2)) for _, block in out)
+    if abs(kept_sq - norm_sq) > LEAK_TOL * norm_sq:
+        raise SectorLeakageError(
+            f"momentum blocks hold {kept_sq:.17g} of the generator's squared "
+            f"Frobenius norm {norm_sq:.17g}")
+    return out
+
+
 def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
-    """Spectrum of an assembled generator, one dense eig per coupled
-    component. Eigenvalues are merged in canonical order and labelled by
-    component; vectors are scattered block-diagonally, and the residual
-    is the worst block's. A single component is diagonalized as is."""
-    components = coupled_components(superop.matrix)
-    if len(components) == 1:
+    """Spectrum of an assembled generator, one dense eig per block.
+
+    A periodic-chain generator is first resolved into its total-momentum
+    blocks (`momentum_blocks`); every block, or the whole generator on
+    any other layout, is then split into its coupled components.
+    Eigenvalues are merged in canonical order and labelled by the running
+    index of their block; vectors are scattered back into the pair basis
+    (through the Bloch basis on a periodic chain), and the residual is the
+    worst block's. A single component of an unresolved generator is
+    diagonalized as is. The eigenvectors come as one dense d x d array,
+    so with `want_vectors` the whole dimension d is held to the cap too."""
+    if want_vectors and superop.dim > cap:
+        raise DenseCapError(
+            f"eigenvectors of dimension {superop.dim} exceed the dense cap "
+            f"{cap}; project onto a smaller sector or reduce L")
+    if superop.twists is None:
+        frames = [(None, superop.matrix)]
+    else:
+        frames = momentum_blocks(superop)
+    pieces = []
+    for bloch, matrix in frames:
+        components = coupled_components(matrix)
+        blocks = ([matrix] if len(components) == 1
+                  else _diagonal_blocks(matrix, components))
+        pieces.extend((bloch, comp, block)
+                      for comp, block in zip(components, blocks))
+    if len(pieces) == 1 and pieces[0][0] is None:
         return eig_dense(superop.matrix, want_vectors, superop.basis, cap)
     parts = [eig_dense(block, want_vectors, superop.basis, cap)
-             for block in _diagonal_blocks(superop.matrix, components)]
+             for _, _, block in pieces]
     merged = np.concatenate([part.eigenvalues for part in parts])
     labels = np.repeat(np.arange(len(parts)), [part.dim for part in parts])
     order = canonical_order(merged)
@@ -171,25 +323,33 @@ def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
         column[order] = np.arange(order.size)
         vectors = np.zeros((superop.dim, superop.dim), dtype=np.complex128)
         start = 0
-        for comp, part in zip(components, parts):
-            vectors[np.ix_(comp, column[start:start + part.dim])] = part.vectors
+        for (bloch, comp, _), part in zip(pieces, parts):
+            cols = column[start:start + part.dim]
+            if bloch is None:
+                vectors[np.ix_(comp, cols)] = part.vectors
+            else:
+                vectors[:, cols] = bloch[:, comp] @ part.vectors
             start += part.dim
     return Spectrum(merged[order], vectors, superop.basis,
                     residual_max=max(part.residual_max for part in parts),
-                    block_labels=tuple(labels[order].tolist()))
+                    block_labels=tuple(labels[order].tolist()),
+                    block_dims=tuple(part.dim for part in parts))
 
 
-def steady_states(superop, dsec, tol=KERNEL_TOL, cap=DENSE_CAP):
+def steady_states(superop, dsec, tol=KERNEL_TOL, cap=DENSE_CAP, spectrum=None):
     """Kernel basis as density matrices: Hermitized and trace-normalized.
 
-    States come in component order (see `spectrum_of`), so a component
-    with a one-dimensional kernel, such as one particle-number sector,
-    always gives the same state, that sector's own steady state. Kernel
-    vectors are orthonormalized before devectorization; operators whose
-    trace vanishes (possible for degenerate kernels) fall back to
-    Frobenius normalization.
+    States come in block order (see `spectrum_of`), so a block with a
+    one-dimensional kernel, such as one particle-number sector, always
+    gives the same state, that sector's own steady state. Kernel vectors
+    are orthonormalized before devectorization; operators whose trace
+    vanishes (possible for degenerate kernels) fall back to Frobenius
+    normalization. `spectrum` is the generator's
+    `spectrum_of(superop, want_vectors=True)` when the caller already
+    holds it; it is computed otherwise.
     """
-    spec = spectrum_of(superop, want_vectors=True, cap=cap)
+    spec = spectrum if spectrum is not None else spectrum_of(
+        superop, want_vectors=True, cap=cap)
     idx = spec.kernel_indices(tol)
     if idx.size == 0:
         raise SolverError("empty kernel; a Lindblad generator always has one")
@@ -245,10 +405,12 @@ def full_spectrum(spec, cap=DENSE_CAP):
         owner[comp] = c
     table = gauge_charge_table(spec.layout).astype(np.int16)
     spectra = [None] * len(components)
+    diagonalized = []
     for c, comp in enumerate(components):
         if spectra[c] is not None:
             continue
         spectra[c] = eig_dense(blocks[c], cap=cap).eigenvalues
+        diagonalized.append(comp.size)
         mirror = (comp % n) * n + comp // n
         partner = owner[mirror[0]]
         if partner == c:
@@ -274,7 +436,8 @@ def full_spectrum(spec, cap=DENSE_CAP):
         labels.extend([tuple(int(v) for v in delta)] * values.size)
     order = canonical_order(merged)
     return Spectrum(merged[order], None, spec.layout.basis_tag,
-                    block_labels=tuple(labels[i] for i in order))
+                    block_labels=tuple(labels[i] for i in order),
+                    block_dims=tuple(diagonalized))
 
 
 def weak_spectrum(spec, n_particles=None, want_vectors=False, cap=DENSE_CAP):
@@ -393,7 +556,6 @@ def pure_state_vector(state, dsec):
 
 def site_number_diagonals(layout):
     """Occupation diagonals n -> diag(N_n) over the full spin register."""
-    from .lattice import state_bit
     from .symmetry import _site_slots
     idx = np.arange(layout.nstates, dtype=np.int64)
     return [state_bit(idx, slot).astype(float) for slot in _site_slots(layout)]
@@ -401,7 +563,6 @@ def site_number_diagonals(layout):
 
 def link_z_diagonals(layout):
     """Link s^z diagonals over the full spin register, in link order."""
-    from .lattice import state_bit
     idx = np.arange(layout.nstates, dtype=np.int64)
     out = []
     if layout.kind in ("chain-obc", "chain-pbc"):

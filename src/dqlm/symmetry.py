@@ -125,6 +125,20 @@ def site_occupation_table(layout):
     return occ
 
 
+def translate_states(layout, states):
+    """Basis states of a periodic chain translated by one unit cell: site
+    n to site n+1 and link (n, n+1) to link (n+1, n+2), cyclically."""
+    if layout.kind != "chain-pbc":
+        raise LayoutError("translation needs a chain-pbc layout")
+    states = np.asarray(states, dtype=np.int64)
+    out = np.zeros_like(states)
+    for n in range(1, layout.L + 1):
+        m = n % layout.L + 1
+        out |= state_bit(states, layout.site_slot(n)) << layout.site_slot(m)
+        out |= state_bit(states, layout.link_slot(n)) << layout.link_slot(m)
+    return out
+
+
 def _site_slots(layout):
     if layout.kind in ("chain-obc", "chain-pbc"):
         return [layout.site_slot(n) for n in range(1, layout.L + 1)]

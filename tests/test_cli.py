@@ -136,6 +136,22 @@ def test_oversized_sector_exits_3(tmp_path, capsys):
     assert stderr_error(capsys)["kind"] == "sector-too-large"
 
 
+def test_dense_cap_applies_to_blocks(tmp_path, capsys):
+    # the periodic L=4, N=2 sector holds 364 pairs in momentum blocks of at
+    # most 96: the spectrum fits a cap of 100, the dense eigenvectors do not
+    out = tmp_path / "s"
+    assert run("spectrum", "--L", "4", "--boundary", "pbc", "--n-particles",
+               "2", "--dense-cap", "100", "--output-dir", str(out)) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["pbc_dim"] == 364
+    assert diag["pbc_blocks"] == 4 and diag["pbc_max_block_dim"] == 96
+    code = run("steady-state", "--L", "4", "--boundary", "pbc",
+               "--n-particles", "2", "--dense-cap", "100",
+               "--output-dir", str(tmp_path / "ss"))
+    assert code == 3
+    assert stderr_error(capsys)["kind"] == "sector-too-large"
+
+
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--boundary", "pbc", "--L", "2"),
     ("steady-state", "--layout", "hierarchical", "--L", "2"),
@@ -190,6 +206,9 @@ def test_winding_double_space_pi_periodicity(tmp_path):
         read_csv(out / "spectrum_phi_002.csv")[1]
     assert multiset_distance(zero[:, 0] + 1j * zero[:, 1],
                              pi[:, 0] + 1j * pi[:, 1]) < 1e-8
+    # 66 pairs in three momentum blocks of 22, at every phase
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["blocks"] == [3] * 4 and diag["max_block_dim"] == [22] * 4
 
 
 def test_steady_state_kernel_and_profiles(tmp_path):
@@ -198,6 +217,10 @@ def test_steady_state_kernel_and_profiles(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diagnostics"]["kernel_dim"] == 5
     assert manifest["diagnostics"]["max_residual"] < 1e-8
+    # one coupled block per particle number 0..4
+    assert manifest["diagnostics"]["blocks"] == 5
+    assert (manifest["diagnostics"]["max_block_dim"]
+            < manifest["diagnostics"]["sector_dim"])
     with open(out / "steady_state_profiles.csv", encoding="utf-8") as fh:
         lines = fh.read().strip().splitlines()
     assert lines[0] == "state[index],kind[name],position[index],value[1]"

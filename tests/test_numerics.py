@@ -7,8 +7,9 @@ import scipy.sparse as sp
 
 from dqlm import numerics
 from dqlm.exact import exact_steady_state, link_polarization
-from dqlm.lattice import build_layout
+from dqlm.lattice import build_layout, state_bit
 from dqlm.liouvillian import (
+    Superoperator,
     assemble,
     assemble_twisted,
     diagonal_expectation,
@@ -30,6 +31,7 @@ from dqlm.numerics import (
     positivity_defect,
     pure_state_vector,
     site_number_diagonals,
+    spectrum_of,
     steady_states,
     weak_spectrum,
 )
@@ -203,6 +205,87 @@ def test_split_spectrum_matches_unsplit_eig():
                               - split.vectors * split.eigenvalues, axis=0)
     assert residual.max() < 1e-8
     assert split.residual_max < 1e-8
+
+
+@pytest.mark.parametrize("L, n_particles", [(4, 2), (5, 1)])
+def test_momentum_blocks_match_unsplit_eig(L, n_particles):
+    spec = biased_chain(L, 2.4, 1.6, kind="chain-pbc")
+    dsec = weak_sector(spec.layout, n_particles)
+    generators = [assemble_twisted(spec, phi, variant, sector=dsec)
+                  for variant in ("lindblad", "double-space")
+                  for phi in (0.0, 0.7, np.pi / 2, np.pi)]
+    twisted = ModelSpec(layout=spec.layout, twist=1.1, jumps=spec.jumps)
+    generators.append(assemble(twisted, sector=dsec))
+    for superop in generators:
+        split = spectrum_of(superop)
+        assert len(split.block_dims) >= L
+        assert sum(split.block_dims) == dsec.dim
+        unsplit = eig_dense(superop.matrix).eigenvalues
+        assert multiset_distance(split.eigenvalues, unsplit) < 1e-8
+
+
+def test_periodic_steady_state_through_momentum_blocks():
+    spec = biased_chain(5, 2.4, 1.6, kind="chain-pbc")
+    dsec = weak_sector(spec.layout, 2)
+    superop = assemble(spec, sector=dsec)
+    split = spectrum_of(superop, want_vectors=True)
+    assert split.block_dims == (296,) * 5
+    dense = superop.matrix.toarray()
+    residual = np.linalg.norm(dense @ split.vectors
+                              - split.vectors * split.eigenvalues, axis=0)
+    assert residual.max() < 1e-8
+    states = steady_states(superop, dsec, spectrum=split)
+    assert len(states) == 1
+    rho = states[0]
+    diag = rho.matrix.diagonal().real
+    for occupation in site_number_diagonals(spec.layout):
+        assert abs(float(diag @ occupation) - 2 / 5) < 1e-10
+    assert positivity_defect(rho) < 1e-10
+    assert steady_residual(superop.hamiltonian, superop.jumps, rho) < 1e-10
+
+
+def test_momentum_split_refuses_a_non_uniform_generator():
+    spec = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
+    dsec = weak_sector(spec.layout, 2)
+    superop = assemble(spec, sector=dsec)
+    # a field on site 1 alone: -i h [N_1, rho]
+    site = spec.layout.site_slot(1)
+    field = -0.3j * (state_bit(dsec.kets, site) - state_bit(dsec.bras, site))
+    pinned = Superoperator(superop.matrix + sp.diags(field, format="csr"),
+                           dsec, superop.hamiltonian, superop.jumps,
+                           superop.twists)
+    with pytest.raises(SectorLeakageError, match="does not commute"):
+        spectrum_of(pinned)
+    # a charge-difference block that translation maps onto another block
+    small = biased_chain(3, 2.4, 1.6, kind="chain-pbc")
+    block = next(dsec for delta, dsec in partition_double_space(small.layout)
+                 if len(set(delta)) > 1)
+    with pytest.raises(SectorLeakageError, match="not closed"):
+        spectrum_of(assemble(small, sector=block))
+    # under the double-space twist a site hop across site 1 is dressed
+    # differently on ket and bra, so no dressed translation is a symmetry
+    asep = ModelSpec(layout=small.layout,
+                     jumps=(JumpSpec(family="effective-asep", gamma_right=0.3,
+                                     gamma_left=0.1),))
+    twisted = assemble_twisted(asep, 0.7, "double-space",
+                               sector=weak_sector(small.layout, 1))
+    with pytest.raises(SectorLeakageError, match="does not commute"):
+        spectrum_of(twisted)
+
+
+def test_momentum_split_refuses_weight_off_the_blocks(monkeypatch):
+    spec = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
+    superop = assemble(spec, sector=weak_sector(spec.layout, 2))
+    real = numerics._bloch_basis
+
+    def misgrouped(*args):
+        # the last Bloch vector of k = 0 counted with k = 1
+        basis, bounds = real(*args)
+        return basis, [bounds[0], bounds[1] - 1] + list(bounds[2:])
+
+    monkeypatch.setattr(numerics, "_bloch_basis", misgrouped)
+    with pytest.raises(SectorLeakageError, match="squared Frobenius"):
+        spectrum_of(superop)
 
 
 def test_dephasing_kernel_counts_gauge_configs():

@@ -181,7 +181,13 @@ def test_weak_sector_structure():
     assert np.all(occ[dsec.kets] == 2) and np.all(occ[dsec.bras] == 2)
     pos = dsec.lookup(dsec.kets[:5], dsec.bras[:5])
     assert np.array_equal(pos, np.arange(5))
-    assert dsec.lookup(np.array([dsec.kets[0]]), np.array([dsec.bras[0] ^ 1]))[0] in (-1, *range(dsec.dim))
+    # 13 = sites 1, 2 and link (2,3) up; 17 = sites 1, 3: both g = (2, -1, 0).
+    # Pairs sorted by ket*32 + bra: (5,5), (7,7), (13,13), then (13,17).
+    assert dsec.lookup(np.array([13]), np.array([17]))[0] == 3
+    # 15 = sites 1, 2 and both links up has N = 2 but g = (0, 1, 0)
+    assert dsec.lookup(np.array([13]), np.array([15]))[0] == -1
+    # 12 = site 2 and link (2,3) up has N = 1
+    assert dsec.lookup(np.array([13]), np.array([12]))[0] == -1
 
 
 def test_full_pair_lookup_matches_searchsorted():
