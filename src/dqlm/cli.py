@@ -506,6 +506,13 @@ def _leak_tol(cfg):
     return cfg.get("tolerances", {}).get("leak_tol", LEAK_TOL)
 
 
+def _block_sizes(spectrum):
+    """Dimensions of the blocks `spectrum_of` diagonalized one by one."""
+    if spectrum.block_labels is None:
+        return [spectrum.dim]
+    return np.bincount(spectrum.block_labels).tolist()
+
+
 def _weak_sector_checked(layout, n_particles):
     dsec = weak_sector(layout, n_particles)
     if dsec.dim == 0:
@@ -544,8 +551,9 @@ def run_spectrum(cfg, rec):
         rec.diagnostics[f"{tag}_kernel"] = len(
             spectrum.kernel_indices(_kernel_tol(cfg)))
         rec.diagnostics[f"{tag}_max_real"] = spectrum.max_real()
-        rec.diagnostics[f"{tag}_blocks"] = len(spectrum.block_dims)
-        rec.diagnostics[f"{tag}_max_block_dim"] = max(spectrum.block_dims)
+        sizes = _block_sizes(spectrum)
+        rec.diagnostics[f"{tag}_blocks"] = len(sizes)
+        rec.diagnostics[f"{tag}_max_block_dim"] = max(sizes)
 
 
 def run_steady_state(cfg, rec):
@@ -556,8 +564,7 @@ def run_steady_state(cfg, rec):
     dsec = _weak_sector_checked(spec.layout, n_part)
     superop = assemble(spec, sector=dsec, leak_tol=_leak_tol(cfg))
     spectrum = spectrum_of(superop, want_vectors=True, cap=cap)
-    states = steady_states(superop, dsec, tol=_kernel_tol(cfg), cap=cap,
-                           spectrum=spectrum)
+    states = steady_states(spectrum, dsec, tol=_kernel_tol(cfg))
     rec.timings["kernel"] = time.perf_counter() - t0
     site_diag = site_number_diagonals(spec.layout)
     link_diag = link_z_diagonals(spec.layout)
@@ -576,8 +583,9 @@ def run_steady_state(cfg, rec):
     rec.diagnostics["kernel_dim"] = len(states)
     rec.diagnostics["max_residual"] = float(max(residuals))
     rec.diagnostics["sector_dim"] = dsec.dim
-    rec.diagnostics["blocks"] = len(spectrum.block_dims)
-    rec.diagnostics["max_block_dim"] = max(spectrum.block_dims)
+    sizes = _block_sizes(spectrum)
+    rec.diagnostics["blocks"] = len(sizes)
+    rec.diagnostics["max_block_dim"] = max(sizes)
 
 
 def run_dynamics(cfg, rec):
@@ -662,8 +670,9 @@ def run_winding(cfg, rec):
             ("phi[rad]", "max_re_lambda[J]", "kernel_count[1]"), summary_rows)
     rec.diagnostics["variant"] = variant
     rec.diagnostics["sector_dim"] = dsec.dim
-    rec.diagnostics["blocks"] = [len(s.block_dims) for s in spectra]
-    rec.diagnostics["max_block_dim"] = [max(s.block_dims) for s in spectra]
+    sizes = [_block_sizes(s) for s in spectra]
+    rec.diagnostics["blocks"] = [len(b) for b in sizes]
+    rec.diagnostics["max_block_dim"] = [max(b) for b in sizes]
     rec.diagnostics["max_drift_from_phi0"] = float(max(
         multiset_distance(spectra[0].eigenvalues, s.eigenvalues)
         for s in spectra))

@@ -11,11 +11,14 @@ wrap-bond twist phi along, commutes with the Hamiltonian H_pbc(phi) and
 with every uniform jump family; on the pair basis it acts as the monomial
 superoperator S(rho) = X_ket rho X_bra^+ (ket and bra translated
 together). Each block is B_k^+ M B_k on the orthonormal Bloch basis B_k
-of S's eigenvalues with momentum k, about L blocks of dimension d/L. A
-generator that does not commute with S (a model that is not uniform, or
-the double-space twist with site-hopping jumps), a pair basis that
-translation does not map onto itself, or blocks whose Frobenius weights
-do not add up to the generator's raise `SectorLeakageError`.
+of S's eigenvalues with momentum k, about L blocks of dimension d/L;
+blocks whose Frobenius weights do not add up to the generator's raise
+`SectorLeakageError`. A generator without this symmetry is not split by
+momentum: one that does not commute with S (a model that is not
+uniform, or the double-space twist with jumps that hop across site 1 at
+phi outside {0, pi}), or one on a pair basis that translation does not
+map onto itself, goes to the component split whole, as on any other
+layout.
 
 Before any dense eigendecomposition each momentum block, or the whole
 generator on every other layout, is split into the weakly connected
@@ -28,8 +31,9 @@ matrix's (else `SectorLeakageError`). In `full_spectrum` a component whose
 rho -> rho^+ mirror is another component is diagonalized once: a
 Lindbladian preserves Hermiticity, so the partner's spectrum is the
 complex conjugate. Dense eigendecomposition is capped (default 6000) per
-block because the cost is cubic (`DenseCapError`); sector projection is
-the intended way to keep the blocks below the cap. Eigenvectors are
+block because the cost is cubic (`DenseCapError`, raised before the
+first block is diagonalized); sector projection is the intended way to
+keep the blocks below the cap. Eigenvectors are
 returned as one dense array over the whole pair basis, so a request for
 them also caps the basis dimension.
 
@@ -89,8 +93,6 @@ class Spectrum:
     # provenance of each eigenvalue: the block index in `spectrum_of`,
     # the charge difference delta in `full_spectrum`
     block_labels: tuple = None
-    # dimension of each block that went through a dense eig
-    block_dims: tuple = ()
 
     @property
     def dim(self):
@@ -127,11 +129,11 @@ def eig_dense(matrix, want_vectors=False, basis="unknown", cap=DENSE_CAP):
     if n == 0:
         empty = np.zeros(0, dtype=np.complex128)
         vecs = np.zeros((0, 0), dtype=np.complex128) if want_vectors else None
-        return Spectrum(empty, vecs, basis, block_dims=(0,))
+        return Spectrum(empty, vecs, basis)
     if not want_vectors:
         vals = np.linalg.eigvals(dense)
         order = canonical_order(vals)
-        return Spectrum(vals[order], None, basis, block_dims=(n,))
+        return Spectrum(vals[order], None, basis)
     vals, vecs = np.linalg.eig(dense)
     order = canonical_order(vals)
     vals, vecs = vals[order], vecs[:, order]
@@ -141,7 +143,7 @@ def eig_dense(matrix, want_vectors=False, basis="unknown", cap=DENSE_CAP):
     if worst > RESIDUAL_TOL:
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds "
                           f"{RESIDUAL_TOL:.1e}")
-    return Spectrum(vals, vecs, basis, residual_max=worst, block_dims=(n,))
+    return Spectrum(vals, vecs, basis, residual_max=worst)
 
 
 def coupled_components(matrix):
@@ -185,15 +187,15 @@ def _translation(dsec, twists):
     """The translation superoperator S(rho) = X_ket rho X_bra^+ on a
     periodic-chain pair basis, X = exp(-i phi N_1) T for the ket's and
     the bra's twist phi: pair p goes to `image[p]` with the phase
-    exp(i `angle[p]`). Raises `SectorLeakageError` unless the basis is
-    closed under translation."""
+    exp(i `angle[p]`). None when the basis is not closed under
+    translation."""
     layout = dsec.layout
     phi_ket, phi_bra = twists
     kets = translate_states(layout, dsec.kets)
     bras = translate_states(layout, dsec.bras)
     image = dsec.lookup(kets, bras)
     if np.any(image < 0):
-        raise SectorLeakageError(f"{dsec.tag} is not closed under translation")
+        return None
     site = layout.site_slot(1)
     angle = -(phi_ket * state_bit(kets, site) - phi_bra * state_bit(bras, site))
     return image, angle
@@ -253,22 +255,24 @@ def momentum_blocks(superop):
 
     Returns (bloch, block) per momentum k: `bloch` is the sparse
     orthonormal Bloch basis B_k of the block and `block` = B_k^+ M B_k.
-    Raises `SectorLeakageError` when M does not commute with the
-    translation within `LEAK_TOL` relative (a model that is not uniform),
-    or when the blocks' squared Frobenius norms do not add up to M's
-    (weight off the block diagonal).
+    Returns None when M has no such symmetry: its pair basis is not
+    closed under translation, or M does not commute with the translation
+    within `LEAK_TOL` relative. Raises `SectorLeakageError` when the
+    blocks' squared Frobenius norms do not add up to M's (weight off the
+    block diagonal).
     """
     matrix = superop.matrix
     dim = superop.dim
-    image, angle = _translation(superop.sector, superop.twists)
+    translation = _translation(superop.sector, superop.twists)
+    if translation is None:
+        return None
+    image, angle = translation
     shift = sp.csr_matrix((np.exp(1j * angle), (image, np.arange(dim))),
                           shape=(dim, dim))
     norm_sq = float(np.sum(np.abs(matrix.data) ** 2))
     commutator = (shift @ matrix - matrix @ shift).data
     if np.linalg.norm(commutator) > LEAK_TOL * np.sqrt(norm_sq):
-        raise SectorLeakageError(
-            f"the generator on {superop.basis} does not commute with the "
-            f"translation: ||[S, M]||_F = {np.linalg.norm(commutator):.3e}")
+        return None
     basis, bounds = _bloch_basis(superop.sector, superop.twists, image, angle)
     rotated = (basis.conj().T @ matrix @ basis).tocsr()
     out = []
@@ -286,23 +290,26 @@ def momentum_blocks(superop):
 def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
     """Spectrum of an assembled generator, one dense eig per block.
 
-    A periodic-chain generator is first resolved into its total-momentum
-    blocks (`momentum_blocks`); every block, or the whole generator on
-    any other layout, is then split into its coupled components.
-    Eigenvalues are merged in canonical order and labelled by the running
-    index of their block; vectors are scattered back into the pair basis
-    (through the Bloch basis on a periodic chain), and the residual is the
-    worst block's. A single component of an unresolved generator is
-    diagonalized as is. The eigenvectors come as one dense d x d array,
-    so with `want_vectors` the whole dimension d is held to the cap too."""
+    A periodic-chain generator with the translation symmetry is first
+    resolved into its total-momentum blocks (`momentum_blocks`); every
+    block, or the whole generator otherwise, is then split into its
+    coupled components. Eigenvalues are merged in canonical order and
+    labelled by the running index of their block; vectors are scattered
+    back into the pair basis (through the Bloch basis on a periodic
+    chain), and the residual is the worst block's. A single component of
+    an unresolved generator is diagonalized as is. A block over the cap
+    raises `DenseCapError` before any block is diagonalized. The
+    eigenvectors come as one dense d x d array, so with `want_vectors`
+    the whole dimension d is held to the cap too."""
     if want_vectors and superop.dim > cap:
         raise DenseCapError(
             f"eigenvectors of dimension {superop.dim} exceed the dense cap "
             f"{cap}; project onto a smaller sector or reduce L")
-    if superop.twists is None:
-        frames = [(None, superop.matrix)]
-    else:
+    frames = None
+    if superop.twists is not None and superop.dim:
         frames = momentum_blocks(superop)
+    if frames is None:
+        frames = [(None, superop.matrix)]
     pieces = []
     for bloch, matrix in frames:
         components = coupled_components(matrix)
@@ -310,6 +317,11 @@ def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
                   else _diagonal_blocks(matrix, components))
         pieces.extend((bloch, comp, block)
                       for comp, block in zip(components, blocks))
+    largest = max(block.shape[0] for _, _, block in pieces)
+    if largest > cap:
+        raise DenseCapError(
+            f"a block of dimension {largest} exceeds the dense cap {cap}; "
+            "project onto a smaller sector or reduce L")
     if len(pieces) == 1 and pieces[0][0] is None:
         return eig_dense(superop.matrix, want_vectors, superop.basis, cap)
     parts = [eig_dense(block, want_vectors, superop.basis, cap)
@@ -332,30 +344,27 @@ def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
             start += part.dim
     return Spectrum(merged[order], vectors, superop.basis,
                     residual_max=max(part.residual_max for part in parts),
-                    block_labels=tuple(labels[order].tolist()),
-                    block_dims=tuple(part.dim for part in parts))
+                    block_labels=tuple(labels[order].tolist()))
 
 
-def steady_states(superop, dsec, tol=KERNEL_TOL, cap=DENSE_CAP, spectrum=None):
+def steady_states(spectrum, dsec, tol=KERNEL_TOL):
     """Kernel basis as density matrices: Hermitized and trace-normalized.
 
-    States come in block order (see `spectrum_of`), so a block with a
-    one-dimensional kernel, such as one particle-number sector, always
-    gives the same state, that sector's own steady state. Kernel vectors
-    are orthonormalized before devectorization; operators whose trace
-    vanishes (possible for degenerate kernels) fall back to Frobenius
-    normalization. `spectrum` is the generator's
-    `spectrum_of(superop, want_vectors=True)` when the caller already
-    holds it; it is computed otherwise.
+    `spectrum` is the generator's `spectrum_of(..., want_vectors=True)`
+    on the pair basis `dsec`. States come in block order (see
+    `spectrum_of`), so a block with a one-dimensional kernel, such as one
+    particle-number sector, always gives the same state, that sector's
+    own steady state. Kernel vectors are orthonormalized before
+    devectorization; operators whose trace vanishes (possible for
+    degenerate kernels) fall back to Frobenius normalization.
     """
-    spec = spectrum if spectrum is not None else spectrum_of(
-        superop, want_vectors=True, cap=cap)
-    idx = spec.kernel_indices(tol)
+    idx = spectrum.kernel_indices(tol)
     if idx.size == 0:
         raise SolverError("empty kernel; a Lindblad generator always has one")
-    if spec.block_labels is not None:
-        idx = idx[np.argsort(np.asarray(spec.block_labels)[idx], kind="stable")]
-    block = spec.vectors[:, idx]
+    if spectrum.block_labels is not None:
+        labels = np.asarray(spectrum.block_labels)
+        idx = idx[np.argsort(labels[idx], kind="stable")]
+    block = spectrum.vectors[:, idx]
     block, _ = np.linalg.qr(block)
     tvec = trace_vector(dsec)
     out = []
@@ -405,12 +414,10 @@ def full_spectrum(spec, cap=DENSE_CAP):
         owner[comp] = c
     table = gauge_charge_table(spec.layout).astype(np.int16)
     spectra = [None] * len(components)
-    diagonalized = []
     for c, comp in enumerate(components):
         if spectra[c] is not None:
             continue
         spectra[c] = eig_dense(blocks[c], cap=cap).eigenvalues
-        diagonalized.append(comp.size)
         mirror = (comp % n) * n + comp // n
         partner = owner[mirror[0]]
         if partner == c:
@@ -436,8 +443,7 @@ def full_spectrum(spec, cap=DENSE_CAP):
         labels.extend([tuple(int(v) for v in delta)] * values.size)
     order = canonical_order(merged)
     return Spectrum(merged[order], None, spec.layout.basis_tag,
-                    block_labels=tuple(labels[i] for i in order),
-                    block_dims=tuple(diagonalized))
+                    block_labels=tuple(labels[i] for i in order))
 
 
 def weak_spectrum(spec, n_particles=None, want_vectors=False, cap=DENSE_CAP):

@@ -12,7 +12,7 @@ from dqlm.cli import main
 from dqlm.exact import enumeration_marginals, ensemble_marginals, \
     exact_steady_state
 from dqlm.lattice import build_layout
-from dqlm.numerics import multiset_distance, positivity_defect
+from dqlm.numerics import eig_dense, multiset_distance, positivity_defect
 
 
 def run(*argv):
@@ -209,6 +209,36 @@ def test_winding_double_space_pi_periodicity(tmp_path):
     # 66 pairs in three momentum blocks of 22, at every phase
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["blocks"] == [3] * 4 and diag["max_block_dim"] == [22] * 4
+
+
+def test_winding_without_translation_symmetry_runs_unsplit(tmp_path,
+                                                          monkeypatch):
+    # effective-asep hops across site 1 break the dressed translation of
+    # the double-space twist at phi = pi/2 and 3 pi/2: those phases are
+    # diagonalized without the momentum split
+    generators = []
+    real = cli.spectrum_of
+
+    def recording(superop, *args, **kwargs):
+        generators.append(superop)
+        return real(superop, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "spectrum_of", recording)
+    cfg = tmp_path / "asep.json"
+    cfg.write_text(json.dumps({"model": {"jumps": [
+        {"family": "effective-asep", "gamma_right": 0.3, "gamma_left": 0.1}]}}))
+    out = tmp_path / "w"
+    assert run("winding", "--config", str(cfg), "--L", "4",
+               "--n-particles", "1", "--phi-steps", "4",
+               "--output-dir", str(out)) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["variant"] == "double-space"
+    assert diag["blocks"] == [4, 1, 4, 1]
+    assert diag["max_block_dim"] == [46, 184, 46, 184]
+    for j, superop in enumerate(generators):
+        data = read_csv(out / f"spectrum_phi_{j:03d}.csv")[1]
+        unsplit = eig_dense(superop.matrix).eigenvalues
+        assert multiset_distance(data[:, 0] + 1j * data[:, 1], unsplit) < 1e-8
 
 
 def test_steady_state_kernel_and_profiles(tmp_path):
