@@ -41,6 +41,7 @@ from .liouvillian import LEAK_TOL, AssemblyError, assemble, assemble_twisted, \
     diagonal_expectation, lindblad_apply, steady_residual
 from .models import (
     JUMP_FAMILIES,
+    JUMP_RATES,
     DisorderSpec,
     JumpSpec,
     ModelError,
@@ -53,6 +54,7 @@ from .numerics import (
     KERNEL_TOL,
     DenseCapError,
     SolverError,
+    conjugate_partner,
     evolve,
     hausdorff_distance,
     link_z_diagonals,
@@ -76,6 +78,7 @@ TASKS = ("spectrum", "steady-state", "dynamics", "winding", "verify-exact",
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _RATE = {"type": "number", "minimum": 0}
+_RATE_FIELDS = tuple(f.name for f in fields(JumpSpec) if f.name != "family")
 
 SCHEMA = {
     "type": "object",
@@ -115,8 +118,7 @@ SCHEMA = {
                         "required": ["family"],
                         "properties": {
                             "family": {"enum": list(JUMP_FAMILIES)},
-                            **{f.name: _RATE for f in fields(JumpSpec)
-                               if f.name != "family"},
+                            **{name: _RATE for name in _RATE_FIELDS},
                         },
                     },
                 },
@@ -413,13 +415,17 @@ def build_config(args):
         value = getattr(args, attr, None)
         if value is not None:
             _set_path(cfg, dotted, value)
-    for attr in ("gamma_up", "gamma_down", "gamma_up_v", "gamma_down_v",
-                 "gamma", "strength"):
+    for attr in _RATE_FIELDS:
         value = getattr(args, attr, None)
         if value is not None:
             _first_jump(cfg)[attr] = value
     if getattr(args, "jump_family", None) is not None:
-        _first_jump(cfg)["family"] = args.jump_family
+        jump = _first_jump(cfg)
+        jump["family"] = args.jump_family
+        # the rates of the family it replaces (the defaults are biased)
+        for attr in _RATE_FIELDS:
+            if attr not in JUMP_RATES[args.jump_family]:
+                jump.pop(attr, None)
     if getattr(args, "add_gauge_fix", None) is not None:
         cfg["model"].setdefault("jumps", []).append(
             {"family": "gauge-fix", "strength": args.add_gauge_fix})
@@ -506,11 +512,14 @@ def _leak_tol(cfg):
     return cfg.get("tolerances", {}).get("leak_tol", LEAK_TOL)
 
 
-def _block_sizes(spectrum):
-    """Dimensions of the blocks `spectrum_of` diagonalized one by one."""
-    if spectrum.block_labels is None:
-        return [spectrum.dim]
-    return np.bincount(spectrum.block_labels).tolist()
+def _block_diagnostics(spectrum):
+    """The blocks behind a `spectrum_of` result: how many, the largest,
+    and how many were diagonalized in real form or conjugated from their
+    mirror block."""
+    sizes = np.bincount(spectrum.block_labels)
+    return {"blocks": sizes.size, "max_block_dim": int(sizes.max()),
+            "real_blocks": spectrum.real_blocks,
+            "conjugated_blocks": spectrum.conjugated_blocks}
 
 
 def _weak_sector_checked(layout, n_particles):
@@ -551,9 +560,8 @@ def run_spectrum(cfg, rec):
         rec.diagnostics[f"{tag}_kernel"] = len(
             spectrum.kernel_indices(_kernel_tol(cfg)))
         rec.diagnostics[f"{tag}_max_real"] = spectrum.max_real()
-        sizes = _block_sizes(spectrum)
-        rec.diagnostics[f"{tag}_blocks"] = len(sizes)
-        rec.diagnostics[f"{tag}_max_block_dim"] = max(sizes)
+        for key, value in _block_diagnostics(spectrum).items():
+            rec.diagnostics[f"{tag}_{key}"] = value
 
 
 def run_steady_state(cfg, rec):
@@ -583,9 +591,8 @@ def run_steady_state(cfg, rec):
     rec.diagnostics["kernel_dim"] = len(states)
     rec.diagnostics["max_residual"] = float(max(residuals))
     rec.diagnostics["sector_dim"] = dsec.dim
-    sizes = _block_sizes(spectrum)
-    rec.diagnostics["blocks"] = len(sizes)
-    rec.diagnostics["max_block_dim"] = max(sizes)
+    rec.diagnostics["eig_residual_max"] = spectrum.residual_max
+    rec.diagnostics.update(_block_diagnostics(spectrum))
 
 
 def run_dynamics(cfg, rec):
@@ -649,7 +656,7 @@ def run_winding(cfg, rec):
     cap = _dense_cap(cfg)
     dsec = _weak_sector_checked(spec.layout, n_part)
     phis = [2.0 * np.pi * j / steps for j in range(steps)]
-    spectra = []
+    superops, spectra = [], []
     summary_rows = []
     for j, phi in enumerate(phis):
         t0 = time.perf_counter()
@@ -658,8 +665,16 @@ def run_winding(cfg, rec):
                                        leak_tol=_leak_tol(cfg))
         except AssemblyError as exc:
             raise CliError(EXIT_CONFIG, "usage", str(exc))
-        spectrum = spectrum_of(superop, cap=cap)
+        # phase steps - j is -phi: the double-space generator there is the
+        # rho -> rho^+ image of this one, with the conjugate spectrum
+        spectrum = None
+        if 2 * j > steps:
+            spectrum = conjugate_partner(superops[steps - j],
+                                         spectra[steps - j], superop)
+        if spectrum is None:
+            spectrum = spectrum_of(superop, cap=cap)
         rec.timings[f"phi_{j:03d}"] = time.perf_counter() - t0
+        superops.append(superop)
         spectra.append(spectrum)
         rec.csv(f"spectrum_phi_{j:03d}.csv", SPECTRUM_HEADER,
                 ((v.real, v.imag) for v in spectrum.eigenvalues),
@@ -670,9 +685,9 @@ def run_winding(cfg, rec):
             ("phi[rad]", "max_re_lambda[J]", "kernel_count[1]"), summary_rows)
     rec.diagnostics["variant"] = variant
     rec.diagnostics["sector_dim"] = dsec.dim
-    sizes = [_block_sizes(s) for s in spectra]
-    rec.diagnostics["blocks"] = [len(b) for b in sizes]
-    rec.diagnostics["max_block_dim"] = [max(b) for b in sizes]
+    blocks = [_block_diagnostics(s) for s in spectra]
+    for key in blocks[0]:
+        rec.diagnostics[key] = [b[key] for b in blocks]
     rec.diagnostics["max_drift_from_phi0"] = float(max(
         multiset_distance(spectra[0].eigenvalues, s.eigenvalues)
         for s in spectra))
@@ -892,12 +907,9 @@ def build_parser():
         p.add_argument("--J1", type=float)
         p.add_argument("--J2", type=float)
         p.add_argument("--jump-family", choices=JUMP_FAMILIES)
-        p.add_argument("--gamma-up", type=float, dest="gamma_up")
-        p.add_argument("--gamma-down", type=float, dest="gamma_down")
-        p.add_argument("--gamma-up-v", type=float, dest="gamma_up_v")
-        p.add_argument("--gamma-down-v", type=float, dest="gamma_down_v")
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--strength", type=float)
+        for name in _RATE_FIELDS:
+            p.add_argument(f"--{name.replace('_', '-')}", type=float,
+                           dest=name)
         p.add_argument("--add-gauge-fix", type=float, dest="add_gauge_fix",
                        metavar="STRENGTH")
         p.add_argument("--disorder-seed", type=int, dest="disorder_seed")

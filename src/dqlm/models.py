@@ -36,7 +36,15 @@ from .lattice import (
 from .symmetry import gauss_generator
 
 HAMILTONIAN_KINDS = ("qlm", "hierarchical", "qlm-2d", "none")
-JUMP_FAMILIES = ("biased", "x-like", "dephasing", "gauge-fix", "effective-asep")
+# each jump family and the JumpSpec rates it reads
+JUMP_RATES = {
+    "biased": ("gamma_up", "gamma_down", "gamma_up_v", "gamma_down_v"),
+    "x-like": ("gamma_up", "gamma_down"),
+    "dephasing": ("gamma",),
+    "gauge-fix": ("strength",),
+    "effective-asep": ("gamma_right", "gamma_left"),
+}
+JUMP_FAMILIES = tuple(JUMP_RATES)
 
 
 class ModelError(ValueError):
@@ -108,6 +116,13 @@ class ModelSpec:
             if j.family in ("x-like", "dephasing", "effective-asep") and \
                     kind not in ("chain-obc", "chain-pbc"):
                 raise ModelError(f"{j.family} jumps are defined on chains only")
+        if self.jumps and not any(getattr(j, rate) for j in self.jumps
+                                  for rate in JUMP_RATES[j.family]):
+            raise ModelError(
+                "every rate the jump families read is zero, so the model "
+                "has no dissipation: " + ", ".join(
+                    f"{j.family} reads {'/'.join(JUMP_RATES[j.family])}"
+                    for j in self.jumps))
 
     def to_dict(self):
         d = {

@@ -25,17 +25,28 @@ generator on every other layout, is split into the weakly connected
 components of its nonzero pattern (`coupled_components`): the finest
 block-diagonal split the matrix itself proves, which refines every
 weak-symmetry label at once (particle number inside a weak sector, the
-charge difference and more in the full pair space). Each component is
-diagonalized on its own, and the blocks' nonzeros must add up to the
-matrix's (else `SectorLeakageError`). In `full_spectrum` a component whose
-rho -> rho^+ mirror is another component is diagonalized once: a
-Lindbladian preserves Hermiticity, so the partner's spectrum is the
-complex conjugate. Dense eigendecomposition is capped (default 6000) per
-block because the cost is cubic (`DenseCapError`, raised before the
-first block is diagonalized); sector projection is the intended way to
-keep the blocks below the cap. Eigenvectors are
-returned as one dense array over the whole pair basis, so a request for
-them also caps the basis dimension.
+charge difference and more in the full pair space). The blocks' nonzeros
+must add up to the matrix's (else `SectorLeakageError`).
+
+Every block then goes through `mirror_eig`, which uses the antiunitary
+symmetry C(rho) = rho^+ of a Lindbladian (Minganti, Biella, Bartolo &
+Ciuti, PRA 98, 042118 (2018)); on the pair basis C is complex
+conjugation followed by the swap (a, b) -> (b, a). A block that C maps
+onto itself (every weak-sector component, the delta = 0 components of the
+full pair space, the momentum blocks k = -k when phi_ket = phi_bra) has
+a real form U^+ M U, diagonalized by real LAPACK. Of two blocks that C
+maps onto each other (charge differences delta and -delta, momenta k and
+-k) one is diagonalized and the other gets the conjugate spectrum; in
+the same way the CLI `winding` scan takes the double-space generator at
+-phi as the conjugate of the one at phi (`conjugate_partner`). Each
+reuse is checked on the assembled matrices first, within `MIRROR_TOL`;
+a generator without the symmetry (the double-space twist away from 0 and
+pi) takes the complex eig, and `full_spectrum` refuses it. Dense
+eigendecomposition is capped (default 6000) per block because the cost
+is cubic (`DenseCapError`, raised before the first block is
+diagonalized); sector projection is the intended way to keep the blocks
+below the cap. Eigenvectors are returned as one dense array over the
+whole pair basis, so a request for them also caps the basis dimension.
 
 Steady states are taken from eigenpairs with |lambda| below the kernel
 bin (1e-9), orthonormalized, devectorized, Hermitized, and
@@ -52,9 +63,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import ConvexHull
+from scipy.sparse.csgraph import connected_components, maximum_flow
+from scipy.spatial import ConvexHull, cKDTree
 
 from .lattice import state_bit
 from .liouvillian import LEAK_TOL, assemble, devectorize_from, trace_vector
@@ -70,7 +80,6 @@ DENSE_CAP = 6000
 KERNEL_TOL = 1e-9
 DEGENERACY_BIN = 1e-7
 RESIDUAL_TOL = 1e-8
-MATCH_DENSE_LIMIT = 2000
 MIRROR_TOL = 1e-12
 
 
@@ -93,6 +102,10 @@ class Spectrum:
     # provenance of each eigenvalue: the block index in `spectrum_of`,
     # the charge difference delta in `full_spectrum`
     block_labels: tuple = None
+    # blocks diagonalized in their real form, and blocks whose spectrum is
+    # the conjugate of a mirror block's (see `mirror_eig`)
+    real_blocks: int = 0
+    conjugated_blocks: int = 0
 
     @property
     def dim(self):
@@ -253,8 +266,9 @@ def _bloch_basis(dsec, twists, image, angle):
 def momentum_blocks(superop):
     """A periodic-chain generator resolved into total-momentum blocks.
 
-    Returns (bloch, block) per momentum k: `bloch` is the sparse
-    orthonormal Bloch basis B_k of the block and `block` = B_k^+ M B_k.
+    Returns the sparse orthonormal Bloch basis B of the translation and
+    one (start, block) per nonempty momentum k: the block
+    B_k^+ M B_k sits on the columns start, start + 1, ... of B.
     Returns None when M has no such symmetry: its pair basis is not
     closed under translation, or M does not commute with the translation
     within `LEAK_TOL` relative. Raises `SectorLeakageError` when the
@@ -275,16 +289,167 @@ def momentum_blocks(superop):
         return None
     basis, bounds = _bloch_basis(superop.sector, superop.twists, image, angle)
     rotated = (basis.conj().T @ matrix @ basis).tocsr()
-    out = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b > a:
-            out.append((basis[:, a:b], rotated[a:b, a:b]))
-    kept_sq = sum(float(np.sum(np.abs(block.data) ** 2)) for _, block in out)
+    frames = [(a, rotated[a:b, a:b])
+              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    kept_sq = sum(float(np.sum(np.abs(block.data) ** 2))
+                  for _, block in frames)
     if abs(kept_sq - norm_sq) > LEAK_TOL * norm_sq:
         raise SectorLeakageError(
             f"momentum blocks hold {kept_sq:.17g} of the generator's squared "
             f"Frobenius norm {norm_sq:.17g}")
-    return out
+    return basis, frames
+
+
+def _mirror_map(dsec, basis=None):
+    """C(rho) = rho^+ on the coordinates of a generator: the pair basis
+    `dsec`, or the columns of a unitary `basis` over it. C takes the
+    coordinate vector w to Q conj(w), with Q monomial:
+    Q[image[g], g] = exp(i angle[g]). Returns (image, angle), or None when
+    C does not map the coordinates onto themselves: the pair basis is not
+    closed under (a, b) -> (b, a), or some column of `basis` is not mapped
+    onto a single column."""
+    swap = dsec.lookup(dsec.bras, dsec.kets)
+    if np.any(swap < 0):
+        return None
+    if basis is None:
+        return swap, np.zeros(dsec.dim)
+    # Q = B^+ P conj(B), P the swap of ket and bra
+    q = (basis.conj().T @ basis.tocsr()[swap].conj()).tocoo()
+    # a unit column holds at most one entry of modulus above 1/sqrt(2)
+    keep = np.abs(q.data) ** 2 > 0.5
+    rows, cols = q.row[keep], q.col[keep]
+    if (cols.size != dsec.dim or np.unique(cols).size != cols.size
+            or np.unique(rows).size != rows.size):
+        return None
+    image = np.empty(dsec.dim, dtype=np.int64)
+    image[cols] = rows
+    angle = np.empty(dsec.dim)
+    angle[cols] = np.angle(q.data[keep])
+    return image, angle
+
+
+def _relative(entries, block):
+    """Frobenius norm of `entries` relative to that of a sparse block."""
+    scale = max(np.linalg.norm(block.data), np.finfo(float).tiny)
+    return float(np.linalg.norm(entries)) / scale
+
+
+def _mirror_gap(block, within, phase, other):
+    """Frobenius distance of `other` from Q conj(block) Q^+, the C-image
+    of `block` (Q[within[g], g] = phase[g]), relative to `block`."""
+    n = within.size
+    q = sp.csr_matrix((phase, (within, np.arange(n))), shape=(n, n))
+    return _relative((q @ block.conj() @ q.conj().T - other).data, block)
+
+
+def _conjugate(part, within, phase):
+    """The spectrum of a block's C-image: conjugate eigenvalues, the
+    eigenvectors Q conj(v), and the same block labels."""
+    order = canonical_order(part.eigenvalues.conj())
+    vectors = labels = None
+    if part.vectors is not None:
+        vectors = np.empty_like(part.vectors)
+        vectors[within] = phase[:, None] * part.vectors.conj()
+        vectors = vectors[:, order]
+    if part.block_labels is not None:
+        labels = tuple(np.asarray(part.block_labels)[order].tolist())
+    return Spectrum(part.eigenvalues.conj()[order], vectors, part.basis,
+                    residual_max=part.residual_max, block_labels=labels)
+
+
+def _real_form(block, within, phase):
+    """The unitary U whose columns C maps onto themselves, and U^+ M U,
+    which is real when the block commutes with C (Q[within[g], g] =
+    phase[g], `within` an involution). A fixed coordinate g gives the
+    column sqrt(phase[g]) e_g, a pair g <-> h the columns
+    sqrt(phase[g]) (e_g + e_h) / sqrt(2) and i sqrt(phase[g]) (e_g - e_h)
+    / sqrt(2); on the pair basis these are e_(a,a), (e_(a,b) + e_(b,a))
+    / sqrt(2) and i (e_(a,b) - e_(b,a)) / sqrt(2). None when `within` is
+    not an involution."""
+    n = within.size
+    g = np.arange(n)
+    if np.any(within[within] != g):
+        return None
+    fixed, first = g[within == g], g[g < within]
+    second = within[first]
+    half = np.sqrt(phase)
+    col = fixed.size + 2 * np.arange(first.size)
+    rows = np.concatenate([fixed, first, second, first, second])
+    cols = np.concatenate([np.arange(fixed.size), col, col, col + 1, col + 1])
+    root = half[first] / np.sqrt(2)
+    unitary = sp.csc_matrix(
+        (np.concatenate([half[fixed], root, root, 1j * root, -1j * root]),
+         (rows, cols)), shape=(n, n))
+    return unitary, (unitary.conj().T @ block @ unitary).tocsr()
+
+
+def mirror_eig(blocks, coords, mirror, want_vectors=False, basis="unknown",
+               cap=DENSE_CAP, strict=False):
+    """Dense spectra of a generator's diagonal blocks through the
+    antiunitary symmetry C(rho) = rho^+ of a Lindbladian.
+
+    `blocks[i]` is the sparse block on the coordinates `coords[i]`
+    (ascending), and `mirror` is C on the generator's coordinates as
+    `_mirror_map` gives it, or None. A block that C maps onto itself is
+    diagonalized in its real form U^+ M U (`_real_form`) by real LAPACK,
+    and its eigenvectors map back as U w. Of a block and the other block
+    C maps it onto, the first is diagonalized and the second gets the
+    conjugate spectrum. Each reuse is checked on the matrices before the
+    eig: the real form's imaginary part, or the second block's distance
+    from the conjugate mirror of the first, must stay below `MIRROR_TOL`
+    relative. Where C does not apply or a check fails, the block goes to
+    the complex eig; with `strict` that raises `SolverError` instead.
+
+    Returns one Spectrum per block (eigenvectors in the block's
+    coordinates) and the numbers of real and of conjugated blocks.
+    """
+    owner = np.empty(sum(c.size for c in coords), dtype=np.int64)
+    for i, own in enumerate(coords):
+        owner[own] = i
+    parts = [None] * len(blocks)
+    real = conjugated = 0
+    for i, (block, own) in enumerate(zip(blocks, coords)):
+        if parts[i] is not None:
+            continue
+        j = None
+        if mirror is not None and own.size:
+            target = mirror[0][own]
+            j = owner[target[0]]
+            if coords[j].size != own.size or np.any(owner[target] != j):
+                j = None
+        if j is None:
+            if strict:
+                raise SolverError(
+                    f"the mirror of component {i} is not a component")
+            parts[i] = eig_dense(block, want_vectors, basis, cap)
+            continue
+        within = np.searchsorted(coords[j], target)
+        phase = np.exp(1j * mirror[1][own])
+        if j == i:
+            form = _real_form(block, within, phase)
+            gap = np.inf
+            if form is not None:
+                unitary, rotated = form
+                gap = _relative(rotated.imag.data, block)
+            if gap <= MIRROR_TOL:
+                parts[i] = eig_dense(rotated.real, want_vectors, basis, cap)
+                if want_vectors:
+                    parts[i].vectors = unitary @ parts[i].vectors
+                real += 1
+                continue
+        else:
+            gap = _mirror_gap(block, within, phase, blocks[j])
+            if gap <= MIRROR_TOL:
+                parts[i] = eig_dense(block, want_vectors, basis, cap)
+                parts[j] = _conjugate(parts[i], within, phase)
+                conjugated += 1
+                continue
+        if strict:
+            raise SolverError(
+                f"component {j} is not the conjugate mirror of component "
+                f"{i} (relative gap {gap:.3e}); not a Lindbladian")
+        parts[i] = eig_dense(block, want_vectors, basis, cap)
+    return parts, real, conjugated
 
 
 def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
@@ -293,39 +458,35 @@ def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
     A periodic-chain generator with the translation symmetry is first
     resolved into its total-momentum blocks (`momentum_blocks`); every
     block, or the whole generator otherwise, is then split into its
-    coupled components. Eigenvalues are merged in canonical order and
-    labelled by the running index of their block; vectors are scattered
-    back into the pair basis (through the Bloch basis on a periodic
-    chain), and the residual is the worst block's. A single component of
-    an unresolved generator is diagonalized as is. A block over the cap
-    raises `DenseCapError` before any block is diagonalized. The
-    eigenvectors come as one dense d x d array, so with `want_vectors`
-    the whole dimension d is held to the cap too."""
+    coupled components, which go through `mirror_eig`. Eigenvalues are
+    merged in canonical order and labelled by the running index of their
+    block; vectors are scattered back into the pair basis (through the
+    Bloch basis on a periodic chain), and the residual is the worst
+    block's. A block over the cap raises `DenseCapError` before any block
+    is diagonalized. The eigenvectors come as one dense d x d array, so
+    with `want_vectors` the whole dimension d is held to the cap too."""
     if want_vectors and superop.dim > cap:
         raise DenseCapError(
             f"eigenvectors of dimension {superop.dim} exceed the dense cap "
             f"{cap}; project onto a smaller sector or reduce L")
-    frames = None
+    resolved = None
     if superop.twists is not None and superop.dim:
-        frames = momentum_blocks(superop)
-    if frames is None:
-        frames = [(None, superop.matrix)]
-    pieces = []
-    for bloch, matrix in frames:
+        resolved = momentum_blocks(superop)
+    bloch, frames = resolved or (None, [(0, superop.matrix)])
+    coords, blocks = [], []
+    for start, matrix in frames:
         components = coupled_components(matrix)
-        blocks = ([matrix] if len(components) == 1
-                  else _diagonal_blocks(matrix, components))
-        pieces.extend((bloch, comp, block)
-                      for comp, block in zip(components, blocks))
-    largest = max(block.shape[0] for _, _, block in pieces)
+        blocks += ([matrix] if len(components) == 1
+                   else _diagonal_blocks(matrix, components))
+        coords += [start + comp for comp in components]
+    largest = max(block.shape[0] for block in blocks)
     if largest > cap:
         raise DenseCapError(
             f"a block of dimension {largest} exceeds the dense cap {cap}; "
             "project onto a smaller sector or reduce L")
-    if len(pieces) == 1 and pieces[0][0] is None:
-        return eig_dense(superop.matrix, want_vectors, superop.basis, cap)
-    parts = [eig_dense(block, want_vectors, superop.basis, cap)
-             for _, _, block in pieces]
+    parts, real, conjugated = mirror_eig(
+        blocks, coords, _mirror_map(superop.sector, bloch), want_vectors,
+        superop.basis, cap)
     merged = np.concatenate([part.eigenvalues for part in parts])
     labels = np.repeat(np.arange(len(parts)), [part.dim for part in parts])
     order = canonical_order(merged)
@@ -335,16 +496,33 @@ def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
         column[order] = np.arange(order.size)
         vectors = np.zeros((superop.dim, superop.dim), dtype=np.complex128)
         start = 0
-        for (bloch, comp, _), part in zip(pieces, parts):
+        for own, part in zip(coords, parts):
             cols = column[start:start + part.dim]
             if bloch is None:
-                vectors[np.ix_(comp, cols)] = part.vectors
+                vectors[np.ix_(own, cols)] = part.vectors
             else:
-                vectors[:, cols] = bloch[:, comp] @ part.vectors
+                vectors[:, cols] = bloch[:, own] @ part.vectors
             start += part.dim
     return Spectrum(merged[order], vectors, superop.basis,
                     residual_max=max(part.residual_max for part in parts),
-                    block_labels=tuple(labels[order].tolist()))
+                    block_labels=tuple(labels[order].tolist()),
+                    real_blocks=real, conjugated_blocks=conjugated)
+
+
+def conjugate_partner(superop, spectrum, partner):
+    """The spectrum of the generator `partner` when it is the C-image
+    P conj(M) P of `superop` on the same pair basis (P the ket-bra swap),
+    within `MIRROR_TOL` relative: the conjugate of `spectrum`, each block
+    counted as conjugated. None when it is not."""
+    mirror = _mirror_map(superop.sector)
+    if partner.sector is not superop.sector or mirror is None:
+        return None
+    swap, phase = mirror[0], np.ones(superop.dim)
+    if _mirror_gap(superop.matrix, swap, phase, partner.matrix) > MIRROR_TOL:
+        return None
+    image = _conjugate(spectrum, swap, phase)
+    image.conjugated_blocks = len(set(spectrum.block_labels))
+    return image
 
 
 def steady_states(spectrum, dsec, tol=KERNEL_TOL):
@@ -399,48 +577,25 @@ def full_spectrum(spec, cap=DENSE_CAP):
     The generator is assembled once and split into its coupled components
     (`coupled_components`); each eigenvalue appears exactly once and is
     labelled with the charge difference delta = g_ket - g_bra of its
-    component's first pair. A component whose mirror {(b, a)} is another
-    component is diagonalized once: the partner's spectrum is the complex
-    conjugate, because a Lindbladian maps rho^+ to L[rho]^+. The partner
-    block must equal the conjugate of the mirrored block within
-    `MIRROR_TOL` (relative), else `SolverError`.
+    component's first pair. The components go through `mirror_eig`
+    strictly: a Lindbladian maps rho^+ to L[rho]^+, so every delta = 0
+    component is diagonalized in its real form and of each delta/-delta
+    mirror pair only one is diagonalized. A generator without that
+    symmetry raises `SolverError`.
     """
     full = assemble(spec)
     n = spec.layout.nstates
     components = coupled_components(full.matrix)
     blocks = _diagonal_blocks(full.matrix, components)
-    owner = np.empty(full.dim, dtype=np.int64)
-    for c, comp in enumerate(components):
-        owner[comp] = c
+    parts, _, _ = mirror_eig(blocks, components, _mirror_map(full.sector),
+                             cap=cap, strict=True)
     table = gauge_charge_table(spec.layout).astype(np.int16)
-    spectra = [None] * len(components)
-    for c, comp in enumerate(components):
-        if spectra[c] is not None:
-            continue
-        spectra[c] = eig_dense(blocks[c], cap=cap).eigenvalues
-        mirror = (comp % n) * n + comp // n
-        partner = owner[mirror[0]]
-        if partner == c:
-            continue
-        if (components[partner].size != comp.size
-                or np.any(owner[mirror] != partner)):
-            raise SolverError(
-                f"the mirror of component {c} is not a component")
-        within = np.searchsorted(components[partner], mirror)
-        mirrored = blocks[partner].toarray()[np.ix_(within, within)]
-        own = blocks[c].toarray()
-        gap = np.linalg.norm(mirrored - own.conj())
-        if gap > MIRROR_TOL * np.linalg.norm(own):
-            raise SolverError(
-                f"component {partner} differs from the conjugate mirror of "
-                f"component {c} by {gap:.3e}; not a Lindbladian")
-        spectra[partner] = spectra[c].conj()
-    merged = np.concatenate(spectra)
+    merged = np.concatenate([part.eigenvalues for part in parts])
     labels = []
-    for comp, values in zip(components, spectra):
+    for comp, part in zip(components, parts):
         first = comp[0]
         delta = table[first // n] - table[first % n]
-        labels.extend([tuple(int(v) for v in delta)] * values.size)
+        labels.extend([tuple(int(v) for v in delta)] * part.dim)
     order = canonical_order(merged)
     return Spectrum(merged[order], None, spec.layout.basis_tag,
                     block_labels=tuple(labels[i] for i in order))
@@ -453,35 +608,94 @@ def weak_spectrum(spec, n_particles=None, want_vectors=False, cap=DENSE_CAP):
     return spectrum_of(superop, want_vectors, cap=cap), dsec, superop
 
 
-def multiset_distance(a, b):
-    """Max matched distance between two eigenvalue multisets.
+def _plane(values):
+    """Eigenvalues as (re, im) points."""
+    values = np.asarray(values, dtype=np.complex128)
+    return np.column_stack([values.real, values.imag])
 
-    Optimal bipartite matching below ``MATCH_DENSE_LIMIT`` entries,
-    sorted-key matching above. Unequal sizes give infinity.
+
+def multiset_distance(a, b):
+    """Bottleneck distance between two eigenvalue multisets: the least r
+    such that some one-to-one pairing of a with b moves no value by more
+    than r. Unequal sizes give infinity.
+
+    Exact at every size. The Hausdorff distance is a lower bound; the
+    radius is doubled from there until the pairs within it (a kd-tree
+    query) admit a perfect matching, then bisected over the distances of
+    those pairs (Efrat, Itai & Katz, Algorithmica 31, 1 (2001)). Each
+    matching found lowers the upper end to its own largest distance.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.size != b.size:
+    a, b = _plane(a), _plane(b)
+    if a.shape != b.shape:
         return np.inf
-    if a.size == 0:
+    n = a.shape[0]
+    if n == 0:
         return 0.0
-    if a.size <= MATCH_DENSE_LIMIT:
-        cost = np.abs(a[:, None] - b[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        return float(cost[rows, cols].max())
-    a = a[canonical_order(a)]
-    b = b[canonical_order(b)]
-    return float(np.abs(a - b).max())
+    tree_a, tree_b = cKDTree(a), cKDTree(b)
+    radius = _hausdorff(tree_a, tree_b, a, b)
+    while True:
+        found = tree_a.sparse_distance_matrix(tree_b, radius,
+                                              output_type="ndarray")
+        found = found[np.lexsort((found["j"], found["i"]))]
+        pairs = found["i"], found["j"], found["v"]
+        worst = _perfect_matching(*pairs, n)
+        if worst is not None:
+            break
+        # from a zero lower bound, any pairing bounds the distance above
+        radius = 2 * radius or float(np.hypot(
+            *(a[np.lexsort(a.T)] - b[np.lexsort(b.T)]).T).max())
+    radii = np.unique(pairs[2])
+    # radii[hi] admits a perfect matching, no radius below radii[lo] does
+    lo, hi = 0, int(np.searchsorted(radii, worst))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        keep = pairs[2] <= radii[mid]
+        worst = _perfect_matching(*(column[keep] for column in pairs), n)
+        if worst is None:
+            lo = mid + 1
+        else:
+            hi = int(np.searchsorted(radii, worst))
+    return float(radii[hi])
+
+
+def _perfect_matching(rows, cols, distances, n):
+    """The largest distance in a perfect matching of a_i with b_j over the
+    pairs (rows[k], cols[k]) at `distances[k]`, sorted by row, then
+    column; None when there is none.
+
+    The matching is a unit-capacity maximum flow, source -> a_i -> b_j
+    -> sink, by Dinic's algorithm: the bound of Hopcroft-Karp, but
+    scipy's `maximum_bipartite_matching` takes seconds to prove that a
+    graph of 1e5 pairs has no perfect matching."""
+    source, sink = 2 * n, 2 * n + 1
+    # graph rows a_0..a_n-1, then b_0..b_n-1, the source, the sink
+    counts = np.concatenate([np.bincount(rows, minlength=n),
+                             np.ones(n, dtype=np.int64), [n, 0]])
+    indices = np.concatenate([n + cols, np.full(n, sink), np.arange(n)])
+    graph = sp.csr_matrix(
+        (np.ones(indices.size, dtype=np.int32), indices,
+         np.concatenate([[0], np.cumsum(counts)])),
+        shape=(2 * n + 2, 2 * n + 2))
+    result = maximum_flow(graph, source, sink, method="dinic")
+    if result.flow_value < n:
+        return None
+    flow = result.flow.tocoo()
+    used = (flow.data > 0) & (flow.row < n)
+    matched = np.searchsorted(rows * n + cols,
+                              flow.row[used] * n + flow.col[used] - n)
+    return float(distances[matched].max())
+
+
+def _hausdorff(tree_a, tree_b, a, b):
+    return float(max(tree_b.query(a)[0].max(), tree_a.query(b)[0].max()))
 
 
 def hausdorff_distance(a, b):
     """Symmetric Hausdorff distance between spectra as planar point sets."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.size == 0 or b.size == 0:
-        return np.inf if a.size != b.size else 0.0
-    gap = np.abs(a[:, None] - b[None, :])
-    return float(max(gap.min(axis=1).max(), gap.min(axis=0).max()))
+    a, b = _plane(a), _plane(b)
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return np.inf if a.shape[0] != b.shape[0] else 0.0
+    return _hausdorff(cKDTree(a), cKDTree(b), a, b)
 
 
 def hull_violation(inner, outer):

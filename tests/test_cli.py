@@ -12,6 +12,8 @@ from dqlm.cli import main
 from dqlm.exact import enumeration_marginals, ensemble_marginals, \
     exact_steady_state
 from dqlm.lattice import build_layout
+from dqlm.liouvillian import assemble_twisted
+from dqlm.models import JumpSpec, ModelSpec
 from dqlm.numerics import eig_dense, multiset_distance, positivity_defect
 
 
@@ -61,6 +63,11 @@ def test_spectrum_both_boundaries_and_manifest(tmp_path):
     assert manifest["diagnostics"]["obc_kernel"] == 1
     assert manifest["diagnostics"]["pbc_kernel"] == 1
     assert abs(manifest["diagnostics"]["pbc_max_real"]) < 1e-9
+    # the one open-chain block is real; of the four momentum blocks k = 0
+    # and k = 2 are real, and k = 3 is the conjugate of k = 1
+    diag = manifest["diagnostics"]
+    assert (diag["obc_real_blocks"], diag["obc_conjugated_blocks"]) == (1, 0)
+    assert (diag["pbc_real_blocks"], diag["pbc_conjugated_blocks"]) == (2, 1)
 
 
 def test_rerun_writes_byte_identical_payloads(tmp_path):
@@ -209,6 +216,14 @@ def test_winding_double_space_pi_periodicity(tmp_path):
     # 66 pairs in three momentum blocks of 22, at every phase
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["blocks"] == [3] * 4 and diag["max_block_dim"] == [22] * 4
+    # at 0 and pi one block is real and one the conjugate of another; the
+    # phase 3 pi/2 is the conjugate of pi/2, block by block
+    assert diag["real_blocks"] == [1, 0, 1, 0]
+    assert diag["conjugated_blocks"] == [1, 0, 1, 3]
+    quarter, three = (read_csv(out / f"spectrum_phi_{j:03d}.csv")[1]
+                      for j in (1, 3))
+    assert multiset_distance(quarter[:, 0] - 1j * quarter[:, 1],
+                             three[:, 0] + 1j * three[:, 1]) == 0.0
 
 
 def test_winding_without_translation_symmetry_runs_unsplit(tmp_path,
@@ -235,10 +250,35 @@ def test_winding_without_translation_symmetry_runs_unsplit(tmp_path,
     assert diag["variant"] == "double-space"
     assert diag["blocks"] == [4, 1, 4, 1]
     assert diag["max_block_dim"] == [46, 184, 46, 184]
-    for j, superop in enumerate(generators):
+    # the last phase, -pi/2, is the conjugate of pi/2: no generator of its
+    # own goes to `spectrum_of`
+    assert len(generators) == 3
+    asep = ModelSpec(layout=build_layout("chain-pbc", 4),
+                     jumps=(JumpSpec(family="effective-asep", gamma_right=0.3,
+                                     gamma_left=0.1),))
+    mirror = assemble_twisted(asep, 1.5 * np.pi, "double-space",
+                              sector=generators[1].sector)
+    for j, superop in enumerate(generators + [mirror]):
         data = read_csv(out / f"spectrum_phi_{j:03d}.csv")[1]
         unsplit = eig_dense(superop.matrix).eigenvalues
         assert multiset_distance(data[:, 0] + 1j * data[:, 1], unsplit) < 1e-8
+
+
+def test_jump_family_flag_keeps_only_the_rates_it_reads(tmp_path, capsys):
+    # the biased default rates are not read by effective-asep: left alone,
+    # the model would have no dissipation
+    code = run("winding", "--L", "4", "--jump-family", "effective-asep",
+               "--output-dir", str(tmp_path / "none"))
+    assert code == 2
+    err = stderr_error(capsys)
+    assert err["kind"] == "model" and "no dissipation" in err["message"]
+    out = tmp_path / "asep"
+    assert run("winding", "--L", "4", "--jump-family", "effective-asep",
+               "--gamma-right", "0.3", "--gamma-left", "0.1",
+               "--phi-steps", "2", "--output-dir", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["model"]["jumps"] == [
+        {"family": "effective-asep", "gamma_right": 0.3, "gamma_left": 0.1}]
 
 
 def test_steady_state_kernel_and_profiles(tmp_path):
@@ -247,8 +287,11 @@ def test_steady_state_kernel_and_profiles(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diagnostics"]["kernel_dim"] == 5
     assert manifest["diagnostics"]["max_residual"] < 1e-8
-    # one coupled block per particle number 0..4
+    assert manifest["diagnostics"]["eig_residual_max"] < 1e-8
+    # one coupled block per particle number 0..4, each in its real form
     assert manifest["diagnostics"]["blocks"] == 5
+    assert manifest["diagnostics"]["real_blocks"] == 5
+    assert manifest["diagnostics"]["conjugated_blocks"] == 0
     assert (manifest["diagnostics"]["max_block_dim"]
             < manifest["diagnostics"]["sector_dim"])
     with open(out / "steady_state_profiles.csv", encoding="utf-8") as fh:

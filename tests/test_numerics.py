@@ -1,9 +1,13 @@
 """Eigensolver wrappers, kernel extraction, winding, and integration."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqlm import numerics
 from dqlm.exact import exact_steady_state, link_polarization
@@ -21,6 +25,7 @@ from dqlm.numerics import (
     SolverError,
     Spectrum,
     canonical_order,
+    conjugate_partner,
     eig_dense,
     evolve,
     full_spectrum,
@@ -244,6 +249,77 @@ def test_periodic_steady_state_through_momentum_blocks():
     assert steady_residual(superop.hamiltonian, superop.jumps, rho) < 1e-10
 
 
+def mirror_cases():
+    """Generators that commute with rho -> rho^+, on every layout."""
+    rates = dict(gamma_up=2.4, gamma_down=1.6)
+    obc = ModelSpec(layout=build_layout("chain-obc", 4),
+                    jumps=(JumpSpec(family="biased", **rates),),
+                    disorder=DisorderSpec(seed=5))
+    yield "obc-disorder", assemble(obc, sector=weak_sector(obc.layout, 2))
+    pbc = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
+    yield "pbc", assemble(pbc, sector=weak_sector(pbc.layout, 2))
+    for phi in (0.7, 2.0):
+        yield f"lindblad-{phi}", assemble_twisted(
+            pbc, phi, "lindblad", sector=weak_sector(pbc.layout, 1))
+    hier = ModelSpec(layout=build_layout("hierarchical", 3),
+                     hamiltonian="hierarchical", J1=1.0, J2=0.8,
+                     jumps=(JumpSpec(family="biased", **rates),))
+    yield "hierarchical", assemble(hier, sector=weak_sector(hier.layout))
+    grid = ModelSpec(layout=build_layout("square-2d", 2, Ly=2),
+                     hamiltonian="qlm-2d", J1=1.0, J2=0.7,
+                     jumps=(JumpSpec(family="biased", gamma_up_v=2.0,
+                                     gamma_down_v=1.0, **rates),))
+    yield "square-2d", assemble(grid, sector=weak_sector(grid.layout, 2))
+    chain = build_layout("chain-obc", 3)
+    dephasing = ModelSpec(layout=chain,
+                          jumps=(JumpSpec(family="dephasing", gamma=0.7),))
+    yield "dephasing", assemble(dephasing, sector=weak_sector(chain))
+    gauge = ModelSpec(layout=chain,
+                      jumps=(JumpSpec(family="biased", **rates),
+                             JumpSpec(family="gauge-fix", strength=0.8)))
+    yield "gauge-fix", assemble(gauge, sector=weak_sector(chain))
+
+
+@pytest.mark.parametrize("superop", [pytest.param(superop, id=name)
+                                     for name, superop in mirror_cases()])
+def test_mirror_eig_matches_the_complex_path(superop):
+    split = spectrum_of(superop, want_vectors=True)
+    assert split.real_blocks > 0
+    if superop.twists is not None:
+        # momentum blocks k and -k are mirror partners
+        assert split.conjugated_blocks > 0
+    unsplit = eig_dense(superop.matrix).eigenvalues
+    assert multiset_distance(split.eigenvalues, unsplit) < 1e-10
+    dense = superop.matrix.toarray()
+    residual = np.linalg.norm(dense @ split.vectors
+                              - split.vectors * split.eigenvalues, axis=0)
+    assert residual.max() < 1e-8
+    assert split.residual_max < 1e-8
+
+
+def test_mirror_guards_fall_back_to_the_complex_path():
+    spec = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
+    dsec = weak_sector(spec.layout, 1)
+    # the double-space twist away from 0 and pi is not of Lindblad form
+    twisted = assemble_twisted(spec, 0.7, "double-space", sector=dsec)
+    split = spectrum_of(twisted)
+    assert split.real_blocks == split.conjugated_blocks == 0
+    unsplit = eig_dense(twisted.matrix).eigenvalues
+    assert multiset_distance(split.eigenvalues, unsplit) < 1e-10
+    # its rho -> rho^+ image is the double-space generator at -phi ...
+    mirror = assemble_twisted(spec, 2 * np.pi - 0.7, "double-space",
+                              sector=dsec)
+    image = conjugate_partner(twisted, split, mirror)
+    assert image.conjugated_blocks == np.bincount(split.block_labels).size
+    direct = eig_dense(mirror.matrix).eigenvalues
+    assert multiset_distance(image.eigenvalues, direct) < 1e-10
+    # ... while each lindblad generator is its own image, not the -phi one
+    lindblad = [assemble_twisted(spec, phi, "lindblad", sector=dsec)
+                for phi in (0.7, 2 * np.pi - 0.7)]
+    assert conjugate_partner(lindblad[0], spectrum_of(lindblad[0]),
+                             lindblad[1]) is None
+
+
 def test_momentum_split_skips_a_generator_without_the_symmetry():
     spec = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
     dsec = weak_sector(spec.layout, 2)
@@ -353,6 +429,54 @@ def test_multiset_and_hausdorff_metrics():
 
     assert hausdorff_distance([0, 1], [0, 1 + 0.5j]) == pytest.approx(0.5)
     assert hausdorff_distance([0, 1], [0.2]) == pytest.approx(0.8)
+
+
+def brute_bottleneck(a, b):
+    """Min over all pairings of the largest moved distance (n <= 7)."""
+    perms = np.array(list(itertools.permutations(range(len(a)))))
+    return float(np.abs(a[None, :] - b[perms]).max(axis=1).min())
+
+
+# grid points make exact ties in position and in distance
+points = st.one_of(
+    st.builds(lambda x, y: complex(x, y) / 4, st.integers(-4, 4),
+              st.integers(-4, 4)),
+    st.complex_numbers(max_magnitude=3, allow_nan=False,
+                       allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.lists(points, min_size=n, max_size=n),
+                        st.lists(points, min_size=n, max_size=n))))
+def test_multiset_distance_is_the_bottleneck_matching(pair):
+    a, b = (np.array(v, dtype=complex) for v in pair)
+    brute = brute_bottleneck(a, b)
+    assert multiset_distance(a, b) == pytest.approx(brute, rel=1e-12,
+                                                    abs=1e-15)
+    assert multiset_distance(b, a) == pytest.approx(brute, rel=1e-12,
+                                                    abs=1e-15)
+    gap = np.abs(a[:, None] - b[None, :])
+    dense = max(gap.min(axis=1).max(), gap.min(axis=0).max())
+    assert hausdorff_distance(a, b) == pytest.approx(dense, rel=1e-12,
+                                                     abs=1e-15)
+    assert hausdorff_distance(a, b) <= multiset_distance(a, b) + 1e-15
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2001, 2700), st.integers(0, 2**32 - 1))
+def test_multiset_distance_exact_on_near_ties(n, seed):
+    # real parts tie exactly in a; in b they move by up to 1e-13, which
+    # reorders every tie group under a sort by real part
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-2, 3, size=n) + 1j * rng.uniform(-1, 1, size=n)
+    noise = rng.uniform(-1e-13, 1e-13, size=(2, n))
+    b = (a + noise[0] + 1j * noise[1])[rng.permutation(n)]
+    # plus the rounding of a + noise, a few ulps of |a| <= 3
+    bound = float(np.abs(noise[0] + 1j * noise[1]).max()) + 1e-15
+    distance = multiset_distance(a, b)
+    assert hausdorff_distance(a, b) <= distance <= bound
+    assert multiset_distance(b, a) == distance
 
 
 def test_hull_violation_signs():
