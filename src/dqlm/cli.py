@@ -415,17 +415,18 @@ def build_config(args):
         value = getattr(args, attr, None)
         if value is not None:
             _set_path(cfg, dotted, value)
+    if getattr(args, "jump_family", None) is not None:
+        jump = _first_jump(cfg)
+        jump["family"] = args.jump_family
+        # the rates of the family it replaces (the defaults are biased);
+        # a rate flag for a rate the new family does not read is refused
+        for attr in _RATE_FIELDS:
+            if attr not in JUMP_RATES[args.jump_family]:
+                jump.pop(attr, None)
     for attr in _RATE_FIELDS:
         value = getattr(args, attr, None)
         if value is not None:
             _first_jump(cfg)[attr] = value
-    if getattr(args, "jump_family", None) is not None:
-        jump = _first_jump(cfg)
-        jump["family"] = args.jump_family
-        # the rates of the family it replaces (the defaults are biased)
-        for attr in _RATE_FIELDS:
-            if attr not in JUMP_RATES[args.jump_family]:
-                jump.pop(attr, None)
     if getattr(args, "add_gauge_fix", None) is not None:
         cfg["model"].setdefault("jumps", []).append(
             {"family": "gauge-fix", "strength": args.add_gauge_fix})
@@ -643,6 +644,9 @@ def run_dynamics(cfg, rec):
     rec.csv("dynamics.csv", tuple(header), rows, sector_dim=dsec.dim)
     rec.diagnostics["sector_dim"] = dsec.dim
     rec.diagnostics["max_trace_defect"] = float(series.trace_defect.max())
+    rec.diagnostics["rhs_evals"] = series.nfev
+    rec.diagnostics["integrator_status"] = series.status
+    rec.diagnostics["real_form"] = series.real_form
     rec.diagnostics["final_profile"] = [
         float(series.observables[f"N_{n}"][-1].real)
         for n in range(1, len(site_diag) + 1)]
@@ -657,6 +661,8 @@ def run_winding(cfg, rec):
     dsec = _weak_sector_checked(spec.layout, n_part)
     phis = [2.0 * np.pi * j / steps for j in range(steps)]
     superops, spectra = [], []
+    # partner[j]: the phase whose spectrum phase j conjugates
+    partner = [None] * steps
     summary_rows = []
     for j, phi in enumerate(phis):
         t0 = time.perf_counter()
@@ -671,6 +677,8 @@ def run_winding(cfg, rec):
         if 2 * j > steps:
             spectrum = conjugate_partner(superops[steps - j],
                                          spectra[steps - j], superop)
+            if spectrum is not None:
+                partner[j] = steps - j
         if spectrum is None:
             spectrum = spectrum_of(superop, cap=cap)
         rec.timings[f"phi_{j:03d}"] = time.perf_counter() - t0
@@ -688,12 +696,28 @@ def run_winding(cfg, rec):
     blocks = [_block_diagnostics(s) for s in spectra]
     for key in blocks[0]:
         rec.diagnostics[key] = [b[key] for b in blocks]
-    rec.diagnostics["max_drift_from_phi0"] = float(max(
-        multiset_distance(spectra[0].eigenvalues, s.eigenvalues)
-        for s in spectra))
-    rec.diagnostics["max_hausdorff_from_phi0"] = float(max(
-        hausdorff_distance(spectra[0].eigenvalues, s.eigenvalues)
-        for s in spectra))
+    drift, hausdorff = _distances_from_phi0(spectra, partner)
+    rec.diagnostics["max_drift_from_phi0"] = float(max(drift))
+    rec.diagnostics["max_hausdorff_from_phi0"] = float(max(hausdorff))
+
+
+def _distances_from_phi0(spectra, partner):
+    """The bottleneck and Hausdorff distances of the phases j >= 1 from
+    phase 0. When phase 0's spectrum s0 is closed under conjugation,
+    d(s0, conj s) = d(conj s0, s) = d(s0, s) bit for bit (|conj a - b| =
+    |a - conj b|), so a phase j that conjugates phase n - j takes that
+    phase's distances."""
+    zero = spectra[0].eigenvalues
+    closed = np.array_equal(np.sort_complex(zero), np.sort_complex(zero.conj()))
+    drift, hausdorff = {}, {}
+    for j in range(1, len(spectra)):
+        if closed and partner[j] is not None:
+            drift[j], hausdorff[j] = drift[partner[j]], hausdorff[partner[j]]
+        else:
+            values = spectra[j].eigenvalues
+            drift[j] = multiset_distance(zero, values)
+            hausdorff[j] = hausdorff_distance(zero, values)
+    return drift.values(), hausdorff.values()
 
 
 def _profile_layout(prof):

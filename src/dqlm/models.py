@@ -65,6 +65,9 @@ class DisorderSpec:
 
 @dataclass(frozen=True)
 class JumpSpec:
+    """One jump family and its rates. A nonzero rate that the family does
+    not read (see `JUMP_RATES`) is refused."""
+
     family: str
     gamma_up: float = 0.0
     gamma_down: float = 0.0
@@ -78,9 +81,17 @@ class JumpSpec:
     def __post_init__(self):
         if self.family not in JUMP_FAMILIES:
             raise ModelError(f"unknown jump family {self.family!r}")
-        for f in fields(self):
-            if f.name != "family" and getattr(self, f.name) < 0:
-                raise ModelError(f"negative rate {f.name}={getattr(self, f.name)}")
+        rates = [f.name for f in fields(self) if f.name != "family"]
+        for name in rates:
+            if getattr(self, name) < 0:
+                raise ModelError(f"negative rate {name}={getattr(self, name)}")
+        unread = [name for name in rates if getattr(self, name)
+                  and name not in JUMP_RATES[self.family]]
+        if unread:
+            raise ModelError(
+                f"{self.family} jumps do not read "
+                + ", ".join(f"{name}={getattr(self, name)}" for name in unread)
+                + f"; they read {'/'.join(JUMP_RATES[self.family])}")
 
 
 @dataclass(frozen=True)

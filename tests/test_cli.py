@@ -281,6 +281,24 @@ def test_jump_family_flag_keeps_only_the_rates_it_reads(tmp_path, capsys):
         {"family": "effective-asep", "gamma_right": 0.3, "gamma_left": 0.1}]
 
 
+def test_unread_jump_rates_are_refused(tmp_path, capsys):
+    # a config file's jump keeps only the rates its family reads
+    cfg = tmp_path / "asep.json"
+    cfg.write_text(json.dumps({"model": {"jumps": [
+        {"family": "effective-asep", "gamma_up": 2.4, "gamma_right": 0.3}]}}))
+    code = run("dynamics", "--config", str(cfg), "--L", "3",
+               "--initial-sites", "1", "--output-dir", str(tmp_path / "c"))
+    assert code == 2
+    err = stderr_error(capsys)
+    assert err["kind"] == "model" and "gamma_up" in err["message"]
+    # so does a rate flag the family given by --jump-family does not read
+    code = run("winding", "--L", "4", "--jump-family", "effective-asep",
+               "--gamma-right", "0.3", "--gamma-up", "2",
+               "--output-dir", str(tmp_path / "f"))
+    assert code == 2
+    assert stderr_error(capsys)["kind"] == "model"
+
+
 def test_steady_state_kernel_and_profiles(tmp_path):
     out = tmp_path / "ss"
     assert run("steady-state", "--L", "4", "--output-dir", str(out)) == 0

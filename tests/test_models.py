@@ -157,6 +157,10 @@ def test_spec_validation():
         JumpSpec("unknown")
     with pytest.raises(ModelError):
         JumpSpec("biased", gamma_up=-1.0)
+    with pytest.raises(ModelError, match="do not read gamma_up"):
+        JumpSpec("effective-asep", gamma_up=2.4, gamma_right=0.3)
+    # an unread rate at zero is no rate at all
+    JumpSpec("effective-asep", gamma_up=0.0, gamma_right=0.3)
     with pytest.raises(ModelError):
         ModelSpec(build_layout("square-2d", 2, 2), "qlm")
     with pytest.raises(ModelError):

@@ -364,6 +364,14 @@ def test_oversized_block_is_refused_before_any_eig(monkeypatch):
     with pytest.raises(numerics.DenseCapError, match="block of dimension"):
         spectrum_of(superop, cap=max(sizes) - 1)
     assert calls == []
+    # the same holds for the components of the full pair space
+    small = biased_chain(3, 2.4, 1.6)
+    sizes = [c.size for c in
+             numerics.coupled_components(assemble(small).matrix)]
+    assert sizes.index(max(sizes)) > 0
+    with pytest.raises(numerics.DenseCapError, match="block of dimension"):
+        full_spectrum(small, cap=max(sizes) - 1)
+    assert calls == []
 
 
 def test_momentum_split_refuses_weight_off_the_blocks(monkeypatch):
@@ -523,6 +531,53 @@ def test_evolve_matches_matrix_exponential():
     dense = superop.matrix.toarray()
     oracle = scipy.linalg.expm(dense * times[-1]) @ v0
     assert np.abs(series.final_vector - oracle).max() < 1e-8
+
+
+def hermitian_vector(dsec, seed):
+    """vec of a random Hermitian operator on a pair basis closed under
+    (a, b) -> (b, a)."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=dsec.dim) + 1j * rng.normal(size=dsec.dim)
+    return raw + raw[dsec.lookup(dsec.bras, dsec.kets)].conj()
+
+
+def frames_of(superop, v0, dsec):
+    """`evolve` on a short grid, keeping every frame as an observable."""
+    return evolve(superop.matrix, v0, np.linspace(0.0, 2.0, 6),
+                  observables={"frame": lambda v: v.copy()}, dsec=dsec)
+
+
+@pytest.mark.parametrize("superop", [pytest.param(superop, id=name)
+                                     for name, superop in mirror_cases()])
+def test_evolve_in_real_coordinates_matches_the_complex_path(superop):
+    v0 = hermitian_vector(superop.sector, 3)
+    real = frames_of(superop, v0, superop.sector)
+    plain = frames_of(superop, v0, None)
+    assert real.real_form and not plain.real_form
+    assert real.status == plain.status == 0
+    assert real.nfev == plain.nfev
+    gap = np.abs(real.observables["frame"] - plain.observables["frame"])
+    assert gap.max() < 1e-8
+    assert np.array_equal(real.final_vector, real.observables["frame"][-1])
+    assert real.trace_defect.max() < 1e-9
+
+
+def test_evolve_falls_back_to_the_complex_path():
+    spec = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
+    dsec = weak_sector(spec.layout, 1)
+    lindblad = assemble(spec, sector=dsec)
+    # a v0 that is not Hermitian, and a generator that is not a Lindbladian
+    rng = np.random.default_rng(4)
+    raw = rng.normal(size=dsec.dim) + 1j * rng.normal(size=dsec.dim)
+    twisted = assemble_twisted(spec, 0.7, "double-space", sector=dsec)
+    for superop, v0 in ((lindblad, raw),
+                        (twisted, hermitian_vector(dsec, 3))):
+        series = frames_of(superop, v0, dsec)
+        plain = frames_of(superop, v0, None)
+        assert not series.real_form
+        assert series.nfev == plain.nfev
+        assert np.array_equal(series.observables["frame"],
+                              plain.observables["frame"])
 
 
 def test_evolve_guards():
