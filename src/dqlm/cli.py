@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import fields
@@ -38,7 +39,7 @@ from .exact import (
 )
 from .lattice import LAYOUT_KINDS, LayoutError, build_layout, commutator
 from .liouvillian import LEAK_TOL, AssemblyError, assemble, assemble_twisted, \
-    diagonal_expectation, lindblad_apply, steady_residual
+    diagonal_expectation, steady_residual
 from .models import (
     JUMP_FAMILIES,
     JUMP_RATES,
@@ -297,6 +298,9 @@ class Recorder:
         return path
 
     def finish(self):
+        # ru_maxrss is in KiB on Linux
+        self.diagnostics["peak_rss_mb"] = resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024
         overall = hashlib.sha256(
             "".join(a["sha256"] for a in self.artifacts).encode()).hexdigest()
         manifest = {
@@ -578,14 +582,13 @@ def run_steady_state(cfg, rec):
     site_diag = site_number_diagonals(spec.layout)
     link_diag = link_z_diagonals(spec.layout)
     rows = []
-    residuals = []
     for idx, rho in enumerate(states):
         diag = np.asarray(rho.diagonal()).real
         for pos, arr in enumerate(site_diag, start=1):
             rows.append((idx, "site_density", pos, float((diag * arr).sum())))
         for pos, arr in enumerate(link_diag, start=1):
             rows.append((idx, "link_sz", pos, float((diag * arr).sum())))
-        residuals.append(steady_residual(superop.hamiltonian, superop.jumps, rho))
+    residuals = steady_residual(superop.hamiltonian, superop.jumps, states)
     rec.csv("steady_state_profiles.csv",
             ("state[index]", "kind[name]", "position[index]", "value[1]"),
             rows)
@@ -802,44 +805,49 @@ def run_profile(cfg, rec):
 
 
 def _verify_rows(L):
-    """The residual battery behind verify-exact, as (name, value, bound)."""
+    """The residual battery behind verify-exact: the rows as (name, value,
+    bound), and the number of operands the generator was applied to."""
     rows = []
     chain = build_layout("chain-obc", L)
+    ham = build_hamiltonian(ModelSpec(layout=chain))
+    ham_dis = build_hamiltonian(ModelSpec(layout=chain,
+                                          disorder=DisorderSpec(seed=1)))
+
+    def chain_jumps(*families):
+        return build_jump_set(ModelSpec(layout=chain, jumps=families))
+
+    gauge_fix = JumpSpec(family="gauge-fix", strength=1.0)
+    biased = {}
     for gu, gd in ((2.4, 1.6), (3.0, 1.0)):
         beta = gu / gd
         rho = exact_steady_state(chain, beta).materialize()
-        for label, extra, dis in (
-                ("plain", (), None),
-                ("gauge-fix", (JumpSpec(family="gauge-fix", strength=1.0),),
-                 None),
-                ("disorder", (), DisorderSpec(seed=1))):
-            spec = ModelSpec(layout=chain,
-                             jumps=(JumpSpec(family="biased", gamma_up=gu,
-                                             gamma_down=gd),) + extra,
-                             disorder=dis)
-            res = steady_residual(build_hamiltonian(spec),
-                                  build_jump_set(spec), rho)
-            rows.append((f"chain_L{L}_b{beta:g}_{label}", res, 1e-10))
+        rates = JumpSpec(family="biased", gamma_up=gu, gamma_down=gd)
+        biased[gu, gd] = plain = chain_jumps(rates)
+        for label, h, jumps in (
+                ("plain", ham, plain),
+                ("gauge-fix", ham, chain_jumps(rates, gauge_fix)),
+                ("disorder", ham_dis, plain)):
+            rows.append((f"chain_L{L}_b{beta:g}_{label}",
+                         steady_residual(h, jumps, rho), 1e-10))
+    operands = len(rows)
 
-    gu, gd = 2.4, 1.6
-    spec = ModelSpec(layout=chain,
-                     jumps=(JumpSpec(family="biased", gamma_up=gu,
-                                     gamma_down=gd),))
-    ham, jumps = build_hamiltonian(spec), build_jump_set(spec)
-    worst = 0.0
-    for bits, ens, lam in eigenoperator_set(chain, gu, gd):
-        op = ens.materialize(normalize="frobenius")
-        image = lindblad_apply(ham, jumps, op)
-        worst = max(worst, (image - op.scale(lam)).frobenius_norm())
+    # each eigenoperator has unit Frobenius norm, so its relative residual
+    # is ||L[op] - lam op||_F
+    ladder = eigenoperator_set(chain, 2.4, 1.6)
+    worst = max(steady_residual(
+        ham, biased[2.4, 1.6],
+        (ens.materialize(normalize="frobenius") for _, ens, _ in ladder),
+        lam=[lam for _, _, lam in ladder]))
     rows.append((f"eigenoperators_L{L}", worst, 1e-10))
+    operands += len(ladder)
 
-    spec_x = ModelSpec(layout=chain,
-                       jumps=(JumpSpec(family="x-like", gamma_up=0.7,
-                                       gamma_down=0.7),))
-    ham_x, jumps_x = build_hamiltonian(spec_x), build_jump_set(spec_x)
-    worst = max(steady_residual(ham_x, jumps_x, ens.materialize())
-                for ens in special_steady_states(chain, "x-like-symmetric"))
+    identities = special_steady_states(chain, "x-like-symmetric")
+    jumps_x = chain_jumps(JumpSpec(family="x-like", gamma_up=0.7,
+                                   gamma_down=0.7))
+    worst = max(steady_residual(ham, jumps_x,
+                                (ens.materialize() for ens in identities)))
     rows.append((f"xlike_identity_L{L}", worst, 1e-12))
+    operands += len(identities)
 
     coeffs = steady_site_coefficients(chain, 3.0)
     t_op = similarity_transform(chain, coeffs, scale=-0.5)
@@ -865,6 +873,7 @@ def _verify_rows(L):
     res_g = steady_residual(build_hamiltonian(spec_g), build_jump_set(spec_g),
                             rho_g)
     rows.append(("grid_2x2", res_g, 1e-10))
+    operands += 2   # the hierarchical and grid states
 
     enum_l = min(L, 5)
     small = build_layout("chain-obc", enum_l)
@@ -873,13 +882,13 @@ def _verify_rows(L):
     enum = enumeration_marginals(ens)
     gap = max(np.abs(dp[k] - enum[k]).max() for k in dp)
     rows.append((f"dp_vs_enumeration_L{enum_l}", gap, 1e-12))
-    return rows
+    return rows, operands
 
 
 def run_verify_exact(cfg, rec):
     L = cfg["verify"]["L"]
     t0 = time.perf_counter()
-    rows = _verify_rows(L)
+    rows, operands = _verify_rows(L)
     rec.timings["battery"] = time.perf_counter() - t0
     table = [(name, value, bound, bool(value < bound))
              for name, value, bound in rows]
@@ -892,6 +901,7 @@ def run_verify_exact(cfg, rec):
               f"{'PASS' if ok else 'FAIL'}")
     failed = [name for name, _, _, ok in table if not ok]
     rec.diagnostics["checks"] = len(table)
+    rec.diagnostics["operands"] = operands
     rec.diagnostics["failed"] = failed
     if failed:
         rec.finish()

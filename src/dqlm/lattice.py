@@ -215,7 +215,8 @@ class SparseOperator:
     def frobenius_norm(self):
         return float(np.linalg.norm(self.matrix.data)) if self.matrix.nnz else 0.0
 
-    def _check(self, other):
+    def check_basis(self, other):
+        """Raise unless `other` is a SparseOperator on the same basis."""
         if not isinstance(other, SparseOperator):
             raise TypeError(f"expected SparseOperator, got {type(other).__name__}")
         if other.basis != self.basis or other.dim != self.dim:
@@ -224,11 +225,11 @@ class SparseOperator:
                 f"{other.basis!r} (dim {other.dim})")
 
     def __add__(self, other):
-        self._check(other)
+        self.check_basis(other)
         return SparseOperator(self.matrix + other.matrix, self.basis)
 
     def __sub__(self, other):
-        self._check(other)
+        self.check_basis(other)
         return SparseOperator(self.matrix - other.matrix, self.basis)
 
     def __mul__(self, c):
@@ -240,7 +241,7 @@ class SparseOperator:
         return self.scale(-1.0)
 
     def __matmul__(self, other):
-        self._check(other)
+        self.check_basis(other)
         return SparseOperator(self.matrix @ other.matrix, self.basis)
 
     def __repr__(self):

@@ -16,9 +16,13 @@ eigenvalue ladder) assume this normalization.
 Every superoperator is a sparse matrix assembled on a `DoubleSectorBasis`
 of (ket, bra) pairs, with leakage detection: a weak sector, a
 charge-difference block, or the full pair space (`full_pairs`, whose key
-order is the vec order above). `lindblad_apply` applies the same generator
-to a sparse density operator by operator products, without a basis.
+order is the vec order above). `lindblad_apply` and `steady_residual`
+apply the same generator to sparse density operators by operator
+products, without a basis; they take one operator or a stream of them
+and form the jump-dependent part, K = sum_mu L_mu^+ L_mu, once per call.
 """
+
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,19 +67,67 @@ class Superoperator:
         return f"Superoperator(dim={self.dim}, nnz={self.nnz}, basis={self.basis!r})"
 
 
-def lindblad_apply(hamiltonian, jumps, rho):
-    """Operator-form L[rho] for SparseOperator rho."""
-    out = (hamiltonian @ rho - rho @ hamiltonian).scale(-1j)
+def _adjoint(matrix):
+    return matrix.conjugate().transpose().tocsr()
+
+
+def _image(ham, loss, ops, rho, basis):
+    """L[rho] on raw CSR, given loss = sum_mu L_mu^+ L_mu."""
+    out = (ham @ rho - rho @ ham) * -1j - (loss @ rho + rho @ loss)
+    for op in ops:
+        out = out + ((op @ rho) @ _adjoint(op)) * 2.0
+    return SparseOperator(out, basis)
+
+
+def _images(hamiltonian, jumps, rhos):
+    """Yield (rho, L[rho]) for each SparseOperator rho of `rhos`.
+
+    The bases of the jumps are checked and K = sum_mu L_mu^+ L_mu is formed
+    once, on raw CSR; each rho then costs 4 + 2m products for m jumps,
+    L[rho] = -i(H rho - rho H) - (K rho + rho K) + 2 sum_mu (L_mu rho) L_mu^+.
+    Only K is held: an adjoint costs a transposition, far less than a
+    product, and holding all m of them would double the jumps' memory.
+    """
     for op in jumps:
-        dag = op.adjoint()
-        loss = dag @ op
-        out = out + (op @ rho @ dag).scale(2.0) - loss @ rho - rho @ loss
-    return out
+        hamiltonian.check_basis(op)
+    ops = [op.matrix for op in jumps]
+    loss = sp.csr_matrix(hamiltonian.matrix.shape, dtype=np.complex128)
+    for op in ops:
+        loss = loss + _adjoint(op) @ op
+    for rho in rhos:
+        hamiltonian.check_basis(rho)
+        yield rho, _image(hamiltonian.matrix, loss, ops, rho.matrix,
+                          hamiltonian.basis)
 
 
-def steady_residual(hamiltonian, jumps, rho):
-    """|| L[rho] ||_F / || rho ||_F."""
-    return lindblad_apply(hamiltonian, jumps, rho).frobenius_norm() / rho.frobenius_norm()
+def lindblad_apply(hamiltonian, jumps, rho):
+    """Operator-form L[rho]: one image for a SparseOperator rho, a list of
+    images for a sequence of them (the jump-dependent work done once)."""
+    single = isinstance(rho, SparseOperator)
+    images = [image for _, image in
+              _images(hamiltonian, jumps, [rho] if single else rho)]
+    return images[0] if single else images
+
+
+def steady_residual(hamiltonian, jumps, rho, lam=0.0):
+    """|| L[rho] - lam rho ||_F / || rho ||_F.
+
+    A float for a SparseOperator rho; a list of floats for a sequence or
+    any iterable of them, with `lam` a scalar or one value per rho. Each
+    image is reduced to its float as soon as it is made, so no more than
+    one image is held at a time.
+    """
+    single = isinstance(rho, SparseOperator)
+    scalar = np.ndim(lam) == 0
+    lams = itertools.repeat(lam) if scalar else lam
+    out = []
+    for (r, image), value in zip(
+            _images(hamiltonian, jumps, [rho] if single else rho), lams,
+            strict=not scalar):
+        diff = image.matrix - r.matrix * value if value else image.matrix
+        out.append(float(np.linalg.norm(diff.data)) / r.frobenius_norm())
+        del image, diff
+    return out[0] if single else out
 
 
 def _term_list(ham_ket, ham_bra, jumps):

@@ -43,6 +43,10 @@ def test_verify_exact_battery_passes(tmp_path):
     assert all(line.endswith(",true") for line in lines[1:])
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diagnostics"]["failed"] == []
+    # six chain states, 2^(L-1) eigenoperators, L+1 identities, and the
+    # hierarchical and grid states
+    assert manifest["diagnostics"]["operands"] == 6 + 4 + 4 + 2
+    assert manifest["diagnostics"]["peak_rss_mb"] > 0
 
 
 def test_spectrum_both_boundaries_and_manifest(tmp_path):

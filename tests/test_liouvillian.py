@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dqlm.lattice import SparseOperator, build_layout, single_spin_operator
+from dqlm.exact import eigenoperator_set
+from dqlm.lattice import (
+    BasisMismatchError,
+    SparseOperator,
+    build_layout,
+    single_spin_operator,
+)
 from dqlm.liouvillian import (
     AssemblyError,
     assemble,
@@ -11,10 +19,18 @@ from dqlm.liouvillian import (
     devectorize_from,
     diagonal_expectation,
     lindblad_apply,
+    steady_residual,
     trace_vector,
     vectorize_into,
 )
-from dqlm.models import JumpSpec, ModelSpec
+from dqlm.models import (
+    JUMP_RATES,
+    DisorderSpec,
+    JumpSpec,
+    ModelSpec,
+    build_hamiltonian,
+    build_jump_set,
+)
 from dqlm.symmetry import (
     DoubleSectorBasis,
     InfeasibleSectorError,
@@ -265,3 +281,100 @@ def test_spectrum_structure_smoke():
     ev_sorted = np.sort_complex(ev)
     conj_sorted = np.sort_complex(ev.conj())
     assert np.linalg.norm(ev_sorted - conj_sorted) < 1e-8
+
+
+def random_operator(layout, rng):
+    n = layout.nstates
+    dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return SparseOperator(dense, layout.basis_tag)
+
+
+def ladder_model(L):
+    chain = build_layout("chain-obc", L)
+    spec = ModelSpec(chain, jumps=(JumpSpec("biased", gamma_up=2.4,
+                                            gamma_down=1.6),))
+    return chain, build_hamiltonian(spec), build_jump_set(spec)
+
+
+def test_streamed_images_equal_single_calls_bit_for_bit():
+    spec = full_specs()[1]
+    ham, jumps = build_hamiltonian(spec), build_jump_set(spec)
+    rng = np.random.default_rng(11)
+    rhos = [random_operator(spec.layout, rng) for _ in range(2)]
+    images = lindblad_apply(ham, jumps, rhos)
+    assert len(images) == 2
+    for rho, image in zip(rhos, images):
+        single = lindblad_apply(ham, jumps, rho)
+        assert isinstance(single, SparseOperator)
+        assert np.array_equal(image.matrix.indptr, single.matrix.indptr)
+        assert np.array_equal(image.matrix.indices, single.matrix.indices)
+        assert np.array_equal(image.matrix.data, single.matrix.data)
+
+
+def test_ladder_residuals_with_eigenvalues():
+    chain, ham, jumps = ladder_model(4)
+    ladder = eigenoperator_set(chain, 2.4, 1.6)
+    ops = [ens.materialize(normalize="frobenius") for _, ens, _ in ladder]
+    lams = [lam for _, _, lam in ladder]
+    residuals = steady_residual(ham, jumps, ops, lam=lams)
+    assert len(residuals) == len(ladder) == 8
+    for op, lam, res, image in zip(ops, lams, residuals,
+                                   lindblad_apply(ham, jumps, ops)):
+        want = (image - op.scale(lam)).frobenius_norm() / op.frobenius_norm()
+        assert res == want
+        assert res < 1e-12
+        # L[op] = lam op, so without lam the residual is |lam|
+        assert steady_residual(ham, jumps, op) == pytest.approx(abs(lam),
+                                                                abs=1e-12)
+    with pytest.raises(ValueError):
+        steady_residual(ham, jumps, ops, lam=lams[:-1])
+
+
+def test_generator_operands_give_one_float_each():
+    chain, ham, jumps = ladder_model(3)
+    rng = np.random.default_rng(5)
+    rhos = [random_operator(chain, rng) for _ in range(3)]
+    lazy = steady_residual(ham, jumps, (rho for rho in rhos))
+    assert [type(x) for x in lazy] == [float] * 3
+    assert lazy == steady_residual(ham, jumps, rhos)
+    assert lazy == [steady_residual(ham, jumps, rho) for rho in rhos]
+    assert len(lindblad_apply(ham, jumps, iter(rhos))) == 3
+    assert steady_residual(ham, jumps, []) == []
+
+
+def test_streamed_basis_mismatch_raises():
+    chain, ham, jumps = ladder_model(3)
+    rng = np.random.default_rng(3)
+    good = random_operator(chain, rng)
+    other = random_operator(build_layout("chain-obc", 2), rng)
+    with pytest.raises(BasisMismatchError):
+        lindblad_apply(ham, jumps + [other], [good])
+    with pytest.raises(BasisMismatchError):
+        lindblad_apply(ham, jumps, [good, other])
+    with pytest.raises(BasisMismatchError):
+        steady_residual(ham, jumps, iter([good, other]))
+
+
+def family_jump(family, rates):
+    return JumpSpec(family, **dict(zip(JUMP_RATES[family], rates)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3)),
+       st.lists(st.sampled_from(("biased", "x-like", "dephasing",
+                                 "gauge-fix", "effective-asep")),
+                min_size=1, max_size=2, unique=True),
+       st.lists(st.floats(0.1, 3.0), min_size=2, max_size=2),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_operator_form_matches_assembled_matrix(L, families, rates, disorder,
+                                                seed):
+    chain = build_layout("chain-obc", L)
+    spec = ModelSpec(chain, J=0.9,
+                     jumps=tuple(family_jump(f, rates) for f in families),
+                     disorder=DisorderSpec(seed=seed % 97) if disorder else None)
+    superop = assemble(spec)
+    rho = random_operator(chain, np.random.default_rng(seed))
+    image = lindblad_apply(superop.hamiltonian, superop.jumps, rho).toarray()
+    n = chain.nstates
+    via_matrix = (superop.matrix @ rho.toarray().reshape(-1)).reshape(n, n)
+    assert np.linalg.norm(image - via_matrix) <= 1e-12 * np.linalg.norm(via_matrix)
