@@ -1,7 +1,10 @@
 """Config-driven experiment runner.
 
-One JSON config document (schema below, unknown keys rejected) drives
-every task; subcommand flags override config values. Each run writes CSV
+One JSON config document drives every task; subcommand flags override
+config values. Each part of the config is checked in one place, and an
+unknown key anywhere is refused: the model section by
+`ModelSpec.from_dict` and the dataclasses it fills, every other key by
+its row of `CONFIG_KEYS`. Each run writes CSV
 artifacts (header row with column names and units, 17 significant
 digits) plus a manifest JSON with the config echo, artifact hashes,
 timings, and diagnostics. Files are written atomically (temp + rename)
@@ -21,11 +24,11 @@ import sys
 import time
 from dataclasses import fields
 
-import jsonschema
 import numpy as np
 
 from . import __version__
 from .exact import (
+    EmptySectorError,
     EnsembleError,
     centered_quadrupole,
     eigenoperator_set,
@@ -37,7 +40,7 @@ from .exact import (
     special_steady_states,
     steady_site_coefficients,
 )
-from .lattice import LAYOUT_KINDS, LayoutError, build_layout, commutator
+from .lattice import LayoutError, build_layout, commutator, is_integer
 from .liouvillian import LEAK_TOL, AssemblyError, assemble, assemble_twisted, \
     diagonal_expectation, steady_residual
 from .models import (
@@ -49,6 +52,7 @@ from .models import (
     ModelSpec,
     build_hamiltonian,
     build_jump_set,
+    is_number,
 )
 from .numerics import (
     DENSE_CAP,
@@ -76,137 +80,83 @@ EXIT_SOLVER = 4
 TASKS = ("spectrum", "steady-state", "dynamics", "winding", "verify-exact",
          "profile")
 
-_NUM = {"type": "number"}
-_POS = {"type": "number", "exclusiveMinimum": 0}
-_RATE = {"type": "number", "minimum": 0}
 _RATE_FIELDS = tuple(f.name for f in fields(JumpSpec) if f.name != "family")
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "task": {"enum": list(TASKS)},
-        "output_dir": {"type": "string"},
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["layout"],
-            "properties": {
-                "layout": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["kind", "L"],
-                    "properties": {
-                        "kind": {"enum": list(LAYOUT_KINDS)},
-                        "L": {"type": "integer", "minimum": 2},
-                        "Ly": {"type": "integer", "minimum": 0},
-                    },
-                },
-                "hamiltonian": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"enum": ["qlm", "hierarchical", "qlm-2d"]},
-                        "J": _NUM, "J1": _NUM, "J2": _NUM,
-                        "twist": {"type": "number", "minimum": 0},
-                    },
-                },
-                "jumps": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["family"],
-                        "properties": {
-                            "family": {"enum": list(JUMP_FAMILIES)},
-                            **{name: _RATE for name in _RATE_FIELDS},
-                        },
-                    },
-                },
-                "disorder": {
-                    "type": ["object", "null"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "field_strength": _RATE,
-                        "long_range_strength": _RATE,
-                        "seed": {"type": "integer", "minimum": 0},
-                    },
-                },
-            },
-        },
-        "sector": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_particles": {"type": ["integer", "null"], "minimum": 0},
-            },
-        },
-        "spectrum": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"boundary": {"enum": ["obc", "pbc", "both"]}},
-        },
-        "winding": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "phi_steps": {"type": "integer", "minimum": 2},
-                "variant": {"enum": ["lindblad", "double-space"]},
-            },
-        },
-        "dynamics": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "t_final": _POS,
-                "t_points": {"type": "integer", "minimum": 2},
-                "initial_sites": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                },
-                "rtol": _POS,
-                "atol": _POS,
-            },
-        },
-        "profile": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "layout": {"enum": ["chain", "hierarchical", "square-2d"]},
-                "L": {"type": "integer", "minimum": 2},
-                "Ly": {"type": "integer", "minimum": 2},
-                "beta": _POS,
-                "beta_prime": {"type": ["number", "null"],
-                               "exclusiveMinimum": 0},
-                "alpha": _POS,
-                "alpha_prime": _POS,
-                "fillings": {"type": "array", "items": _RATE,
-                             "minItems": 1},
-                "sector": {
-                    "type": ["array", "null"],
-                    "items": {"type": "integer"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-            },
-        },
-        "verify": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"L": {"type": "integer", "minimum": 3}},
-        },
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kernel_tol": _POS,
-                "dense_cap": {"type": "integer", "minimum": 1},
-                "leak_tol": _POS,
-            },
-        },
-    },
-    "required": ["task", "model"],
+
+# -- config checks: each a (what it expects, predicate) pair ---------------
+
+def _integer(low):
+    return f"an integer >= {low}", lambda v: is_integer(v) and v >= low
+
+
+def _choice(*options):
+    return f"one of {', '.join(options)}", lambda v: v in options
+
+
+def _or_null(check):
+    text, ok = check
+    return f"{text}, or null", lambda v: v is None or ok(v)
+
+
+def _list(check, low=0, exactly=None):
+    text, ok = check
+    size = exactly if exactly else f"{low} or more"
+    return (f"a list of {size} items, each {text}",
+            lambda v: isinstance(v, list) and all(ok(x) for x in v)
+            and (len(v) == exactly if exactly else len(v) >= low))
+
+
+_INTEGER = ("an integer", is_integer)
+_POSITIVE = ("a number > 0", lambda v: is_number(v) and v > 0)
+_RATE = ("a number >= 0", lambda v: is_number(v) and v >= 0)
+
+# every config key outside `model`, by section (None: the top level)
+CONFIG_KEYS = {
+    None: {"task": _choice(*TASKS),
+           "output_dir": ("a string", lambda v: isinstance(v, str))},
+    "sector": {"n_particles": _or_null(_integer(0))},
+    "spectrum": {"boundary": _choice("obc", "pbc", "both")},
+    "winding": {"phi_steps": _integer(2),
+                "variant": _choice("lindblad", "double-space")},
+    "dynamics": {"t_final": _POSITIVE, "t_points": _integer(2),
+                 "initial_sites": _list(_integer(1)),
+                 "rtol": _POSITIVE, "atol": _POSITIVE},
+    "profile": {"layout": _choice("chain", "hierarchical", "square-2d"),
+                "L": _integer(2), "Ly": _integer(2),
+                "beta": _POSITIVE, "beta_prime": _or_null(_POSITIVE),
+                "alpha": _POSITIVE, "alpha_prime": _POSITIVE,
+                "fillings": _list(_RATE, 1),
+                "sector": _or_null(_list(_INTEGER, exactly=2))},
+    "verify": {"L": _integer(3)},
+    "tolerances": {"kernel_tol": _POSITIVE, "dense_cap": _integer(1),
+                   "leak_tol": _POSITIVE},
 }
+
+
+def _validate(cfg):
+    """Refuse a config key or value the CLI does not accept: the keys
+    outside `model` against `CONFIG_KEYS` (`CliError`, kind "schema"),
+    then the model section through `ModelSpec.from_dict` (`ModelError` or
+    `LayoutError`)."""
+    for section, checks in CONFIG_KEYS.items():
+        node = cfg if section is None else cfg.get(section, {})
+        if not isinstance(node, dict):
+            raise CliError(EXIT_CONFIG, "schema",
+                           f"config section {section!r} must be an object, "
+                           f"got {json.dumps(node)}")
+        for key, value in node.items():
+            if section is None and (key in CONFIG_KEYS or key == "model"):
+                continue
+            path = key if section is None else f"{section}.{key}"
+            if key not in checks:
+                raise CliError(EXIT_CONFIG, "schema",
+                               f"unknown config key {path!r}")
+            text, ok = checks[key]
+            if not ok(value):
+                raise CliError(EXIT_CONFIG, "schema",
+                               f"config key {path!r} must be {text}, "
+                               f"got {json.dumps(value)}")
+    ModelSpec.from_dict(cfg["model"])
 
 
 class CliError(Exception):
@@ -328,7 +278,8 @@ def default_config(task):
                        "gamma_down": 1.6}],
         },
         "sector": {},
-        "tolerances": {},
+        "tolerances": {"kernel_tol": KERNEL_TOL, "dense_cap": DENSE_CAP,
+                       "leak_tol": LEAK_TOL},
     }
     if task == "spectrum":
         cfg["spectrum"] = {"boundary": "obc"}
@@ -394,10 +345,14 @@ def build_config(args):
         _deep_merge(cfg, file_cfg)
     cfg["task"] = task
 
+    # profile and verify-exact build no model: their sizes go to their own
+    # section
+    sizes = {"profile": "profile", "verify-exact": "verify"}.get(
+        task, "model.layout")
     simple = {
         "output_dir": "output_dir",
-        "L": "model.layout.L",
-        "Ly": "model.layout.Ly",
+        "L": f"{sizes}.L",
+        "Ly": f"{sizes}.Ly",
         "J": "model.hamiltonian.J",
         "J1": "model.hamiltonian.J1",
         "J2": "model.hamiltonian.J2",
@@ -466,17 +421,7 @@ def build_config(args):
                 cfg["model"]["hamiltonian"]["kind"] = "hierarchical"
             elif kind == "square-2d":
                 cfg["model"]["hamiltonian"]["kind"] = "qlm-2d"
-    if task == "verify-exact" and getattr(args, "L", None) is not None:
-        _set_path(cfg, "verify.L", args.L)
-    if task == "profile" and getattr(args, "L", None) is not None:
-        _set_path(cfg, "profile.L", args.L)
-    if task == "profile" and getattr(args, "Ly", None) is not None:
-        _set_path(cfg, "profile.Ly", args.Ly)
-
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise CliError(EXIT_CONFIG, "schema", exc.message)
+    _validate(cfg)
     return cfg
 
 
@@ -505,18 +450,6 @@ def model_from_config(cfg, kind_override=None):
     return ModelSpec.from_dict(model)
 
 
-def _dense_cap(cfg):
-    return cfg.get("tolerances", {}).get("dense_cap", DENSE_CAP)
-
-
-def _kernel_tol(cfg):
-    return cfg.get("tolerances", {}).get("kernel_tol", KERNEL_TOL)
-
-
-def _leak_tol(cfg):
-    return cfg.get("tolerances", {}).get("leak_tol", LEAK_TOL)
-
-
 def _block_diagnostics(spectrum):
     """The blocks behind a `spectrum_of` result: how many, the largest,
     and how many were diagonalized in real form or conjugated from their
@@ -543,7 +476,7 @@ SPECTRUM_HEADER = ("re_lambda[J]", "im_lambda[J]")
 def run_spectrum(cfg, rec):
     boundary = cfg["spectrum"]["boundary"]
     n_part = cfg.get("sector", {}).get("n_particles")
-    cap = _dense_cap(cfg)
+    tols = cfg["tolerances"]
     kinds = {"obc": ["chain-obc"], "pbc": ["chain-pbc"],
              "both": ["chain-obc", "chain-pbc"]}[boundary]
     base_kind = cfg["model"]["layout"]["kind"]
@@ -555,15 +488,15 @@ def run_spectrum(cfg, rec):
             spec.layout.kind, spec.layout.kind)
         t0 = time.perf_counter()
         dsec = _weak_sector_checked(spec.layout, n_part)
-        superop = assemble(spec, sector=dsec, leak_tol=_leak_tol(cfg))
-        spectrum = spectrum_of(superop, cap=cap)
+        superop = assemble(spec, sector=dsec, leak_tol=tols["leak_tol"])
+        spectrum = spectrum_of(superop, cap=tols["dense_cap"])
         rec.timings[f"spectrum_{tag}"] = time.perf_counter() - t0
         rec.csv(f"spectrum_{tag}.csv", SPECTRUM_HEADER,
                 ((v.real, v.imag) for v in spectrum.eigenvalues),
                 sector_dim=dsec.dim)
         rec.diagnostics[f"{tag}_dim"] = dsec.dim
         rec.diagnostics[f"{tag}_kernel"] = len(
-            spectrum.kernel_indices(_kernel_tol(cfg)))
+            spectrum.kernel_indices(tols["kernel_tol"]))
         rec.diagnostics[f"{tag}_max_real"] = spectrum.max_real()
         for key, value in _block_diagnostics(spectrum).items():
             rec.diagnostics[f"{tag}_{key}"] = value
@@ -571,13 +504,13 @@ def run_spectrum(cfg, rec):
 
 def run_steady_state(cfg, rec):
     n_part = cfg.get("sector", {}).get("n_particles")
-    cap = _dense_cap(cfg)
+    tols = cfg["tolerances"]
     spec = model_from_config(cfg)
     t0 = time.perf_counter()
     dsec = _weak_sector_checked(spec.layout, n_part)
-    superop = assemble(spec, sector=dsec, leak_tol=_leak_tol(cfg))
-    spectrum = spectrum_of(superop, want_vectors=True, cap=cap)
-    states = steady_states(spectrum, dsec, tol=_kernel_tol(cfg))
+    superop = assemble(spec, sector=dsec, leak_tol=tols["leak_tol"])
+    spectrum = spectrum_of(superop, want_vectors=True, cap=tols["dense_cap"])
+    states = steady_states(spectrum, dsec, tol=tols["kernel_tol"])
     rec.timings["kernel"] = time.perf_counter() - t0
     site_diag = site_number_diagonals(spec.layout)
     link_diag = link_z_diagonals(spec.layout)
@@ -615,7 +548,8 @@ def run_dynamics(cfg, rec):
                        "sector.n_particles must match the initial occupation")
     dsec = _weak_sector_checked(layout, n_part)
     t0 = time.perf_counter()
-    superop = assemble(spec, sector=dsec, leak_tol=_leak_tol(cfg))
+    superop = assemble(spec, sector=dsec,
+                       leak_tol=cfg["tolerances"]["leak_tol"])
     rec.timings["assemble"] = time.perf_counter() - t0
 
     slots = _site_slots(layout)
@@ -660,7 +594,7 @@ def run_winding(cfg, rec):
     steps = cfg["winding"]["phi_steps"]
     variant = cfg["winding"]["variant"]
     n_part = cfg.get("sector", {}).get("n_particles")
-    cap = _dense_cap(cfg)
+    tols = cfg["tolerances"]
     dsec = _weak_sector_checked(spec.layout, n_part)
     phis = [2.0 * np.pi * j / steps for j in range(steps)]
     superops, spectra = [], []
@@ -671,7 +605,7 @@ def run_winding(cfg, rec):
         t0 = time.perf_counter()
         try:
             superop = assemble_twisted(spec, phi, variant, sector=dsec,
-                                       leak_tol=_leak_tol(cfg))
+                                       leak_tol=tols["leak_tol"])
         except AssemblyError as exc:
             raise CliError(EXIT_CONFIG, "usage", str(exc))
         # phase steps - j is -phi: the double-space generator there is the
@@ -683,15 +617,15 @@ def run_winding(cfg, rec):
             if spectrum is not None:
                 partner[j] = steps - j
         if spectrum is None:
-            spectrum = spectrum_of(superop, cap=cap)
+            spectrum = spectrum_of(superop, cap=tols["dense_cap"])
         rec.timings[f"phi_{j:03d}"] = time.perf_counter() - t0
         superops.append(superop)
         spectra.append(spectrum)
         rec.csv(f"spectrum_phi_{j:03d}.csv", SPECTRUM_HEADER,
                 ((v.real, v.imag) for v in spectrum.eigenvalues),
                 phi=phi, variant=variant)
-        summary_rows.append((phi, spectrum.max_real(),
-                             len(spectrum.kernel_indices(_kernel_tol(cfg)))))
+        kernel = spectrum.kernel_indices(tols["kernel_tol"])
+        summary_rows.append((phi, spectrum.max_real(), len(kernel)))
     rec.csv("winding_summary.csv",
             ("phi[rad]", "max_re_lambda[J]", "kernel_count[1]"), summary_rows)
     rec.diagnostics["variant"] = variant
@@ -1013,14 +947,10 @@ def main(argv=None):
     except CliError as exc:
         _emit_error(exc.code, exc.kind, str(exc))
         return exc.code
-    except (ModelError, EnsembleError) as exc:
-        kind = "model"
-        code = EXIT_CONFIG
-        if "empty" in str(exc) or "vanishing" in str(exc):
-            kind, code = "empty-sector", EXIT_SECTOR
-        _emit_error(code, kind, str(exc))
-        return code
-    except LayoutError as exc:
+    except EmptySectorError as exc:
+        _emit_error(EXIT_SECTOR, "empty-sector", str(exc))
+        return EXIT_SECTOR
+    except (ModelError, EnsembleError, LayoutError) as exc:
         _emit_error(EXIT_CONFIG, "model", str(exc))
         return EXIT_CONFIG
     except InfeasibleSectorError as exc:

@@ -43,6 +43,10 @@ class EnsembleError(ValueError):
     """Malformed ensemble parameters or an empty projection sector."""
 
 
+class EmptySectorError(EnsembleError):
+    """A projection sector with no state, or with a vanishing weight."""
+
+
 @dataclass(frozen=True)
 class DiagonalEnsemble:
     """Diagonal operator exp(sum_k zcoeff_k z_k), optionally projected."""
@@ -79,7 +83,7 @@ class DiagonalEnsemble:
         """
         sec = self.sector()
         if sec.dim == 0:
-            raise EnsembleError(f"empty projection sector for {self.label}")
+            raise EmptySectorError(f"empty projection sector for {self.label}")
         logw = self.log_weight(sec.states)
         w = np.exp(logw - logw.real.max())
         if strip_phase:
@@ -301,7 +305,7 @@ def _dp_bit_marginals(zcoeff, constraints):
 
     z = forward[total].get(target, 0.0)
     if not forward[total] or abs(z) < 1e-300:
-        raise EnsembleError("empty or numerically vanishing charge sector")
+        raise EmptySectorError("empty or numerically vanishing charge sector")
 
     backward = [None] * (total + 1)
     backward[total] = {zero: 1.0 + 0j}
@@ -375,7 +379,7 @@ def enumeration_marginals(ens, max_spins=16):
         raise EnsembleError("enumeration limited to small registers")
     sec = ens.sector()
     if sec.dim == 0:
-        raise EnsembleError(f"empty projection sector for {ens.label}")
+        raise EmptySectorError(f"empty projection sector for {ens.label}")
     logw = ens.log_weight(sec.states)
     w = np.exp(logw - logw.real.max())
     z = w.sum()

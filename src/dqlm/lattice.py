@@ -25,6 +25,7 @@ Slot assignment per layout kind:
 Coordinates are 1-based, matching the analytic formulas they feed.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,11 @@ class BasisMismatchError(ValueError):
     """Raised when operators tagged with different bases are combined."""
 
 
+def is_integer(value):
+    """An integer that is not a bool: a JSON `true` or `4.0` is no size."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LatticeLayout:
     """Geometry plus the slot map for one lattice kind.
@@ -51,8 +57,8 @@ class LatticeLayout:
         One of `LAYOUT_KINDS`.
     L : int
         Chain length, hierarchical length, or Lx for ``square-2d``.
-    Ly : int or None
-        Second dimension, ``square-2d`` only.
+    Ly : int
+        Second dimension, ``square-2d`` only (0 elsewhere).
     """
 
     kind: str
@@ -62,6 +68,9 @@ class LatticeLayout:
     def __post_init__(self):
         if self.kind not in LAYOUT_KINDS:
             raise LayoutError(f"unknown layout kind {self.kind!r}")
+        if not (is_integer(self.L) and is_integer(self.Ly)):
+            raise LayoutError(
+                f"L and Ly must be integers, got L={self.L!r}, Ly={self.Ly!r}")
         if self.kind == "chain-obc" and self.L < 2:
             raise LayoutError("chain-obc needs L >= 2")
         if self.kind == "chain-pbc" and self.L < 3:

@@ -19,6 +19,7 @@ Jump families, one list entry per operator:
                   sites only, chains only
 """
 
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -29,6 +30,7 @@ from .lattice import (
     SparseOperator,
     build_layout,
     diagonal_operator,
+    is_integer,
     single_spin_operator,
     state_bit,
     transition_operator,
@@ -51,6 +53,23 @@ class ModelError(ValueError):
     """Inconsistent model specification."""
 
 
+def is_number(value):
+    """A real number that is not a bool (JSON `true` is no rate)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_numbers(spec, low=None):
+    """Refuse a `float` field of `spec` that is not a number and an `int`
+    field that is not an integer, or either below `low`."""
+    for f in fields(spec):
+        what, ok = {float: ("a number", is_number),
+                    int: ("an integer", is_integer)}.get(f.type, ("", None))
+        value = getattr(spec, f.name)
+        if ok and not (ok(value) and (low is None or value >= low)):
+            bound = "" if low is None else f" >= {low}"
+            raise ModelError(f"{f.name} must be {what}{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DisorderSpec:
     """Symmetry-preserving disorder: site fields h_n, link fields h'_m
@@ -61,6 +80,9 @@ class DisorderSpec:
     field_strength: float = 0.5
     long_range_strength: float = 0.5
     seed: int = 0
+
+    def __post_init__(self):
+        _check_numbers(self, low=0)
 
 
 @dataclass(frozen=True)
@@ -81,10 +103,8 @@ class JumpSpec:
     def __post_init__(self):
         if self.family not in JUMP_FAMILIES:
             raise ModelError(f"unknown jump family {self.family!r}")
+        _check_numbers(self, low=0)
         rates = [f.name for f in fields(self) if f.name != "family"]
-        for name in rates:
-            if getattr(self, name) < 0:
-                raise ModelError(f"negative rate {name}={getattr(self, name)}")
         unread = [name for name in rates if getattr(self, name)
                   and name not in JUMP_RATES[self.family]]
         if unread:
@@ -108,6 +128,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.hamiltonian not in HAMILTONIAN_KINDS:
             raise ModelError(f"unknown hamiltonian kind {self.hamiltonian!r}")
+        _check_numbers(self)
         kind = self.layout.kind
         if self.hamiltonian == "qlm" and kind not in ("chain-obc", "chain-pbc"):
             raise ModelError("qlm hamiltonian needs a chain layout")
@@ -150,21 +171,51 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(d):
-        """Inverse of `to_dict`. A "qlm" Hamiltonian kind (the default)
-        on a hierarchical or square-2d layout means that layout's own
-        Hamiltonian."""
-        lay = d["layout"]
+        """Inverse of `to_dict`, and the one parser of a config's model
+        section. A "qlm" Hamiltonian kind (the default) on a hierarchical
+        or square-2d layout means that layout's own Hamiltonian. Refuses
+        an unknown or missing key and a non-object where an object
+        belongs; the dataclasses it fills check the values."""
+        _section(d, "model", ("layout", "hamiltonian", "jumps", "disorder"),
+                 ("layout",))
+        lay = _section(d["layout"], "model.layout", ("kind", "L", "Ly"),
+                       ("kind", "L"))
         layout = build_layout(lay["kind"], lay["L"], lay.get("Ly", 0))
-        ham = d.get("hamiltonian", {})
+        ham = _section(d.get("hamiltonian", {}), "model.hamiltonian",
+                       ("kind", "J", "J1", "J2", "twist"))
         kind = ham.get("kind", "qlm")
         if kind == "qlm":
             kind = {"hierarchical": "hierarchical",
                     "square-2d": "qlm-2d"}.get(layout.kind, kind)
-        jumps = tuple(JumpSpec(**j) for j in d.get("jumps", []))
-        dis = DisorderSpec(**d["disorder"]) if d.get("disorder") else None
+        jumps = d.get("jumps", [])
+        if not isinstance(jumps, list):
+            raise ModelError(f"model.jumps must be a list, got {jumps!r}")
+        jump_keys = tuple(f.name for f in fields(JumpSpec))
+        jumps = tuple(JumpSpec(**_section(j, f"model.jumps[{i}]", jump_keys,
+                                          ("family",)))
+                      for i, j in enumerate(jumps))
+        dis = d.get("disorder")
+        if dis is not None:
+            _section(dis, "model.disorder",
+                     tuple(f.name for f in fields(DisorderSpec)))
+        dis = DisorderSpec(**dis) if dis else None
         return ModelSpec(layout, kind, J=ham.get("J", 1.0),
                          J1=ham.get("J1", 1.0), J2=ham.get("J2", 1.0),
                          twist=ham.get("twist", 0.0), jumps=jumps, disorder=dis)
+
+
+def _section(value, where, keys, required=()):
+    """`value` itself, once it is a dict holding only `keys` and every
+    key in `required`."""
+    if not isinstance(value, dict):
+        raise ModelError(f"{where} must be an object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ModelError(f"unknown key {key!r} in {where}")
+    for key in required:
+        if key not in value:
+            raise ModelError(f"{where} needs {key!r}")
+    return value
 
 
 def _zero_operator(layout):

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -425,3 +427,200 @@ def test_no_stray_temp_files(tmp_path):
     assert run("profile", "--layout", "chain", "--L", "6", "--beta", "2",
                "--fillings", "0.5", "--output-dir", str(out)) == 0
     assert not [f for f in os.listdir(out) if ".tmp" in f]
+
+
+# one config per rule the config checks enforce, each merged into the task's
+# defaults; the task is the one whose section the config touches
+REFUSED_CONFIGS = [
+    # top level
+    {"bogus": 1},
+    {"output_dir": 5},
+    {"sector": 3},
+    {"tolerances": None},
+    # model
+    {"model": 3},
+    {"model": {"bogus": 1}},
+    {"model": {"layout": 3}},
+    {"model": {"layout": {"bogus": 1}}},
+    {"model": {"layout": {"kind": "ring"}}},
+    {"model": {"layout": {"L": "4"}}},
+    {"model": {"layout": {"L": True}}},
+    {"model": {"layout": {"L": 1}}},
+    {"model": {"layout": {"Ly": -1}}},
+    {"model": {"layout": {"Ly": 1.5}}},
+    {"model": {"hamiltonian": 3}},
+    {"model": {"hamiltonian": {"bogus": 1}}},
+    {"model": {"hamiltonian": {"kind": "ising"}}},
+    {"model": {"hamiltonian": {"J": "1"}}},
+    {"model": {"hamiltonian": {"J1": True}}},
+    {"model": {"hamiltonian": {"J2": None}}},
+    {"model": {"hamiltonian": {"twist": -0.5}}},
+    {"model": {"jumps": {"family": "biased"}}},
+    {"model": {"jumps": None}},
+    {"model": {"jumps": [3]}},
+    {"model": {"jumps": [{"family": "biased", "gamma_up": 1.0, "bogus": 1}]}},
+    {"model": {"jumps": [{"family": "flip", "gamma_up": 1.0}]}},
+    {"model": {"jumps": [{"gamma_up": 1.0}]}},
+    {"model": {"jumps": [{"family": "biased", "gamma_up": -1.0}]}},
+    {"model": {"jumps": [{"family": "biased", "gamma_up": "1"}]}},
+    {"model": {"jumps": [{"family": "biased", "gamma_up": True}]}},
+    {"model": {"disorder": 3}},
+    {"model": {"disorder": True}},
+    {"model": {"disorder": {"bogus": 1}}},
+    {"model": {"disorder": {"field_strength": -0.5}}},
+    {"model": {"disorder": {"field_strength": "0.5"}}},
+    {"model": {"disorder": {"long_range_strength": -0.5}}},
+    {"model": {"disorder": {"long_range_strength": True}}},
+    {"model": {"disorder": {"seed": -1}}},
+    {"model": {"disorder": {"seed": "7"}}},
+    {"model": {"disorder": {"seed": 1.5}}},
+    # sector, spectrum, winding
+    {"sector": {"bogus": 1}},
+    {"sector": {"n_particles": -1}},
+    {"sector": {"n_particles": "2"}},
+    {"sector": {"n_particles": True}},
+    {"spectrum": {"bogus": 1}},
+    {"spectrum": {"boundary": "open"}},
+    {"spectrum": 3},
+    {"winding": {"bogus": 1}},
+    {"winding": {"phi_steps": 1}},
+    {"winding": {"phi_steps": 2.5}},
+    {"winding": {"variant": "twisted"}},
+    # dynamics
+    {"dynamics": {"bogus": 1}},
+    {"dynamics": {"t_final": 0}},
+    {"dynamics": {"t_final": True}},
+    {"dynamics": {"t_points": 1}},
+    {"dynamics": {"t_points": "21"}},
+    {"dynamics": {"initial_sites": "1,2"}},
+    {"dynamics": {"initial_sites": [0]}},
+    {"dynamics": {"initial_sites": [1.5]}},
+    {"dynamics": {"rtol": -1e-9}},
+    {"dynamics": {"atol": 0}},
+    {"dynamics": {"atol": "1e-9"}},
+    # profile
+    {"profile": {"bogus": 1}},
+    {"profile": {"layout": "ladder"}},
+    {"profile": {"L": 1}},
+    {"profile": {"Ly": 1}},
+    {"profile": {"beta": 0}},
+    {"profile": {"beta": "3"}},
+    {"profile": {"beta_prime": 0}},
+    {"profile": {"alpha": -1.0}},
+    {"profile": {"alpha_prime": 0}},
+    {"profile": {"alpha_prime": True}},
+    {"profile": {"fillings": []}},
+    {"profile": {"fillings": [-0.5]}},
+    {"profile": {"fillings": 0.5}},
+    {"profile": {"sector": [0]}},
+    {"profile": {"sector": [0, 0, 0]}},
+    {"profile": {"sector": [0, 0.5]}},
+    {"profile": {"sector": "0,0"}},
+    # verify and tolerances
+    {"verify": {"bogus": 1}},
+    {"verify": {"L": 2}},
+    {"tolerances": {"bogus": 1}},
+    {"tolerances": {"kernel_tol": 0}},
+    {"tolerances": {"dense_cap": 0}},
+    {"tolerances": {"dense_cap": 100.5}},
+    {"tolerances": {"leak_tol": "1e-12"}},
+    {"tolerances": {"leak_tol": -1.0}},
+]
+
+SECTION_TASKS = {"winding": "winding", "dynamics": "dynamics",
+                 "profile": "profile", "verify": "verify-exact"}
+
+
+def run_config(tmp_path, monkeypatch, task, cfg):
+    """Run `task` on a config file in an empty working directory; returns
+    the exit code and what the run left beside the config file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code = run(task, "--config", "cfg.json")
+    return code, sorted(set(os.listdir(tmp_path)) - {"cfg.json"})
+
+
+@pytest.mark.parametrize("cfg", REFUSED_CONFIGS, ids=json.dumps)
+def test_refused_config_exits_2_before_any_output(tmp_path, monkeypatch,
+                                                  capsys, cfg):
+    task = SECTION_TASKS.get(next(iter(cfg)), "spectrum")
+    code, left = run_config(tmp_path, monkeypatch, task, cfg)
+    assert code == 2
+    assert stderr_error(capsys)["exit_code"] == 2
+    assert left == []
+
+
+@pytest.mark.parametrize("cfg, kind, named", [
+    ({"model": {"layout": {"bogus": 1}}}, "model", "bogus"),
+    ({"model": {"jumps": [{"family": "biased", "gamma_up": 1.0,
+                           "rate": 2}]}}, "model", "rate"),
+    ({"model": {"jumps": [{"gamma_up": 1.0}]}}, "model", "family"),
+    ({"model": {"disorder": {"seed": -1}}}, "model", "seed"),
+    ({"dynamics": {"bogus": 1}}, "schema", "dynamics.bogus"),
+    ({"profile": {"sector": [0]}}, "schema", "profile.sector"),
+    ({"tolerances": {"dense_cap": 0}}, "schema", "tolerances.dense_cap"),
+])
+def test_config_errors_name_the_key(tmp_path, monkeypatch, capsys, cfg, kind,
+                                    named):
+    # errors under `model` come from the model parser, the rest from the
+    # CLI's own key table
+    task = SECTION_TASKS.get(next(iter(cfg)), "spectrum")
+    assert run_config(tmp_path, monkeypatch, task, cfg)[0] == 2
+    err = stderr_error(capsys)
+    assert err["kind"] == kind
+    assert named in err["message"]
+
+
+@pytest.mark.parametrize("task, cfg", [
+    ("spectrum", {"model": {"layout": {"L": 4.0}}}),
+    ("spectrum", {"model": {"disorder": {"seed": 2.0}}}),
+    ("dynamics", {"dynamics": {"t_points": 21.0}}),
+    ("verify-exact", {"verify": {"L": 3.0}}),
+    ("spectrum", {"sector": {"n_particles": 2.0}}),
+    ("spectrum", {"tolerances": {"dense_cap": 100.0}}),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_integral_floats_are_not_integers(tmp_path, monkeypatch, capsys, task,
+                                          cfg):
+    # `4.0` where an integer belongs is refused, not carried into the run
+    code, left = run_config(tmp_path, monkeypatch, task, cfg)
+    assert code == 2
+    assert stderr_error(capsys)["exit_code"] == 2
+    assert left == []
+
+
+def test_none_hamiltonian_is_a_config_kind(tmp_path):
+    cfg = tmp_path / "none.json"
+    cfg.write_text(json.dumps({"model": {"hamiltonian": {"kind": "none"}}}))
+    out = tmp_path / "o"
+    assert run("spectrum", "--config", str(cfg), "--L", "3",
+               "--output-dir", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["model"]["hamiltonian"]["kind"] == "none"
+
+
+def test_profile_and_verify_sizes_stay_out_of_the_model(tmp_path):
+    out = tmp_path / "g"
+    assert run("profile", "--layout", "square-2d", "--L", "3", "--Ly", "2",
+               "--beta", "3", "--beta-prime", "2",
+               "--output-dir", str(out)) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["profile"]["L"], config["profile"]["Ly"]) == (3, 2)
+    assert config["model"]["layout"] == {"kind": "chain-obc", "L": 4}
+
+
+def test_empty_dp_sector_exits_3(tmp_path, capsys):
+    code = run("profile", "--layout", "hierarchical", "--L", "5",
+               "--beta", "3", "--sector", "1,0",
+               "--output-dir", str(tmp_path / "h"))
+    assert code == 3
+    assert stderr_error(capsys)["kind"] == "empty-sector"
+
+
+def test_cli_import_leaves_jsonschema_out():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys, dqlm.cli; "
+             "print('jsonschema' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "False"

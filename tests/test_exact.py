@@ -5,6 +5,7 @@ import pytest
 
 from dqlm.exact import (
     DiagonalEnsemble,
+    EmptySectorError,
     EnsembleError,
     centered_quadrupole,
     eigenoperator_set,
@@ -301,12 +302,13 @@ def test_error_paths():
     with pytest.raises(EnsembleError):
         exact_steady_state(grid, 2.0)
 
+    # an empty sector has its own type, which the CLI maps to exit 3
     empty = exact_steady_state(layout, 2.0, n_particles=9)
-    with pytest.raises(EnsembleError):
+    with pytest.raises(EmptySectorError):
         empty.materialize()
-    with pytest.raises(EnsembleError):
+    with pytest.raises(EmptySectorError):
         ensemble_marginals(empty)
-    with pytest.raises(EnsembleError):
+    with pytest.raises(EmptySectorError):
         enumeration_marginals(empty)
     big = exact_steady_state(build_layout("chain-obc", 12), 2.0)
     with pytest.raises(EnsembleError):

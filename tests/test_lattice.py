@@ -61,6 +61,11 @@ def test_layout_validation():
         build_layout("square-2d", 2, 1)
     with pytest.raises(LayoutError):
         build_layout("chain-obc", 4, Ly=2)
+    # sizes are integers: not a float, even an integral one, nor a bool
+    for L, Ly in ((4.0, 0), (True, 0), (3, 2.0)):
+        with pytest.raises(LayoutError, match="must be integers"):
+            build_layout("square-2d" if Ly else "chain-obc", L, Ly)
+    assert build_layout("chain-obc", np.int64(4)) == build_layout("chain-obc", 4)
     lay = build_layout("chain-obc", 4)
     with pytest.raises(LayoutError):
         lay.site_slot(5)

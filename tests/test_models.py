@@ -173,6 +173,21 @@ def test_spec_validation():
                   jumps=(JumpSpec("x-like", gamma_up=1, gamma_down=1),))
     with pytest.raises(ModelError):
         ModelSpec(lay, "qlm", twist=7.0)
+    # numbers are numbers: not a string, nor a bool
+    for bad in ("1", True, None):
+        with pytest.raises(ModelError, match="gamma_up must be a number"):
+            JumpSpec("biased", gamma_up=bad)
+        with pytest.raises(ModelError, match="J must be a number"):
+            ModelSpec(lay, "qlm", J=bad)
+        with pytest.raises(ModelError, match="field_strength"):
+            DisorderSpec(field_strength=bad)
+    with pytest.raises(ModelError, match="twist must be a number"):
+        ModelSpec(lay, "qlm", twist=True)
+    with pytest.raises(ModelError, match="long_range_strength"):
+        DisorderSpec(long_range_strength=-0.5)
+    for seed in (-1, 1.0, "7", True):
+        with pytest.raises(ModelError, match="seed must be an integer"):
+            DisorderSpec(seed=seed)
 
 
 def test_spec_roundtrip():
@@ -191,3 +206,42 @@ def test_spec_roundtrip():
         assert ModelSpec.from_dict(d) == spec
         del d["hamiltonian"]["kind"]
         assert ModelSpec.from_dict(d) == spec
+
+
+@pytest.mark.parametrize("d, named", [
+    (3, "model must be an object"),
+    ({}, "model needs 'layout'"),
+    ({"layout": {"kind": "chain-obc", "L": 4}, "bogus": 1}, "'bogus' in model"),
+    ({"layout": [4]}, "model.layout must be an object"),
+    ({"layout": {"L": 4}}, "model.layout needs 'kind'"),
+    ({"layout": {"kind": "chain-obc"}}, "model.layout needs 'L'"),
+    ({"layout": {"kind": "chain-obc", "L": 4, "Lx": 4}}, "'Lx' in model.layout"),
+    ({"layout": {"kind": "chain-obc", "L": 4}, "hamiltonian": "qlm"},
+     "model.hamiltonian must be an object"),
+    ({"layout": {"kind": "chain-obc", "L": 4}, "hamiltonian": {"phi": 1.0}},
+     "'phi' in model.hamiltonian"),
+    ({"layout": {"kind": "chain-obc", "L": 4}, "jumps": {"family": "biased"}},
+     "model.jumps must be a list"),
+    ({"layout": {"kind": "chain-obc", "L": 4}, "jumps": ["biased"]},
+     r"model.jumps\[0\] must be an object"),
+    ({"layout": {"kind": "chain-obc", "L": 4},
+      "jumps": [{"family": "biased", "gamma_up": 1.0}, {"gamma": 1.0}]},
+     r"model.jumps\[1\] needs 'family'"),
+    ({"layout": {"kind": "chain-obc", "L": 4},
+      "jumps": [{"family": "biased", "gamma_up": 1.0, "rate": 1.0}]},
+     r"'rate' in model.jumps\[0\]"),
+    ({"layout": {"kind": "chain-obc", "L": 4}, "disorder": [7]},
+     "model.disorder must be an object"),
+    ({"layout": {"kind": "chain-obc", "L": 4}, "disorder": {"strength": 1.0}},
+     "'strength' in model.disorder"),
+])
+def test_from_dict_refuses_malformed_sections(d, named):
+    with pytest.raises(ModelError, match=named):
+        ModelSpec.from_dict(d)
+
+
+def test_from_dict_reads_null_and_empty_disorder_as_none():
+    for dis in (None, {}):
+        spec = ModelSpec.from_dict({"layout": {"kind": "chain-obc", "L": 3},
+                                    "disorder": dis})
+        assert spec.disorder is None

@@ -3,16 +3,19 @@ import re
 
 import numpy as np
 
+from dqlm.cli import main
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
-def python_blocks():
+def fenced_blocks(language):
     text = README.read_text(encoding="utf-8")
-    return re.findall(r"^```python\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
+    return re.findall(rf"^```{language}\n(.*?)^```$", text,
+                      re.MULTILINE | re.DOTALL)
 
 
 def test_library_example_runs():
-    blocks = python_blocks()
+    blocks = fenced_blocks("python")
     assert len(blocks) == 2
     # the second block continues the first, as the README says
     namespace = {"__name__": "readme"}
@@ -22,3 +25,14 @@ def test_library_example_runs():
     assert abs(trace - 1.0) < 1e-12
     assert len(namespace["residuals"]) == 16
     assert max(namespace["residuals"]) < 1e-12
+
+
+def test_config_document_runs(tmp_path):
+    blocks = fenced_blocks("json")
+    assert len(blocks) == 1
+    config = tmp_path / "config.json"
+    config.write_text(blocks[0], encoding="utf-8")
+    out = tmp_path / "demo"
+    assert main(["spectrum", "--config", str(config),
+                 "--output-dir", str(out)]) == 0
+    assert (out / "spectrum_obc.csv").exists()
