@@ -313,16 +313,40 @@ def _deep_merge(base, extra):
     return base
 
 
-def _set_path(cfg, dotted, value):
+def _section(cfg, dotted):
+    """The config object at a dotted path, made empty where missing. A
+    flag writes into it, so a non-object there is refused first (exit 2,
+    kind "schema")."""
     node = cfg
     parts = dotted.split(".")
-    for key in parts[:-1]:
+    for depth, key in enumerate(parts, start=1):
         node = node.setdefault(key, {})
-    node[parts[-1]] = value
+        if not isinstance(node, dict):
+            raise CliError(EXIT_CONFIG, "schema",
+                           f"config section {'.'.join(parts[:depth])!r} "
+                           f"must be an object, got {json.dumps(node)}")
+    return node
+
+
+def _set_path(cfg, dotted, value):
+    section, _, key = dotted.rpartition(".")
+    (_section(cfg, section) if section else cfg)[key] = value
+
+
+def _jumps(cfg):
+    """The config's jump list, made empty where missing; refused unless a
+    list of objects, before a flag writes into it."""
+    jumps = _section(cfg, "model").setdefault("jumps", [])
+    if not (isinstance(jumps, list)
+            and all(isinstance(jump, dict) for jump in jumps)):
+        raise CliError(EXIT_CONFIG, "schema",
+                       "config key 'model.jumps' must be a list of objects, "
+                       f"got {json.dumps(jumps)}")
+    return jumps
 
 
 def _first_jump(cfg):
-    jumps = cfg["model"].setdefault("jumps", [])
+    jumps = _jumps(cfg)
     if not jumps:
         jumps.append({"family": "biased"})
     return jumps[0]
@@ -387,12 +411,13 @@ def build_config(args):
         if value is not None:
             _first_jump(cfg)[attr] = value
     if getattr(args, "add_gauge_fix", None) is not None:
-        cfg["model"].setdefault("jumps", []).append(
+        _jumps(cfg).append(
             {"family": "gauge-fix", "strength": args.add_gauge_fix})
     if getattr(args, "disorder_seed", None) is not None:
-        dis = cfg["model"].get("disorder") or {}
-        dis["seed"] = args.disorder_seed
-        cfg["model"]["disorder"] = dis
+        model = _section(cfg, "model")
+        if model.get("disorder") is None:
+            model["disorder"] = {}
+        _set_path(cfg, "model.disorder.seed", args.disorder_seed)
     if getattr(args, "boundary", None) is not None:
         if task == "spectrum":
             _set_path(cfg, "spectrum.boundary", args.boundary)
@@ -400,8 +425,8 @@ def build_config(args):
             raise CliError(EXIT_CONFIG, "usage",
                            "boundary 'both' is only valid for task=spectrum")
         else:
-            cfg["model"]["layout"]["kind"] = (
-                "chain-obc" if args.boundary == "obc" else "chain-pbc")
+            _set_path(cfg, "model.layout.kind",
+                      "chain-obc" if args.boundary == "obc" else "chain-pbc")
     if getattr(args, "initial_sites", None) is not None:
         _set_path(cfg, "dynamics.initial_sites",
                   _parse_int_list(args.initial_sites, "initial-sites"))
@@ -416,11 +441,11 @@ def build_config(args):
             _set_path(cfg, "profile.layout", args.layout)
         else:
             kind = {"chain": "chain-obc"}.get(args.layout, args.layout)
-            cfg["model"]["layout"]["kind"] = kind
+            _set_path(cfg, "model.layout.kind", kind)
             if kind == "hierarchical":
-                cfg["model"]["hamiltonian"]["kind"] = "hierarchical"
+                _set_path(cfg, "model.hamiltonian.kind", "hierarchical")
             elif kind == "square-2d":
-                cfg["model"]["hamiltonian"]["kind"] = "qlm-2d"
+                _set_path(cfg, "model.hamiltonian.kind", "qlm-2d")
     _validate(cfg)
     return cfg
 
@@ -452,10 +477,11 @@ def model_from_config(cfg, kind_override=None):
 
 def _block_diagnostics(spectrum):
     """The blocks behind a `spectrum_of` result: how many, the largest,
-    and how many were diagonalized in real form or conjugated from their
-    mirror block."""
+    the largest matrix handed to LAPACK, and how many were diagonalized
+    in real form or conjugated from their mirror block."""
     sizes = np.bincount(spectrum.block_labels)
     return {"blocks": sizes.size, "max_block_dim": int(sizes.max()),
+            "eig_max_dim": spectrum.eig_max_dim,
             "real_blocks": spectrum.real_blocks,
             "conjugated_blocks": spectrum.conjugated_blocks}
 
@@ -584,6 +610,7 @@ def run_dynamics(cfg, rec):
     rec.diagnostics["rhs_evals"] = series.nfev
     rec.diagnostics["integrator_status"] = series.status
     rec.diagnostics["real_form"] = series.real_form
+    rec.diagnostics["evolved_dim"] = series.evolved_dim
     rec.diagnostics["final_profile"] = [
         float(series.observables[f"N_{n}"][-1].real)
         for n in range(1, len(site_diag) + 1)]

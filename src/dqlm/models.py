@@ -19,6 +19,7 @@ Jump families, one list entry per operator:
                   sites only, chains only
 """
 
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 
@@ -54,8 +55,10 @@ class ModelError(ValueError):
 
 
 def is_number(value):
-    """A real number that is not a bool (JSON `true` is no rate)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite real number that is not a bool: JSON `true` is no rate,
+    and `NaN` or `Infinity`, which `json.load` reads, is no number."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _check_numbers(spec, low=None):

@@ -32,21 +32,25 @@ Every block then goes through `mirror_eig`, which uses the antiunitary
 symmetry C(rho) = rho^+ of a Lindbladian (Minganti, Biella, Bartolo &
 Ciuti, PRA 98, 042118 (2018)); on the pair basis C is complex
 conjugation followed by the swap (a, b) -> (b, a). A block that C maps
-onto itself (every weak-sector component, the delta = 0 components of the
-full pair space, the momentum blocks k = -k when phi_ket = phi_bra) has
-a real form U^+ M U, diagonalized by real LAPACK. Of two blocks that C
-maps onto each other (charge differences delta and -delta, momenta k and
--k) one is diagonalized and the other gets the conjugate spectrum; in
-the same way the CLI `winding` scan takes the double-space generator at
--phi as the conjugate of the one at phi (`conjugate_partner`). Each
-reuse is checked on the assembled matrices first, within `MIRROR_TOL`;
-a generator without the symmetry (the double-space twist away from 0 and
-pi) takes the complex eig, and `full_spectrum` refuses it. Dense
-eigendecomposition is capped (default 6000) per block because the cost
-is cubic (`DenseCapError`, raised before the first block is
-diagonalized); sector projection is the intended way to keep the blocks
-below the cap. Eigenvectors are returned as one dense array over the
-whole pair basis, so a request for them also caps the basis dimension.
+onto itself (every weak-sector component, the delta = 0 components of
+the full pair space, the momentum blocks k = -k when phi_ket = phi_bra)
+has a real form U^+ M U, diagonalized by real LAPACK one coupled
+component of the real form at a time: with its exact zeros dropped the
+real form often splits where the complex block does not (518 = 339 + 179
+on the L=5 N=2 open chain; on-site disorder breaks this and nothing
+splits). Of two blocks that C maps onto each other (charge differences
+delta and -delta, momenta k and -k) one is diagonalized and the other
+gets the conjugate spectrum; in the same way the CLI `winding` scan
+takes the double-space generator at -phi as the conjugate of the one at
+phi (`conjugate_partner`). Each reuse is checked on the assembled
+matrices first, within `MIRROR_TOL`; a generator without the symmetry
+(the double-space twist away from 0 and pi) takes the complex eig, and
+`full_spectrum` refuses it. Dense eigendecomposition is capped (default
+6000) per block because the cost is cubic (`DenseCapError`, raised
+before the first block is diagonalized); sector projection is the
+intended way to keep the blocks below the cap. Eigenvectors are returned
+as one dense array over the whole pair basis, so a request for them also
+caps the basis dimension.
 
 Steady states are taken from eigenpairs with |lambda| below the kernel
 bin (1e-9), orthonormalized, devectorized, Hermitized, and
@@ -57,7 +61,9 @@ Time integration uses adaptive high-order explicit Runge-Kutta
 (dormand-prince 8th order) with absolute/relative tolerances 1e-9 by
 default and records observables plus trace and positivity defects. The
 same symmetry C makes a Hermitian state's coordinates U^+ v real, so a
-Lindbladian quench is integrated as the real system U^+ M U (`evolve`).
+Lindbladian quench is integrated as the real system U^+ M U (`evolve`),
+and only on the coupled components of that system that the initial
+state touches (the same split as the spectra's real forms).
 """
 
 from dataclasses import dataclass, field
@@ -108,6 +114,8 @@ class Spectrum:
     # the conjugate of a mirror block's (see `mirror_eig`)
     real_blocks: int = 0
     conjugated_blocks: int = 0
+    # the largest matrix handed to LAPACK for this spectrum (0: none)
+    eig_max_dim: int = 0
 
     @property
     def dim(self):
@@ -148,7 +156,7 @@ def eig_dense(matrix, want_vectors=False, basis="unknown", cap=DENSE_CAP):
     if not want_vectors:
         vals = np.linalg.eigvals(dense)
         order = canonical_order(vals)
-        return Spectrum(vals[order], None, basis)
+        return Spectrum(vals[order], None, basis, eig_max_dim=n)
     vals, vecs = np.linalg.eig(dense)
     order = canonical_order(vals)
     vals, vecs = vals[order], vecs[:, order]
@@ -158,7 +166,7 @@ def eig_dense(matrix, want_vectors=False, basis="unknown", cap=DENSE_CAP):
     if worst > RESIDUAL_TOL:
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds "
                           f"{RESIDUAL_TOL:.1e}")
-    return Spectrum(vals, vecs, basis, residual_max=worst)
+    return Spectrum(vals, vecs, basis, residual_max=worst, eig_max_dim=n)
 
 
 def coupled_components(matrix):
@@ -385,6 +393,63 @@ def _real_form(block, within, phase):
     return unitary, (unitary.conj().T @ block @ unitary).tocsr()
 
 
+def _real_part(rotated):
+    """Re(U^+ M U) of a real form (`_real_form`) as CSR with its exact
+    zeros dropped: the pattern `coupled_components` splits. The real form
+    of a connected block often splits further, so this pattern, not the
+    block's, decides which coordinates couple."""
+    real = rotated.real
+    real.eliminate_zeros()
+    return real
+
+
+def _merge(parts, coords, dim, lift=None):
+    """Spectra of diagonal blocks merged in canonical order, and the order
+    applied. `parts[i]` is the block on the coordinates `coords[i]`; its
+    eigenvectors, when present, are scattered into one dense array over
+    `dim` coordinates, or mapped through the columns `lift[:, coords[i]]`
+    of a basis over them. The residual and the largest eig are the worst
+    part's."""
+    merged = np.concatenate([part.eigenvalues for part in parts])
+    order = canonical_order(merged)
+    vectors = None
+    if parts[0].vectors is not None:
+        column = np.empty(order.size, dtype=np.int64)
+        column[order] = np.arange(order.size)
+        vectors = np.zeros((dim, order.size), dtype=np.complex128)
+        start = 0
+        for own, part in zip(coords, parts):
+            cols = column[start:start + part.dim]
+            if lift is None:
+                vectors[np.ix_(own, cols)] = part.vectors
+            else:
+                vectors[:, cols] = lift[:, own] @ part.vectors
+            start += part.dim
+    spectrum = Spectrum(
+        merged[order], vectors, parts[0].basis,
+        residual_max=max(part.residual_max for part in parts),
+        eig_max_dim=max(part.eig_max_dim for part in parts))
+    return spectrum, order
+
+
+def _real_eig(unitary, rotated, want_vectors, basis, cap):
+    """The spectrum of a block from its real form U^+ M U: one real eig
+    per coupled component of the real form (`_real_part`), merged in
+    canonical order, the eigenvectors w of a component mapped back as
+    U[:, component] w."""
+    real = _real_part(rotated)
+    components = coupled_components(real)
+    if len(components) == 1:
+        # U w straight away: no scatter into a second dense array
+        part = eig_dense(real, want_vectors, basis, cap)
+        if want_vectors:
+            part.vectors = unitary @ part.vectors
+        return part
+    parts = [eig_dense(piece, want_vectors, basis, cap)
+             for piece in _diagonal_blocks(real, components)]
+    return _merge(parts, components, real.shape[0], unitary)[0]
+
+
 def mirror_eig(blocks, coords, mirror, want_vectors=False, basis="unknown",
                cap=DENSE_CAP, strict=False):
     """Dense spectra of a generator's diagonal blocks through the
@@ -394,9 +459,10 @@ def mirror_eig(blocks, coords, mirror, want_vectors=False, basis="unknown",
     (ascending), and `mirror` is C on the generator's coordinates as
     `_mirror_map` gives it, or None. A block that C maps onto itself is
     diagonalized in its real form U^+ M U (`_real_form`) by real LAPACK,
-    and its eigenvectors map back as U w. Of a block and the other block
-    C maps it onto, the first is diagonalized and the second gets the
-    conjugate spectrum. Each reuse is checked on the matrices before the
+    one eig per coupled component of the real form (`_real_eig`), and its
+    eigenvectors map back as U w. Of a block and the other block C maps it
+    onto, the first is diagonalized and the second gets the conjugate
+    spectrum. Each reuse is checked on the matrices before the
     eig: the real form's imaginary part, or the second block's distance
     from the conjugate mirror of the first, must stay below `MIRROR_TOL`
     relative. Where C does not apply or a check fails, the block goes to
@@ -434,9 +500,8 @@ def mirror_eig(blocks, coords, mirror, want_vectors=False, basis="unknown",
                 unitary, rotated = form
                 gap = _relative(rotated.imag.data, block)
             if gap <= MIRROR_TOL:
-                parts[i] = eig_dense(rotated.real, want_vectors, basis, cap)
-                if want_vectors:
-                    parts[i].vectors = unitary @ parts[i].vectors
+                parts[i] = _real_eig(unitary, rotated, want_vectors, basis,
+                                     cap)
                 real += 1
                 continue
         else:
@@ -494,26 +559,11 @@ def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
     parts, real, conjugated = mirror_eig(
         blocks, coords, _mirror_map(superop.sector, bloch), want_vectors,
         superop.basis, cap)
-    merged = np.concatenate([part.eigenvalues for part in parts])
+    spectrum, order = _merge(parts, coords, superop.dim, bloch)
     labels = np.repeat(np.arange(len(parts)), [part.dim for part in parts])
-    order = canonical_order(merged)
-    vectors = None
-    if want_vectors:
-        column = np.empty(order.size, dtype=np.int64)
-        column[order] = np.arange(order.size)
-        vectors = np.zeros((superop.dim, superop.dim), dtype=np.complex128)
-        start = 0
-        for own, part in zip(coords, parts):
-            cols = column[start:start + part.dim]
-            if bloch is None:
-                vectors[np.ix_(own, cols)] = part.vectors
-            else:
-                vectors[:, cols] = bloch[:, own] @ part.vectors
-            start += part.dim
-    return Spectrum(merged[order], vectors, superop.basis,
-                    residual_max=max(part.residual_max for part in parts),
-                    block_labels=tuple(labels[order].tolist()),
-                    real_blocks=real, conjugated_blocks=conjugated)
+    spectrum.block_labels = tuple(labels[order].tolist())
+    spectrum.real_blocks, spectrum.conjugated_blocks = real, conjugated
+    return spectrum
 
 
 def conjugate_partner(superop, spectrum, partner):
@@ -597,17 +647,17 @@ def full_spectrum(spec, cap=DENSE_CAP):
     blocks = _diagonal_blocks(full.matrix, components)
     _check_cap(blocks, cap)
     parts, _, _ = mirror_eig(blocks, components, _mirror_map(full.sector),
-                             cap=cap, strict=True)
+                             basis=spec.layout.basis_tag, cap=cap,
+                             strict=True)
     table = gauge_charge_table(spec.layout).astype(np.int16)
-    merged = np.concatenate([part.eigenvalues for part in parts])
     labels = []
     for comp, part in zip(components, parts):
         first = comp[0]
         delta = table[first // n] - table[first % n]
         labels.extend([tuple(int(v) for v in delta)] * part.dim)
-    order = canonical_order(merged)
-    return Spectrum(merged[order], None, spec.layout.basis_tag,
-                    block_labels=tuple(labels[i] for i in order))
+    spectrum, order = _merge(parts, components, full.dim)
+    spectrum.block_labels = tuple(labels[i] for i in order)
+    return spectrum
 
 
 def weak_spectrum(spec, n_particles=None, want_vectors=False, cap=DENSE_CAP):
@@ -731,20 +781,22 @@ class StateSeries:
     trace_defect: np.ndarray = None
     positivity_defect: np.ndarray = None
     final_vector: np.ndarray = None
-    # right-hand-side evaluations and status of solve_ivp, and whether the
-    # real coordinates U^+ v were integrated (see `evolve`)
+    # right-hand-side evaluations and status of solve_ivp, whether the
+    # real coordinates U^+ v were integrated, and how many coordinates
+    # (see `evolve`)
     nfev: int = 0
     status: int = 0
     real_form: bool = False
+    evolved_dim: int = 0
 
 
 def _real_coordinates(matrix, v0, dsec):
     """dv/dt = M v in the coordinates w = U^+ v of `_real_form` on the pair
-    basis `dsec`: returns U, the real CSR U^+ M U and the real w0. None
-    when C(rho) = rho^+ does not map `dsec` onto itself, when M does not
-    commute with C (the imaginary part of U^+ M U exceeds `MIRROR_TOL`
-    relative to M), or when v0 is not Hermitian (that of U^+ v0 exceeds
-    `MIRROR_TOL` relative to v0)."""
+    basis `dsec`: returns U, the real CSR U^+ M U (`_real_part`) and the
+    real w0. None when C(rho) = rho^+ does not map `dsec` onto itself,
+    when M does not commute with C (the imaginary part of U^+ M U exceeds
+    `MIRROR_TOL` relative to M), or when v0 is not Hermitian (that of
+    U^+ v0 exceeds `MIRROR_TOL` relative to v0)."""
     mirror = _mirror_map(dsec)
     if mirror is None:
         return None
@@ -755,9 +807,7 @@ def _real_coordinates(matrix, v0, dsec):
     w0 = unitary.conj().T @ v0
     if np.linalg.norm(w0.imag) > MIRROR_TOL * np.linalg.norm(w0):
         return None
-    rotated = rotated.real
-    rotated.eliminate_zeros()
-    return unitary, rotated, w0.real
+    return unitary, _real_part(rotated), w0.real
 
 
 def evolve(matrix, v0, t_grid, observables=None, dsec=None,
@@ -771,24 +821,36 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
     eigendecomposition per grid point).
 
     A Hermitian v0 stays Hermitian under a Lindbladian, which commutes
-    with C(rho) = rho^+. So with a sparse generator on a pair basis the
-    real coordinates w = U^+ v of `_real_form` are integrated instead:
-    the same DOP853 steps on the real matrix U^+ M U, at half the
-    arithmetic. Each grid frame maps back as U w on its own, so no
-    complex array over all frames is formed. Where the checks of
+    with C(rho) = rho^+. So on a pair basis the real coordinates
+    w = U^+ v of `_real_form` are integrated instead, with the real
+    matrix U^+ M U, at half the arithmetic. Where the checks of
     `_real_coordinates` fail (the double-space twist away from 0 and pi,
     a v0 that is not Hermitian) or there is no pair basis, v is
     integrated as it is. ``real_form`` in the result tells which.
+
+    Either way only the coupled components of the integrated matrix that
+    the initial vector touches are integrated (exact zeros of the real
+    form dropped first, `_real_part`); every other coordinate is 0 for
+    all t. The same DOP853 runs on that diagonal block, and each grid
+    frame maps back on its own through the kept columns of U (of the
+    identity when v is integrated as it is), so no array of full-size
+    frames is formed. ``evolved_dim`` in the result is the number of
+    coordinates integrated.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise SolverError("time grid must be strictly increasing, length >= 2")
-    mat = matrix.tocsr() if sp.issparse(matrix) else np.asarray(matrix)
+    mat = sp.csr_matrix(matrix)
     v0 = np.asarray(v0, dtype=np.complex128)
-    real = None
-    if dsec is not None and sp.issparse(mat):
-        real = _real_coordinates(mat, v0, dsec)
-    unitary, rhs, y0 = real or (None, mat, v0)
+    real = None if dsec is None else _real_coordinates(mat, v0, dsec)
+    lift, rhs, y0 = real or (sp.identity(v0.size, format="csc"), mat, v0)
+    reached = np.zeros(y0.size, dtype=bool)
+    for comp in coupled_components(rhs):
+        reached[comp] = np.any(y0[comp])
+    kept = np.flatnonzero(reached)
+    if kept.size < y0.size:
+        # a union of whole components: no entry couples it to the rest
+        rhs, lift, y0 = rhs[kept][:, kept], lift[:, kept], y0[kept]
 
     result = solve_ivp(lambda _, y: rhs @ y, (t_grid[0], t_grid[-1]), y0,
                        method="DOP853", t_eval=t_grid, rtol=rtol, atol=atol)
@@ -800,20 +862,19 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
     values = {name: [] for name in observables}
     defects = []
     for j in range(t_grid.size):
-        vec = frames[:, j] if unitary is None else unitary @ frames[:, j]
+        vec = lift @ frames[:, j]
         for name, fn in observables.items():
             values[name].append(fn(vec))
         if dsec is not None and track_positivity:
             defects.append(positivity_defect(devectorize_from(vec, dsec)))
     series = StateSeries(
-        times=t_grid, final_vector=np.array(vec),
+        times=t_grid, final_vector=vec,
         observables={name: np.array(v) for name, v in values.items()},
-        nfev=result.nfev, status=result.status, real_form=unitary is not None)
+        nfev=result.nfev, status=result.status, real_form=real is not None,
+        evolved_dim=kept.size)
     if dsec is not None:
-        tvec = trace_vector(dsec)
-        if unitary is not None:
-            # tr(U w) = (U^T tvec) . w, a real functional of the real w
-            tvec = (unitary.T @ tvec).real
+        # tr(lift w) = (lift^T tvec) . w, a real functional of a real w
+        tvec = (lift.T @ trace_vector(dsec)).real
         tr = frames.T @ tvec
         series.trace_defect = np.abs(tr - tr[0])
         if track_positivity:

@@ -73,6 +73,8 @@ def test_spectrum_both_boundaries_and_manifest(tmp_path):
     # and k = 2 are real, and k = 3 is the conjugate of k = 1
     diag = manifest["diagnostics"]
     assert (diag["obc_real_blocks"], diag["obc_conjugated_blocks"]) == (1, 0)
+    # the open chain's real form splits into 86 + 38: LAPACK sees 86 at most
+    assert diag["obc_max_block_dim"] == 124 and diag["obc_eig_max_dim"] == 86
     assert (diag["pbc_real_blocks"], diag["pbc_conjugated_blocks"]) == (2, 1)
 
 
@@ -197,6 +199,9 @@ def test_dynamics_relaxes_to_exact_profile(tmp_path):
     assert header[0] == "time[1/J]"
     assert header[-1] == "trace_defect[1]"
     assert np.all(data[:, -1] < 1e-8)
+    # the state from one diagonal pair reaches 17 of the 22 real coordinates
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["sector_dim"] == 22 and diag["evolved_dim"] == 17
     layout = build_layout("chain-obc", 3)
     marg = ensemble_marginals(
         exact_steady_state(layout, beta=1.5, n_particles=1))
@@ -455,6 +460,7 @@ REFUSED_CONFIGS = [
     {"model": {"hamiltonian": {"J1": True}}},
     {"model": {"hamiltonian": {"J2": None}}},
     {"model": {"hamiltonian": {"twist": -0.5}}},
+    {"model": {"hamiltonian": {"J": float("nan")}}},
     {"model": {"jumps": {"family": "biased"}}},
     {"model": {"jumps": None}},
     {"model": {"jumps": [3]}},
@@ -490,6 +496,7 @@ REFUSED_CONFIGS = [
     {"dynamics": {"bogus": 1}},
     {"dynamics": {"t_final": 0}},
     {"dynamics": {"t_final": True}},
+    {"dynamics": {"t_final": float("inf")}},
     {"dynamics": {"t_points": 1}},
     {"dynamics": {"t_points": "21"}},
     {"dynamics": {"initial_sites": "1,2"}},
@@ -531,12 +538,14 @@ SECTION_TASKS = {"winding": "winding", "dynamics": "dynamics",
                  "profile": "profile", "verify": "verify-exact"}
 
 
-def run_config(tmp_path, monkeypatch, task, cfg):
+def run_config(tmp_path, monkeypatch, task, cfg, *flags):
     """Run `task` on a config file in an empty working directory; returns
     the exit code and what the run left beside the config file."""
     monkeypatch.chdir(tmp_path)
+    # json.dumps writes a non-finite float as NaN or Infinity, as
+    # json.load reads them
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    code = run(task, "--config", "cfg.json")
+    code = run(task, "--config", "cfg.json", *flags)
     return code, sorted(set(os.listdir(tmp_path)) - {"cfg.json"})
 
 
@@ -559,6 +568,8 @@ def test_refused_config_exits_2_before_any_output(tmp_path, monkeypatch,
     ({"dynamics": {"bogus": 1}}, "schema", "dynamics.bogus"),
     ({"profile": {"sector": [0]}}, "schema", "profile.sector"),
     ({"tolerances": {"dense_cap": 0}}, "schema", "tolerances.dense_cap"),
+    ({"model": {"hamiltonian": {"J": float("nan")}}}, "model", "J"),
+    ({"dynamics": {"t_final": float("inf")}}, "schema", "dynamics.t_final"),
 ])
 def test_config_errors_name_the_key(tmp_path, monkeypatch, capsys, cfg, kind,
                                     named):
@@ -569,6 +580,34 @@ def test_config_errors_name_the_key(tmp_path, monkeypatch, capsys, cfg, kind,
     err = stderr_error(capsys)
     assert err["kind"] == kind
     assert named in err["message"]
+
+
+@pytest.mark.parametrize("cfg, flags, named", [
+    ({"sector": None}, ("--n-particles", "1"), "'sector'"),
+    ({"model": {"layout": 3}}, ("--L", "4"), "'model.layout'"),
+    ({"model": 3}, ("--boundary", "obc"), "'model'"),
+    ({"model": {"hamiltonian": None}}, ("--J", "1.5"), "'model.hamiltonian'"),
+    ({"model": {"jumps": 3}}, ("--gamma-up", "2"), "'model.jumps'"),
+    ({"model": {"jumps": [3]}}, ("--add-gauge-fix", "0.5"), "'model.jumps'"),
+    ({"model": {"disorder": 3}}, ("--disorder-seed", "2"), "'model.disorder'"),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+def test_flags_refuse_to_write_into_a_non_object(tmp_path, monkeypatch, capsys,
+                                                 cfg, flags, named):
+    # the section a flag writes into is checked before the write
+    code, left = run_config(tmp_path, monkeypatch, "steady-state", cfg, *flags)
+    assert code == 2 and left == []
+    err = stderr_error(capsys)
+    assert err["kind"] == "schema"
+    assert named in err["message"]
+
+
+def test_disorder_seed_flag_fills_a_null_disorder(tmp_path, monkeypatch):
+    cfg = {"model": {"layout": {"L": 3}, "disorder": None}}
+    code, left = run_config(tmp_path, monkeypatch, "steady-state", cfg,
+                            "--disorder-seed", "2", "--output-dir", "out")
+    assert code == 0 and left == ["out"]
+    with open(tmp_path / "out" / "manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["config"]["model"]["disorder"] == {"seed": 2}
 
 
 @pytest.mark.parametrize("task, cfg", [

@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from dqlm import numerics
 from dqlm.exact import exact_steady_state, link_polarization
@@ -42,6 +43,7 @@ from dqlm.numerics import (
 )
 from dqlm.symmetry import (
     SectorLeakageError,
+    _site_slots,
     partition_double_space,
     weak_sector,
 )
@@ -295,6 +297,67 @@ def test_mirror_eig_matches_the_complex_path(superop):
                               - split.vectors * split.eigenvalues, axis=0)
     assert residual.max() < 1e-8
     assert split.residual_max < 1e-8
+    # a real form's pieces are never larger than its block
+    assert 0 < split.eig_max_dim <= np.bincount(split.block_labels).max()
+
+
+def split_real_form(superop):
+    """The coupled components of the real form of a one-component
+    weak-sector generator."""
+    mirror = numerics._mirror_map(superop.sector)
+    _, rotated = numerics._real_form(superop.matrix, mirror[0],
+                                     np.exp(1j * mirror[1]))
+    return numerics.coupled_components(numerics._real_part(rotated))
+
+
+def test_real_form_of_one_block_is_diagonalized_in_pieces():
+    spec = biased_chain(5, 2.4, 1.6)
+    superop = assemble(spec, sector=weak_sector(spec.layout, 2))
+    assert len(numerics.coupled_components(superop.matrix)) == 1
+    assert [c.size for c in split_real_form(superop)] == [339, 179]
+    split = spectrum_of(superop, want_vectors=True)
+    assert split.real_blocks == 1 and split.block_labels == (0,) * 518
+    assert split.eig_max_dim == 339
+    unsplit = eig_dense(superop.matrix).eigenvalues
+    assert multiset_distance(split.eigenvalues, unsplit) < 1e-10
+    assert np.array_equal(split.eigenvalues,
+                          split.eigenvalues[canonical_order(split.eigenvalues)])
+    dense = superop.matrix.toarray()
+    residual = np.linalg.norm(dense @ split.vectors
+                              - split.vectors * split.eigenvalues, axis=0)
+    assert residual.max() < 1e-8
+    assert split.residual_max < 1e-8
+
+
+def test_disordered_real_form_does_not_split():
+    # on-site disorder breaks the symmetry behind the real form's split
+    spec = ModelSpec(layout=build_layout("chain-obc", 5),
+                     jumps=(JumpSpec(family="biased", gamma_up=2.4,
+                                     gamma_down=1.6),),
+                     disorder=DisorderSpec(seed=3))
+    superop = assemble(spec, sector=weak_sector(spec.layout, 2))
+    assert len(split_real_form(superop)) == 1
+    split = spectrum_of(superop, want_vectors=True)
+    assert split.eig_max_dim == superop.dim == 518
+    unsplit = eig_dense(superop.matrix).eigenvalues
+    assert multiset_distance(split.eigenvalues, unsplit) < 1e-10
+    # nothing to restrict: the frames are those of the whole real form
+    v0 = pure_state_vector(initial_state(spec.layout, (1, 2)), superop.sector)
+    times = np.linspace(0.0, 1.0, 3)
+    series = evolve(superop.matrix, v0, times,
+                    observables={"frame": lambda v: v.copy()},
+                    dsec=superop.sector)
+    assert series.real_form and series.evolved_dim == 518
+    mirror = numerics._mirror_map(superop.sector)
+    unitary, rotated = numerics._real_form(superop.matrix, mirror[0],
+                                           np.exp(1j * mirror[1]))
+    real = numerics._real_part(rotated)
+    whole = solve_ivp(lambda _, y: real @ y, (0.0, 1.0),
+                      (unitary.conj().T @ v0).real, method="DOP853",
+                      t_eval=times, rtol=1e-9, atol=1e-9)
+    assert series.nfev == whole.nfev
+    assert np.array_equal(series.observables["frame"],
+                          np.array([unitary @ w for w in whole.y.T]))
 
 
 def test_mirror_guards_fall_back_to_the_complex_path():
@@ -578,6 +641,69 @@ def test_evolve_falls_back_to_the_complex_path():
         assert series.nfev == plain.nfev
         assert np.array_equal(series.observables["frame"],
                               plain.observables["frame"])
+
+
+def initial_state(layout, sites):
+    """The product state with the given sites occupied, links down."""
+    slots = _site_slots(layout)
+    return sum(1 << slots[s - 1] for s in sites)
+
+
+def test_evolve_integrates_only_the_reached_components():
+    spec = biased_chain(5, 3.0, 1.0)
+    dsec = weak_sector(spec.layout, 2)
+    superop = assemble(spec, sector=dsec)
+    v0 = pure_state_vector(initial_state(spec.layout, (1, 2)), dsec)
+    times = np.linspace(0.0, 3.0, 7)
+    # the step sizes differ from the whole system's (the error norm runs
+    # over fewer coordinates), so both are held well below the 1e-8 gap
+    tols = dict(rtol=1e-11, atol=1e-12)
+    series = evolve(superop.matrix, v0, times,
+                    observables={"frame": lambda v: v.copy()}, dsec=dsec,
+                    **tols)
+    assert series.real_form and series.evolved_dim == 339
+    # the unrestricted integration: the same DOP853 on the whole real form
+    mirror = numerics._mirror_map(dsec)
+    unitary, rotated = numerics._real_form(superop.matrix, mirror[0],
+                                           np.exp(1j * mirror[1]))
+    w0 = (unitary.conj().T @ v0).real
+    whole = solve_ivp(lambda _, y: rotated.real @ y, (0.0, 3.0), w0,
+                      method="DOP853", t_eval=times, **tols)
+    frames = series.observables["frame"]
+    assert np.abs(frames - (unitary @ whole.y).T).max() < 1e-8
+    assert series.trace_defect.max() < 1e-9
+    # in the real coordinates U^+ v the components v0 does not touch stay 0
+    coords = unitary.conj().T @ frames.T
+    touched = coords[:, 0] != 0
+    unreached = np.concatenate([c for c in split_real_form(superop)
+                                if not touched[c].any()])
+    assert unreached.size == 179
+    assert np.all(coords[unreached] == 0)
+
+
+def test_evolve_restricts_the_complex_path_too():
+    # a vector that is not Hermitian, in the N = 1 sector of the whole weak
+    # sector: the other particle numbers are never integrated
+    spec = biased_chain(3, 0.8, 0.5)
+    dsec = weak_sector(spec.layout)
+    superop = assemble(spec, sector=dsec)
+    one = weak_sector(spec.layout, 1)
+    rows = dsec.lookup(one.kets, one.bras)
+    rng = np.random.default_rng(5)
+    v0 = np.zeros(dsec.dim, dtype=np.complex128)
+    v0[rows] = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
+    times = np.linspace(0.0, 2.0, 5)
+    tols = dict(rtol=1e-11, atol=1e-12)
+    series = evolve(superop.matrix, v0, times,
+                    observables={"frame": lambda v: v.copy()}, dsec=dsec,
+                    **tols)
+    assert not series.real_form and series.evolved_dim == one.dim
+    frames = series.observables["frame"]
+    outside = np.setdiff1d(np.arange(dsec.dim), rows)
+    assert np.all(frames[:, outside] == 0)
+    whole = solve_ivp(lambda _, y: superop.matrix @ y, (0.0, 2.0), v0,
+                      method="DOP853", t_eval=times, **tols)
+    assert np.abs(frames - whole.y.T).max() < 1e-8
 
 
 def test_evolve_guards():
