@@ -137,7 +137,8 @@ def _validate(cfg):
     """Refuse a config key or value the CLI does not accept: the keys
     outside `model` against `CONFIG_KEYS` (`CliError`, kind "schema"),
     then the model section through `ModelSpec.from_dict` (`ModelError` or
-    `LayoutError`)."""
+    `LayoutError`), as configured and as each leg of the task builds it
+    (`task_models`), so that no model error comes after the first output."""
     for section, checks in CONFIG_KEYS.items():
         node = cfg if section is None else cfg.get(section, {})
         if not isinstance(node, dict):
@@ -157,6 +158,7 @@ def _validate(cfg):
                                f"config key {path!r} must be {text}, "
                                f"got {json.dumps(value)}")
     ModelSpec.from_dict(cfg["model"])
+    task_models(cfg)
 
 
 class CliError(Exception):
@@ -468,11 +470,20 @@ def _parse_float_list(text, name):
 
 # -- model construction ----------------------------------------------------
 
-def model_from_config(cfg, kind_override=None):
+def task_models(cfg):
+    """The model of each leg of the task: `spectrum` on a chain builds one
+    per boundary, `winding` the periodic chain, every other task the model
+    as configured."""
     model = cfg["model"]
-    if kind_override is not None:
-        model = {**model, "layout": {**model["layout"], "kind": kind_override}}
-    return ModelSpec.from_dict(model)
+    kinds = [model["layout"]["kind"]]
+    if cfg["task"] == "winding":
+        kinds = ["chain-pbc"]
+    elif cfg["task"] == "spectrum" and kinds[0] in ("chain-obc", "chain-pbc"):
+        kinds = {"obc": ["chain-obc"], "pbc": ["chain-pbc"],
+                 "both": ["chain-obc", "chain-pbc"]}[cfg["spectrum"]["boundary"]]
+    return [ModelSpec.from_dict({**model, "layout": {**model["layout"],
+                                                     "kind": kind}})
+            for kind in kinds]
 
 
 def _block_diagnostics(spectrum):
@@ -500,16 +511,9 @@ SPECTRUM_HEADER = ("re_lambda[J]", "im_lambda[J]")
 
 
 def run_spectrum(cfg, rec):
-    boundary = cfg["spectrum"]["boundary"]
     n_part = cfg.get("sector", {}).get("n_particles")
     tols = cfg["tolerances"]
-    kinds = {"obc": ["chain-obc"], "pbc": ["chain-pbc"],
-             "both": ["chain-obc", "chain-pbc"]}[boundary]
-    base_kind = cfg["model"]["layout"]["kind"]
-    if base_kind not in ("chain-obc", "chain-pbc"):
-        kinds = [None]  # hierarchical / 2d: use the layout as configured
-    for kind in kinds:
-        spec = model_from_config(cfg, kind_override=kind)
+    for spec in task_models(cfg):
         tag = {"chain-obc": "obc", "chain-pbc": "pbc"}.get(
             spec.layout.kind, spec.layout.kind)
         t0 = time.perf_counter()
@@ -531,7 +535,7 @@ def run_spectrum(cfg, rec):
 def run_steady_state(cfg, rec):
     n_part = cfg.get("sector", {}).get("n_particles")
     tols = cfg["tolerances"]
-    spec = model_from_config(cfg)
+    spec, = task_models(cfg)
     t0 = time.perf_counter()
     dsec = _weak_sector_checked(spec.layout, n_part)
     superop = assemble(spec, sector=dsec, leak_tol=tols["leak_tol"])
@@ -559,7 +563,7 @@ def run_steady_state(cfg, rec):
 
 
 def run_dynamics(cfg, rec):
-    spec = model_from_config(cfg)
+    spec, = task_models(cfg)
     layout = spec.layout
     dyn = cfg["dynamics"]
     sites = dyn["initial_sites"]
@@ -617,7 +621,7 @@ def run_dynamics(cfg, rec):
 
 
 def run_winding(cfg, rec):
-    spec = model_from_config(cfg, kind_override="chain-pbc")
+    spec, = task_models(cfg)
     steps = cfg["winding"]["phi_steps"]
     variant = cfg["winding"]["variant"]
     n_part = cfg.get("sector", {}).get("n_particles")

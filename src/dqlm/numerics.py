@@ -20,13 +20,14 @@ phi outside {0, pi}), or one on a pair basis that translation does not
 map onto itself, goes to the component split whole, as on any other
 layout.
 
-Before any dense eigendecomposition each momentum block, or the whole
-generator on every other layout, is split into the weakly connected
+Before any dense eigendecomposition the generator, or on a periodic
+chain its block-diagonal Bloch frame, is split into the weakly connected
 components of its nonzero pattern (`coupled_components`): the finest
-block-diagonal split the matrix itself proves, which refines every
-weak-symmetry label at once (particle number inside a weak sector, the
-charge difference and more in the full pair space). The blocks' nonzeros
-must add up to the matrix's (else `SectorLeakageError`).
+block-diagonal split the matrix itself proves, which refines momentum and
+every weak-symmetry label at once (particle number inside a weak sector,
+the charge difference and more in the full pair space). One label array,
+the component of each coordinate, guards the split: no nonzero may join
+two components (else `SectorLeakageError`).
 
 Every block then goes through `mirror_eig`, which uses the antiunitary
 symmetry C(rho) = rho^+ of a Lindbladian (Minganti, Biella, Bartolo &
@@ -35,15 +36,18 @@ conjugation followed by the swap (a, b) -> (b, a). A block that C maps
 onto itself (every weak-sector component, the delta = 0 components of
 the full pair space, the momentum blocks k = -k when phi_ket = phi_bra)
 has a real form U^+ M U, diagonalized by real LAPACK one coupled
-component of the real form at a time: with its exact zeros dropped the
+component of the real form at a time: without its entries up to
+`MIRROR_TOL` relative (exact zeros, and the roundoff of Bloch blocks) the
 real form often splits where the complex block does not (518 = 339 + 179
 on the L=5 N=2 open chain; on-site disorder breaks this and nothing
 splits). Of two blocks that C maps onto each other (charge differences
 delta and -delta, momenta k and -k) one is diagonalized and the other
 gets the conjugate spectrum; in the same way the CLI `winding` scan
 takes the double-space generator at -phi as the conjugate of the one at
-phi (`conjugate_partner`). Each reuse is checked on the assembled
-matrices first, within `MIRROR_TOL`; a generator without the symmetry
+phi (`conjugate_partner`). C is checked once per generator: one defect
+matrix D = C(M) - M gives every block its gap relative to the block
+(`_mirror_gaps`; on a self-mirror block ||D||/2 = ||Im U^+ M U||), and a
+reuse goes ahead within `MIRROR_TOL`; a generator without the symmetry
 (the double-space twist away from 0 and pi) takes the complex eig, and
 `full_spectrum` refuses it. Dense eigendecomposition is capped (default
 6000) per block because the cost is cubic (`DenseCapError`, raised
@@ -169,13 +173,24 @@ def eig_dense(matrix, want_vectors=False, basis="unknown", cap=DENSE_CAP):
     return Spectrum(vals, vecs, basis, residual_max=worst, eig_max_dim=n)
 
 
-def coupled_components(matrix):
+def coupled_components(matrix, tol=None):
     """Weakly connected components of a square CSR matrix's nonzero
-    pattern: index arrays, each ascending, ordered by their first index."""
+    pattern: index arrays, each ascending, ordered by their first index.
+    With `tol`, entries up to `tol` relative to the matrix (Frobenius
+    norm) are left out, so roundoff where exact zeros belong hides no
+    split; together they may weigh at most `tol` (else
+    `SectorLeakageError`), as blocks sliced on the components cut them."""
+    cut = -1.0 if tol is None else tol * np.linalg.norm(matrix.data)
+    dropped = np.linalg.norm(matrix.data[np.abs(matrix.data) <= cut])
+    if tol is not None and dropped > cut:
+        raise SectorLeakageError(
+            f"entries below {tol:.0e} relative hold {dropped:.3e} of a "
+            f"block of Frobenius norm {cut / tol:.3e}")
     # a real 0/1 pattern: the graph routine would cast complex data to real
     pattern = sp.csr_matrix(
-        (np.ones(matrix.nnz, dtype=np.int8), matrix.indices, matrix.indptr),
-        shape=matrix.shape)
+        ((np.abs(matrix.data) > cut).astype(np.int8), matrix.indices.copy(),
+         matrix.indptr.copy()), shape=matrix.shape)
+    pattern.eliminate_zeros()
     count, labels = connected_components(pattern, directed=True,
                                          connection="weak")
     _, first = np.unique(labels, return_index=True)
@@ -186,24 +201,24 @@ def coupled_components(matrix):
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
-def _diagonal_blocks(matrix, components):
-    """The diagonal blocks of a CSR `matrix` on `components`, sliced from
-    one symmetric permutation. Their nonzeros must add up to the matrix's:
-    otherwise the split cut a coupling (`SectorLeakageError`)."""
-    order = np.concatenate(components)
-    if not np.array_equal(np.sort(order), np.arange(matrix.shape[0])):
+def _component_labels(matrix, components):
+    """The component of each coordinate of a CSR `matrix`. The components
+    must cover the coordinates once and no nonzero may join two of them
+    (else `SectorLeakageError`: the split cut a coupling)."""
+    n = matrix.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    for i, own in enumerate(components):
+        labels[own] = i
+    if sum(c.size for c in components) != n or np.any(labels < 0):
         raise SectorLeakageError(
-            f"components do not cover the {matrix.shape[0]} indices "
-            "exactly once")
-    permuted = matrix[order][:, order]
-    bounds = np.cumsum([0] + [c.size for c in components])
-    blocks = [permuted[a:b, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    nnz = sum(block.nnz for block in blocks)
-    if nnz != matrix.nnz:
+            f"components do not cover the {n} indices exactly once")
+    coo = matrix.tocoo()
+    joined = np.count_nonzero(labels[coo.row] != labels[coo.col])
+    if joined:
         raise SectorLeakageError(
-            f"{len(blocks)} diagonal blocks hold {nnz} of the generator's "
-            f"{matrix.nnz} nonzeros")
-    return blocks
+            f"{joined} of the generator's {matrix.nnz} nonzeros join two "
+            "components")
+    return labels
 
 
 def _translation(dsec, twists):
@@ -276,14 +291,14 @@ def _bloch_basis(dsec, twists, image, angle):
 def momentum_blocks(superop):
     """A periodic-chain generator resolved into total-momentum blocks.
 
-    Returns the sparse orthonormal Bloch basis B of the translation and
-    one (start, block) per nonempty momentum k: the block
-    B_k^+ M B_k sits on the columns start, start + 1, ... of B.
-    Returns None when M has no such symmetry: its pair basis is not
-    closed under translation, or M does not commute with the translation
-    within `LEAK_TOL` relative. Raises `SectorLeakageError` when the
-    blocks' squared Frobenius norms do not add up to M's (weight off the
-    block diagonal).
+    Returns the sparse orthonormal Bloch basis B of the translation, its
+    columns grouped by momentum k, and the CSR matrix B^+ M B with its
+    entries between two momenta dropped: the blocks B_k^+ M B_k on its
+    diagonal. Returns None when M has no such symmetry: its pair
+    basis is not closed under translation, or M does not commute with the
+    translation within `LEAK_TOL` relative. Raises `SectorLeakageError`
+    when the blocks' squared Frobenius norms do not add up to M's (weight
+    off the block diagonal).
     """
     matrix = superop.matrix
     dim = superop.dim
@@ -299,15 +314,15 @@ def momentum_blocks(superop):
         return None
     basis, bounds = _bloch_basis(superop.sector, superop.twists, image, angle)
     rotated = (basis.conj().T @ matrix @ basis).tocsr()
-    frames = [(a, rotated[a:b, a:b])
-              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    kept_sq = sum(float(np.sum(np.abs(block.data) ** 2))
-                  for _, block in frames)
+    momentum = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    rotated.data[momentum[rotated.tocoo().row] != momentum[rotated.indices]] = 0
+    rotated.eliminate_zeros()
+    kept_sq = float(np.sum(np.abs(rotated.data) ** 2))
     if abs(kept_sq - norm_sq) > LEAK_TOL * norm_sq:
         raise SectorLeakageError(
             f"momentum blocks hold {kept_sq:.17g} of the generator's squared "
             f"Frobenius norm {norm_sq:.17g}")
-    return basis, frames
+    return basis, rotated
 
 
 def _mirror_map(dsec, basis=None):
@@ -317,7 +332,7 @@ def _mirror_map(dsec, basis=None):
     Q[image[g], g] = exp(i angle[g]). Returns (image, angle), or None when
     C does not map the coordinates onto themselves: the pair basis is not
     closed under (a, b) -> (b, a), or some column of `basis` is not mapped
-    onto a single column."""
+    onto a single column, or `image` is not an involution (C^2 = 1)."""
     swap = dsec.lookup(dsec.bras, dsec.kets)
     if np.any(swap < 0):
         return None
@@ -333,23 +348,32 @@ def _mirror_map(dsec, basis=None):
         return None
     image = np.empty(dsec.dim, dtype=np.int64)
     image[cols] = rows
+    if np.any(image[image] != np.arange(dsec.dim)):
+        return None
     angle = np.empty(dsec.dim)
     angle[cols] = np.angle(q.data[keep])
     return image, angle
 
 
-def _relative(entries, block):
-    """Frobenius norm of `entries` relative to that of a sparse block."""
-    scale = max(np.linalg.norm(block.data), np.finfo(float).tiny)
-    return float(np.linalg.norm(entries)) / scale
-
-
-def _mirror_gap(block, within, phase, other):
-    """Frobenius distance of `other` from Q conj(block) Q^+, the C-image
-    of `block` (Q[within[g], g] = phase[g]), relative to `block`."""
-    n = within.size
-    q = sp.csr_matrix((phase, (within, np.arange(n))), shape=(n, n))
-    return _relative((q @ block.conj() @ q.conj().T - other).data, block)
+def _mirror_gaps(matrix, mirror, labels=None, partner=None):
+    """The defect D = Q conj(M) Q^+ - M' of a CSR generator M (C as
+    `_mirror_map` gives it, M' the `partner`, or M), formed once: the norm
+    of D's rows on each label (one per coordinate; None: one for all),
+    relative to M's rows there. When C maps block i onto block j, D's rows
+    on j are C(M_i) - M'_j: block j's distance from block i's image, or
+    for i = j, as U^+ D U = -2i Im(U^+ M U) (`_real_form`), twice the
+    imaginary part of the block's real form."""
+    n = matrix.shape[0]
+    labels = np.zeros(n, dtype=np.int64) if labels is None else labels
+    q = sp.csr_matrix((np.exp(1j * mirror[1]), (mirror[0], np.arange(n))),
+                      shape=(n, n))
+    defect = q @ matrix.conj() @ q.conj().T - (
+        matrix if partner is None else partner)
+    count = int(labels.max(initial=0)) + 1
+    gap, norm = (np.bincount(labels[m.row], np.abs(m.data) ** 2,
+                             minlength=count)
+                 for m in (defect.tocoo(), matrix.tocoo()))
+    return np.sqrt(gap / np.maximum(norm, np.finfo(float).tiny))
 
 
 def _conjugate(part, within, phase):
@@ -374,12 +398,9 @@ def _real_form(block, within, phase):
     column sqrt(phase[g]) e_g, a pair g <-> h the columns
     sqrt(phase[g]) (e_g + e_h) / sqrt(2) and i sqrt(phase[g]) (e_g - e_h)
     / sqrt(2); on the pair basis these are e_(a,a), (e_(a,b) + e_(b,a))
-    / sqrt(2) and i (e_(a,b) - e_(b,a)) / sqrt(2). None when `within` is
-    not an involution."""
+    / sqrt(2) and i (e_(a,b) - e_(b,a)) / sqrt(2)."""
     n = within.size
     g = np.arange(n)
-    if np.any(within[within] != g):
-        return None
     fixed, first = g[within == g], g[g < within]
     second = within[first]
     half = np.sqrt(phase)
@@ -395,10 +416,8 @@ def _real_form(block, within, phase):
 
 def _real_part(rotated):
     """Re(U^+ M U) of a real form (`_real_form`) as CSR with its exact
-    zeros dropped: the pattern `coupled_components` splits. The real form
-    of a connected block often splits further, so this pattern, not the
-    block's, decides which coordinates couple."""
-    real = rotated.real
+    zeros dropped."""
+    real = rotated.real.copy()
     real.eliminate_zeros()
     return real
 
@@ -434,106 +453,92 @@ def _merge(parts, coords, dim, lift=None):
 
 def _real_eig(unitary, rotated, want_vectors, basis, cap):
     """The spectrum of a block from its real form U^+ M U: one real eig
-    per coupled component of the real form (`_real_part`), merged in
-    canonical order, the eigenvectors w of a component mapped back as
-    U[:, component] w."""
+    per coupled component of the real form (`coupled_components` with
+    roundoff up to `MIRROR_TOL` cut), merged in canonical order, the
+    eigenvectors w of a component mapped back as U[:, component] w."""
     real = _real_part(rotated)
-    components = coupled_components(real)
+    components = coupled_components(real, MIRROR_TOL)
     if len(components) == 1:
         # U w straight away: no scatter into a second dense array
         part = eig_dense(real, want_vectors, basis, cap)
         if want_vectors:
             part.vectors = unitary @ part.vectors
         return part
-    parts = [eig_dense(piece, want_vectors, basis, cap)
-             for piece in _diagonal_blocks(real, components)]
+    parts = [eig_dense(real[own][:, own], want_vectors, basis, cap)
+             for own in components]
     return _merge(parts, components, real.shape[0], unitary)[0]
 
 
-def mirror_eig(blocks, coords, mirror, want_vectors=False, basis="unknown",
+def mirror_eig(matrix, mirror, want_vectors=False, basis="unknown",
                cap=DENSE_CAP, strict=False):
-    """Dense spectra of a generator's diagonal blocks through the
-    antiunitary symmetry C(rho) = rho^+ of a Lindbladian.
+    """Dense spectra of the coupled components of a CSR generator through
+    the antiunitary symmetry C(rho) = rho^+ of a Lindbladian, C on its
+    coordinates given by `mirror` (`_mirror_map`, or None).
 
-    `blocks[i]` is the sparse block on the coordinates `coords[i]`
-    (ascending), and `mirror` is C on the generator's coordinates as
-    `_mirror_map` gives it, or None. A block that C maps onto itself is
-    diagonalized in its real form U^+ M U (`_real_form`) by real LAPACK,
-    one eig per coupled component of the real form (`_real_eig`), and its
-    eigenvectors map back as U w. Of a block and the other block C maps it
-    onto, the first is diagonalized and the second gets the conjugate
-    spectrum. Each reuse is checked on the matrices before the
-    eig: the real form's imaginary part, or the second block's distance
-    from the conjugate mirror of the first, must stay below `MIRROR_TOL`
-    relative. Where C does not apply or a check fails, the block goes to
-    the complex eig; with `strict` that raises `SolverError` instead.
+    One label array guards the components (`_component_labels`); a block
+    over the cap raises `DenseCapError` before any eig; C is checked once
+    (`_mirror_gaps`). A block that C maps onto itself, with half its
+    defect, ||Im U^+ M U||, within `MIRROR_TOL` relative, goes to real
+    LAPACK in its real form U^+ M U (`_real_eig`). Of two blocks that C
+    maps onto each other the first is diagonalized, and the second, within
+    `MIRROR_TOL` relative of its image, gets the conjugate spectrum
+    without being sliced. Every other block takes the complex eig, or with
+    `strict` raises `SolverError`.
 
-    Returns one Spectrum per block (eigenvectors in the block's
-    coordinates) and the numbers of real and of conjugated blocks.
+    Returns one Spectrum per component (eigenvectors in its coordinates),
+    the components, and the numbers of real and of conjugated blocks.
     """
-    owner = np.empty(sum(c.size for c in coords), dtype=np.int64)
-    for i, own in enumerate(coords):
-        owner[own] = i
-    parts = [None] * len(blocks)
-    real = conjugated = 0
-    for i, (block, own) in enumerate(zip(blocks, coords)):
-        if parts[i] is not None:
-            continue
-        j = None
-        if mirror is not None and own.size:
-            target = mirror[0][own]
-            j = owner[target[0]]
-            if coords[j].size != own.size or np.any(owner[target] != j):
-                j = None
-        if j is None:
-            if strict:
-                raise SolverError(
-                    f"the mirror of component {i} is not a component")
-            parts[i] = eig_dense(block, want_vectors, basis, cap)
-            continue
-        within = np.searchsorted(coords[j], target)
-        phase = np.exp(1j * mirror[1][own])
-        if j == i:
-            form = _real_form(block, within, phase)
-            gap = np.inf
-            if form is not None:
-                unitary, rotated = form
-                gap = _relative(rotated.imag.data, block)
-            if gap <= MIRROR_TOL:
-                parts[i] = _real_eig(unitary, rotated, want_vectors, basis,
-                                     cap)
-                real += 1
-                continue
-        else:
-            gap = _mirror_gap(block, within, phase, blocks[j])
-            if gap <= MIRROR_TOL:
-                parts[i] = eig_dense(block, want_vectors, basis, cap)
-                parts[j] = _conjugate(parts[i], within, phase)
-                conjugated += 1
-                continue
-        if strict:
-            raise SolverError(
-                f"component {j} is not the conjugate mirror of component "
-                f"{i} (relative gap {gap:.3e}); not a Lindbladian")
-        parts[i] = eig_dense(block, want_vectors, basis, cap)
-    return parts, real, conjugated
-
-
-def _check_cap(blocks, cap):
-    """Raise `DenseCapError` before any eig when a block is over the cap."""
-    largest = max(block.shape[0] for block in blocks)
+    components = coupled_components(matrix)
+    labels = _component_labels(matrix, components)
+    largest = max(c.size for c in components)
     if largest > cap:
         raise DenseCapError(
             f"a block of dimension {largest} exceeds the dense cap {cap}; "
             "project onto a smaller sector or reduce L")
+    gaps = None if mirror is None else _mirror_gaps(matrix, mirror, labels)
+    # the blocks are sliced from one symmetric permutation
+    order = np.concatenate(components)
+    permuted = matrix[order][:, order]
+    bounds = np.cumsum([0] + [c.size for c in components])
+    parts = [None] * len(components)
+    real = conjugated = 0
+    for i, own in enumerate(components):
+        if parts[i] is not None:
+            continue
+        block = permuted[bounds[i]:bounds[i + 1], bounds[i]:bounds[i + 1]]
+        gap = np.inf
+        if mirror is not None and own.size:
+            target = mirror[0][own]
+            j = labels[target[0]]
+            if components[j].size == own.size and np.all(labels[target] == j):
+                gap = gaps[i] / 2 if j == i else gaps[j]
+        if gap <= MIRROR_TOL:
+            within = np.searchsorted(components[j], target)
+            phase = np.exp(1j * mirror[1][own])
+            if j == i:
+                parts[i] = _real_eig(*_real_form(block, within, phase),
+                                     want_vectors, basis, cap)
+                real += 1
+            else:
+                parts[i] = eig_dense(block, want_vectors, basis, cap)
+                parts[j] = _conjugate(parts[i], within, phase)
+                conjugated += 1
+        elif strict:
+            raise SolverError(
+                f"component {i} has no conjugate mirror component within "
+                f"{MIRROR_TOL:.0e} (relative gap {gap:.3e}); not a "
+                "Lindbladian")
+        else:
+            parts[i] = eig_dense(block, want_vectors, basis, cap)
+    return parts, components, real, conjugated
 
 
 def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
     """Spectrum of an assembled generator, one dense eig per block.
 
     A periodic-chain generator with the translation symmetry is first
-    resolved into its total-momentum blocks (`momentum_blocks`); every
-    block, or the whole generator otherwise, is then split into its
+    rotated into its block-diagonal Bloch frame (`momentum_blocks`); that
+    matrix, or the generator as it is otherwise, is split into its
     coupled components, which go through `mirror_eig`. Eigenvalues are
     merged in canonical order and labelled by the running index of their
     block; vectors are scattered back into the pair basis (through the
@@ -545,21 +550,13 @@ def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
         raise DenseCapError(
             f"eigenvectors of dimension {superop.dim} exceed the dense cap "
             f"{cap}; project onto a smaller sector or reduce L")
-    resolved = None
-    if superop.twists is not None and superop.dim:
-        resolved = momentum_blocks(superop)
-    bloch, frames = resolved or (None, [(0, superop.matrix)])
-    coords, blocks = [], []
-    for start, matrix in frames:
-        components = coupled_components(matrix)
-        blocks += ([matrix] if len(components) == 1
-                   else _diagonal_blocks(matrix, components))
-        coords += [start + comp for comp in components]
-    _check_cap(blocks, cap)
-    parts, real, conjugated = mirror_eig(
-        blocks, coords, _mirror_map(superop.sector, bloch), want_vectors,
+    resolved = (superop.twists is not None and superop.dim
+                and momentum_blocks(superop))
+    bloch, matrix = resolved or (None, superop.matrix)
+    parts, components, real, conjugated = mirror_eig(
+        matrix, _mirror_map(superop.sector, bloch), want_vectors,
         superop.basis, cap)
-    spectrum, order = _merge(parts, coords, superop.dim, bloch)
+    spectrum, order = _merge(parts, components, superop.dim, bloch)
     labels = np.repeat(np.arange(len(parts)), [part.dim for part in parts])
     spectrum.block_labels = tuple(labels[order].tolist())
     spectrum.real_blocks, spectrum.conjugated_blocks = real, conjugated
@@ -569,15 +566,15 @@ def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
 def conjugate_partner(superop, spectrum, partner):
     """The spectrum of the generator `partner` when it is the C-image
     P conj(M) P of `superop` on the same pair basis (P the ket-bra swap),
-    within `MIRROR_TOL` relative: the conjugate of `spectrum`, each block
-    counted as conjugated. None when it is not."""
+    within `MIRROR_TOL` relative to M (`_mirror_gaps` with M' the
+    partner): the conjugate of `spectrum`, each block counted as
+    conjugated. None when it is not."""
     mirror = _mirror_map(superop.sector)
-    if partner.sector is not superop.sector or mirror is None:
+    if (partner.sector is not superop.sector or mirror is None
+            or _mirror_gaps(superop.matrix, mirror,
+                            partner=partner.matrix)[0] > MIRROR_TOL):
         return None
-    swap, phase = mirror[0], np.ones(superop.dim)
-    if _mirror_gap(superop.matrix, swap, phase, partner.matrix) > MIRROR_TOL:
-        return None
-    image = _conjugate(spectrum, swap, phase)
+    image = _conjugate(spectrum, mirror[0], np.exp(1j * mirror[1]))
     image.conjugated_blocks = len(set(spectrum.block_labels))
     return image
 
@@ -643,12 +640,9 @@ def full_spectrum(spec, cap=DENSE_CAP):
     """
     full = assemble(spec)
     n = spec.layout.nstates
-    components = coupled_components(full.matrix)
-    blocks = _diagonal_blocks(full.matrix, components)
-    _check_cap(blocks, cap)
-    parts, _, _ = mirror_eig(blocks, components, _mirror_map(full.sector),
-                             basis=spec.layout.basis_tag, cap=cap,
-                             strict=True)
+    parts, components, _, _ = mirror_eig(
+        full.matrix, _mirror_map(full.sector), basis=spec.layout.basis_tag,
+        cap=cap, strict=True)
     table = gauge_charge_table(spec.layout).astype(np.int16)
     labels = []
     for comp, part in zip(components, parts):
@@ -794,16 +788,14 @@ def _real_coordinates(matrix, v0, dsec):
     """dv/dt = M v in the coordinates w = U^+ v of `_real_form` on the pair
     basis `dsec`: returns U, the real CSR U^+ M U (`_real_part`) and the
     real w0. None when C(rho) = rho^+ does not map `dsec` onto itself,
-    when M does not commute with C (the imaginary part of U^+ M U exceeds
-    `MIRROR_TOL` relative to M), or when v0 is not Hermitian (that of
-    U^+ v0 exceeds `MIRROR_TOL` relative to v0)."""
+    when M does not commute with C (half the defect of `_mirror_gaps`,
+    the imaginary part of U^+ M U, exceeds `MIRROR_TOL` relative to M),
+    or when v0 is not Hermitian (the imaginary part of U^+ v0 exceeds
+    `MIRROR_TOL` relative to v0)."""
     mirror = _mirror_map(dsec)
-    if mirror is None:
+    if mirror is None or _mirror_gaps(matrix, mirror)[0] / 2 > MIRROR_TOL:
         return None
-    # the ket-bra swap is an involution, so the real form exists
     unitary, rotated = _real_form(matrix, mirror[0], np.exp(1j * mirror[1]))
-    if _relative(rotated.imag.data, matrix) > MIRROR_TOL:
-        return None
     w0 = unitary.conj().T @ v0
     if np.linalg.norm(w0.imag) > MIRROR_TOL * np.linalg.norm(w0):
         return None
@@ -829,9 +821,9 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
     integrated as it is. ``real_form`` in the result tells which.
 
     Either way only the coupled components of the integrated matrix that
-    the initial vector touches are integrated (exact zeros of the real
-    form dropped first, `_real_part`); every other coordinate is 0 for
-    all t. The same DOP853 runs on that diagonal block, and each grid
+    the initial vector touches are integrated (`coupled_components`, with
+    entries up to `MIRROR_TOL` relative cut); every other coordinate is 0
+    for all t. The same DOP853 runs on that diagonal block, and each grid
     frame maps back on its own through the kept columns of U (of the
     identity when v is integrated as it is), so no array of full-size
     frames is formed. ``evolved_dim`` in the result is the number of
@@ -845,11 +837,12 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
     real = None if dsec is None else _real_coordinates(mat, v0, dsec)
     lift, rhs, y0 = real or (sp.identity(v0.size, format="csc"), mat, v0)
     reached = np.zeros(y0.size, dtype=bool)
-    for comp in coupled_components(rhs):
+    for comp in coupled_components(rhs, MIRROR_TOL):
         reached[comp] = np.any(y0[comp])
     kept = np.flatnonzero(reached)
     if kept.size < y0.size:
-        # a union of whole components: no entry couples it to the rest
+        # a union of whole components: no entry above MIRROR_TOL relative
+        # couples it to the rest
         rhs, lift, y0 = rhs[kept][:, kept], lift[:, kept], y0[kept]
 
     result = solve_ivp(lambda _, y: rhs @ y, (t_grid[0], t_grid[-1]), y0,

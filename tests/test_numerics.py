@@ -383,6 +383,116 @@ def test_mirror_guards_fall_back_to_the_complex_path():
                              lindblad[1]) is None
 
 
+def mutated(superop, kind):
+    """`superop`, a generator on a pair basis, with its largest block of
+    one kind perturbed by 1e-10 relative to that block: "partner", a real
+    shift of a diagonal entry of a block that rho -> rho^+ maps onto
+    another block; "imaginary", an imaginary one on a diagonal pair (a, a),
+    which gives the real form of its self-mirror block an imaginary part."""
+    matrix = superop.matrix
+    image = numerics._mirror_map(superop.sector)[0]
+    components = numerics.coupled_components(matrix)
+    labels = np.empty(superop.dim, dtype=np.int64)
+    for i, own in enumerate(components):
+        labels[own] = i
+    if kind == "partner":
+        chosen = [c for c in components if labels[image[c[0]]] != labels[c[0]]]
+    else:
+        chosen = [c for c in components if np.any(image[c] == c)]
+    own = max(chosen, key=len)
+    g = own[image[own] == own][0] if kind == "imaginary" else own[0]
+    size = np.linalg.norm(matrix[own][:, own].data)
+    shift = 1e-10 * size * (1j if kind == "imaginary" else 1.0)
+    bump = sp.csr_matrix(([shift], ([g], [g])), shape=matrix.shape)
+    return Superoperator((matrix + bump).tocsr(), superop.sector,
+                         superop.hamiltonian, superop.jumps, superop.twists)
+
+
+@pytest.mark.parametrize("kind", ["partner", "imaginary"])
+def test_mirror_check_catches_a_block_off_by_1e_10(kind, monkeypatch):
+    spec = biased_chain(2, 2.4, 1.6)
+    full = assemble(spec)
+    clean = spectrum_of(full)
+    assert clean.real_blocks > 0 and clean.conjugated_blocks > 0
+    bad = mutated(full, kind)
+    # the mutated block (and its partner) takes the complex eig
+    split = spectrum_of(bad)
+    if kind == "partner":
+        assert split.conjugated_blocks == clean.conjugated_blocks - 1
+        assert split.real_blocks == clean.real_blocks
+    else:
+        assert split.real_blocks == clean.real_blocks - 1
+        assert split.conjugated_blocks == clean.conjugated_blocks
+    unsplit = eig_dense(bad.matrix).eigenvalues
+    assert multiset_distance(split.eigenvalues, unsplit) < 1e-10
+    # full_spectrum refuses it
+    monkeypatch.setattr(numerics, "assemble", lambda _: bad)
+    with pytest.raises(SolverError, match="conjugate mirror"):
+        full_spectrum(spec)
+
+
+def test_mirror_check_runs_once_per_generator(monkeypatch):
+    calls = []
+    gaps = numerics._mirror_gaps
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return gaps(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "_mirror_gaps", counted)
+    spec = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
+    dsec = weak_sector(spec.layout, 1)
+    # momentum blocks, each split into components, partners and real forms
+    lindblad = spectrum_of(assemble(spec, sector=dsec))
+    assert lindblad.real_blocks > 0 and lindblad.conjugated_blocks > 0
+    assert len(calls) == 1
+    full_spectrum(biased_chain(3, 2.4, 1.6))
+    assert len(calls) == 2
+    twisted = assemble_twisted(spec, 0.7, "double-space", sector=dsec)
+    split = spectrum_of(twisted)
+    assert len(calls) == 3
+    mirror = assemble_twisted(spec, 2 * np.pi - 0.7, "double-space",
+                              sector=dsec)
+    assert conjugate_partner(twisted, split, mirror) is not None
+    assert len(calls) == 4
+    v0 = hermitian_vector(dsec, 3)
+    assert frames_of(assemble(spec, sector=dsec), v0, dsec).real_form
+    assert len(calls) == 5
+
+
+def test_real_form_roundoff_does_not_hide_a_split(monkeypatch):
+    # the k = L/2 Bloch block's real form holds roundoff where its exact
+    # zeros are; dropped, the 96 block splits as the k = 0 one does
+    spec = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
+    superop = assemble(spec, sector=weak_sector(spec.layout, 2))
+    sizes = []
+    eig = numerics.eig_dense
+
+    def recorded(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[0])
+        return eig(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "eig_dense", recorded)
+    split = spectrum_of(superop)
+    assert sizes == [62, 34, 86, 62, 34]
+    assert split.real_blocks == 2 and split.conjugated_blocks == 1
+    unsplit = eig(superop.matrix).eigenvalues
+    assert multiset_distance(split.eigenvalues, unsplit) < 1e-10
+
+
+def test_roundoff_cut_refuses_to_cut_weight():
+    # a chain coupled by entries each below MIRROR_TOL relative, which
+    # together are not
+    n = 1001
+    tol = numerics.MIRROR_TOL
+    chain = sp.csr_matrix(sp.diags(np.full(n - 1, 0.9 * tol), 1)
+                          + sp.eye(n, 1) @ sp.eye(1, n))
+    with pytest.raises(SectorLeakageError, match="below"):
+        numerics.coupled_components(chain, tol)
+    assert len(numerics.coupled_components(chain[:2, :2], tol)) == 2
+    assert len(numerics.coupled_components(chain)) == 1
+
+
 def test_momentum_split_skips_a_generator_without_the_symmetry():
     spec = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
     dsec = weak_sector(spec.layout, 2)

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import re
 
@@ -36,3 +37,19 @@ def test_config_document_runs(tmp_path):
     assert main(["spectrum", "--config", str(config),
                  "--output-dir", str(out)]) == 0
     assert (out / "spectrum_obc.csv").exists()
+
+
+def test_config_document_on_both_boundaries_is_refused_before_output(
+        tmp_path, capsys):
+    # disorder is defined for open chains only, so the periodic leg's
+    # model is refused, before the open leg writes anything
+    config = tmp_path / "config.json"
+    document = json.loads(fenced_blocks("json")[0])
+    document["spectrum"]["boundary"] = "both"
+    config.write_text(json.dumps(document), encoding="utf-8")
+    out = tmp_path / "demo"
+    assert main(["spectrum", "--config", str(config),
+                 "--output-dir", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"]["kind"] == "model"
+    assert not out.exists()
