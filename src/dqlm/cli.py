@@ -57,6 +57,7 @@ from .models import (
 from .numerics import (
     DENSE_CAP,
     KERNEL_TOL,
+    RESIDUAL_TOL,
     DenseCapError,
     SolverError,
     conjugate_partner,
@@ -539,9 +540,15 @@ def run_steady_state(cfg, rec):
     t0 = time.perf_counter()
     dsec = _weak_sector_checked(spec.layout, n_part)
     superop = assemble(spec, sector=dsec, leak_tol=tols["leak_tol"])
-    spectrum = spectrum_of(superop, want_vectors=True, cap=tols["dense_cap"])
-    states = steady_states(spectrum, dsec, tol=tols["kernel_tol"])
+    spectrum = spectrum_of(superop, cap=tols["dense_cap"])
+    states = steady_states(superop, spectrum, tol=tols["kernel_tol"])
     rec.timings["kernel"] = time.perf_counter() - t0
+    worst = float(max(steady_residual(superop.hamiltonian, superop.jumps,
+                                      states)))
+    # refused before any CSV is written; a NaN residual fails too
+    if not worst <= RESIDUAL_TOL * np.linalg.norm(superop.matrix.data):
+        raise CliError(EXIT_SOLVER, "solver", f"steady-state residual "
+                       f"{worst:.3e} exceeds {RESIDUAL_TOL:.0e} x ||L||_F")
     site_diag = site_number_diagonals(spec.layout)
     link_diag = link_z_diagonals(spec.layout)
     rows = []
@@ -551,14 +558,12 @@ def run_steady_state(cfg, rec):
             rows.append((idx, "site_density", pos, float((diag * arr).sum())))
         for pos, arr in enumerate(link_diag, start=1):
             rows.append((idx, "link_sz", pos, float((diag * arr).sum())))
-    residuals = steady_residual(superop.hamiltonian, superop.jumps, states)
     rec.csv("steady_state_profiles.csv",
             ("state[index]", "kind[name]", "position[index]", "value[1]"),
             rows)
     rec.diagnostics["kernel_dim"] = len(states)
-    rec.diagnostics["max_residual"] = float(max(residuals))
+    rec.diagnostics["max_residual"] = worst
     rec.diagnostics["sector_dim"] = dsec.dim
-    rec.diagnostics["eig_residual_max"] = spectrum.residual_max
     rec.diagnostics.update(_block_diagnostics(spectrum))
 
 

@@ -52,14 +52,16 @@ reuse goes ahead within `MIRROR_TOL`; a generator without the symmetry
 `full_spectrum` refuses it. Dense eigendecomposition is capped (default
 6000) per block because the cost is cubic (`DenseCapError`, raised
 before the first block is diagonalized); sector projection is the
-intended way to keep the blocks below the cap. Eigenvectors are returned
-as one dense array over the whole pair basis, so a request for them also
-caps the basis dimension.
+intended way to keep the blocks below the cap. Only eigenvalues are
+computed densely.
 
-Steady states are taken from eigenpairs with |lambda| below the kernel
-bin (1e-9), orthonormalized, devectorized, Hermitized, and
-trace-normalized. Degeneracy counting bins eigenvalues within 1e-7 of
-the reference value.
+Steady states (`steady_states`) split the same frame into the same
+blocks. The eigenvalues below the kernel bin (1e-9) count each block's
+kernel; the kernel vectors come from one sparse LU per block, or per
+pair of mirror blocks, in its real form, so each is a Hermitian
+operator. Each group's kernel residual is checked against
+`RESIDUAL_TOL` relative to its block. Degeneracy counting bins
+eigenvalues within 1e-7 of the reference value.
 
 Time integration uses adaptive high-order explicit Runge-Kutta
 (dormand-prince 8th order) with absolute/relative tolerances 1e-9 by
@@ -76,6 +78,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import connected_components, maximum_flow
+from scipy.sparse.linalg import splu
 from scipy.spatial import ConvexHull, cKDTree
 
 from .lattice import state_bit
@@ -105,12 +108,10 @@ class DenseCapError(SolverError):
 
 @dataclass
 class Spectrum:
-    """Canonically ordered eigenvalues with optional right eigenvectors."""
+    """Canonically ordered eigenvalues and the blocks they came from."""
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray = None
     basis: str = "unknown"
-    residual_max: float = 0.0
     # provenance of each eigenvalue: the block index in `spectrum_of`,
     # the charge difference delta in `full_spectrum`
     block_labels: tuple = None
@@ -141,36 +142,16 @@ def canonical_order(values):
     return np.lexsort((values.imag, -values.real))
 
 
-def eig_dense(matrix, want_vectors=False, basis="unknown", cap=DENSE_CAP):
-    """Full spectrum of a general complex matrix, canonically ordered.
-
-    With vectors requested, every eigenpair residual is checked against
-    ``RESIDUAL_TOL`` and the worst one is reported in the result.
-    """
+def eig_dense(matrix, basis="unknown", cap=DENSE_CAP):
+    """Eigenvalues of a general complex matrix, canonically ordered."""
     n = np.shape(matrix)[0]
     if n > cap:
         raise DenseCapError(
             f"dimension {n} exceeds the dense cap {cap}; project onto a "
             "smaller sector or reduce L")
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-    if n == 0:
-        empty = np.zeros(0, dtype=np.complex128)
-        vecs = np.zeros((0, 0), dtype=np.complex128) if want_vectors else None
-        return Spectrum(empty, vecs, basis)
-    if not want_vectors:
-        vals = np.linalg.eigvals(dense)
-        order = canonical_order(vals)
-        return Spectrum(vals[order], None, basis, eig_max_dim=n)
-    vals, vecs = np.linalg.eig(dense)
-    order = canonical_order(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    residual = np.linalg.norm(dense @ vecs - vecs * vals, axis=0)
-    residual /= np.linalg.norm(vecs, axis=0)
-    worst = float(residual.max())
-    if worst > RESIDUAL_TOL:
-        raise SolverError(f"eigenpair residual {worst:.3e} exceeds "
-                          f"{RESIDUAL_TOL:.1e}")
-    return Spectrum(vals, vecs, basis, residual_max=worst, eig_max_dim=n)
+    vals = np.linalg.eigvals(dense)
+    return Spectrum(vals[canonical_order(vals)], basis, eig_max_dim=n)
 
 
 def coupled_components(matrix, tol=None):
@@ -199,26 +180,6 @@ def coupled_components(matrix, tol=None):
     labels = rank[labels]
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
-
-
-def _component_labels(matrix, components):
-    """The component of each coordinate of a CSR `matrix`. The components
-    must cover the coordinates once and no nonzero may join two of them
-    (else `SectorLeakageError`: the split cut a coupling)."""
-    n = matrix.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
-    for i, own in enumerate(components):
-        labels[own] = i
-    if sum(c.size for c in components) != n or np.any(labels < 0):
-        raise SectorLeakageError(
-            f"components do not cover the {n} indices exactly once")
-    coo = matrix.tocoo()
-    joined = np.count_nonzero(labels[coo.row] != labels[coo.col])
-    if joined:
-        raise SectorLeakageError(
-            f"{joined} of the generator's {matrix.nnz} nonzeros join two "
-            "components")
-    return labels
 
 
 def _translation(dsec, twists):
@@ -376,19 +337,15 @@ def _mirror_gaps(matrix, mirror, labels=None, partner=None):
     return np.sqrt(gap / np.maximum(norm, np.finfo(float).tiny))
 
 
-def _conjugate(part, within, phase):
-    """The spectrum of a block's C-image: conjugate eigenvalues, the
-    eigenvectors Q conj(v), and the same block labels."""
+def _conjugate(part):
+    """The spectrum of a block's C-image: conjugate eigenvalues, with the
+    same block labels."""
     order = canonical_order(part.eigenvalues.conj())
-    vectors = labels = None
-    if part.vectors is not None:
-        vectors = np.empty_like(part.vectors)
-        vectors[within] = phase[:, None] * part.vectors.conj()
-        vectors = vectors[:, order]
+    labels = None
     if part.block_labels is not None:
         labels = tuple(np.asarray(part.block_labels)[order].tolist())
-    return Spectrum(part.eigenvalues.conj()[order], vectors, part.basis,
-                    residual_max=part.residual_max, block_labels=labels)
+    return Spectrum(part.eigenvalues.conj()[order], part.basis,
+                    block_labels=labels)
 
 
 def _real_form(block, within, phase):
@@ -422,80 +379,75 @@ def _real_part(rotated):
     return real
 
 
-def _merge(parts, coords, dim, lift=None):
+def _merge(parts):
     """Spectra of diagonal blocks merged in canonical order, and the order
-    applied. `parts[i]` is the block on the coordinates `coords[i]`; its
-    eigenvectors, when present, are scattered into one dense array over
-    `dim` coordinates, or mapped through the columns `lift[:, coords[i]]`
-    of a basis over them. The residual and the largest eig are the worst
-    part's."""
+    applied. The largest eig is the largest part's."""
     merged = np.concatenate([part.eigenvalues for part in parts])
     order = canonical_order(merged)
-    vectors = None
-    if parts[0].vectors is not None:
-        column = np.empty(order.size, dtype=np.int64)
-        column[order] = np.arange(order.size)
-        vectors = np.zeros((dim, order.size), dtype=np.complex128)
-        start = 0
-        for own, part in zip(coords, parts):
-            cols = column[start:start + part.dim]
-            if lift is None:
-                vectors[np.ix_(own, cols)] = part.vectors
-            else:
-                vectors[:, cols] = lift[:, own] @ part.vectors
-            start += part.dim
-    spectrum = Spectrum(
-        merged[order], vectors, parts[0].basis,
-        residual_max=max(part.residual_max for part in parts),
-        eig_max_dim=max(part.eig_max_dim for part in parts))
+    spectrum = Spectrum(merged[order], parts[0].basis,
+                        eig_max_dim=max(part.eig_max_dim for part in parts))
     return spectrum, order
 
 
-def _real_eig(unitary, rotated, want_vectors, basis, cap):
-    """The spectrum of a block from its real form U^+ M U: one real eig
-    per coupled component of the real form (`coupled_components` with
-    roundoff up to `MIRROR_TOL` cut), merged in canonical order, the
-    eigenvectors w of a component mapped back as U[:, component] w."""
-    real = _real_part(rotated)
-    components = coupled_components(real, MIRROR_TOL)
-    if len(components) == 1:
-        # U w straight away: no scatter into a second dense array
-        part = eig_dense(real, want_vectors, basis, cap)
-        if want_vectors:
-            part.vectors = unitary @ part.vectors
-        return part
-    parts = [eig_dense(real[own][:, own], want_vectors, basis, cap)
-             for own in components]
-    return _merge(parts, components, real.shape[0], unitary)[0]
+def _mirror_blocks(matrix, mirror):
+    """The coupled components of a CSR generator, guarded by one label
+    array: they must cover the coordinates once and no nonzero may join
+    two of them (else `SectorLeakageError`: the split cut a coupling).
+    With each component i, the component j of its size that C (`mirror`
+    as `_mirror_map` gives it, or None) maps it onto and the gap of
+    `_mirror_gaps`, halved for j = i, where it is ||Im U^+ M U|| relative
+    to the block; else -1 and infinity. C is checked once."""
+    components = coupled_components(matrix)
+    n, count = matrix.shape[0], len(components)
+    labels = np.full(n, -1, dtype=np.int64)
+    for i, own in enumerate(components):
+        labels[own] = i
+    if sum(c.size for c in components) != n or np.any(labels < 0):
+        raise SectorLeakageError(
+            f"components do not cover the {n} indices exactly once")
+    coo = matrix.tocoo()
+    joined = np.count_nonzero(labels[coo.row] != labels[coo.col])
+    if joined:
+        raise SectorLeakageError(
+            f"{joined} of the generator's {matrix.nnz} nonzeros join two "
+            "components")
+    partner, gap = np.full(count, -1), np.full(count, np.inf)
+    if mirror is None:
+        return components, partner, gap
+    gaps = _mirror_gaps(matrix, mirror, labels)
+    for i, own in enumerate(components):
+        target = labels[mirror[0][own]]
+        j = target[0]
+        if components[j].size == own.size and np.all(target == j):
+            partner[i], gap[i] = j, gaps[i] / 2 if j == i else gaps[j]
+    return components, partner, gap
 
 
-def mirror_eig(matrix, mirror, want_vectors=False, basis="unknown",
-               cap=DENSE_CAP, strict=False):
+def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False):
     """Dense spectra of the coupled components of a CSR generator through
     the antiunitary symmetry C(rho) = rho^+ of a Lindbladian, C on its
     coordinates given by `mirror` (`_mirror_map`, or None).
 
-    One label array guards the components (`_component_labels`); a block
-    over the cap raises `DenseCapError` before any eig; C is checked once
-    (`_mirror_gaps`). A block that C maps onto itself, with half its
-    defect, ||Im U^+ M U||, within `MIRROR_TOL` relative, goes to real
-    LAPACK in its real form U^+ M U (`_real_eig`). Of two blocks that C
-    maps onto each other the first is diagonalized, and the second, within
-    `MIRROR_TOL` relative of its image, gets the conjugate spectrum
-    without being sliced. Every other block takes the complex eig, or with
-    `strict` raises `SolverError`.
+    The components and their mirror blocks come from `_mirror_blocks`; a
+    block over the cap raises `DenseCapError` before any eig. A block that
+    C maps onto itself, with ||Im U^+ M U|| within `MIRROR_TOL` relative,
+    goes to real LAPACK in its real form U^+ M U, one eig per coupled
+    component of the real form (`coupled_components` with roundoff up to
+    `MIRROR_TOL` cut). Of two blocks that C maps onto each other the
+    first is diagonalized, and the second, within `MIRROR_TOL` relative of
+    its image, gets the conjugate spectrum without being sliced. Every
+    other block takes the complex eig, or with `strict` raises
+    `SolverError`.
 
-    Returns one Spectrum per component (eigenvectors in its coordinates),
-    the components, and the numbers of real and of conjugated blocks.
+    Returns one Spectrum per component, the components, and the numbers of
+    real and of conjugated blocks.
     """
-    components = coupled_components(matrix)
-    labels = _component_labels(matrix, components)
+    components, partner, gap = _mirror_blocks(matrix, mirror)
     largest = max(c.size for c in components)
     if largest > cap:
         raise DenseCapError(
             f"a block of dimension {largest} exceeds the dense cap {cap}; "
             "project onto a smaller sector or reduce L")
-    gaps = None if mirror is None else _mirror_gaps(matrix, mirror, labels)
     # the blocks are sliced from one symmetric permutation
     order = np.concatenate(components)
     permuted = matrix[order][:, order]
@@ -506,57 +458,52 @@ def mirror_eig(matrix, mirror, want_vectors=False, basis="unknown",
         if parts[i] is not None:
             continue
         block = permuted[bounds[i]:bounds[i + 1], bounds[i]:bounds[i + 1]]
-        gap = np.inf
-        if mirror is not None and own.size:
-            target = mirror[0][own]
-            j = labels[target[0]]
-            if components[j].size == own.size and np.all(labels[target] == j):
-                gap = gaps[i] / 2 if j == i else gaps[j]
-        if gap <= MIRROR_TOL:
-            within = np.searchsorted(components[j], target)
-            phase = np.exp(1j * mirror[1][own])
-            if j == i:
-                parts[i] = _real_eig(*_real_form(block, within, phase),
-                                     want_vectors, basis, cap)
-                real += 1
-            else:
-                parts[i] = eig_dense(block, want_vectors, basis, cap)
-                parts[j] = _conjugate(parts[i], within, phase)
-                conjugated += 1
+        j = partner[i]
+        if gap[i] <= MIRROR_TOL and j == i:
+            form = _real_part(_real_form(
+                block, np.searchsorted(own, mirror[0][own]),
+                np.exp(1j * mirror[1][own]))[1])
+            parts[i] = _merge([eig_dense(form[c][:, c], basis, cap) for c
+                               in coupled_components(form, MIRROR_TOL)])[0]
+            real += 1
+        elif gap[i] <= MIRROR_TOL:
+            parts[i] = eig_dense(block, basis, cap)
+            parts[j] = _conjugate(parts[i])
+            conjugated += 1
         elif strict:
             raise SolverError(
                 f"component {i} has no conjugate mirror component within "
-                f"{MIRROR_TOL:.0e} (relative gap {gap:.3e}); not a "
+                f"{MIRROR_TOL:.0e} (relative gap {gap[i]:.3e}); not a "
                 "Lindbladian")
         else:
-            parts[i] = eig_dense(block, want_vectors, basis, cap)
+            parts[i] = eig_dense(block, basis, cap)
     return parts, components, real, conjugated
 
 
-def spectrum_of(superop, want_vectors=False, cap=DENSE_CAP):
-    """Spectrum of an assembled generator, one dense eig per block.
-
-    A periodic-chain generator with the translation symmetry is first
-    rotated into its block-diagonal Bloch frame (`momentum_blocks`); that
-    matrix, or the generator as it is otherwise, is split into its
-    coupled components, which go through `mirror_eig`. Eigenvalues are
-    merged in canonical order and labelled by the running index of their
-    block; vectors are scattered back into the pair basis (through the
-    Bloch basis on a periodic chain), and the residual is the worst
-    block's. A block over the cap raises `DenseCapError` before any block
-    is diagonalized. The eigenvectors come as one dense d x d array, so
-    with `want_vectors` the whole dimension d is held to the cap too."""
-    if want_vectors and superop.dim > cap:
-        raise DenseCapError(
-            f"eigenvectors of dimension {superop.dim} exceed the dense cap "
-            f"{cap}; project onto a smaller sector or reduce L")
+def _frame(superop):
+    """The Bloch basis, the matrix a generator is split in, and C on its
+    coordinates (`_mirror_map`): on a periodic chain with the translation
+    symmetry, its block-diagonal Bloch frame (`momentum_blocks`);
+    otherwise no basis and the generator itself."""
     resolved = (superop.twists is not None and superop.dim
                 and momentum_blocks(superop))
     bloch, matrix = resolved or (None, superop.matrix)
-    parts, components, real, conjugated = mirror_eig(
-        matrix, _mirror_map(superop.sector, bloch), want_vectors,
-        superop.basis, cap)
-    spectrum, order = _merge(parts, components, superop.dim, bloch)
+    return bloch, matrix, _mirror_map(superop.sector, bloch)
+
+
+def spectrum_of(superop, cap=DENSE_CAP):
+    """Spectrum of an assembled generator, one dense eig per block.
+
+    The generator's frame (`_frame`: on a periodic chain with the
+    translation symmetry its Bloch frame, else the generator) is split
+    into its coupled components, which go through `mirror_eig`.
+    Eigenvalues are merged in canonical order and labelled by the running
+    index of their block. A block over the cap raises `DenseCapError`
+    before any block is diagonalized."""
+    _, matrix, mirror = _frame(superop)
+    parts, _, real, conjugated = mirror_eig(matrix, mirror, superop.basis,
+                                            cap)
+    spectrum, order = _merge(parts)
     labels = np.repeat(np.arange(len(parts)), [part.dim for part in parts])
     spectrum.block_labels = tuple(labels[order].tolist())
     spectrum.real_blocks, spectrum.conjugated_blocks = real, conjugated
@@ -574,48 +521,80 @@ def conjugate_partner(superop, spectrum, partner):
             or _mirror_gaps(superop.matrix, mirror,
                             partner=partner.matrix)[0] > MIRROR_TOL):
         return None
-    image = _conjugate(spectrum, mirror[0], np.exp(1j * mirror[1]))
+    image = _conjugate(spectrum)
     image.conjugated_blocks = len(set(spectrum.block_labels))
     return image
 
 
-def steady_states(spectrum, dsec, tol=KERNEL_TOL):
-    """Kernel basis as density matrices: Hermitized and trace-normalized.
+def _kernel_basis(block, count, tol, rng):
+    """An orthonormal basis of the `count`-dimensional kernel of a sparse
+    square `block`: two steps of subspace iteration, from a random start
+    (`rng`), with one sparse LU of block - tol I. A residual
+    ||block X||_F above `RESIDUAL_TOL` relative to ||block||_F raises
+    `SolverError`."""
+    n = block.shape[0]
+    lu = splu(sp.csc_matrix(block - tol * sp.identity(n, format="csc")))
+    basis = rng.standard_normal((n, count))
+    for _ in range(2):
+        basis = np.linalg.qr(lu.solve(basis))[0]
+    # a zero block (a frozen 1 x 1) has residual 0, not 0/0; NaN fails
+    norm = max(np.linalg.norm(block.data), np.finfo(float).tiny)
+    residual = np.linalg.norm(block @ basis) / norm
+    if not residual <= RESIDUAL_TOL:
+        raise SolverError(f"kernel residual {residual:.3e} of a block of "
+                          f"dimension {n} exceeds {RESIDUAL_TOL:.1e}")
+    return basis
 
-    `spectrum` is the generator's `spectrum_of(..., want_vectors=True)`
-    on the pair basis `dsec`. States come in block order (see
-    `spectrum_of`), so a block with a one-dimensional kernel, such as one
-    particle-number sector, always gives the same state, that sector's
-    own steady state. Kernel vectors are orthonormalized before
-    devectorization; operators whose trace vanishes (possible for
-    degenerate kernels) fall back to Frobenius normalization.
+
+def steady_states(superop, spectrum, tol=KERNEL_TOL):
+    """Kernel basis of a generator as trace-normalized density matrices.
+
+    `spectrum` is the generator's `spectrum_of`; its eigenvalues below
+    `tol` count the kernel of each of its blocks, which are split again
+    from the same frame (`_frame`). A block that C(rho) = rho^+ maps onto
+    itself, or a block with the block C maps it onto, is one group, taken
+    in its real form U^+ M U as `mirror_eig` decides: its real kernel
+    vectors w (`_kernel_basis`) give orthonormal Hermitian operators U w.
+    Only a block that does not commute with C is taken complex. Vectors
+    are lifted back through U and, on a periodic chain, the Bloch basis.
+
+    Each operator is scaled to unit trace, or where its trace vanishes
+    (possible for degenerate kernels) to unit Frobenius norm. States come
+    in the order of their groups' first blocks: a block with a
+    one-dimensional kernel, such as one particle-number sector, gives
+    that sector's own steady state.
     """
-    idx = spectrum.kernel_indices(tol)
-    if idx.size == 0:
+    kernel = spectrum.kernel_indices(tol)
+    if kernel.size == 0:
         raise SolverError("empty kernel; a Lindblad generator always has one")
-    if spectrum.block_labels is not None:
-        labels = np.asarray(spectrum.block_labels)
-        idx = idx[np.argsort(labels[idx], kind="stable")]
-    block = spectrum.vectors[:, idx]
-    block, _ = np.linalg.qr(block)
-    tvec = trace_vector(dsec)
-    out = []
-    for col in range(block.shape[1]):
-        vec = block[:, col]
-        tr = complex(tvec @ vec)
-        if abs(tr) > 1e-10:
-            # rotate the arbitrary eigenvector phase so the trace is real
-            vec = vec * (tr.conjugate() / abs(tr))
-        rho = devectorize_from(vec, dsec)
-        rho = (rho + rho.adjoint()).scale(0.5)
-        if abs(tr) > 1e-10:
-            rho = rho.scale(1.0 / complex(rho.matrix.diagonal().sum()).real)
-        else:
-            norm = rho.frobenius_norm()
-            if norm > 0:
-                rho = rho.scale(1.0 / norm)
-        out.append(rho)
-    return out
+    bloch, matrix, mirror = _frame(superop)
+    components, partner, gap = _mirror_blocks(matrix, mirror)
+    counts = np.bincount(np.asarray(spectrum.block_labels)[kernel],
+                         minlength=len(components))
+    lift = sp.identity(superop.dim, format="csc") if bloch is None else bloch
+    tvec = trace_vector(superop.sector)
+    rng = np.random.default_rng(0)
+    done = np.zeros(len(components), dtype=bool)
+    states = []
+    for i in np.flatnonzero(counts):
+        if done[i]:
+            continue
+        real = gap[i] <= MIRROR_TOL
+        group = np.unique([i, partner[i]]) if real else [i]
+        done[group] = True
+        own = np.sort(np.concatenate([components[g] for g in group]))
+        block, unitary = matrix[own][:, own], sp.identity(own.size)
+        if real:
+            unitary, rotated = _real_form(
+                block, np.searchsorted(own, mirror[0][own]),
+                np.exp(1j * mirror[1][own]))
+            block = _real_part(rotated)
+        basis = _kernel_basis(block, counts[group].sum(), tol, rng)
+        for vec in (lift[:, own] @ (unitary @ basis)).T:
+            trace = tvec @ vec
+            vec = vec / (trace if abs(trace) > 1e-10 else np.linalg.norm(vec))
+            states.append(devectorize_from(vec, superop.sector))
+    return states
 
 
 def positivity_defect(rho):
@@ -649,16 +628,16 @@ def full_spectrum(spec, cap=DENSE_CAP):
         first = comp[0]
         delta = table[first // n] - table[first % n]
         labels.extend([tuple(int(v) for v in delta)] * part.dim)
-    spectrum, order = _merge(parts, components, full.dim)
+    spectrum, order = _merge(parts)
     spectrum.block_labels = tuple(labels[i] for i in order)
     return spectrum
 
 
-def weak_spectrum(spec, n_particles=None, want_vectors=False, cap=DENSE_CAP):
+def weak_spectrum(spec, n_particles=None, cap=DENSE_CAP):
     """Spectrum on the weak gauge sector (matching ket/bra charges)."""
     dsec = weak_sector(spec.layout, n_particles)
     superop = assemble(spec, sector=dsec)
-    return spectrum_of(superop, want_vectors, cap=cap), dsec, superop
+    return spectrum_of(superop, cap=cap), dsec, superop
 
 
 def _plane(values):

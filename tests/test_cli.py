@@ -14,7 +14,7 @@ from dqlm.cli import main
 from dqlm.exact import enumeration_marginals, ensemble_marginals, \
     exact_steady_state
 from dqlm.lattice import build_layout
-from dqlm.liouvillian import assemble_twisted
+from dqlm.liouvillian import assemble_twisted, devectorize_from, trace_vector
 from dqlm.models import JumpSpec, ModelSpec
 from dqlm.numerics import eig_dense, multiset_distance, positivity_defect
 
@@ -153,17 +153,20 @@ def test_oversized_sector_exits_3(tmp_path, capsys):
 
 def test_dense_cap_applies_to_blocks(tmp_path, capsys):
     # the periodic L=4, N=2 sector holds 364 pairs in momentum blocks of at
-    # most 96: the spectrum fits a cap of 100, the dense eigenvectors do not
+    # most 96: both tasks fit a cap of 100, and neither fits a cap of 50
     out = tmp_path / "s"
     assert run("spectrum", "--L", "4", "--boundary", "pbc", "--n-particles",
                "2", "--dense-cap", "100", "--output-dir", str(out)) == 0
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["pbc_dim"] == 364
     assert diag["pbc_blocks"] == 4 and diag["pbc_max_block_dim"] == 96
-    code = run("steady-state", "--L", "4", "--boundary", "pbc",
-               "--n-particles", "2", "--dense-cap", "100",
-               "--output-dir", str(tmp_path / "ss"))
-    assert code == 3
+    steady = ("steady-state", "--L", "4", "--boundary", "pbc",
+              "--n-particles", "2", "--dense-cap")
+    out = tmp_path / "ss"
+    assert run(*steady, "100", "--output-dir", str(out)) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["kernel_dim"] == 1 and diag["max_residual"] < 1e-10
+    assert run(*steady, "50", "--output-dir", str(tmp_path / "s50")) == 3
     assert stderr_error(capsys)["kind"] == "sector-too-large"
 
 
@@ -316,7 +319,6 @@ def test_steady_state_kernel_and_profiles(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diagnostics"]["kernel_dim"] == 5
     assert manifest["diagnostics"]["max_residual"] < 1e-8
-    assert manifest["diagnostics"]["eig_residual_max"] < 1e-8
     # one coupled block per particle number 0..4, each in its real form
     assert manifest["diagnostics"]["blocks"] == 5
     assert manifest["diagnostics"]["real_blocks"] == 5
@@ -328,6 +330,21 @@ def test_steady_state_kernel_and_profiles(tmp_path):
     assert lines[0] == "state[index],kind[name],position[index],value[1]"
     # five states, four sites and three links each
     assert len(lines) - 1 == 5 * 7
+
+
+def test_steady_state_refuses_a_state_that_is_not_steady(tmp_path, capsys,
+                                                        monkeypatch):
+    # the maximally mixed state of the L=3 sector is not steady under
+    # biased link jumps: its residual is far above 1e-8 x ||L||_F
+    def mixed(superop, spectrum, tol):
+        diagonal = trace_vector(superop.sector)
+        return [devectorize_from(diagonal / diagonal.sum(), superop.sector)]
+
+    monkeypatch.setattr(cli, "steady_states", mixed)
+    out = tmp_path / "ss"
+    assert run("steady-state", "--L", "3", "--output-dir", str(out)) == 4
+    assert stderr_error(capsys)["kind"] == "solver"
+    assert not (out / "steady_state_profiles.csv").exists()
 
 
 def test_steady_state_one_positive_state_per_particle_number(tmp_path,

@@ -19,6 +19,7 @@ from dqlm.liouvillian import (
     assemble_twisted,
     diagonal_expectation,
     steady_residual,
+    vectorize_into,
 )
 from dqlm.models import DisorderSpec, JumpSpec, ModelSpec, build_hamiltonian, \
     build_jump_set
@@ -69,11 +70,10 @@ def test_triangular_and_hermitian_oracles():
 
     herm = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     herm = herm + herm.conj().T
-    spec_h = eig_dense(herm, want_vectors=True)
+    spec_h = eig_dense(herm)
     assert np.abs(spec_h.eigenvalues.imag).max() < 1e-10
     oracle = np.linalg.eigvalsh(herm)
     assert multiset_distance(spec_h.eigenvalues, oracle) < 1e-10
-    assert spec_h.residual_max < 1e-8
 
 
 def test_single_link_dissipator_spectrum():
@@ -97,7 +97,7 @@ def test_dense_cap_raises():
 
 def test_kernel_and_steady_states_match_exact():
     spec = biased_chain(4, 0.3, 0.2)
-    spectrum, dsec, superop = weak_spectrum(spec, want_vectors=True)
+    spectrum, _, superop = weak_spectrum(spec)
     assert len(spectrum.kernel_indices()) == 5
     singular = np.linalg.svd(superop.matrix.toarray(), compute_uv=False)
     assert np.count_nonzero(singular < 1e-9) == 5
@@ -106,16 +106,15 @@ def test_kernel_and_steady_states_match_exact():
                              np.conj(spectrum.eigenvalues)) < 1e-8
 
     ham, jumps = build_hamiltonian(spec), build_jump_set(spec)
-    states = steady_states(spectrum, dsec)
+    states = steady_states(superop, spectrum)
     assert len(states) == 5
     for rho in states:
         dense = rho.toarray()
         assert np.abs(dense - dense.conj().T).max() < 1e-12
         assert steady_residual(ham, jumps, rho) < 1e-8
 
-    spectrum_n, dsec_n, _ = weak_spectrum(spec, n_particles=2,
-                                          want_vectors=True)
-    states_n = steady_states(spectrum_n, dsec_n)
+    spectrum_n, _, superop_n = weak_spectrum(spec, n_particles=2)
+    states_n = steady_states(superop_n, spectrum_n)
     assert len(states_n) == 1
     rho_ed = states_n[0]
     assert abs(complex(rho_ed.matrix.diagonal().sum()) - 1) < 1e-10
@@ -198,21 +197,57 @@ def test_full_spectrum_refuses_a_non_lindblad_generator(monkeypatch):
         full_spectrum(spec)
 
 
+def hermitian_steady_basis(superop, spectrum):
+    """`steady_states` of a generator: one steady state per kernel
+    eigenvalue, each Hermitian, all linearly independent (so over the
+    reals too, being Hermitian). Returns the states."""
+    states = steady_states(superop, spectrum)
+    assert len(states) == len(spectrum.kernel_indices())
+    stacked = np.array([vectorize_into(rho, superop.sector)
+                        for rho in states])
+    assert np.linalg.matrix_rank(stacked) == len(states)
+    for rho in states:
+        assert abs(rho.matrix - rho.matrix.conj().T).max() < 1e-12
+    assert max(steady_residual(superop.hamiltonian, superop.jumps,
+                               states)) < 1e-10
+    return states
+
+
+def gauge_fixed(kind):
+    layout = build_layout(kind, 4)
+    spec = ModelSpec(layout=layout,
+                     jumps=(JumpSpec(family="gauge-fix", strength=0.7),))
+    return assemble(spec, sector=weak_sector(layout))
+
+
+@pytest.mark.parametrize("build, kernel, most", [
+    pytest.param(lambda: gauge_fixed("chain-pbc"), 280, 9, id="pbc-gauge-fix"),
+    pytest.param(lambda: gauge_fixed("chain-obc"), 128, 5, id="obc-gauge-fix"),
+    pytest.param(lambda: dict(mirror_cases())["hierarchical"], 18, 2,
+                 id="hierarchical")])
+def test_degenerate_kernels_give_independent_hermitian_states(build, kernel,
+                                                              most):
+    # `kernel` kernel eigenvalues, up to `most` in one block; on the
+    # periodic chain blocks k and -k are mirror partners whose kernel
+    # vectors share their Hermitian parts, so the two are solved together
+    superop = build()
+    split = spectrum_of(superop)
+    labels = np.asarray(split.block_labels)[split.kernel_indices()]
+    assert labels.size == kernel and np.bincount(labels).max() == most
+    hermitian_steady_basis(superop, split)
+
+
 def test_split_spectrum_matches_unsplit_eig():
     spec = biased_chain(4, 2.4, 1.6)
     dsec = weak_sector(spec.layout)
     superop = assemble(spec, sector=dsec)
-    split = numerics.spectrum_of(superop, want_vectors=True)
+    split = numerics.spectrum_of(superop)
     assert len(set(split.block_labels)) == spec.layout.L + 1
     unsplit = eig_dense(superop.matrix)
     assert multiset_distance(split.eigenvalues, unsplit.eigenvalues) < 1e-10
     assert np.array_equal(split.eigenvalues,
                           split.eigenvalues[canonical_order(split.eigenvalues)])
-    dense = superop.matrix.toarray()
-    residual = np.linalg.norm(dense @ split.vectors
-                              - split.vectors * split.eigenvalues, axis=0)
-    assert residual.max() < 1e-8
-    assert split.residual_max < 1e-8
+    hermitian_steady_basis(superop, split)
 
 
 @pytest.mark.parametrize("L, n_particles", [(4, 2), (5, 1)])
@@ -235,13 +270,9 @@ def test_periodic_steady_state_through_momentum_blocks():
     spec = biased_chain(5, 2.4, 1.6, kind="chain-pbc")
     dsec = weak_sector(spec.layout, 2)
     superop = assemble(spec, sector=dsec)
-    split = spectrum_of(superop, want_vectors=True)
+    split = spectrum_of(superop)
     assert np.array_equal(np.bincount(split.block_labels), [296] * 5)
-    dense = superop.matrix.toarray()
-    residual = np.linalg.norm(dense @ split.vectors
-                              - split.vectors * split.eigenvalues, axis=0)
-    assert residual.max() < 1e-8
-    states = steady_states(split, dsec)
+    states = steady_states(superop, split)
     assert len(states) == 1
     rho = states[0]
     diag = rho.matrix.diagonal().real
@@ -285,18 +316,14 @@ def mirror_cases():
 @pytest.mark.parametrize("superop", [pytest.param(superop, id=name)
                                      for name, superop in mirror_cases()])
 def test_mirror_eig_matches_the_complex_path(superop):
-    split = spectrum_of(superop, want_vectors=True)
+    split = spectrum_of(superop)
     assert split.real_blocks > 0
     if superop.twists is not None:
         # momentum blocks k and -k are mirror partners
         assert split.conjugated_blocks > 0
     unsplit = eig_dense(superop.matrix).eigenvalues
     assert multiset_distance(split.eigenvalues, unsplit) < 1e-10
-    dense = superop.matrix.toarray()
-    residual = np.linalg.norm(dense @ split.vectors
-                              - split.vectors * split.eigenvalues, axis=0)
-    assert residual.max() < 1e-8
-    assert split.residual_max < 1e-8
+    hermitian_steady_basis(superop, split)
     # a real form's pieces are never larger than its block
     assert 0 < split.eig_max_dim <= np.bincount(split.block_labels).max()
 
@@ -315,18 +342,14 @@ def test_real_form_of_one_block_is_diagonalized_in_pieces():
     superop = assemble(spec, sector=weak_sector(spec.layout, 2))
     assert len(numerics.coupled_components(superop.matrix)) == 1
     assert [c.size for c in split_real_form(superop)] == [339, 179]
-    split = spectrum_of(superop, want_vectors=True)
+    split = spectrum_of(superop)
     assert split.real_blocks == 1 and split.block_labels == (0,) * 518
     assert split.eig_max_dim == 339
     unsplit = eig_dense(superop.matrix).eigenvalues
     assert multiset_distance(split.eigenvalues, unsplit) < 1e-10
     assert np.array_equal(split.eigenvalues,
                           split.eigenvalues[canonical_order(split.eigenvalues)])
-    dense = superop.matrix.toarray()
-    residual = np.linalg.norm(dense @ split.vectors
-                              - split.vectors * split.eigenvalues, axis=0)
-    assert residual.max() < 1e-8
-    assert split.residual_max < 1e-8
+    hermitian_steady_basis(superop, split)
 
 
 def test_disordered_real_form_does_not_split():
@@ -337,10 +360,11 @@ def test_disordered_real_form_does_not_split():
                      disorder=DisorderSpec(seed=3))
     superop = assemble(spec, sector=weak_sector(spec.layout, 2))
     assert len(split_real_form(superop)) == 1
-    split = spectrum_of(superop, want_vectors=True)
+    split = spectrum_of(superop)
     assert split.eig_max_dim == superop.dim == 518
     unsplit = eig_dense(superop.matrix).eigenvalues
     assert multiset_distance(split.eigenvalues, unsplit) < 1e-10
+    hermitian_steady_basis(superop, split)
     # nothing to restrict: the frames are those of the whole real form
     v0 = pure_state_vector(initial_state(spec.layout, (1, 2)), superop.sector)
     times = np.linspace(0.0, 1.0, 3)
@@ -425,6 +449,24 @@ def test_mirror_check_catches_a_block_off_by_1e_10(kind, monkeypatch):
         assert split.conjugated_blocks == clean.conjugated_blocks
     unsplit = eig_dense(bad.matrix).eigenvalues
     assert multiset_distance(split.eigenvalues, unsplit) < 1e-10
+    # steady_states takes the kernel of a block that does not commute
+    # with rho -> rho^+ from the complex block (the mutated partner
+    # block holds no kernel)
+    kinds = []
+    basis = numerics._kernel_basis
+
+    def recorded(block, *args):
+        kinds.append(block.dtype.kind)
+        return basis(block, *args)
+
+    monkeypatch.setattr(numerics, "_kernel_basis", recorded)
+    states = steady_states(bad, split)
+    assert "f" in kinds and ("c" in kinds) == (kind == "imaginary")
+    assert len(states) == len(split.kernel_indices())
+    vectors = np.array([vectorize_into(rho, bad.sector) for rho in states]).T
+    assert np.linalg.matrix_rank(vectors) == len(states)
+    # the kernel eigenvalue of the mutated block moved by about 1e-10
+    assert np.abs(bad.matrix @ vectors).max() < 1e-9
     # full_spectrum refuses it
     monkeypatch.setattr(numerics, "assemble", lambda _: bad)
     with pytest.raises(SolverError, match="conjugate mirror"):
