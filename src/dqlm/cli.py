@@ -70,8 +70,7 @@ from .numerics import (
     spectrum_of,
     steady_states,
 )
-from .symmetry import InfeasibleSectorError, SectorLeakageError, \
-    weak_sector, _site_slots
+from .symmetry import InfeasibleSectorError, SectorLeakageError, weak_sector
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -572,9 +571,10 @@ def run_dynamics(cfg, rec):
     layout = spec.layout
     dyn = cfg["dynamics"]
     sites = dyn["initial_sites"]
-    if any(s < 1 or s > layout.L for s in sites) or len(set(sites)) != len(sites):
-        raise CliError(EXIT_CONFIG, "usage",
-                       f"initial sites must be distinct values in 1..{layout.L}")
+    slots = layout.site_slots
+    if any(s < 1 or s > len(slots) for s in sites) or len(set(sites)) != len(sites):
+        raise CliError(EXIT_CONFIG, "usage", "initial sites must be distinct "
+                       f"values in 1..{len(slots)}")
     n_part = cfg.get("sector", {}).get("n_particles")
     if n_part is None:
         n_part = len(sites)
@@ -587,11 +587,7 @@ def run_dynamics(cfg, rec):
                        leak_tol=cfg["tolerances"]["leak_tol"])
     rec.timings["assemble"] = time.perf_counter() - t0
 
-    slots = _site_slots(layout)
-    state = 0
-    for s in sites:
-        state |= 1 << slots[s - 1]
-    v0 = pure_state_vector(state, dsec)
+    v0 = pure_state_vector(sum(1 << slots[s - 1] for s in sites), dsec)
     times = np.linspace(0.0, dyn["t_final"], dyn["t_points"])
     site_diag = site_number_diagonals(layout)
     obs = {f"N_{n}": (lambda v, a=arr: diagonal_expectation(v, dsec, a))

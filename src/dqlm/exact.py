@@ -36,6 +36,7 @@ from .symmetry import (
     gauge_sector_census,
     generator_sites,
     generator_slot_coefficients,
+    hierarchical_charge_coefficients,
 )
 
 
@@ -229,33 +230,17 @@ def _constraint_list(layout, spec):
     total = layout.total_spins
     if spec.n_particles is not None:
         qup = np.zeros(total, dtype=np.int64)
-        for site in generator_sites(layout):
-            qup[_site_slot(layout, site)] = 1
+        qup[layout.site_slots] = 1
         cons.append((qup, np.zeros(total, dtype=np.int64), int(spec.n_particles)))
     if spec.hier_charges is not None:
+        qn, qd = hierarchical_charge_coefficients(layout)
         n2, d2 = spec.hier_charges
-        qn = np.zeros(total, dtype=np.int64)
-        qd = np.zeros(total, dtype=np.int64)
-        for n in range(1, layout.L + 1):
-            qn[layout.top_slot(n)] = 1
-            qd[layout.top_slot(n)] = n
-        for m in range(1, layout.L):
-            qd[layout.mid_slot(m)] = 1
-        cons.append((qn, -qn, int(n2)))
-        cons.append((qd, -qd, int(d2)))
+        cons += [(qn, -qn, int(n2)), (qd, -qd, int(d2))]
     if spec.gauge is not None:
         for g2, site in zip(spec.gauge, generator_sites(layout)):
             a = generator_slot_coefficients(layout, site).astype(np.int64)
             cons.append((a, -a, int(g2)))
     return cons
-
-
-def _site_slot(layout, site):
-    if layout.kind in ("chain-obc", "chain-pbc"):
-        return layout.site_slot(site)
-    if layout.kind == "hierarchical":
-        return layout.top_slot(site)
-    return layout.site_slot_2d(*site)
 
 
 def _dp_step(table, w_up_k, w_dn_k, up_shift, dn_shift):
@@ -332,28 +317,18 @@ def _dp_bit_marginals(zcoeff, constraints):
 
 
 def _layer_views(layout, p_up):
-    if layout.kind in ("chain-obc", "chain-pbc"):
-        sites = np.array([p_up[layout.site_slot(n)] for n in range(1, layout.L + 1)])
-        links = np.array([p_up[layout.link_slot(m)]
-                          for m in range(1, layout.n_links + 1)])
-        return {"site_density": sites, "link_sz": links - 0.5}
+    sites = p_up[layout.site_slots]
+    links = p_up[layout.link_slots] - 0.5
     if layout.kind == "hierarchical":
-        top = np.array([p_up[layout.top_slot(n)] for n in range(1, layout.L + 1)])
-        mid = np.array([p_up[layout.mid_slot(m)] for m in range(1, layout.L)])
-        bot = np.array([p_up[layout.bot_slot(j)] for j in range(2, layout.L)])
-        return {"top_density": top, "top_sz": top - 0.5,
-                "mid_sz": mid - 0.5, "bot_sz": bot - 0.5}
-    sites = np.array([[p_up[layout.site_slot_2d(x, y)]
-                       for x in range(1, layout.L + 1)]
-                      for y in range(1, layout.Ly + 1)])
-    hlink = np.array([[p_up[layout.hlink_slot(x, y)]
-                       for x in range(1, layout.L)]
-                      for y in range(1, layout.Ly + 1)])
-    vlink = np.array([[p_up[layout.vlink_slot(x, y)]
-                       for x in range(1, layout.L + 1)]
-                      for y in range(1, layout.Ly)])
-    return {"site_density": sites, "hlink_sz": hlink - 0.5,
-            "vlink_sz": vlink - 0.5}
+        mid = p_up[[layout.mid_slot(m) for m in range(1, layout.L)]]
+        return {"top_density": sites, "top_sz": sites - 0.5,
+                "mid_sz": mid - 0.5, "bot_sz": links}
+    if layout.kind == "square-2d":
+        Lx, Ly = layout.L, layout.Ly
+        return {"site_density": sites.reshape(Ly, Lx),
+                "hlink_sz": links[:(Lx - 1) * Ly].reshape(Ly, Lx - 1),
+                "vlink_sz": links[(Lx - 1) * Ly:].reshape(Ly - 1, Lx)}
+    return {"site_density": sites, "link_sz": links}
 
 
 def _realize(layers):

@@ -22,6 +22,15 @@ Slot assignment per layout kind:
   0..Lx*Ly-1, then horizontal links (x+1/2,y) for x=1..Lx-1, then vertical
   links (x,y+1/2) for y=1..Ly-1; total 3*Lx*Ly - Lx - Ly spins.
 
+Every module walks the sites and the links through two slot lists of the
+layout, so the order is pinned here once:
+
+* ``site_slots``: chain sites n=1..L; the hierarchical top layer
+  sigma_1..sigma_L; square-2d sites row-major (x fastest).
+* ``link_slots``: chain links in order, the boundary link last; the
+  hierarchical bottom layer s_2..s_{L-1}; square-2d horizontal links,
+  then vertical links, each row-major.
+
 Coordinates are 1-based, matching the analytic formulas they feed.
 """
 
@@ -99,6 +108,28 @@ class LatticeLayout:
     @property
     def basis_tag(self):
         return f"spins:{self.total_spins}"
+
+    @property
+    def site_slots(self):
+        """Slots of the sites, in the order of the module docstring."""
+        if self.kind == "hierarchical":
+            return [self.top_slot(n) for n in range(1, self.L + 1)]
+        if self.kind == "square-2d":
+            return [self.site_slot_2d(x, y) for y in range(1, self.Ly + 1)
+                    for x in range(1, self.L + 1)]
+        return [self.site_slot(n) for n in range(1, self.L + 1)]
+
+    @property
+    def link_slots(self):
+        """Slots of the links, in the order of the module docstring."""
+        if self.kind == "hierarchical":
+            return [self.bot_slot(j) for j in range(2, self.L)]
+        if self.kind == "square-2d":
+            return ([self.hlink_slot(x, y) for y in range(1, self.Ly + 1)
+                     for x in range(1, self.L)]
+                    + [self.vlink_slot(x, y) for y in range(1, self.Ly)
+                       for x in range(1, self.L + 1)])
+        return [self.link_slot(m) for m in range(1, self.n_links + 1)]
 
     # -- chain slots -------------------------------------------------
     def site_slot(self, n):

@@ -36,7 +36,7 @@ from .lattice import (
     state_bit,
     transition_operator,
 )
-from .symmetry import gauss_generator
+from .symmetry import gauss_generator, generator_sites
 
 HAMILTONIAN_KINDS = ("qlm", "hierarchical", "qlm-2d", "none")
 # each jump family and the JumpSpec rates it reads
@@ -316,55 +316,38 @@ def build_hamiltonian(spec):
     return h
 
 
-def _link_slots(layout):
-    if layout.kind in ("chain-obc", "chain-pbc"):
-        return [layout.link_slot(m) for m in range(1, layout.n_links + 1)]
-    if layout.kind == "hierarchical":
-        return [layout.bot_slot(j) for j in range(2, layout.L)]
-    raise ModelError("no single link list for square-2d; handled per orientation")
-
-
 def build_jump_set(spec):
     """All jump operators of the spec, flattened in a pinned order:
     per family in spec order; within a family, link/site order; biased
     emits the s^+ operator before the s^- operator per link."""
     layout = spec.layout
     total = layout.total_spins
+    links = layout.link_slots
     ops = []
     for j in spec.jumps:
         if j.family == "biased":
-            if layout.kind == "square-2d":
-                for y in range(1, layout.Ly + 1):
-                    for x in range(1, layout.L):
-                        ops += _biased_pair(total, layout.hlink_slot(x, y),
-                                            j.gamma_up, j.gamma_down)
-                for y in range(1, layout.Ly):
-                    for x in range(1, layout.L + 1):
-                        ops += _biased_pair(total, layout.vlink_slot(x, y),
-                                            j.gamma_up_v, j.gamma_down_v)
-            else:
-                for slot in _link_slots(layout):
-                    ops += _biased_pair(total, slot, j.gamma_up, j.gamma_down)
+            # on square-2d the vertical links, after the horizontal
+            # ones, take the _v rates
+            n_horizontal = (layout.L - 1) * layout.Ly \
+                if layout.kind == "square-2d" else len(links)
+            for k, slot in enumerate(links):
+                up, down = ((j.gamma_up, j.gamma_down) if k < n_horizontal
+                            else (j.gamma_up_v, j.gamma_down_v))
+                ops += _biased_pair(total, slot, up, down)
         elif j.family == "x-like":
-            for slot in _link_slots(layout):
+            for slot in links:
                 op = (single_spin_operator(total, slot, "+").scale(np.sqrt(j.gamma_up))
                       + single_spin_operator(total, slot, "-").scale(np.sqrt(j.gamma_down)))
                 ops.append(op)
         elif j.family == "dephasing":
-            for slot in _link_slots(layout):
+            for slot in links:
                 ops.append(single_spin_operator(total, slot, "z").scale(np.sqrt(j.gamma)))
         elif j.family == "gauge-fix":
             root = np.sqrt(j.strength)
-            if layout.kind == "square-2d":
-                for y in range(1, layout.Ly + 1):
-                    for x in range(1, layout.L + 1):
-                        ops.append(gauss_generator(layout, (x, y)).scale(root))
-            else:
-                for n in range(1, layout.L + 1):
-                    ops.append(gauss_generator(layout, n).scale(root))
+            ops += [gauss_generator(layout, site).scale(root)
+                    for site in generator_sites(layout)]
         else:  # effective-asep
-            bonds = layout.L - 1 if layout.kind == "chain-obc" else layout.L
-            for n in range(1, bonds + 1):
+            for n in range(1, layout.n_links + 1):
                 m = n + 1 if n < layout.L else 1
                 right = transition_operator(
                     total, (layout.site_slot(m),), (layout.site_slot(n),),

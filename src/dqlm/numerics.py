@@ -65,7 +65,7 @@ eigenvalues within 1e-7 of the reference value.
 
 Time integration uses adaptive high-order explicit Runge-Kutta
 (dormand-prince 8th order) with absolute/relative tolerances 1e-9 by
-default and records observables plus trace and positivity defects. The
+default and records observables and the trace defect. The
 same symmetry C makes a Hermitian state's coordinates U^+ v real, so a
 Lindbladian quench is integrated as the real system U^+ M U (`evolve`),
 and only on the coupled components of that system that the initial
@@ -746,13 +746,12 @@ def hull_violation(inner, outer):
 
 @dataclass
 class StateSeries:
-    """Time grid, tracked observables, sanity defects and integrator
+    """Time grid, tracked observables, trace defect and integrator
     statistics of a run."""
 
     times: np.ndarray
     observables: dict = field(default_factory=dict)
     trace_defect: np.ndarray = None
-    positivity_defect: np.ndarray = None
     final_vector: np.ndarray = None
     # right-hand-side evaluations and status of solve_ivp, whether the
     # real coordinates U^+ v were integrated, and how many coordinates
@@ -782,14 +781,12 @@ def _real_coordinates(matrix, v0, dsec):
 
 
 def evolve(matrix, v0, t_grid, observables=None, dsec=None,
-           rtol=1e-9, atol=1e-9, track_positivity=False):
+           rtol=1e-9, atol=1e-9):
     """Integrate dv/dt = M v on a time grid with error-controlled RK.
 
     observables maps names to callables vec -> complex, evaluated at each
     grid time. With a pair basis the trace defect |tr(t) - tr(0)| is
-    recorded; ``track_positivity`` additionally monitors the most
-    negative eigenvalue of the Hermitized state (cost: one dense
-    eigendecomposition per grid point).
+    recorded.
 
     A Hermitian v0 stays Hermitian under a Lindbladian, which commutes
     with C(rho) = rho^+. So on a pair basis the real coordinates
@@ -832,13 +829,10 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
 
     observables = observables or {}
     values = {name: [] for name in observables}
-    defects = []
     for j in range(t_grid.size):
         vec = lift @ frames[:, j]
         for name, fn in observables.items():
             values[name].append(fn(vec))
-        if dsec is not None and track_positivity:
-            defects.append(positivity_defect(devectorize_from(vec, dsec)))
     series = StateSeries(
         times=t_grid, final_vector=vec,
         observables={name: np.array(v) for name, v in values.items()},
@@ -849,8 +843,6 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
         tvec = (lift.T @ trace_vector(dsec)).real
         tr = frames.T @ tvec
         series.trace_defect = np.abs(tr - tr[0])
-        if track_positivity:
-            series.positivity_defect = np.array(defects)
     return series
 
 
@@ -866,25 +858,15 @@ def pure_state_vector(state, dsec):
 
 
 def site_number_diagonals(layout):
-    """Occupation diagonals n -> diag(N_n) over the full spin register."""
-    from .symmetry import _site_slots
+    """Occupation diagonals n -> diag(N_n) over the full spin register,
+    in `site_slots` order."""
     idx = np.arange(layout.nstates, dtype=np.int64)
-    return [state_bit(idx, slot).astype(float) for slot in _site_slots(layout)]
+    return [state_bit(idx, slot).astype(float) for slot in layout.site_slots]
 
 
 def link_z_diagonals(layout):
-    """Link s^z diagonals over the full spin register, in link order."""
+    """Link s^z diagonals over the full spin register, in `link_slots`
+    order."""
     idx = np.arange(layout.nstates, dtype=np.int64)
-    out = []
-    if layout.kind in ("chain-obc", "chain-pbc"):
-        slots = [layout.link_slot(m) for m in range(1, layout.n_links + 1)]
-    elif layout.kind == "hierarchical":
-        slots = [layout.bot_slot(j) for j in range(2, layout.L)]
-    else:
-        slots = [layout.hlink_slot(x, y)
-                 for y in range(1, layout.Ly + 1) for x in range(1, layout.L)]
-        slots += [layout.vlink_slot(x, y)
-                  for y in range(1, layout.Ly) for x in range(1, layout.L + 1)]
-    for slot in slots:
-        out.append(state_bit(idx, slot).astype(float) - 0.5)
-    return out
+    return [state_bit(idx, slot).astype(float) - 0.5
+            for slot in layout.link_slots]

@@ -5,6 +5,12 @@ Gauge eigenvalues are stored as doubled integers throughout (g stored as
 {-2,0,2} without any floating point. The generator operators themselves
 carry the physical (halved) eigenvalues.
 
+Each conserved charge is defined once, by its integer slot coefficients
+a_k (`generator_slot_coefficients`, `hierarchical_charge_coefficients`);
+every table here is the evaluation sum_k a_k 2 s^z_k of those
+coefficients on all basis states, and `exact` builds its steady states
+and its profile constraints from the same coefficients.
+
 Two kinds of basis are built here:
 
 * `SectorBasis`: states of the Hilbert space filtered by particle number,
@@ -55,64 +61,28 @@ def _z2(idx, slot):
     return (((idx >> slot) & 1) * 2 - 1).astype(np.int8)
 
 
+def _charge(idx, coeffs):
+    """Doubled eigenvalue sum_k a_k 2 s^z_k of the charge with integer
+    slot coefficients `coeffs`, on every state of `idx` (int16)."""
+    out = np.zeros(idx.size, dtype=np.int16)
+    for slot in np.flatnonzero(coeffs):
+        out += int(coeffs[slot]) * _z2(idx, slot)
+    return out
+
+
 def gauge_charge_table(layout):
     """Doubled gauge eigenvalues for every basis state.
 
     Returns
     -------
     ndarray, shape (nstates, n_generators), int8
-        Column order: chain sites n=1..L; hierarchical n=1..L;
-        square-2d sites row-major (x fastest).
+        Column order: `generator_sites`.
     """
     idx = _index_column(layout)
-    if layout.kind in ("chain-obc", "chain-pbc"):
-        L = layout.L
-        pbc = layout.kind == "chain-pbc"
-        G = np.zeros((idx.size, L), dtype=np.int8)
-        for n in range(1, L + 1):
-            g = _z2(idx, layout.site_slot(n)).astype(np.int16)
-            if n < L or pbc:
-                g -= _z2(idx, layout.link_slot(n if n < L else L))
-            if n > 1:
-                g += _z2(idx, layout.link_slot(n - 1))
-            elif pbc:
-                g += _z2(idx, layout.link_slot(L))
-            G[:, n - 1] = g
-        return G
-    if layout.kind == "hierarchical":
-        L = layout.L
-        def g_taus(m):
-            # generator of the lower (tau, s) pair at position m, doubled
-            if m < 1 or m > L - 1:
-                return np.zeros(idx.size, dtype=np.int16)
-            g = _z2(idx, layout.mid_slot(m)).astype(np.int16)
-            if 2 <= m + 1 <= L - 1:
-                g -= _z2(idx, layout.bot_slot(m + 1))
-            if 2 <= m <= L - 1:
-                g += _z2(idx, layout.bot_slot(m))
-            return g
-        G = np.zeros((idx.size, L), dtype=np.int8)
-        for n in range(1, L + 1):
-            g = _z2(idx, layout.top_slot(n)).astype(np.int16)
-            g -= g_taus(n)
-            g += g_taus(n - 1)
-            G[:, n - 1] = g
-        return G
-    # square-2d
-    Lx, Ly = layout.L, layout.Ly
-    G = np.zeros((idx.size, Lx * Ly), dtype=np.int8)
-    for y in range(1, Ly + 1):
-        for x in range(1, Lx + 1):
-            g = _z2(idx, layout.site_slot_2d(x, y)).astype(np.int16)
-            if x < Lx:
-                g -= _z2(idx, layout.hlink_slot(x, y))
-            if x > 1:
-                g += _z2(idx, layout.hlink_slot(x - 1, y))
-            if y < Ly:
-                g -= _z2(idx, layout.vlink_slot(x, y))
-            if y > 1:
-                g += _z2(idx, layout.vlink_slot(x, y - 1))
-            G[:, (y - 1) * Lx + (x - 1)] = g
+    sites = generator_sites(layout)
+    G = np.zeros((idx.size, len(sites)), dtype=np.int8)
+    for col, site in enumerate(sites):
+        G[:, col] = _charge(idx, generator_slot_coefficients(layout, site))
     return G
 
 
@@ -120,7 +90,7 @@ def site_occupation_table(layout):
     """Occupied-site count per basis state (top layer for hierarchical)."""
     idx = _index_column(layout)
     occ = np.zeros(idx.size, dtype=np.int16)
-    for slot in _site_slots(layout):
+    for slot in layout.site_slots:
         occ += state_bit(idx, slot).astype(np.int16)
     return occ
 
@@ -139,38 +109,32 @@ def translate_states(layout, states):
     return out
 
 
-def _site_slots(layout):
-    if layout.kind in ("chain-obc", "chain-pbc"):
-        return [layout.site_slot(n) for n in range(1, layout.L + 1)]
-    if layout.kind == "hierarchical":
-        return [layout.top_slot(n) for n in range(1, layout.L + 1)]
-    return [layout.site_slot_2d(x, y)
-            for y in range(1, layout.Ly + 1) for x in range(1, layout.L + 1)]
+def hierarchical_charge_coefficients(layout):
+    """Integer slot coefficients (qn, qd) of the hierarchical charges
+    N = sum_n sigma_n^z and D = sum_n n sigma_n^z + sum_m tau_m^z."""
+    if layout.kind != "hierarchical":
+        raise LayoutError("hierarchical charges need the hierarchical layout")
+    qn = np.zeros(layout.total_spins, dtype=np.int64)
+    qd = np.zeros(layout.total_spins, dtype=np.int64)
+    qn[layout.site_slots] = 1
+    qd[layout.site_slots] = np.arange(1, layout.L + 1)
+    qd[[layout.mid_slot(m) for m in range(1, layout.L)]] = 1
+    return qn, qd
 
 
 def hierarchical_charge_tables(layout):
-    """Doubled (N2, D2) per state: N2 = sum_n 2 sigma_n^z,
-    D2 = sum_n 2 n sigma_n^z + sum_m 2 tau_m^z."""
-    if layout.kind != "hierarchical":
-        raise LayoutError("hierarchical charges need the hierarchical layout")
+    """Doubled (N2, D2) per state, int16: the evaluations of
+    `hierarchical_charge_coefficients`."""
+    qn, qd = hierarchical_charge_coefficients(layout)
     idx = _index_column(layout)
-    L = layout.L
-    n2 = np.zeros(idx.size, dtype=np.int16)
-    d2 = np.zeros(idx.size, dtype=np.int16)
-    for n in range(1, L + 1):
-        z = _z2(idx, layout.top_slot(n)).astype(np.int16)
-        n2 += z
-        d2 += n * z
-    for m in range(1, L):
-        d2 += _z2(idx, layout.mid_slot(m))
-    return n2, d2
+    return _charge(idx, qn), _charge(idx, qd)
 
 
 def generator_slot_coefficients(layout, site):
     """Integer coefficients a_k with G_site = sum_k a_k s^z_k.
 
-    The symbolic form of the Gauss generator; `gauge_charge_table` is its
-    vectorized evaluation (they are cross-checked in tests).
+    The symbolic form of the Gauss generator; `gauge_charge_table` and
+    `gauss_generator` evaluate it.
     """
     a = np.zeros(layout.total_spins, dtype=np.int8)
     k = layout.kind
@@ -202,7 +166,6 @@ def generator_slot_coefficients(layout, site):
                 a[layout.bot_slot(m)] += sign
         return a
     x, y = site
-    layout.site_slot_2d(x, y)
     a[layout.site_slot_2d(x, y)] = 1
     if x < layout.L:
         a[layout.hlink_slot(x, y)] -= 1
@@ -231,11 +194,8 @@ def gauss_generator(layout, site):
     site : int or (int, int)
         1-based site index; a coordinate pair for ``square-2d``.
     """
-    coeffs = generator_slot_coefficients(layout, site)
-    idx = _index_column(layout)
-    g = np.zeros(idx.size, dtype=np.int16)
-    for slot in np.nonzero(coeffs)[0]:
-        g += coeffs[slot] * _z2(idx, slot)
+    g = _charge(_index_column(layout),
+                generator_slot_coefficients(layout, site))
     return diagonal_operator(layout.total_spins, g * 0.5)
 
 

@@ -192,6 +192,23 @@ def test_dynamics_initial_site_validation(tmp_path, capsys):
     assert stderr_error(capsys)["kind"] == "usage"
 
 
+def test_dynamics_counts_every_site_of_a_square_lattice(tmp_path, capsys):
+    # a 2x2 grid has four sites, numbered row-major
+    grid = ("--layout", "square-2d", "--L", "2", "--Ly", "2",
+            "--t-final", "1", "--t-points", "3")
+    out = tmp_path / "d"
+    assert run("dynamics", *grid, "--initial-sites", "3",
+               "--output-dir", str(out)) == 0
+    header, data = read_csv(out / "dynamics.csv")
+    assert header[1:5] == [f"N_{n}[1]" for n in range(1, 5)]
+    assert data[0, 1:5].tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert data[:, -1].max() < 1e-9
+    assert run("dynamics", *grid, "--initial-sites", "5",
+               "--output-dir", str(tmp_path / "o")) == 2
+    error = stderr_error(capsys)
+    assert error["kind"] == "usage" and "1..4" in error["message"]
+
+
 def test_dynamics_relaxes_to_exact_profile(tmp_path):
     out = tmp_path / "d"
     code = run("dynamics", "--L", "3", "--initial-sites", "1",

@@ -48,6 +48,32 @@ def test_square_slots_blocked():
     assert [lay.vlink_slot(x, y) for y in (1, 2) for x in (1, 2)] == [9, 10, 11, 12]
 
 
+@pytest.mark.parametrize("kind, L, Ly, sites, links", [
+    ("chain-obc", 3, 0, [0, 2, 4], [1, 3]),
+    ("chain-pbc", 3, 0, [0, 2, 4], [1, 3, 5]),
+    ("hierarchical", 4, 0, [0, 1, 2, 3], [7, 8]),
+    ("square-2d", 3, 2, list(range(6)), list(range(6, 13))),
+])
+def test_site_and_link_slot_lists(kind, L, Ly, sites, links):
+    lay = build_layout(kind, L, Ly)
+    assert lay.site_slots == sites
+    assert lay.link_slots == links
+    # the same order from the per-coordinate slot methods
+    if kind == "hierarchical":
+        by_coordinate = ([lay.top_slot(n) for n in range(1, L + 1)],
+                         [lay.bot_slot(j) for j in range(2, L)])
+    elif kind == "square-2d":
+        by_coordinate = (
+            [lay.site_slot_2d(x, y) for y in range(1, Ly + 1)
+             for x in range(1, L + 1)],
+            [lay.hlink_slot(x, y) for y in range(1, Ly + 1) for x in range(1, L)]
+            + [lay.vlink_slot(x, y) for y in range(1, Ly) for x in range(1, L + 1)])
+    else:
+        by_coordinate = ([lay.site_slot(n) for n in range(1, L + 1)],
+                         [lay.link_slot(m) for m in range(1, lay.n_links + 1)])
+    assert (lay.site_slots, lay.link_slots) == by_coordinate
+
+
 def test_layout_validation():
     with pytest.raises(LayoutError):
         build_layout("chain", 4)

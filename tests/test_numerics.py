@@ -17,6 +17,7 @@ from dqlm.liouvillian import (
     Superoperator,
     assemble,
     assemble_twisted,
+    devectorize_from,
     diagonal_expectation,
     steady_residual,
     vectorize_into,
@@ -44,7 +45,6 @@ from dqlm.numerics import (
 )
 from dqlm.symmetry import (
     SectorLeakageError,
-    _site_slots,
     partition_double_space,
     weak_sector,
 )
@@ -721,16 +721,18 @@ def test_evolve_single_link_closed_form():
     v0 = pure_state_vector(start, dsec)
     zdiag = link_z_diagonals(layout)[0]
     times = np.linspace(0.0, 4.0, 41)
-    series = evolve(superop.matrix, v0, times,
-                    observables={"sz": lambda v: diagonal_expectation(
-                        v, dsec, zdiag)},
-                    dsec=dsec, rtol=1e-10, atol=1e-12, track_positivity=True)
+    observables = {
+        "sz": lambda v: diagonal_expectation(v, dsec, zdiag),
+        "positivity": lambda v: positivity_defect(devectorize_from(v, dsec)),
+    }
+    series = evolve(superop.matrix, v0, times, observables=observables,
+                    dsec=dsec, rtol=1e-10, atol=1e-12)
     beta = gu / gd
     closed = (link_polarization(beta)
               + (-0.5 - link_polarization(beta)) * np.exp(-2 * (gu + gd) * times))
     assert np.abs(series.observables["sz"].real - closed).max() < 1e-8
     assert series.trace_defect.max() < 1e-9
-    assert series.positivity_defect.max() < 1e-8
+    assert series.observables["positivity"].max() < 1e-8
 
 
 def test_evolve_matches_matrix_exponential():
@@ -797,7 +799,7 @@ def test_evolve_falls_back_to_the_complex_path():
 
 def initial_state(layout, sites):
     """The product state with the given sites occupied, links down."""
-    slots = _site_slots(layout)
+    slots = layout.site_slots
     return sum(1 << slots[s - 1] for s in sites)
 
 
