@@ -752,7 +752,15 @@ def run_profile(cfg, rec):
         if beta_prime is None:
             raise CliError(EXIT_CONFIG, "usage",
                            "square-2d profile needs beta_prime")
-        n_part = _filling_to_count(prof["fillings"][0], layout.L * layout.Ly)
+        fillings = prof["fillings"]
+        if len(fillings) != 1:
+            raise CliError(EXIT_CONFIG, "usage",
+                           f"square-2d profile takes one filling, got {fillings}")
+        sites = len(layout.site_slots)
+        n_part = _filling_to_count(fillings[0], sites)
+        if not 0 <= n_part <= sites:
+            raise CliError(EXIT_SECTOR, "empty-sector",
+                           f"filling {fillings[0]} leaves 0..{sites}")
         ens = exact_steady_state(layout, beta, alpha, beta_prime=beta_prime,
                                  n_particles=n_part)
         marg = ensemble_marginals(ens)

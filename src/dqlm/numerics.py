@@ -70,16 +70,23 @@ same symmetry C makes a Hermitian state's coordinates U^+ v real, so a
 Lindbladian quench is integrated as the real system U^+ M U (`evolve`),
 and only on the coupled components of that system that the initial
 state touches (the same split as the spectra's real forms).
+
+Only numpy and scipy.sparse are imported with the module. The scipy
+submodules are imported inside the functions that use them, so a task
+loads only what it runs: `scipy.sparse.csgraph` (the component split
+and the matching of `multiset_distance`), `scipy.sparse.linalg` (the
+kernel LU), `scipy.spatial` (the kd-trees of the spectral distances and
+the hull of `hull_violation`) and `scipy.integrate` (`evolve`). The
+closed-form tasks (`profile`, `verify-exact`) load none of them.
+`solve_ivp` stays a module-level function that forwards to scipy's, and
+`evolve` looks it up when it is called, so rebinding
+`numerics.solve_ivp` reaches every integration.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.sparse.csgraph import connected_components, maximum_flow
-from scipy.sparse.linalg import splu
-from scipy.spatial import ConvexHull, cKDTree
 
 from .lattice import state_bit
 from .liouvillian import LEAK_TOL, assemble, devectorize_from, trace_vector
@@ -161,6 +168,8 @@ def coupled_components(matrix, tol=None):
     norm) are left out, so roundoff where exact zeros belong hides no
     split; together they may weigh at most `tol` (else
     `SectorLeakageError`), as blocks sliced on the components cut them."""
+    from scipy.sparse.csgraph import connected_components
+
     cut = -1.0 if tol is None else tol * np.linalg.norm(matrix.data)
     dropped = np.linalg.norm(matrix.data[np.abs(matrix.data) <= cut])
     if tol is not None and dropped > cut:
@@ -532,6 +541,8 @@ def _kernel_basis(block, count, tol, rng):
     (`rng`), with one sparse LU of block - tol I. A residual
     ||block X||_F above `RESIDUAL_TOL` relative to ||block||_F raises
     `SolverError`."""
+    from scipy.sparse.linalg import splu
+
     n = block.shape[0]
     lu = splu(sp.csc_matrix(block - tol * sp.identity(n, format="csc")))
     basis = rng.standard_normal((n, count))
@@ -657,6 +668,8 @@ def multiset_distance(a, b):
     those pairs (Efrat, Itai & Katz, Algorithmica 31, 1 (2001)). Each
     matching found lowers the upper end to its own largest distance.
     """
+    from scipy.spatial import cKDTree
+
     a, b = _plane(a), _plane(b)
     if a.shape != b.shape:
         return np.inf
@@ -699,6 +712,8 @@ def _perfect_matching(rows, cols, distances, n):
     -> sink, by Dinic's algorithm: the bound of Hopcroft-Karp, but
     scipy's `maximum_bipartite_matching` takes seconds to prove that a
     graph of 1e5 pairs has no perfect matching."""
+    from scipy.sparse.csgraph import maximum_flow
+
     source, sink = 2 * n, 2 * n + 1
     # graph rows a_0..a_n-1, then b_0..b_n-1, the source, the sink
     counts = np.concatenate([np.bincount(rows, minlength=n),
@@ -724,6 +739,8 @@ def _hausdorff(tree_a, tree_b, a, b):
 
 def hausdorff_distance(a, b):
     """Symmetric Hausdorff distance between spectra as planar point sets."""
+    from scipy.spatial import cKDTree
+
     a, b = _plane(a), _plane(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.inf if a.shape[0] != b.shape[0] else 0.0
@@ -736,6 +753,8 @@ def hull_violation(inner, outer):
     Points are complex eigenvalues treated as (re, im) pairs; the return
     value is <= 0 when every inner point is inside or on the hull.
     """
+    from scipy.spatial import ConvexHull
+
     pts_out = np.column_stack([np.real(outer), np.imag(outer)])
     pts_in = np.column_stack([np.real(inner), np.imag(inner)])
     hull = ConvexHull(pts_out)
@@ -760,6 +779,15 @@ class StateSeries:
     status: int = 0
     real_form: bool = False
     evolved_dim: int = 0
+
+
+def solve_ivp(fun, t_span, y0, **options):
+    """scipy.integrate.solve_ivp, imported on the first call. `evolve`
+    looks this name up when it runs, so a caller may rebind it (to count
+    right-hand-side evaluations, say)."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(fun, t_span, y0, **options)
 
 
 def _real_coordinates(matrix, v0, dsec):

@@ -461,6 +461,33 @@ def test_profile_grid_needs_beta_prime(tmp_path, capsys):
     assert sites.shape[0] == 6 and hl.shape[0] == 4 and vl.shape[0] == 3
 
 
+GRID_PROFILE = ("profile", "--layout", "square-2d", "--L", "3", "--Ly", "3",
+                "--beta", "3", "--beta-prime", "2")
+
+
+def test_grid_profile_takes_one_filling(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert run(*GRID_PROFILE, "--fillings", "0.25,0.5,0.75",
+               "--output-dir", str(out)) == 2
+    assert stderr_error(capsys)["kind"] == "usage"
+    assert list(out.iterdir()) == []
+
+
+def test_grid_profile_refuses_a_count_outside_the_sites(tmp_path, capsys,
+                                                        monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "exact_steady_state", lambda *a, **k: calls.append(
+        k["n_particles"]) or exact_steady_state(*a, **k))
+    out = tmp_path / "g"
+    assert run(*GRID_PROFILE, "--fillings", "10", "--output-dir", str(out)) == 3
+    error = stderr_error(capsys)
+    assert error["kind"] == "empty-sector" and "0..9" in error["message"]
+    assert calls == [] and list(out.iterdir()) == []
+    assert run(*GRID_PROFILE, "--fillings", "9",
+               "--output-dir", str(out)) == 0
+    assert calls == [9]
+
+
 def test_no_stray_temp_files(tmp_path):
     out = tmp_path / "t"
     assert run("profile", "--layout", "chain", "--L", "6", "--beta", "2",
@@ -689,11 +716,43 @@ def test_empty_dp_sector_exits_3(tmp_path, capsys):
     assert stderr_error(capsys)["kind"] == "empty-sector"
 
 
-def test_cli_import_leaves_jsonschema_out():
+# modules that no task needs at import: the config checks need no schema
+# library, and each scipy submodule below is imported where it is used
+DEFERRED = ("jsonschema", "scipy.integrate", "scipy.optimize", "scipy.spatial",
+            "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
+def fresh_interpreter(code, tmp_path=None):
+    """Run `code` in a new interpreter with this package on its path; its
+    last stdout line, parsed as JSON."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = ("import sys, dqlm.cli; "
-             "print('jsonschema' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", probe], check=True,
-                            capture_output=True, text=True,
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True, cwd=tmp_path,
                             env={**os.environ, "PYTHONPATH": src})
-    assert result.stdout.strip() == "False"
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_unused_modules_out():
+    loaded = fresh_interpreter(
+        "import json, sys, dqlm.cli; "
+        f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))")
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv, absent, present", [
+    (("profile", "--layout", "chain", "--L", "24", "--beta", "3",
+      "--fillings", "0.25,0.5,0.75"),
+     ("scipy.integrate", "scipy.spatial"), ()),
+    (("verify-exact", "--L", "5"), ("scipy.integrate", "scipy.spatial"), ()),
+    (("dynamics", "--L", "3", "--initial-sites", "1", "--t-final", "1",
+      "--t-points", "3"), (), ("scipy.integrate",)),
+], ids=["profile", "verify-exact", "dynamics"])
+def test_each_task_imports_only_what_it_runs(tmp_path, argv, absent, present):
+    argv = list(argv) + ["--output-dir", "out"]
+    code, loaded = fresh_interpreter(
+        "import json, sys; from dqlm.cli import main; "
+        f"code = main({argv!r}); "
+        f"print(json.dumps([code, [m for m in {absent + present!r} "
+        "if m in sys.modules]]))", tmp_path)
+    assert code == 0
+    assert sorted(loaded) == sorted(present)

@@ -735,6 +735,25 @@ def test_evolve_single_link_closed_form():
     assert series.observables["positivity"].max() < 1e-8
 
 
+def test_evolve_integrates_through_the_module_solve_ivp(monkeypatch):
+    # a tracer counts right-hand-side evaluations by rebinding this name
+    seen, forward = [], numerics.solve_ivp
+
+    def counting(*args, **kwargs):
+        result = forward(*args, **kwargs)
+        seen.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(numerics, "solve_ivp", counting)
+    spec = biased_chain(3, 0.8, 0.5)
+    dsec = weak_sector(spec.layout, n_particles=1)
+    superop = assemble(spec, sector=dsec)
+    series = evolve(superop.matrix, pure_state_vector(1, dsec),
+                    np.linspace(0.0, 1.0, 5), dsec=dsec)
+    assert len(seen) == 1 and seen[0] > 0
+    assert series.nfev == seen[0]
+
+
 def test_evolve_matches_matrix_exponential():
     spec = biased_chain(3, 0.8, 0.5)
     dsec = weak_sector(spec.layout, n_particles=1)
