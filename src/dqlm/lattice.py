@@ -333,18 +333,14 @@ def single_spin_operator(total_spins, slot, which):
     return SparseOperator(sp.csr_matrix((data, (rows, cols)), shape=(n, n)), tag)
 
 
-def transition_operator(total_spins, plus_slots, minus_slots, amplitude=1.0):
-    """amplitude * prod s^+_(plus_slots) * prod s^-_(minus_slots).
-
-    All slots must be distinct; built in one pass instead of multiplying
-    single-spin factors. The h.c. partner is `.adjoint()`.
-    """
+def transition_entries(total_spins, plus_slots, minus_slots):
+    """Rows and columns of the nonzeros of prod s^+_(plus_slots) *
+    prod s^-_(minus_slots), each 1; all slots must be distinct."""
     slots = tuple(plus_slots) + tuple(minus_slots)
     if len(set(slots)) != len(slots):
         raise LayoutError(f"repeated slot in transition {plus_slots}/{minus_slots}")
-    n = 1 << total_spins
-    idx = np.arange(n, dtype=np.int64)
-    keep = np.ones(n, dtype=bool)
+    idx = np.arange(1 << total_spins, dtype=np.int64)
+    keep = np.ones(idx.size, dtype=bool)
     flip = 0
     for s in plus_slots:
         keep &= ((idx >> s) & 1) == 0
@@ -353,7 +349,17 @@ def transition_operator(total_spins, plus_slots, minus_slots, amplitude=1.0):
         keep &= ((idx >> s) & 1) == 1
         flip |= 1 << s
     cols = idx[keep]
-    rows = cols ^ flip
+    return cols ^ flip, cols
+
+
+def transition_operator(total_spins, plus_slots, minus_slots, amplitude=1.0):
+    """amplitude * prod s^+_(plus_slots) * prod s^-_(minus_slots).
+
+    All slots must be distinct; built in one pass instead of multiplying
+    single-spin factors. The h.c. partner is `.adjoint()`.
+    """
+    rows, cols = transition_entries(total_spins, plus_slots, minus_slots)
+    n = 1 << total_spins
     data = np.full(cols.size, amplitude, dtype=np.complex128)
     return SparseOperator(sp.csr_matrix((data, (rows, cols)), shape=(n, n)),
                           f"spins:{total_spins}")

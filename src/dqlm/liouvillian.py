@@ -183,8 +183,10 @@ def _assemble_on_pairs(terms, dsec, leak_tol=LEAK_TOL):
             leak_sq += float(np.sum(np.abs(v[bad]) ** 2))
             keep = ~bad
             t_idx, pos, v = t_idx[keep], pos[keep], v[keep]
-        rows.append(pos)
-        cols.append(t_idx)
+        # int32, the index type scipy casts to anyway, halves what the
+        # lists of all the terms hold
+        rows.append(pos.astype(np.int32))
+        cols.append(t_idx.astype(np.int32))
         vals.append(v)
     if np.sqrt(leak_sq) > leak_tol:
         raise SectorLeakageError(

@@ -30,10 +30,10 @@ from .lattice import (
     LatticeLayout,
     SparseOperator,
     build_layout,
-    diagonal_operator,
     is_integer,
     single_spin_operator,
     state_bit,
+    transition_entries,
     transition_operator,
 )
 from .symmetry import gauss_generator, generator_sites
@@ -227,27 +227,48 @@ def _zero_operator(layout):
                           layout.basis_tag)
 
 
+def _hopping_sum(layout, hops, diagonal=None):
+    """The sum of a prod s^+_(plus) prod s^-_(minus) + h.c. over `hops`,
+    (plus, minus, a) each, plus an optional diagonal, as one COO matrix
+    converted once. Distinct terms never share an entry, so each entry is
+    the one term that holds it, as in an operator sum taken term by term.
+    A term fixes len(plus) + len(minus) spins, so it has 2^(spins - that)
+    entries, and the COO arrays are filled in place."""
+    total, n = layout.total_spins, layout.nstates
+    sizes = [n >> (len(plus) + len(minus)) for plus, minus, _ in hops]
+    nnz = 2 * sum(sizes) + (0 if diagonal is None else n)
+    rows = np.empty(nnz, dtype=np.int32)
+    cols = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz, dtype=np.complex128)
+    at = 0
+    for (plus, minus, amplitude), size in zip(hops, sizes):
+        r, c = transition_entries(total, plus, minus)
+        for rr, cc, value in ((r, c, amplitude), (c, r, np.conj(amplitude))):
+            rows[at:at + size], cols[at:at + size] = rr, cc
+            data[at:at + size] = value
+            at += size
+    if diagonal is not None:
+        rows[at:] = cols[at:] = np.arange(n)
+        data[at:] = diagonal
+    return SparseOperator(sp.csr_matrix((data, (rows, cols)), shape=(n, n)),
+                          layout.basis_tag)
+
+
 def bulk_hamiltonian(layout, J):
     """Open-chain hopping sum on a chain register (PBC register included,
     boundary link untouched)."""
-    total = layout.total_spins
-    h = _zero_operator(layout)
-    for n in range(1, layout.L):
-        t = transition_operator(
-            total, (layout.site_slot(n), layout.link_slot(n)),
-            (layout.site_slot(n + 1),), J)
-        h = h + t + t.adjoint()
-    return h
+    return _hopping_sum(layout, [
+        ((layout.site_slot(n), layout.link_slot(n)), (layout.site_slot(n + 1),), J)
+        for n in range(1, layout.L)])
 
 
 def twist_term(layout, J, phi):
     """The wrap-around hopping J e^{i phi} tau_L^+ s_{L,1}^+ tau_1^- + h.c."""
     if layout.kind != "chain-pbc":
         raise ModelError("twist term needs chain-pbc")
-    t = transition_operator(
-        layout.total_spins, (layout.site_slot(layout.L), layout.link_slot(layout.L)),
-        (layout.site_slot(1),), J * np.exp(1j * phi))
-    return t + t.adjoint()
+    return _hopping_sum(layout, [
+        ((layout.site_slot(layout.L), layout.link_slot(layout.L)),
+         (layout.site_slot(1),), J * np.exp(1j * phi))])
 
 
 def disorder_terms(layout, dis):
@@ -264,14 +285,10 @@ def disorder_terms(layout, dis):
         diag += h[n - 1] * (state_bit(idx, layout.site_slot(n)) - 0.5)
     for m in range(1, L):
         diag += hp[m - 1] * (state_bit(idx, layout.link_slot(m)) - 0.5)
-    out = diagonal_operator(layout.total_spins, diag)
-    for n in range(1, L - 1):
-        t = transition_operator(
-            layout.total_spins,
-            (layout.site_slot(n), layout.link_slot(n), layout.link_slot(n + 1)),
-            (layout.site_slot(n + 2),), jp[n - 1])
-        out = out + t + t.adjoint()
-    return out
+    return _hopping_sum(layout, [
+        ((layout.site_slot(n), layout.link_slot(n), layout.link_slot(n + 1)),
+         (layout.site_slot(n + 2),), jp[n - 1])
+        for n in range(1, L - 1)], diag)
 
 
 def build_hamiltonian(spec):
@@ -286,34 +303,22 @@ def build_hamiltonian(spec):
         if spec.disorder is not None:
             h = h + disorder_terms(layout, spec.disorder)
         return h
-    total = layout.total_spins
-    h = _zero_operator(layout)
     if spec.hamiltonian == "hierarchical":
-        for n in range(1, layout.L):
-            t = transition_operator(
-                total, (layout.top_slot(n), layout.mid_slot(n)),
-                (layout.top_slot(n + 1),), spec.J1)
-            h = h + t + t.adjoint()
-        for n in range(1, layout.L - 1):
-            t = transition_operator(
-                total, (layout.mid_slot(n), layout.bot_slot(n + 1)),
-                (layout.mid_slot(n + 1),), spec.J2)
-            h = h + t + t.adjoint()
-        return h
+        hops = [((layout.top_slot(n), layout.mid_slot(n)),
+                 (layout.top_slot(n + 1),), spec.J1)
+                for n in range(1, layout.L)]
+        hops += [((layout.mid_slot(n), layout.bot_slot(n + 1)),
+                  (layout.mid_slot(n + 1),), spec.J2)
+                 for n in range(1, layout.L - 1)]
+        return _hopping_sum(layout, hops)
     # qlm-2d
-    for y in range(1, layout.Ly + 1):
-        for x in range(1, layout.L):
-            t = transition_operator(
-                total, (layout.site_slot_2d(x, y), layout.hlink_slot(x, y)),
-                (layout.site_slot_2d(x + 1, y),), spec.J1)
-            h = h + t + t.adjoint()
-    for y in range(1, layout.Ly):
-        for x in range(1, layout.L + 1):
-            t = transition_operator(
-                total, (layout.site_slot_2d(x, y), layout.vlink_slot(x, y)),
-                (layout.site_slot_2d(x, y + 1),), spec.J2)
-            h = h + t + t.adjoint()
-    return h
+    hops = [((layout.site_slot_2d(x, y), layout.hlink_slot(x, y)),
+             (layout.site_slot_2d(x + 1, y),), spec.J1)
+            for y in range(1, layout.Ly + 1) for x in range(1, layout.L)]
+    hops += [((layout.site_slot_2d(x, y), layout.vlink_slot(x, y)),
+              (layout.site_slot_2d(x, y + 1),), spec.J2)
+             for y in range(1, layout.Ly) for x in range(1, layout.L + 1)]
+    return _hopping_sum(layout, hops)
 
 
 def build_jump_set(spec):

@@ -63,24 +63,25 @@ operator. Each group's kernel residual is checked against
 `RESIDUAL_TOL` relative to its block. Degeneracy counting bins
 eigenvalues within 1e-7 of the reference value.
 
-Time integration uses adaptive high-order explicit Runge-Kutta
-(dormand-prince 8th order) with absolute/relative tolerances 1e-9 by
-default and records observables and the trace defect. The
-same symmetry C makes a Hermitian state's coordinates U^+ v real, so a
-Lindbladian quench is integrated as the real system U^+ M U (`evolve`),
-and only on the coupled components of that system that the initial
-state touches (the same split as the spectra's real forms).
+Time integration takes adaptive Krylov exponential steps (`evolve`,
+with `krylov.KrylovExpm`): Arnoldi approximations of exp(h M) v whose
+error estimates add up, over the time grid, to at most atol + rtol |v|
+in the 2-norm, 1e-9 each by default; it records observables and the
+trace defect. The same symmetry C makes a Hermitian state's coordinates
+U^+ v real, so a Lindbladian quench is integrated as the real system
+U^+ M U, and only on the coupled components of that system that the
+initial state touches (the same split as the spectra's real forms).
 
 Only numpy and scipy.sparse are imported with the module. The scipy
 submodules are imported inside the functions that use them, so a task
 loads only what it runs: `scipy.sparse.csgraph` (the component split
 and the matching of `multiset_distance`), `scipy.sparse.linalg` (the
 kernel LU), `scipy.spatial` (the kd-trees of the spectral distances and
-the hull of `hull_violation`) and `scipy.integrate` (`evolve`). The
-closed-form tasks (`profile`, `verify-exact`) load none of them.
-`solve_ivp` stays a module-level function that forwards to scipy's, and
-`evolve` looks it up when it is called, so rebinding
-`numerics.solve_ivp` reaches every integration.
+the hull of `hull_violation`) and `scipy.integrate` (`evolve`, through
+the `krylov` module). The closed-form tasks (`profile`, `verify-exact`)
+load none of them. `solve_ivp` stays a module-level function that
+forwards to scipy's, and `evolve` looks it up when it is called, so
+rebinding `numerics.solve_ivp` reaches every integration.
 """
 
 from dataclasses import dataclass, field
@@ -772,11 +773,13 @@ class StateSeries:
     observables: dict = field(default_factory=dict)
     trace_defect: np.ndarray = None
     final_vector: np.ndarray = None
-    # right-hand-side evaluations and status of solve_ivp, whether the
-    # real coordinates U^+ v were integrated, and how many coordinates
-    # (see `evolve`)
+    # matrix-vector products, status, steps and largest Krylov dimension
+    # of the integration, whether the real coordinates U^+ v were
+    # integrated, and how many coordinates (see `evolve`)
     nfev: int = 0
     status: int = 0
+    steps: int = 0
+    krylov_dim_max: int = 0
     real_form: bool = False
     evolved_dim: int = 0
 
@@ -810,7 +813,15 @@ def _real_coordinates(matrix, v0, dsec):
 
 def evolve(matrix, v0, t_grid, observables=None, dsec=None,
            rtol=1e-9, atol=1e-9):
-    """Integrate dv/dt = M v on a time grid with error-controlled RK.
+    """Integrate dv/dt = M v on a time grid with adaptive Krylov steps.
+
+    Each step approximates exp(h M) v on an Arnoldi basis
+    (`krylov.KrylovExpm`, run through `solve_ivp`) with an error
+    estimate of at most (atol + rtol |v|) h / T, T the span of the grid
+    and |v| the 2-norm of the integrated coordinates at the step's start;
+    an rtol below 100 machine epsilons is raised to that, with a
+    warning. ``nfev`` in the result counts the products M v, ``steps``
+    the steps and ``krylov_dim_max`` the largest basis.
 
     observables maps names to callables vec -> complex, evaluated at each
     grid time. With a pair basis the trace defect |tr(t) - tr(0)| is
@@ -827,11 +838,11 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
     Either way only the coupled components of the integrated matrix that
     the initial vector touches are integrated (`coupled_components`, with
     entries up to `MIRROR_TOL` relative cut); every other coordinate is 0
-    for all t. The same DOP853 runs on that diagonal block, and each grid
-    frame maps back on its own through the kept columns of U (of the
-    identity when v is integrated as it is), so no array of full-size
-    frames is formed. ``evolved_dim`` in the result is the number of
-    coordinates integrated.
+    for all t. The 2-norm is the same in all these coordinates, so each
+    takes the same steps. Each grid frame maps back on its own through
+    the kept columns of U (of the identity when v is integrated as it
+    is), so no array of full-size frames is formed. ``evolved_dim`` in
+    the result is the number of coordinates integrated.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
@@ -839,7 +850,9 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
     mat = sp.csr_matrix(matrix)
     v0 = np.asarray(v0, dtype=np.complex128)
     real = None if dsec is None else _real_coordinates(mat, v0, dsec)
+    real_form = real is not None
     lift, rhs, y0 = real or (sp.identity(v0.size, format="csc"), mat, v0)
+    del real  # the restriction below frees the unrestricted system
     reached = np.zeros(y0.size, dtype=bool)
     for comp in coupled_components(rhs, MIRROR_TOL):
         reached[comp] = np.any(y0[comp])
@@ -849,8 +862,12 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
         # couples it to the rest
         rhs, lift, y0 = rhs[kept][:, kept], lift[:, kept], y0[kept]
 
+    from .krylov import KrylovExpm
+
+    stats = {}
     result = solve_ivp(lambda _, y: rhs @ y, (t_grid[0], t_grid[-1]), y0,
-                       method="DOP853", t_eval=t_grid, rtol=rtol, atol=atol)
+                       method=KrylovExpm, t_eval=t_grid, rtol=rtol,
+                       atol=atol, stats=stats)
     if not result.success:
         raise SolverError(f"integration failed: {result.message}")
     frames = result.y
@@ -864,8 +881,8 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
     series = StateSeries(
         times=t_grid, final_vector=vec,
         observables={name: np.array(v) for name, v in values.items()},
-        nfev=result.nfev, status=result.status, real_form=real is not None,
-        evolved_dim=kept.size)
+        nfev=result.nfev, status=result.status, real_form=real_form,
+        evolved_dim=kept.size, **stats)
     if dsec is not None:
         # tr(lift w) = (lift^T tvec) . w, a real functional of a real w
         tvec = (lift.T @ trace_vector(dsec)).real

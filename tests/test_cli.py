@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from dqlm import cli
+from dqlm import cli, krylov
 from dqlm.cli import main
 from dqlm.exact import enumeration_marginals, ensemble_marginals, \
     exact_steady_state
@@ -227,6 +227,32 @@ def test_dynamics_relaxes_to_exact_profile(tmp_path):
         exact_steady_state(layout, beta=1.5, n_particles=1))
     final = data[-1, 1:4]
     assert np.abs(final - marg["site_density"]).max() < 1e-6
+
+
+def test_dynamics_records_the_krylov_steps(tmp_path):
+    out = tmp_path / "d"
+    with pytest.warns(UserWarning, match="rtol"):
+        code = run("dynamics", "--L", "3", "--initial-sites", "1",
+                   "--t-final", "1", "--rtol", "1e-300",
+                   "--output-dir", str(out))
+    assert code == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["integrator_status"] == 0
+    assert 0 < diag["integrator_steps"] <= diag["rhs_evals"]
+    assert 0 < diag["krylov_dim_max"] <= krylov.KRYLOV_CAP
+
+
+def test_dynamics_reports_a_step_below_the_smallest(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(krylov, "KRYLOV_CAP", 1)
+    out = tmp_path / "d"
+    code = run("dynamics", "--L", "3", "--initial-sites", "1",
+               "--gamma-up", "1e12", "--gamma-down", "1e12",
+               "--t-final", "1", "--output-dir", str(out))
+    assert code == 4
+    error = stderr_error(capsys)
+    assert error["kind"] == "integration" and "smallest step" in error["message"]
+    assert not (out / "dynamics.csv").exists()
 
 
 def test_winding_double_space_pi_periodicity(tmp_path):

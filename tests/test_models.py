@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,44 @@ def test_asep_family():
     src = 1 << pbc.site_slot(3)
     dst = 1 << pbc.site_slot(1)
     assert wrap[-2].toarray()[dst, src] == pytest.approx(1.0)
+
+
+def csr_digest(op):
+    """sha256, first 16 hex digits, of an operator's data, indices and
+    indptr bytes."""
+    m = op.matrix
+    raw = m.data.tobytes() + m.indices.tobytes() + m.indptr.tobytes()
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+# the digests of the same operators summed one term at a time
+# (`SparseOperator` addition), before the builders summed all terms at once
+@pytest.mark.parametrize("build, digest", [
+    (lambda: build_hamiltonian(ModelSpec(build_layout("chain-obc", 7))),
+     "ae0d96176ce872d3"),
+    (lambda: build_hamiltonian(ModelSpec(build_layout("chain-obc", 7),
+                                         disorder=DisorderSpec(seed=3))),
+     "0c7ea9de12b18195"),
+    (lambda: disorder_terms(build_layout("chain-obc", 7),
+                            DisorderSpec(seed=3, field_strength=0.2)),
+     "1307b43d2649068a"),
+    (lambda: build_hamiltonian(ModelSpec(build_layout("chain-pbc", 7),
+                                         twist=0.7)),
+     "20be32220161a23c"),
+    (lambda: build_hamiltonian(ModelSpec(build_layout("chain-pbc", 7))),
+     "850f9aae193fb008"),
+    (lambda: bulk_hamiltonian(build_layout("chain-pbc", 7), 1.3),
+     "6c5893cefec9cf86"),
+    (lambda: build_hamiltonian(ModelSpec(build_layout("hierarchical", 7),
+                                         "hierarchical", J1=0.7, J2=1.3)),
+     "d1122af5a2e834e5"),
+    (lambda: build_hamiltonian(ModelSpec(build_layout("square-2d", 3, 3),
+                                         "qlm-2d", J1=0.9, J2=1.1)),
+     "77c067be33a6272d"),
+], ids=["obc", "disorder", "disorder-terms", "pbc-twist", "pbc", "bulk",
+        "hierarchical", "square-2d"])
+def test_hamiltonians_keep_the_bytes_of_the_term_by_term_sum(build, digest):
+    assert csr_digest(build()) == digest
 
 
 def test_disorder_reproducible_and_symmetric():

@@ -12,6 +12,7 @@ from scipy.integrate import solve_ivp
 
 from dqlm import numerics
 from dqlm.exact import exact_steady_state, link_polarization
+from dqlm.krylov import KrylovExpm
 from dqlm.lattice import build_layout, state_bit
 from dqlm.liouvillian import (
     Superoperator,
@@ -377,7 +378,7 @@ def test_disordered_real_form_does_not_split():
                                            np.exp(1j * mirror[1]))
     real = numerics._real_part(rotated)
     whole = solve_ivp(lambda _, y: real @ y, (0.0, 1.0),
-                      (unitary.conj().T @ v0).real, method="DOP853",
+                      (unitary.conj().T @ v0).real, method=KrylovExpm,
                       t_eval=times, rtol=1e-9, atol=1e-9)
     assert series.nfev == whole.nfev
     assert np.array_equal(series.observables["frame"],
@@ -828,14 +829,14 @@ def test_evolve_integrates_only_the_reached_components():
     superop = assemble(spec, sector=dsec)
     v0 = pure_state_vector(initial_state(spec.layout, (1, 2)), dsec)
     times = np.linspace(0.0, 3.0, 7)
-    # the step sizes differ from the whole system's (the error norm runs
-    # over fewer coordinates), so both are held well below the 1e-8 gap
+    # the reference is DOP853 on the whole real form, another integrator,
+    # so both are held well below the 1e-8 gap
     tols = dict(rtol=1e-11, atol=1e-12)
     series = evolve(superop.matrix, v0, times,
                     observables={"frame": lambda v: v.copy()}, dsec=dsec,
                     **tols)
     assert series.real_form and series.evolved_dim == 339
-    # the unrestricted integration: the same DOP853 on the whole real form
+    # the unrestricted integration: DOP853 on the whole real form
     mirror = numerics._mirror_map(dsec)
     unitary, rotated = numerics._real_form(superop.matrix, mirror[0],
                                            np.exp(1j * mirror[1]))
