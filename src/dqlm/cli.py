@@ -792,7 +792,9 @@ def _verify_rows(L):
     def chain_jumps(*families):
         return build_jump_set(ModelSpec(layout=chain, jumps=families))
 
-    gauge_fix = JumpSpec(family="gauge-fix", strength=1.0)
+    # build_jump_set emits families in spec order, so the gauge-fix model's
+    # jumps are the plain ones followed by these
+    gauge_fix = chain_jumps(JumpSpec(family="gauge-fix", strength=1.0))
     biased = {}
     for gu, gd in ((2.4, 1.6), (3.0, 1.0)):
         beta = gu / gd
@@ -801,7 +803,7 @@ def _verify_rows(L):
         biased[gu, gd] = plain = chain_jumps(rates)
         for label, h, jumps in (
                 ("plain", ham, plain),
-                ("gauge-fix", ham, chain_jumps(rates, gauge_fix)),
+                ("gauge-fix", ham, plain + gauge_fix),
                 ("disorder", ham_dis, plain)):
             rows.append((f"chain_L{L}_b{beta:g}_{label}",
                          steady_residual(h, jumps, rho), 1e-10))

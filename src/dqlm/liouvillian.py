@@ -17,9 +17,22 @@ Every superoperator is a sparse matrix assembled on a `DoubleSectorBasis`
 of (ket, bra) pairs, with leakage detection: a weak sector, a
 charge-difference block, or the full pair space (`full_pairs`, whose key
 order is the vec order above). `lindblad_apply` and `steady_residual`
-apply the same generator to sparse density operators by operator
-products, without a basis; they take one operator or a stream of them
-and form the jump-dependent part, K = sum_mu L_mu^+ L_mu, once per call.
+apply the same generator to sparse density operators without a basis;
+they take one operator or a stream of them, and each operand takes one
+of two routes:
+
+* diagonal: rho = diag(d) is structurally diagonal and every jump is
+  monomial (at most one stored entry per row and per column, as every
+  `build_jump_set` family is). Then L[rho] is the coherent part
+  -i H_ab (d_b - d_a) on H's own pattern plus the Pauli rate equation
+  2 (Gamma - K) d on the diagonal, Gamma_rc = sum_mu |L_mu(r, c)|^2 and
+  K_cc = sum_mu ||L_mu e_c||^2, with no sparse product;
+* product: any other operand, by operator products with
+  K = sum_mu L_mu^+ L_mu.
+
+Each route's jump-dependent part (the weights |L_mu|^2 and K's diagonal,
+or the sparse K) is formed once per call, when the first operand that
+takes the route arrives.
 """
 
 import itertools
@@ -71,33 +84,99 @@ def _adjoint(matrix):
     return matrix.conjugate().transpose().tocsr()
 
 
-def _image(ham, loss, ops, rho, basis):
+def _image(ham, loss, ops, rho):
     """L[rho] on raw CSR, given loss = sum_mu L_mu^+ L_mu."""
     out = (ham @ rho - rho @ ham) * -1j - (loss @ rho + rho @ loss)
     for op in ops:
         out = out + ((op @ rho) @ _adjoint(op)) * 2.0
-    return SparseOperator(out, basis)
+    return out
+
+
+def _is_monomial(matrix):
+    """At most one stored entry in every row and every column."""
+    per_col = np.bincount(matrix.indices, minlength=matrix.shape[1])
+    return (np.diff(matrix.indptr).max(initial=0) <= 1
+            and per_col.max(initial=0) <= 1)
+
+
+class _DiagonalImage:
+    """L[diag d] for monomial jumps, in O(nnz) per operand, no product.
+
+    The coherent part -i[H, rho] has the values -i H_ab (d_b - d_a) on H's
+    own pattern, nonzero only off the diagonal. A monomial L_mu maps each
+    basis state c to one state r (or to 0), so L_mu rho L_mu^+ and
+    L_mu^+ L_mu rho are both diagonal and the dissipator is the Pauli rate
+    equation 2 (Gamma d - K d), Gamma_rc = sum_mu |L_mu(r, c)|^2 and
+    K_cc = sum_r Gamma_rc. Gamma is held as one weight matrix per jump on
+    that jump's own pattern, so only the weights are new memory.
+    """
+
+    def __init__(self, ham, ops):
+        n = ham.shape[0]
+        self.ham = ham
+        self.ham_rows = np.repeat(np.arange(n, dtype=ham.indices.dtype),
+                                  np.diff(ham.indptr))
+        self.gains = [sp.csr_matrix((np.abs(op.data) ** 2, op.indices,
+                                     op.indptr), shape=op.shape)
+                      for op in ops]
+        self.loss = np.zeros(n)
+        for gain in self.gains:
+            self.loss += np.bincount(gain.indices, gain.data, minlength=n)
+
+    def __call__(self, d):
+        ham = self.ham
+        if not d.imag.any():
+            d = d.real   # the gathers below at half the size
+        diff = d[ham.indices]
+        diff -= d[self.ham_rows]
+        # the coherent entries with d_b != d_a, as CSR in H's storage order
+        keep = np.flatnonzero(diff)
+        coherent = sp.csr_matrix(
+            (ham.data[keep] * diff[keep] * -1j, ham.indices[keep],
+             np.searchsorted(keep, ham.indptr)), shape=ham.shape)
+        del diff
+        rates = -self.loss * d
+        for gain in self.gains:
+            rates += gain @ d
+        return coherent + sp.diags(2.0 * rates, format="csr")
 
 
 def _images(hamiltonian, jumps, rhos):
     """Yield (rho, L[rho]) for each SparseOperator rho of `rhos`.
 
-    The bases of the jumps are checked and K = sum_mu L_mu^+ L_mu is formed
-    once, on raw CSR; each rho then costs 4 + 2m products for m jumps,
-    L[rho] = -i(H rho - rho H) - (K rho + rho K) + 2 sum_mu (L_mu rho) L_mu^+.
-    Only K is held: an adjoint costs a transposition, far less than a
-    product, and holding all m of them would double the jumps' memory.
+    The bases of the jumps are checked once, then each rho takes a route:
+
+    * diagonal, when rho is structurally diagonal (every stored entry on
+      the diagonal) and every jump is monomial: `_DiagonalImage`, in
+      O(nnz(H) + sum_mu nnz(L_mu)) with no sparse product;
+    * product, for any other rho: 4 + 2m products for m jumps,
+      L[rho] = -i(H rho - rho H) - (K rho + rho K) + 2 sum_mu (L_mu rho) L_mu^+.
+      Only K is held: an adjoint costs a transposition, far less than a
+      product, and holding all m of them would double the jumps' memory.
+
+    Each route's jump-dependent part is formed on raw CSR once per call,
+    when the first operand that takes the route arrives.
     """
     for op in jumps:
         hamiltonian.check_basis(op)
     ops = [op.matrix for op in jumps]
-    loss = sp.csr_matrix(hamiltonian.matrix.shape, dtype=np.complex128)
-    for op in ops:
-        loss = loss + _adjoint(op) @ op
+    monomial = all(_is_monomial(op) for op in ops)
+    ham = hamiltonian.matrix
+    loss = diagonal = None
     for rho in rhos:
         hamiltonian.check_basis(rho)
-        yield rho, _image(hamiltonian.matrix, loss, ops, rho.matrix,
-                          hamiltonian.basis)
+        d = rho.matrix.diagonal()
+        if monomial and np.count_nonzero(d) == rho.nnz:
+            if diagonal is None:
+                diagonal = _DiagonalImage(ham, ops)
+            out = diagonal(d)
+        else:
+            if loss is None:
+                loss = sp.csr_matrix(ham.shape, dtype=np.complex128)
+                for op in ops:
+                    loss = loss + _adjoint(op) @ op
+            out = _image(ham, loss, ops, rho.matrix)
+        yield rho, SparseOperator(out, hamiltonian.basis)
 
 
 def lindblad_apply(hamiltonian, jumps, rho):

@@ -27,6 +27,7 @@ from dqlm.models import (
     JUMP_RATES,
     DisorderSpec,
     JumpSpec,
+    ModelError,
     ModelSpec,
     build_hamiltonian,
     build_jump_set,
@@ -365,16 +366,85 @@ def family_jump(family, rates):
                                  "gauge-fix", "effective-asep")),
                 min_size=1, max_size=2, unique=True),
        st.lists(st.floats(0.1, 3.0), min_size=2, max_size=2),
-       st.booleans(), st.integers(0, 2**32 - 1))
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_operator_form_matches_assembled_matrix(L, families, rates, disorder,
-                                                seed):
+                                                diagonal, seed):
+    # a diagonal rho takes the product-free route: every family is monomial
     chain = build_layout("chain-obc", L)
     spec = ModelSpec(chain, J=0.9,
                      jumps=tuple(family_jump(f, rates) for f in families),
                      disorder=DisorderSpec(seed=seed % 97) if disorder else None)
     superop = assemble(spec)
     rho = random_operator(chain, np.random.default_rng(seed))
+    if diagonal:
+        rho = SparseOperator(sp.diags(rho.diagonal()), chain.basis_tag)
     image = lindblad_apply(superop.hamiltonian, superop.jumps, rho).toarray()
     n = chain.nstates
     via_matrix = (superop.matrix @ rho.toarray().reshape(-1)).reshape(n, n)
     assert np.linalg.norm(image - via_matrix) <= 1e-12 * np.linalg.norm(via_matrix)
+
+
+def admitted_jump_sets():
+    """(layout kind, family, jumps) for every family on every layout kind
+    whose spec it admits; all rates of the family set and distinct."""
+    layouts = (build_layout("chain-obc", 3), build_layout("chain-pbc", 3),
+               build_layout("hierarchical", 3),
+               build_layout("square-2d", 2, Ly=2))
+    found = []
+    for layout in layouts:
+        for family, names in JUMP_RATES.items():
+            jump = JumpSpec(family, **dict(zip(names, (0.7, 1.3, 0.9, 1.1))))
+            try:
+                spec = ModelSpec(layout, "none", jumps=(jump,))
+            except ModelError:
+                continue
+            found.append((layout.kind, family, build_jump_set(spec)))
+    return found
+
+
+def test_every_built_jump_is_monomial():
+    # at most one nonzero per row and per column: the diagonal route of
+    # the operator-form generator relies on it
+    found = admitted_jump_sets()
+    assert {(kind, family) for kind, family, _ in found} == {
+        (kind, family) for kind in ("chain-obc", "chain-pbc")
+        for family in JUMP_RATES} | {
+        (kind, family) for kind in ("hierarchical", "square-2d")
+        for family in ("biased", "gauge-fix")}
+    for kind, family, jumps in found:
+        assert jumps, (kind, family)
+        for op in jumps:
+            nonzero = op.toarray() != 0
+            assert nonzero.sum(axis=0).max() <= 1, (kind, family)
+            assert nonzero.sum(axis=1).max() <= 1, (kind, family)
+
+
+def dense_lindblad(ham, jumps, rho):
+    """-i[H, rho] + sum_mu (2 L rho L^+ - {L^+ L, rho}), all dense."""
+    out = -1j * (ham @ rho - rho @ ham)
+    for op in jumps:
+        dag = op.conj().T
+        out += 2 * op @ rho @ dag - dag @ op @ rho - rho @ dag @ op
+    return out
+
+
+def test_non_monomial_jump_takes_products_on_a_diagonal_rho():
+    # s^+ + s^z has two entries in the link-up row, so a diagonal rho must
+    # not take the diagonal route: its image has off-diagonal gain terms
+    spec = full_specs()[0]
+    layout = spec.layout
+    total, slot = layout.total_spins, layout.link_slot(1)
+    mixed = (single_spin_operator(total, slot, "+")
+             + single_spin_operator(total, slot, "z").scale(0.8))
+    jumps = build_jump_set(spec) + [mixed]
+    ham = build_hamiltonian(spec)
+    rng = np.random.default_rng(19)
+    d = rng.uniform(0.1, 1.0, layout.nstates)
+    rho = SparseOperator(sp.diags(d), layout.basis_tag)
+    image = lindblad_apply(ham, jumps, rho).toarray()
+    want = dense_lindblad(ham.toarray(), [op.toarray() for op in jumps],
+                          np.diag(d).astype(complex))
+    assert np.linalg.norm(image - want) <= 1e-12 * np.linalg.norm(want)
+    dissipator = dense_lindblad(0 * ham.toarray(), [mixed.toarray()],
+                                np.diag(d).astype(complex))
+    assert np.abs(dissipator - np.diag(np.diag(dissipator))).max() > 1e-3
