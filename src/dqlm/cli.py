@@ -539,8 +539,9 @@ def run_steady_state(cfg, rec):
     t0 = time.perf_counter()
     dsec = _weak_sector_checked(spec.layout, n_part)
     superop = assemble(spec, sector=dsec, leak_tol=tols["leak_tol"])
-    spectrum = spectrum_of(superop, cap=tols["dense_cap"])
-    states = steady_states(superop, spectrum, tol=tols["kernel_tol"])
+    stats = {}
+    states = steady_states(superop, tol=tols["kernel_tol"],
+                           cap=tols["dense_cap"], stats=stats)
     rec.timings["kernel"] = time.perf_counter() - t0
     worst = float(max(steady_residual(superop.hamiltonian, superop.jumps,
                                       states)))
@@ -563,7 +564,7 @@ def run_steady_state(cfg, rec):
     rec.diagnostics["kernel_dim"] = len(states)
     rec.diagnostics["max_residual"] = worst
     rec.diagnostics["sector_dim"] = dsec.dim
-    rec.diagnostics.update(_block_diagnostics(spectrum))
+    rec.diagnostics.update(stats)
 
 
 def run_dynamics(cfg, rec):

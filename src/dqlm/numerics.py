@@ -56,12 +56,18 @@ intended way to keep the blocks below the cap. Only eigenvalues are
 computed densely.
 
 Steady states (`steady_states`) split the same frame into the same
-blocks. The eigenvalues below the kernel bin (1e-9) count each block's
-kernel; the kernel vectors come from one sparse LU per block, or per
-pair of mirror blocks, in its real form, so each is a Hermitian
-operator. Each group's kernel residual is checked against
-`RESIDUAL_TOL` relative to its block. Degeneracy counting bins
-eigenvalues within 1e-7 of the reference value.
+blocks, under the same dense cap, and compute no dense spectrum. Each
+block, or pair of mirror blocks, is taken in its real form (so each
+kernel vector is a Hermitian operator) and factored once by a sparse LU
+of its matrix - tol I, tol the kernel bin (1e-9). That one LU serves
+twice: shift-invert Arnoldi (ARPACK) on it finds the eigenvalues
+nearest 0, doubling their number until one lies outside the bin, and
+those below the bin count the kernel, as the dense spectrum's would;
+two steps of subspace iteration with it then span the kernel. Only
+blocks too small for ARPACK take a dense eig. Each group's kernel
+residual is checked against `RESIDUAL_TOL` relative to its block.
+Degeneracy counting bins eigenvalues within 1e-7 of the reference
+value.
 
 Time integration takes adaptive Krylov exponential steps (`evolve`,
 with `krylov.KrylovExpm`): Arnoldi approximations of exp(h M) v whose
@@ -76,12 +82,13 @@ Only numpy and scipy.sparse are imported with the module. The scipy
 submodules are imported inside the functions that use them, so a task
 loads only what it runs: `scipy.sparse.csgraph` (the component split
 and the matching of `multiset_distance`), `scipy.sparse.linalg` (the
-kernel LU), `scipy.spatial` (the kd-trees of the spectral distances and
-the hull of `hull_violation`) and `scipy.integrate` (`evolve`, through
-the `krylov` module). The closed-form tasks (`profile`, `verify-exact`)
-load none of them. `solve_ivp` stays a module-level function that
-forwards to scipy's, and `evolve` looks it up when it is called, so
-rebinding `numerics.solve_ivp` reaches every integration.
+kernel LU and ARPACK), `scipy.spatial` (the kd-trees of the spectral
+distances and the hull of `hull_violation`) and `scipy.integrate`
+(`evolve`, through the `krylov` module). The closed-form tasks
+(`profile`, `verify-exact`) load none of them. `solve_ivp` stays a
+module-level function that forwards to scipy's, and `evolve` looks it
+up when it is called, so rebinding `numerics.solve_ivp` reaches every
+integration.
 """
 
 from dataclasses import dataclass, field
@@ -453,11 +460,7 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False):
     real and of conjugated blocks.
     """
     components, partner, gap = _mirror_blocks(matrix, mirror)
-    largest = max(c.size for c in components)
-    if largest > cap:
-        raise DenseCapError(
-            f"a block of dimension {largest} exceeds the dense cap {cap}; "
-            "project onto a smaller sector or reduce L")
+    _check_cap(components, cap)
     # the blocks are sliced from one symmetric permutation
     order = np.concatenate(components)
     permuted = matrix[order][:, order]
@@ -536,16 +539,55 @@ def conjugate_partner(superop, spectrum, partner):
     return image
 
 
-def _kernel_basis(block, count, tol, rng):
-    """An orthonormal basis of the `count`-dimensional kernel of a sparse
-    square `block`: two steps of subspace iteration, from a random start
-    (`rng`), with one sparse LU of block - tol I. A residual
-    ||block X||_F above `RESIDUAL_TOL` relative to ||block||_F raises
-    `SolverError`."""
-    from scipy.sparse.linalg import splu
+def _check_cap(components, cap):
+    """`DenseCapError` when a block is larger than the dense cap."""
+    largest = max(c.size for c in components)
+    if largest > cap:
+        raise DenseCapError(
+            f"a block of dimension {largest} exceeds the dense cap {cap}; "
+            "project onto a smaller sector or reduce L")
+    return largest
+
+
+def _near_kernel(block, lu, tol):
+    """The eigenvalues of a sparse square `block` nearest sigma = tol,
+    among them every one below `tol` in modulus, through the LU `lu` of
+    block - tol I, and whether they came from the dense fallback.
+
+    Shift-invert Arnoldi (ARPACK `eigs` on lu.solve; Lehoucq, Sorensen &
+    Yang, SIAM 1998) returns the k eigenvalues nearest sigma, for
+    k = 2, 4, 8, ... until the farthest of them lies at least 2 tol from
+    sigma: every |lambda| < tol lies within 2 tol of sigma, so it is
+    among them. A block too small for ARPACK, which needs k < n - 1, or
+    one where k reaches that limit, takes `eig_dense` instead; its blocks
+    passed the dense cap one by one before. ARPACK's start and restart
+    vectors come from a generator of their own with a fixed seed, so the
+    result repeats. An ARPACK failure raises `SolverError`."""
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
     n = block.shape[0]
-    lu = splu(sp.csc_matrix(block - tol * sp.identity(n, format="csc")))
+    inverse = LinearOperator(block.shape, matvec=lu.solve, dtype=block.dtype)
+    k = 2
+    while k < n - 1:
+        try:
+            values = eigs(block, k, sigma=tol, OPinv=inverse,
+                          return_eigenvectors=False, rng=0)
+        except ArpackError as exc:  # ArpackNoConvergence too
+            raise SolverError(f"ARPACK failed on a block of dimension {n}: "
+                              f"{exc}") from exc
+        if np.abs(values - tol).max() >= 2 * tol:
+            return values, False
+        k *= 2
+    return eig_dense(block, cap=n).eigenvalues, True
+
+
+def _kernel_basis(block, lu, count, rng):
+    """An orthonormal basis of the `count`-dimensional kernel of a sparse
+    square `block`: two steps of subspace iteration, from a random start
+    (`rng`), with the sparse LU `lu` of block - tol I. A residual
+    ||block X||_F above `RESIDUAL_TOL` relative to ||block||_F raises
+    `SolverError`."""
+    n = block.shape[0]
     basis = rng.standard_normal((n, count))
     for _ in range(2):
         basis = np.linalg.qr(lu.solve(basis))[0]
@@ -558,42 +600,59 @@ def _kernel_basis(block, count, tol, rng):
     return basis
 
 
-def steady_states(superop, spectrum, tol=KERNEL_TOL):
+def steady_states(superop, tol=KERNEL_TOL, cap=DENSE_CAP, stats=None):
     """Kernel basis of a generator as trace-normalized density matrices.
 
-    `spectrum` is the generator's `spectrum_of`; its eigenvalues below
-    `tol` count the kernel of each of its blocks, which are split again
-    from the same frame (`_frame`). A block that C(rho) = rho^+ maps onto
-    itself, or a block with the block C maps it onto, is one group, taken
-    in its real form U^+ M U as `mirror_eig` decides: its real kernel
-    vectors w (`_kernel_basis`) give orthonormal Hermitian operators U w.
-    Only a block that does not commute with C is taken complex. Vectors
-    are lifted back through U and, on a periodic chain, the Bloch basis.
+    The generator's frame (`_frame`) is split into blocks as `mirror_eig`
+    splits it; a block over the cap raises `DenseCapError` before any
+    factorization. A block that C(rho) = rho^+ maps onto itself, or a
+    block with the block C maps it onto, is one group, taken in its real
+    form U^+ M U as `mirror_eig` decides; only a block that does not
+    commute with C is taken complex. Each group is factored once, by a
+    sparse LU of its matrix - tol I, which serves twice: its eigenvalues
+    nearest 0 (`_near_kernel`) count the group's kernel, the eigenvalues
+    below `tol` in modulus, and its kernel vectors w (`_kernel_basis`)
+    give orthonormal Hermitian operators U w. No dense spectrum is
+    computed, save for blocks too small for ARPACK. Vectors are lifted
+    back through U and, on a periodic chain, the Bloch basis.
 
-    Each operator is scaled to unit trace, or where its trace vanishes
-    (possible for degenerate kernels) to unit Frobenius norm. States come
-    in the order of their groups' first blocks: a block with a
-    one-dimensional kernel, such as one particle-number sector, gives
-    that sector's own steady state.
+    Each vector loses its entries up to `MIRROR_TOL` relative to its
+    largest (the roundoff coherences of diagonal steady states), then is
+    scaled to unit trace, or where its trace vanishes (possible for
+    degenerate kernels) to unit Frobenius norm. States come in the order
+    of their groups' first blocks: a block with a one-dimensional kernel,
+    such as one particle-number sector, gives that sector's own steady
+    state.
+
+    A dict `stats` receives the blocks (`blocks`, `max_block_dim`,
+    `real_blocks`, `conjugated_blocks`, as `mirror_eig` counts them), the
+    largest group that took the dense fallback (`eig_max_dim`, 0 for
+    none), the entries SuperLU stores for all the LU factors
+    (`kernel_lu_nnz`) and the
+    smallest |lambda| outside the kernel among the eigenvalues the counts
+    were decided from (`kernel_separation`, None for none).
     """
-    kernel = spectrum.kernel_indices(tol)
-    if kernel.size == 0:
-        raise SolverError("empty kernel; a Lindblad generator always has one")
+    from scipy.sparse.linalg import splu
+
     bloch, matrix, mirror = _frame(superop)
     components, partner, gap = _mirror_blocks(matrix, mirror)
-    counts = np.bincount(np.asarray(spectrum.block_labels)[kernel],
-                         minlength=len(components))
+    largest = _check_cap(components, cap)
     lift = sp.identity(superop.dim, format="csc") if bloch is None else bloch
     tvec = trace_vector(superop.sector)
     rng = np.random.default_rng(0)
     done = np.zeros(len(components), dtype=bool)
     states = []
-    for i in np.flatnonzero(counts):
+    real_blocks = conjugated = eig_max_dim = lu_nnz = 0
+    separation = np.inf
+    for i in range(len(components)):
         if done[i]:
             continue
         real = gap[i] <= MIRROR_TOL
         group = np.unique([i, partner[i]]) if real else [i]
         done[group] = True
+        if real:
+            real_blocks += len(group) == 1
+            conjugated += len(group) == 2
         own = np.sort(np.concatenate([components[g] for g in group]))
         block, unitary = matrix[own][:, own], sp.identity(own.size)
         if real:
@@ -601,11 +660,35 @@ def steady_states(superop, spectrum, tol=KERNEL_TOL):
                 block, np.searchsorted(own, mirror[0][own]),
                 np.exp(1j * mirror[1][own]))
             block = _real_part(rotated)
-        basis = _kernel_basis(block, counts[group].sum(), tol, rng)
+        try:
+            lu = splu(sp.csc_matrix(
+                block - tol * sp.identity(own.size, format="csc")))
+        except RuntimeError as exc:  # an exactly singular factor
+            raise SolverError(f"sparse LU of a block of dimension "
+                              f"{own.size} failed: {exc}") from exc
+        lu_nnz += lu.nnz
+        values, dense = _near_kernel(block, lu, tol)
+        if dense:
+            eig_max_dim = max(eig_max_dim, own.size)
+        kernel = np.abs(values) < tol
+        separation = np.abs(values[~kernel]).min(initial=separation)
+        if not kernel.any():
+            continue
+        basis = _kernel_basis(block, lu, np.count_nonzero(kernel), rng)
         for vec in (lift[:, own] @ (unitary @ basis)).T:
+            vec[np.abs(vec) <= MIRROR_TOL * np.abs(vec).max()] = 0
             trace = tvec @ vec
             vec = vec / (trace if abs(trace) > 1e-10 else np.linalg.norm(vec))
             states.append(devectorize_from(vec, superop.sector))
+    if not states:
+        raise SolverError("empty kernel; a Lindblad generator always has one")
+    if stats is not None:
+        stats.update(
+            blocks=len(components), max_block_dim=largest,
+            eig_max_dim=eig_max_dim, real_blocks=real_blocks,
+            conjugated_blocks=conjugated, kernel_lu_nnz=lu_nnz,
+            kernel_separation=(float(separation) if np.isfinite(separation)
+                               else None))
     return states
 
 

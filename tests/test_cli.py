@@ -16,7 +16,8 @@ from dqlm.exact import enumeration_marginals, ensemble_marginals, \
 from dqlm.lattice import build_layout
 from dqlm.liouvillian import assemble_twisted, devectorize_from, trace_vector
 from dqlm.models import JumpSpec, ModelSpec
-from dqlm.numerics import eig_dense, multiset_distance, positivity_defect
+from dqlm.numerics import KERNEL_TOL, eig_dense, multiset_distance, \
+    positivity_defect, weak_spectrum
 
 
 def run(*argv):
@@ -168,6 +169,43 @@ def test_dense_cap_applies_to_blocks(tmp_path, capsys):
     assert diag["kernel_dim"] == 1 and diag["max_residual"] < 1e-10
     assert run(*steady, "50", "--output-dir", str(tmp_path / "s50")) == 3
     assert stderr_error(capsys)["kind"] == "sector-too-large"
+
+
+def test_steady_state_cap_is_checked_before_any_factorization(tmp_path,
+                                                              capsys,
+                                                              monkeypatch):
+    # the L=5 open chain's largest block has 518 pairs
+    import scipy.sparse.linalg
+
+    factored = []
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *args, **kwargs: factored.append(args))
+    out = tmp_path / "ss"
+    assert run("steady-state", "--L", "5", "--dense-cap", "517",
+               "--output-dir", str(out)) == 3
+    assert stderr_error(capsys)["kind"] == "sector-too-large"
+    assert factored == []
+    assert not (out / "steady_state_profiles.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["eigs", "splu"])
+def test_steady_state_solver_failure_exits_4(name, tmp_path, capsys,
+                                             monkeypatch):
+    # an ARPACK failure, or an exactly singular sparse LU
+    import scipy.sparse.linalg
+
+    def fails(*args, **kwargs):
+        if name == "splu":
+            raise RuntimeError("Factor is exactly singular")
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, name, fails)
+    out = tmp_path / "ss"
+    assert run("steady-state", "--L", "4", "--output-dir", str(out)) == 4
+    err = stderr_error(capsys)
+    assert err["kind"] == "solver" and "block of dimension" in err["message"]
+    assert not (out / "steady_state_profiles.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -368,6 +406,17 @@ def test_steady_state_kernel_and_profiles(tmp_path):
     assert manifest["diagnostics"]["conjugated_blocks"] == 0
     assert (manifest["diagnostics"]["max_block_dim"]
             < manifest["diagnostics"]["sector_dim"])
+    # every block is counted by ARPACK on its LU: none takes a dense eig
+    assert manifest["diagnostics"]["eig_max_dim"] == 0
+    assert manifest["diagnostics"]["kernel_lu_nnz"] > 0
+    # the smallest |lambda| outside the kernel is the dense spectrum's, to
+    # the accuracy of a near-degenerate nonnormal eigenvalue
+    spec = ModelSpec(layout=build_layout("chain-obc", 4),
+                     jumps=(JumpSpec(family="biased", gamma_up=2.4,
+                                     gamma_down=1.6),))
+    moduli = np.abs(weak_spectrum(spec)[0].eigenvalues)
+    assert abs(manifest["diagnostics"]["kernel_separation"]
+               - moduli[moduli >= KERNEL_TOL].min()) < 1e-8
     with open(out / "steady_state_profiles.csv", encoding="utf-8") as fh:
         lines = fh.read().strip().splitlines()
     assert lines[0] == "state[index],kind[name],position[index],value[1]"
@@ -379,7 +428,7 @@ def test_steady_state_refuses_a_state_that_is_not_steady(tmp_path, capsys,
                                                         monkeypatch):
     # the maximally mixed state of the L=3 sector is not steady under
     # biased link jumps: its residual is far above 1e-8 x ||L||_F
-    def mixed(superop, spectrum, tol):
+    def mixed(superop, **_):
         diagonal = trace_vector(superop.sector)
         return [devectorize_from(diagonal / diagonal.sum(), superop.sector)]
 
@@ -405,6 +454,10 @@ def test_steady_state_one_positive_state_per_particle_number(tmp_path,
                "--output-dir", str(out)) == 0
     assert len(states) == 6
     assert max(positivity_defect(rho) for rho in states) < 1e-10
+    # the exact states are diagonal: no roundoff coherence is kept
+    for rho in states:
+        coo = rho.matrix.tocoo()
+        assert np.array_equal(coo.row, coo.col)
     with open(out / "steady_state_profiles.csv", encoding="utf-8") as fh:
         rows = [line.split(",") for line in fh.read().strip().splitlines()[1:]]
     layout = build_layout("chain-obc", 5)

@@ -107,7 +107,7 @@ def test_kernel_and_steady_states_match_exact():
                              np.conj(spectrum.eigenvalues)) < 1e-8
 
     ham, jumps = build_hamiltonian(spec), build_jump_set(spec)
-    states = steady_states(superop, spectrum)
+    states = steady_states(superop)
     assert len(states) == 5
     for rho in states:
         dense = rho.toarray()
@@ -115,7 +115,7 @@ def test_kernel_and_steady_states_match_exact():
         assert steady_residual(ham, jumps, rho) < 1e-8
 
     spectrum_n, _, superop_n = weak_spectrum(spec, n_particles=2)
-    states_n = steady_states(superop_n, spectrum_n)
+    states_n = steady_states(superop_n)
     assert len(states_n) == 1
     rho_ed = states_n[0]
     assert abs(complex(rho_ed.matrix.diagonal().sum()) - 1) < 1e-10
@@ -202,7 +202,7 @@ def hermitian_steady_basis(superop, spectrum):
     """`steady_states` of a generator: one steady state per kernel
     eigenvalue, each Hermitian, all linearly independent (so over the
     reals too, being Hermitian). Returns the states."""
-    states = steady_states(superop, spectrum)
+    states = steady_states(superop)
     assert len(states) == len(spectrum.kernel_indices())
     stacked = np.array([vectorize_into(rho, superop.sector)
                         for rho in states])
@@ -273,7 +273,7 @@ def test_periodic_steady_state_through_momentum_blocks():
     superop = assemble(spec, sector=dsec)
     split = spectrum_of(superop)
     assert np.array_equal(np.bincount(split.block_labels), [296] * 5)
-    states = steady_states(superop, split)
+    states = steady_states(superop)
     assert len(states) == 1
     rho = states[0]
     diag = rho.matrix.diagonal().real
@@ -461,7 +461,7 @@ def test_mirror_check_catches_a_block_off_by_1e_10(kind, monkeypatch):
         return basis(block, *args)
 
     monkeypatch.setattr(numerics, "_kernel_basis", recorded)
-    states = steady_states(bad, split)
+    states = steady_states(bad)
     assert "f" in kinds and ("c" in kinds) == (kind == "imaginary")
     assert len(states) == len(split.kernel_indices())
     vectors = np.array([vectorize_into(rho, bad.sector) for rho in states]).T
@@ -472,6 +472,67 @@ def test_mirror_check_catches_a_block_off_by_1e_10(kind, monkeypatch):
     monkeypatch.setattr(numerics, "assemble", lambda _: bad)
     with pytest.raises(SolverError, match="conjugate mirror"):
         full_spectrum(spec)
+
+
+def open_chain_L5(disorder=None):
+    spec = ModelSpec(layout=build_layout("chain-obc", 5),
+                     jumps=biased_chain(5, 2.4, 1.6).jumps, disorder=disorder)
+    return assemble(spec, sector=weak_sector(spec.layout))
+
+
+@pytest.mark.parametrize("build, least_k", [
+    pytest.param(open_chain_L5, 2, id="obc-L5"),
+    pytest.param(lambda: open_chain_L5(DisorderSpec(seed=3)), 2,
+                 id="obc-L5-disorder"),
+    pytest.param(lambda: dict(mirror_cases())["dephasing"], 2,
+                 id="dephasing"),
+    # a mirror pair of blocks with 9 kernel states each: k = 32 > 18
+    pytest.param(lambda: gauge_fixed("chain-pbc"), 32, id="pbc-gauge-fix"),
+    pytest.param(lambda: dict(mirror_cases())["hierarchical"], 2,
+                 id="hierarchical"),
+    pytest.param(lambda: mutated(assemble(biased_chain(2, 2.4, 1.6)),
+                                 "imaginary"), 2, id="complex-block")])
+def test_kernel_count_matches_the_dense_spectrum(build, least_k, monkeypatch):
+    # steady_states counts each kernel by shift-invert ARPACK, doubling k
+    # until the k-th eigenvalue nearest sigma leaves the kernel
+    import scipy.sparse.linalg
+
+    superop = build()
+    kernel = len(spectrum_of(superop).kernel_indices())
+    ks = []
+    real = scipy.sparse.linalg.eigs
+
+    def recording(matrix, k, **kwargs):
+        ks.append(k)
+        return real(matrix, k, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording)
+    assert len(steady_states(superop)) == kernel
+    assert max(ks) >= least_k
+
+
+@pytest.mark.parametrize("kind", ["chain-obc", "chain-pbc"])
+def test_frozen_blocks_take_the_dense_fallback(kind, monkeypatch):
+    # the 1 x 1 frozen configurations of the gauge-fix sectors are too
+    # small for ARPACK, which needs k = 2 < n - 1
+    superop = gauge_fixed(kind)
+    kernel = len(spectrum_of(superop).kernel_indices())
+    sizes = []
+    real = numerics.eig_dense
+
+    def recording(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[0])
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "eig_dense", recording)
+    stats = {}
+    assert len(steady_states(superop, stats=stats)) == kernel
+    _, matrix, mirror = numerics._frame(superop)
+    components = numerics._mirror_blocks(matrix, mirror)[0]
+    frozen = sum(c.size == 1 for c in components)
+    # each alone, or in one 2 x 2 real form with its mirror partner
+    assert frozen > 0 and sizes.count(1) + 2 * sizes.count(2) == frozen
+    assert stats["eig_max_dim"] == max(sizes)
 
 
 def test_mirror_check_runs_once_per_generator(monkeypatch):
