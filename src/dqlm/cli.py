@@ -489,12 +489,15 @@ def task_models(cfg):
 def _block_diagnostics(spectrum):
     """The blocks behind a `spectrum_of` result: how many, the largest,
     the largest matrix handed to LAPACK, and how many were diagonalized
-    in real form or conjugated from their mirror block."""
+    in real form, conjugated from their mirror block, copied from their
+    reflection, or diagonalized in the diagonal real form."""
     sizes = np.bincount(spectrum.block_labels)
     return {"blocks": sizes.size, "max_block_dim": int(sizes.max()),
             "eig_max_dim": spectrum.eig_max_dim,
             "real_blocks": spectrum.real_blocks,
-            "conjugated_blocks": spectrum.conjugated_blocks}
+            "conjugated_blocks": spectrum.conjugated_blocks,
+            "copied_blocks": spectrum.copied_blocks,
+            "gauge_real_blocks": spectrum.gauge_real_blocks}
 
 
 def _weak_sector_checked(layout, n_particles):

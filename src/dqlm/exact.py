@@ -61,16 +61,10 @@ class DiagonalEnsemble:
         return np.asarray(self.zcoeff, dtype=np.complex128)
 
     def log_weight(self, states):
-        """Unnormalized log weight of basis states (vectorized)."""
-        states = np.asarray(states)
-        c = self.coefficient_array()
-        out = np.zeros(states.shape, dtype=np.complex128)
-        for k in range(self.layout.total_spins):
-            out = out + c[k] * (state_bit(states, k) - 0.5)
-        return out
-
-    def weight(self, state):
-        return complex(np.exp(self.log_weight(np.asarray([state]))[0]))
+        """Unnormalized log weight of basis states (vectorized), looked up
+        in `_register_log_weights`."""
+        return _register_log_weights(self.coefficient_array())[
+            np.asarray(states)]
 
     def sector(self):
         return enumerate_sector(self.layout, self.constraints)
@@ -105,6 +99,19 @@ class DiagonalEnsemble:
         return SparseOperator(m, self.layout.basis_tag)
 
 
+def _register_log_weights(zcoeff):
+    """sum_k c_k z_k, z_k = bit_k - 1/2, on every basis state of the
+    register, indexed by the state: one outer sum per slot, least
+    significant first, table -> (table - c_k/2, table + c_k/2). Each state
+    gets the same terms in the same order as from a sum over the slots,
+    so the values are the same bits."""
+    table = np.zeros(1, dtype=np.complex128)
+    for c in np.asarray(zcoeff, dtype=np.complex128):
+        half = c * 0.5
+        table = np.concatenate([table - half, table + half])
+    return table
+
+
 def generator_sum_coefficients(layout, site_coeffs):
     """Per-slot coefficients of sum_site c_site G_site."""
     sites = generator_sites(layout)
@@ -120,10 +127,7 @@ def generator_sum_coefficients(layout, site_coeffs):
 def similarity_transform(layout, site_coeffs, scale=1.0):
     """Diagonal operator exp(scale * sum_site c_site G_site)."""
     zc = generator_sum_coefficients(layout, site_coeffs) * scale
-    idx = np.arange(layout.nstates, dtype=np.int64)
-    diag = np.zeros(layout.nstates, dtype=np.complex128)
-    for k in range(layout.total_spins):
-        diag += zc[k] * (state_bit(idx, k) - 0.5)
+    diag = _register_log_weights(zc)
     return SparseOperator(sp.diags(np.exp(diag), format="csr"), layout.basis_tag)
 
 

@@ -49,7 +49,36 @@ matrix D = C(M) - M gives every block its gap relative to the block
 (`_mirror_gaps`; on a self-mirror block ||D||/2 = ||Im U^+ M U||), and a
 reuse goes ahead within `MIRROR_TOL`; a generator without the symmetry
 (the double-space twist away from 0 and pi) takes the complex eig, and
-`full_spectrum` refuses it. Dense eigendecomposition is capped (default
+`full_spectrum` refuses it.
+
+On the pair basis of an open chain (not a Bloch frame) two more exact
+symmetries of the generator are used, after the classification of
+Lindbladian symmetries by Sa, Ribeiro & Prosen (PRX 13, 031019 (2023)),
+each a monomial map on the pairs checked once per generator by its own
+defect matrix, with per-block gaps relative to the block (`_map_gaps`):
+
+* the particle-hole reflection Pi (`reflect_states`: site n to L+1-n
+  with its occupation flipped, link m to L-m), unitary, which maps the
+  sector N onto L - N. Where the pair basis is closed under it, a block
+  that Pi maps onto a block whose spectrum is known, within `MIRROR_TOL`
+  of that block's image, takes a copy of it (`copied_blocks`): the weak
+  sector without N diagonalizes the sectors N <= L/2 only.
+* W(rho) = Sigma rho^T Sigma, Sigma = (-1)^q with q = sum_n n N_n
+  (`sublattice_sign`). A = C W, rho -> Sigma conj(rho) Sigma, maps every
+  pair onto itself, so in the diagonal gauge i^(q(ket) - q(bra)) (the
+  real form of A, a diagonal unitary through `_real_form`) the whole
+  generator is real. The first block of each C mirror pair, which C
+  alone leaves complex, is diagonalized in this real form by real
+  LAPACK where the gaps of C and W on the pair add up to at most
+  `MIRROR_TOL` (`gauge_real_blocks`); W is built only once such a block
+  is reached.
+
+Both hold for every jump family of the open chain and break under
+disorder (on-site and link fields, next-nearest hops) on the blocks that
+it reaches unlike their images; periodic, hierarchical and square
+layouts and the Bloch frames have neither. The block counts of a
+`Spectrum` say which path each block took (`BLOCK_COUNTS`). Dense
+eigendecomposition is capped (default
 6000) per block because the cost is cubic (`DenseCapError`, raised
 before the first block is diagonalized); sector projection is the
 intended way to keep the blocks below the cap. Only eigenvalues are
@@ -101,7 +130,9 @@ from .liouvillian import LEAK_TOL, assemble, devectorize_from, trace_vector
 from .symmetry import (
     SectorLeakageError,
     gauge_charge_table,
+    reflect_states,
     site_occupation_table,
+    sublattice_sign,
     translate_states,
     weak_sector,
 )
@@ -130,10 +161,14 @@ class Spectrum:
     # provenance of each eigenvalue: the block index in `spectrum_of`,
     # the charge difference delta in `full_spectrum`
     block_labels: tuple = None
-    # blocks diagonalized in their real form, and blocks whose spectrum is
-    # the conjugate of a mirror block's (see `mirror_eig`)
+    # blocks diagonalized in the real form of rho -> rho^+, blocks whose
+    # spectrum is the conjugate of a mirror block's, blocks whose spectrum
+    # is a copy of their reflection's, and blocks diagonalized in the
+    # diagonal real form of rho -> Sigma conj(rho) Sigma (see `mirror_eig`)
     real_blocks: int = 0
     conjugated_blocks: int = 0
+    copied_blocks: int = 0
+    gauge_real_blocks: int = 0
     # the largest matrix handed to LAPACK for this spectrum (0: none)
     eig_max_dim: int = 0
 
@@ -150,6 +185,10 @@ class Spectrum:
 
     def max_real(self):
         return float(self.eigenvalues.real.max()) if self.dim else -np.inf
+
+
+BLOCK_COUNTS = ("real_blocks", "conjugated_blocks", "copied_blocks",
+                "gauge_real_blocks")
 
 
 def canonical_order(values):
@@ -333,6 +372,22 @@ def _mirror_map(dsec, basis=None):
     return image, angle
 
 
+def _monomial(image, phase):
+    """The sparse monomial Q with Q[image[g], g] = phase[g]."""
+    n = image.size
+    return sp.csr_matrix((phase, (image, np.arange(n))), shape=(n, n))
+
+
+def _row_gaps(defect, matrix, labels):
+    """The norm of a defect's rows on each label, relative to the rows of
+    `matrix` there."""
+    count = int(labels.max(initial=0)) + 1
+    gap, norm = (np.bincount(labels[m.row], np.abs(m.data) ** 2,
+                             minlength=count)
+                 for m in (defect.tocoo(), matrix.tocoo()))
+    return np.sqrt(gap / np.maximum(norm, np.finfo(float).tiny))
+
+
 def _mirror_gaps(matrix, mirror, labels=None, partner=None):
     """The defect D = Q conj(M) Q^+ - M' of a CSR generator M (C as
     `_mirror_map` gives it, M' the `partner`, or M), formed once: the norm
@@ -343,15 +398,44 @@ def _mirror_gaps(matrix, mirror, labels=None, partner=None):
     imaginary part of the block's real form."""
     n = matrix.shape[0]
     labels = np.zeros(n, dtype=np.int64) if labels is None else labels
-    q = sp.csr_matrix((np.exp(1j * mirror[1]), (mirror[0], np.arange(n))),
-                      shape=(n, n))
+    q = _monomial(mirror[0], np.exp(1j * mirror[1]))
     defect = q @ matrix.conj() @ q.conj().T - (
         matrix if partner is None else partner)
-    count = int(labels.max(initial=0)) + 1
-    gap, norm = (np.bincount(labels[m.row], np.abs(m.data) ** 2,
-                             minlength=count)
-                 for m in (defect.tocoo(), matrix.tocoo()))
-    return np.sqrt(gap / np.maximum(norm, np.finfo(float).tiny))
+    return _row_gaps(defect, matrix, labels)
+
+
+def _map_gaps(matrix, symmetry, labels):
+    """The defect D = S M S^+ - M of a CSR generator M under a unitary
+    monomial map S on its coordinates, `symmetry` = (image, phase) with
+    S[image[g], g] = phase[g], formed once: per label, as `_mirror_gaps`
+    gives it. When S maps block i onto block j, D's rows on j are
+    S(M_i) - M_j."""
+    s = _monomial(*symmetry)
+    return _row_gaps(s @ matrix @ s.conj().T - matrix, matrix, labels)
+
+
+def _reflection_map(dsec):
+    """The particle-hole reflection Pi (`reflect_states`) on a pair basis,
+    (a, b) -> (Pi a, Pi b): (image, phase), or None when the layout has no
+    reflection or the basis is not closed under it."""
+    kets = reflect_states(dsec.layout, dsec.kets)
+    if kets is None:
+        return None
+    image = dsec.lookup(kets, reflect_states(dsec.layout, dsec.bras))
+    if np.any(image < 0):
+        return None
+    return image, np.ones(dsec.dim)
+
+
+def _transpose_map(dsec, mirror):
+    """W(rho) = Sigma rho^T Sigma on a pair basis, Sigma the sign of
+    `sublattice_sign`: (a, b) -> (b, a) times sigma(a) sigma(b), so that
+    C W is the diagonal antiunitary A(rho) = Sigma conj(rho) Sigma. Takes
+    the swap from C (`mirror`); None where the layout has no sign."""
+    signs = [sublattice_sign(dsec.layout, s) for s in (dsec.kets, dsec.bras)]
+    if signs[0] is None:
+        return None
+    return mirror[0], (signs[0] * signs[1]).astype(np.complex128)
 
 
 def _conjugate(part):
@@ -398,12 +482,27 @@ def _real_part(rotated):
 
 def _merge(parts):
     """Spectra of diagonal blocks merged in canonical order, and the order
-    applied. The largest eig is the largest part's."""
+    applied. The largest eig is the largest part's; the block counts
+    (`BLOCK_COUNTS`) add up."""
     merged = np.concatenate([part.eigenvalues for part in parts])
     order = canonical_order(merged)
-    spectrum = Spectrum(merged[order], parts[0].basis,
-                        eig_max_dim=max(part.eig_max_dim for part in parts))
+    spectrum = Spectrum(
+        merged[order], parts[0].basis,
+        eig_max_dim=max(part.eig_max_dim for part in parts),
+        **{key: sum(getattr(part, key) for part in parts)
+           for key in BLOCK_COUNTS})
     return spectrum, order
+
+
+def _block_images(components, labels, image):
+    """The component that a monomial map (coordinate g to `image[g]`) maps
+    each component onto, or -1 where it does not map it onto a single
+    component of its size."""
+    sizes = np.array([c.size for c in components])
+    mapped = labels[image]
+    first = mapped[[c[0] for c in components]]
+    whole = np.bincount(labels, mapped == first[labels], minlength=sizes.size)
+    return np.where((whole == sizes) & (sizes[first] == sizes), first, -1)
 
 
 def _mirror_blocks(matrix, mirror):
@@ -413,7 +512,9 @@ def _mirror_blocks(matrix, mirror):
     With each component i, the component j of its size that C (`mirror`
     as `_mirror_map` gives it, or None) maps it onto and the gap of
     `_mirror_gaps`, halved for j = i, where it is ||Im U^+ M U|| relative
-    to the block; else -1 and infinity. C is checked once."""
+    to the block; else -1 and infinity. C is checked once. Returns the
+    components, the label array (the component of each coordinate), the
+    partners j and the gaps."""
     components = coupled_components(matrix)
     n, count = matrix.shape[0], len(components)
     labels = np.full(n, -1, dtype=np.int64)
@@ -430,67 +531,127 @@ def _mirror_blocks(matrix, mirror):
             "components")
     partner, gap = np.full(count, -1), np.full(count, np.inf)
     if mirror is None:
-        return components, partner, gap
+        return components, labels, partner, gap
     gaps = _mirror_gaps(matrix, mirror, labels)
-    for i, own in enumerate(components):
-        target = labels[mirror[0][own]]
-        j = target[0]
-        if components[j].size == own.size and np.all(target == j):
-            partner[i], gap[i] = j, gaps[i] / 2 if j == i else gaps[j]
-    return components, partner, gap
+    partner = _block_images(components, labels, mirror[0])
+    mapped = np.flatnonzero(partner >= 0)
+    own = partner[mapped] == mapped
+    gap[mapped] = np.where(own, gaps[mapped] / 2, gaps[partner[mapped]])
+    return components, labels, partner, gap
 
 
-def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False):
+def _reflection_images(matrix, components, labels, sector):
+    """The component that the particle-hole reflection Pi
+    (`_reflection_map` on the pair basis `sector`, or None) maps each
+    component onto, or -1, and whether each component lies within
+    `MIRROR_TOL` relative of Pi's image of the component Pi maps onto it
+    (`_map_gaps`; Pi is an involution, so that is the same component).
+    Pi is checked once."""
+    count = len(components)
+    reflection = None if sector is None else _reflection_map(sector)
+    if reflection is None:
+        return np.full(count, -1), np.zeros(count, dtype=bool)
+    target = _block_images(components, labels, reflection[0])
+    return target, _map_gaps(matrix, reflection, labels) <= MIRROR_TOL
+
+
+def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
+               sector=None):
     """Dense spectra of the coupled components of a CSR generator through
     the antiunitary symmetry C(rho) = rho^+ of a Lindbladian, C on its
-    coordinates given by `mirror` (`_mirror_map`, or None).
+    coordinates given by `mirror` (`_mirror_map`, or None), and, when the
+    coordinates are the pair basis `sector` itself, through the
+    particle-hole reflection Pi and the transpose map W of an open chain.
 
     The components and their mirror blocks come from `_mirror_blocks`; a
-    block over the cap raises `DenseCapError` before any eig. A block that
-    C maps onto itself, with ||Im U^+ M U|| within `MIRROR_TOL` relative,
-    goes to real LAPACK in its real form U^+ M U, one eig per coupled
-    component of the real form (`coupled_components` with roundoff up to
-    `MIRROR_TOL` cut). Of two blocks that C maps onto each other the
-    first is diagonalized, and the second, within `MIRROR_TOL` relative of
-    its image, gets the conjugate spectrum without being sliced. Every
-    other block takes the complex eig, or with `strict` raises
-    `SolverError`.
+    block over the cap raises `DenseCapError` before any eig, and with
+    `strict` a block that C does not map onto a block within `MIRROR_TOL`
+    relative raises `SolverError` before any eig. A block that C maps
+    onto itself, with ||Im U^+ M U|| within `MIRROR_TOL` relative, goes to
+    real LAPACK in its real form U^+ M U, one eig per coupled component of
+    the real form (`coupled_components` with roundoff up to `MIRROR_TOL`
+    cut). Of two blocks that C maps onto each other the first is
+    diagonalized, and the second, within `MIRROR_TOL` relative of its
+    image, gets the conjugate spectrum without being sliced. The first is
+    diagonalized in the real form of A = C W, which maps it onto itself
+    (a diagonal unitary, `_real_form`), when the gaps of C and W on the
+    pair add up to at most `MIRROR_TOL`; W is checked only once such a
+    block is reached. Every other block takes the complex eig. Each block
+    whose spectrum is known passes it on to the block that Pi maps it
+    onto, as a copy, when that block is within `MIRROR_TOL` relative of
+    its image (`_reflection_images`) and still open.
 
-    Returns one Spectrum per component, the components, and the numbers of
-    real and of conjugated blocks.
+    Returns one Spectrum per component, which counts itself in the one
+    of `BLOCK_COUNTS` that says how it was found (none for a complex
+    eig), and the components.
     """
-    components, partner, gap = _mirror_blocks(matrix, mirror)
+    components, labels, partner, gap = _mirror_blocks(matrix, mirror)
     _check_cap(components, cap)
+    # a NaN gap counts as no mirror
+    unmirrored = np.flatnonzero(~(gap <= MIRROR_TOL)) if strict else ()
+    if len(unmirrored):
+        i = unmirrored[0]
+        raise SolverError(
+            f"component {i} has no conjugate mirror component within "
+            f"{MIRROR_TOL:.0e} (relative gap {gap[i]:.3e}); not a "
+            "Lindbladian")
+    reflection, reflects = _reflection_images(matrix, components, labels,
+                                              sector)
     # the blocks are sliced from one symmetric permutation
     order = np.concatenate(components)
     permuted = matrix[order][:, order]
     bounds = np.cumsum([0] + [c.size for c in components])
     parts = [None] * len(components)
-    real = conjugated = 0
+    gauged = gaps = None
     for i, own in enumerate(components):
         if parts[i] is not None:
             continue
-        block = permuted[bounds[i]:bounds[i + 1], bounds[i]:bounds[i + 1]]
         j = partner[i]
-        if gap[i] <= MIRROR_TOL and j == i:
+        mirrored = gap[i] <= MIRROR_TOL
+        gauge = False
+        if mirrored and j != i:
+            if gaps is None:
+                gauged, gaps = _gauge_form(matrix, order, mirror, labels,
+                                           sector)
+            gauge = gap[i] + gaps[j] <= MIRROR_TOL
+        block = (gauged if gauge else permuted)[bounds[i]:bounds[i + 1],
+                                                bounds[i]:bounds[i + 1]]
+        if mirrored and j == i:
             form = _real_part(_real_form(
                 block, np.searchsorted(own, mirror[0][own]),
                 np.exp(1j * mirror[1][own]))[1])
             parts[i] = _merge([eig_dense(form[c][:, c], basis, cap) for c
                                in coupled_components(form, MIRROR_TOL)])[0]
-            real += 1
-        elif gap[i] <= MIRROR_TOL:
-            parts[i] = eig_dense(block, basis, cap)
-            parts[j] = _conjugate(parts[i])
-            conjugated += 1
-        elif strict:
-            raise SolverError(
-                f"component {i} has no conjugate mirror component within "
-                f"{MIRROR_TOL:.0e} (relative gap {gap[i]:.3e}); not a "
-                "Lindbladian")
+            parts[i].real_blocks = 1
         else:
             parts[i] = eig_dense(block, basis, cap)
-    return parts, components, real, conjugated
+            parts[i].gauge_real_blocks = int(gauge)
+        known = [i]
+        if mirrored and parts[j] is None:
+            parts[j] = _conjugate(parts[i])
+            parts[j].conjugated_blocks = 1
+            known.append(j)
+        for b in known:
+            k = reflection[b]
+            if k >= 0 and reflects[k] and parts[k] is None:
+                parts[k] = Spectrum(parts[b].eigenvalues.copy(), basis,
+                                    copied_blocks=1)
+    return parts, components
+
+
+def _gauge_form(matrix, order, mirror, labels, sector):
+    """The real form of a CSR generator under A = C W (`_transpose_map` on
+    the pair basis `sector`), permuted symmetrically by `order`: A is
+    diagonal, so its real form is Re(U^+ M U) for the diagonal unitary U
+    of `_real_form`, real on every block that A maps onto itself within
+    `MIRROR_TOL`. Returns it with W's gap on each block (`_map_gaps`), or
+    (None, infinite gaps) when there is no W."""
+    transpose = None if sector is None else _transpose_map(sector, mirror)
+    if transpose is None:
+        return None, np.full(int(labels.max(initial=0)) + 1, np.inf)
+    n = matrix.shape[0]
+    gauged = _real_part(_real_form(matrix, np.arange(n), transpose[1])[1])
+    return gauged[order][:, order], _map_gaps(matrix, transpose, labels)
 
 
 def _frame(superop):
@@ -513,13 +674,12 @@ def spectrum_of(superop, cap=DENSE_CAP):
     Eigenvalues are merged in canonical order and labelled by the running
     index of their block. A block over the cap raises `DenseCapError`
     before any block is diagonalized."""
-    _, matrix, mirror = _frame(superop)
-    parts, _, real, conjugated = mirror_eig(matrix, mirror, superop.basis,
-                                            cap)
+    bloch, matrix, mirror = _frame(superop)
+    parts, _ = mirror_eig(matrix, mirror, superop.basis, cap,
+                          sector=superop.sector if bloch is None else None)
     spectrum, order = _merge(parts)
     labels = np.repeat(np.arange(len(parts)), [part.dim for part in parts])
     spectrum.block_labels = tuple(labels[order].tolist())
-    spectrum.real_blocks, spectrum.conjugated_blocks = real, conjugated
     return spectrum
 
 
@@ -635,7 +795,7 @@ def steady_states(superop, tol=KERNEL_TOL, cap=DENSE_CAP, stats=None):
     from scipy.sparse.linalg import splu
 
     bloch, matrix, mirror = _frame(superop)
-    components, partner, gap = _mirror_blocks(matrix, mirror)
+    components, _, partner, gap = _mirror_blocks(matrix, mirror)
     largest = _check_cap(components, cap)
     lift = sp.identity(superop.dim, format="csc") if bloch is None else bloch
     tvec = trace_vector(superop.sector)
@@ -714,9 +874,9 @@ def full_spectrum(spec, cap=DENSE_CAP):
     """
     full = assemble(spec)
     n = spec.layout.nstates
-    parts, components, _, _ = mirror_eig(
+    parts, components = mirror_eig(
         full.matrix, _mirror_map(full.sector), basis=spec.layout.basis_tag,
-        cap=cap, strict=True)
+        cap=cap, strict=True, sector=full.sector)
     table = gauge_charge_table(spec.layout).astype(np.int16)
     labels = []
     for comp, part in zip(components, parts):
@@ -749,8 +909,11 @@ def multiset_distance(a, b):
     Exact at every size. The Hausdorff distance is a lower bound; the
     radius is doubled from there until the pairs within it (a kd-tree
     query) admit a perfect matching, then bisected over the distances of
-    those pairs (Efrat, Itai & Katz, Algorithmica 31, 1 (2001)). Each
-    matching found lowers the upper end to its own largest distance.
+    those pairs (Efrat, Itai & Katz, Algorithmica 31, 1 (2001)). The
+    bisection starts at the largest of those distances below the
+    Hausdorff bound, one below the first at or above it, since the
+    kd-tree query and the pair distances round separately; each matching
+    found lowers the upper end to its own largest distance.
     """
     from scipy.spatial import cKDTree
 
@@ -761,7 +924,7 @@ def multiset_distance(a, b):
     if n == 0:
         return 0.0
     tree_a, tree_b = cKDTree(a), cKDTree(b)
-    radius = _hausdorff(tree_a, tree_b, a, b)
+    radius = bound = _hausdorff(tree_a, tree_b, a, b)
     while True:
         found = tree_a.sparse_distance_matrix(tree_b, radius,
                                               output_type="ndarray")
@@ -775,7 +938,8 @@ def multiset_distance(a, b):
             *(a[np.lexsort(a.T)] - b[np.lexsort(b.T)]).T).max())
     radii = np.unique(pairs[2])
     # radii[hi] admits a perfect matching, no radius below radii[lo] does
-    lo, hi = 0, int(np.searchsorted(radii, worst))
+    lo = max(int(np.searchsorted(radii, bound)) - 1, 0)
+    hi = int(np.searchsorted(radii, worst))
     while lo < hi:
         mid = (lo + hi) // 2
         keep = pairs[2] <= radii[mid]

@@ -28,6 +28,12 @@ splits each assembled generator into the coupled components of its
 nonzero pattern, a finer split. `partition_double_space` is kept as the
 cross-check oracle that every such component lies inside one
 charge-difference block.
+
+Three maps of the register feed the symmetries `numerics` lifts to the
+pair basis: translation on a periodic chain (`translate_states`), and on
+an open chain the particle-hole reflection (`reflect_states`) and the
+sign (-1)^(sum_n n N_n) (`sublattice_sign`); the last two are None on
+every other layout.
 """
 
 from dataclasses import dataclass
@@ -107,6 +113,35 @@ def translate_states(layout, states):
         out |= state_bit(states, layout.site_slot(n)) << layout.site_slot(m)
         out |= state_bit(states, layout.link_slot(n)) << layout.link_slot(m)
     return out
+
+
+def reflect_states(layout, states):
+    """Basis states of an open chain under the particle-hole reflection:
+    site n to site L+1-n with its occupation flipped, link (m, m+1) to
+    link (L-m, L-m+1) unflipped. None for every other layout."""
+    if layout.kind != "chain-obc":
+        return None
+    states = np.asarray(states, dtype=np.int64)
+    L = layout.L
+    out = np.zeros_like(states)
+    for n in range(1, L + 1):
+        out |= (1 - state_bit(states, layout.site_slot(n))) \
+            << layout.site_slot(L + 1 - n)
+    for m in range(1, L):
+        out |= state_bit(states, layout.link_slot(m)) << layout.link_slot(L - m)
+    return out
+
+
+def sublattice_sign(layout, states):
+    """The sign (-1)^q of open-chain basis states, q = sum_n n N_n the
+    dipole of the occupations (int8). None for every other layout."""
+    if layout.kind != "chain-obc":
+        return None
+    states = np.asarray(states, dtype=np.int64)
+    odd = np.zeros(states.shape, dtype=np.int64)
+    for n in range(1, layout.L + 1, 2):
+        odd += state_bit(states, layout.site_slot(n))
+    return (1 - 2 * (odd & 1)).astype(np.int8)
 
 
 def hierarchical_charge_coefficients(layout):

@@ -110,6 +110,7 @@ def test_02_eigenoperator_ladder_and_degeneracy_floor(l4_full):
     assert time.perf_counter() - t0 < 60.0
 
 
+@pytest.mark.slow
 def test_03_kernel_degeneracy_weak_sector_and_full_pair_space(l4_full):
     for L, full in ((4, l4_full), (5, None)):
         layout = build_layout("chain-obc", L)

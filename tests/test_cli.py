@@ -79,6 +79,23 @@ def test_spectrum_both_boundaries_and_manifest(tmp_path):
     assert (diag["pbc_real_blocks"], diag["pbc_conjugated_blocks"]) == (2, 1)
 
 
+def test_spectrum_records_reflection_copies(tmp_path):
+    # the whole weak sector, every particle number
+    cfg = tmp_path / "all.json"
+    cfg.write_text(json.dumps({"sector": {"n_particles": None}}))
+    out = tmp_path / "spec"
+    assert run("spectrum", "--config", str(cfg), "--L", "4", "--boundary",
+               "both", "--output-dir", str(out)) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    # the open chain's sectors N = 3, 4 copy the spectra of N = 1, 0 (the
+    # particle-hole reflection); every block of a weak sector is its own
+    # rho -> rho^+ image, so none is left to the diagonal real form
+    assert (diag["obc_real_blocks"], diag["obc_copied_blocks"],
+            diag["obc_gauge_real_blocks"]) == (3, 2, 0)
+    # the periodic chain has no reflection
+    assert diag["pbc_copied_blocks"] == diag["pbc_gauge_real_blocks"] == 0
+
+
 def test_rerun_writes_byte_identical_payloads(tmp_path):
     outs = []
     for tag in ("a", "b"):

@@ -17,8 +17,9 @@ from dqlm.exact import (
     link_polarization,
     similarity_transform,
     special_steady_states,
+    steady_site_coefficients,
 )
-from dqlm.lattice import build_layout, commutator
+from dqlm.lattice import build_layout, commutator, state_bit
 from dqlm.liouvillian import lindblad_apply, steady_residual
 from dqlm.models import JumpSpec, ModelSpec, build_hamiltonian, build_jump_set
 from dqlm.symmetry import SectorSpec, gauge_sector_census
@@ -274,6 +275,43 @@ def test_similarity_transform_properties():
 
     with pytest.raises(EnsembleError):
         generator_sum_coefficients(layout, [1.0, 2.0])
+
+
+def slot_by_slot(coefficients, states):
+    """sum_k c_k (bit_k - 1/2), accumulated over the slots in order."""
+    out = np.zeros(states.shape, dtype=np.complex128)
+    for k, c in enumerate(coefficients):
+        out = out + c * (state_bit(states, k) - 0.5)
+    return out
+
+
+def test_log_weights_are_the_bits_of_the_slot_by_slot_sum():
+    chain = build_layout("chain-obc", 6)
+    hier = build_layout("hierarchical", 5)
+    grid = build_layout("square-2d", 3, Ly=2)
+    ensembles = [
+        exact_steady_state(chain, 2.3),
+        exact_steady_state(chain, 2.3, alpha=0.4, n_particles=3),
+        exact_steady_state(hier, 1.7, alpha=0.6, alpha_prime=1.4),
+        exact_steady_state(hier, 1.7, hier_charges=(-1, 1)),
+        exact_steady_state(grid, 2.0, beta_prime=0.8, n_particles=2),
+        # complex coefficients: ln(-1) on the flipped links
+        exact_eigenoperator(chain, (1, 0, 1, 1, 0), 2.4, 1.6)[0],
+        exact_eigenoperator(chain, (0, 1, 1, 0, 1), 2.4, 1.6,
+                            n_particles=2)[0]]
+    for ens in ensembles:
+        states = ens.sector().states
+        assert states.size
+        for subset in (states, np.arange(ens.layout.nstates)):
+            assert np.array_equal(
+                ens.log_weight(subset),
+                slot_by_slot(ens.coefficient_array(), subset))
+    coeffs = steady_site_coefficients(chain, 2.3)
+    t_op = similarity_transform(chain, coeffs, scale=-0.5)
+    zc = generator_sum_coefficients(chain, coeffs) * -0.5
+    assert np.array_equal(
+        t_op.matrix.diagonal(),
+        np.exp(slot_by_slot(zc, np.arange(chain.nstates))))
 
 
 def test_quadrupole_helper():

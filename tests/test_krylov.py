@@ -49,6 +49,7 @@ L7_PROBES = [((2.9, 1.1), (2, 5), 5.843e-8, None),
              ((3.0, 1.0), (1, 2), 3.251e-7, 1.712e-10)]
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("rates, sites, frame_gap, occupation_gap", L7_PROBES,
                          ids=["sites-2-5", "readme"])
 def test_l7_quench_beats_dop853_against_expm_multiply(rates, sites, frame_gap,

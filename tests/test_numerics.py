@@ -1,6 +1,7 @@
 """Eigensolver wrappers, kernel extraction, winding, and integration."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from dqlm.liouvillian import (
     steady_residual,
     vectorize_into,
 )
-from dqlm.models import DisorderSpec, JumpSpec, ModelSpec, build_hamiltonian, \
-    build_jump_set
+from dqlm.models import JUMP_FAMILIES, JUMP_RATES, DisorderSpec, JumpSpec, \
+    ModelSpec, build_hamiltonian, build_jump_set
 from dqlm.numerics import (
     SolverError,
     Spectrum,
@@ -251,6 +252,7 @@ def test_split_spectrum_matches_unsplit_eig():
     hermitian_steady_basis(superop, split)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("L, n_particles", [(4, 2), (5, 1)])
 def test_momentum_blocks_match_unsplit_eig(L, n_particles):
     spec = biased_chain(L, 2.4, 1.6, kind="chain-pbc")
@@ -425,9 +427,17 @@ def mutated(superop, kind):
     else:
         chosen = [c for c in components if np.any(image[c] == c)]
     own = max(chosen, key=len)
-    g = own[image[own] == own][0] if kind == "imaginary" else own[0]
+    if kind == "imaginary":
+        return bumped(superop, own, own[image[own] == own][0], 1j)
+    return bumped(superop, own, own[0])
+
+
+def bumped(superop, own, g, unit=1.0):
+    """`superop` with the diagonal entry g of its block `own` shifted by
+    `unit` times 1e-10 relative to that block."""
+    matrix = superop.matrix
     size = np.linalg.norm(matrix[own][:, own].data)
-    shift = 1e-10 * size * (1j if kind == "imaginary" else 1.0)
+    shift = 1e-10 * size * unit
     bump = sp.csr_matrix(([shift], ([g], [g])), shape=matrix.shape)
     return Superoperator((matrix + bump).tocsr(), superop.sector,
                          superop.hamiltonian, superop.jumps, superop.twists)
@@ -562,6 +572,106 @@ def test_mirror_check_runs_once_per_generator(monkeypatch):
     v0 = hermitian_vector(dsec, 3)
     assert frames_of(assemble(spec, sector=dsec), v0, dsec).real_form
     assert len(calls) == 5
+
+
+def reductions(superop):
+    """`mirror_eig` on a generator's own pair basis: the spectrum of each
+    coupled component, which counts how it was found, and the
+    components."""
+    return numerics.mirror_eig(superop.matrix,
+                               numerics._mirror_map(superop.sector),
+                               sector=superop.sector)
+
+
+def reduced_blocks(spectrum):
+    return spectrum.copied_blocks + spectrum.gauge_real_blocks
+
+
+@pytest.mark.slow
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 4), st.sampled_from(JUMP_FAMILIES),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_reflection_and_transpose_reductions_match_the_unsplit_eig(
+        L, family, seed, disordered):
+    # the particle-hole reflection copies spectra between the sectors N
+    # and L - N, and rho -> Sigma conj(rho) Sigma makes the first block of
+    # each charge-difference mirror pair real. Random rates keep clear of
+    # the exceptional points (such as equal rates at L = 2), where the
+    # unsplit eig splits a defective eigenvalue by sqrt(eps).
+    rng = np.random.default_rng(seed)
+    jump = JumpSpec(family, **dict(zip(JUMP_RATES[family],
+                                       rng.uniform(0.1, 3.0, size=2))))
+    spec = ModelSpec(layout=build_layout("chain-obc", L),
+                     J=rng.uniform(0.2, 2.0), jumps=(jump,),
+                     disorder=DisorderSpec(seed=seed) if disordered else None)
+    runs = []
+    if family != "x-like":  # x-like jumps leave the weak sector
+        runs.append(lambda model: weak_spectrum(model)[::2])
+    if L <= 3:  # the L = 4 pair space has 16384 coordinates
+        runs.append(lambda model: (full_spectrum(model), assemble(model)))
+    for run in runs:
+        split, superop = run(spec)
+        unsplit = eig_dense(superop.matrix)
+        assert multiset_distance(split.eigenvalues, unsplit.eigenvalues) < 1e-10
+        assert len(split.kernel_indices()) == len(unsplit.kernel_indices())
+        # each block, copied or not, has its own spectrum
+        parts, components = reductions(superop)
+        for part, own in zip(parts, components):
+            direct = eig_dense(superop.matrix[own][:, own]).eigenvalues
+            assert multiset_distance(part.eigenvalues, direct) < 1e-10
+        clean = split if not disordered else run(replace(spec, disorder=None))[0]
+        assert clean.copied_blocks > 0
+        # disorder breaks both symmetries on blocks that its fields and
+        # hops reach unlike their images (on some block from L = 3 on);
+        # blocks that they shift alike, such as the empty and the full
+        # chain, keep them
+        if disordered:
+            assert reduced_blocks(split) <= reduced_blocks(clean)
+            assert reduced_blocks(split) < reduced_blocks(clean) or L == 2
+    if disordered or L == 4:
+        return
+    # a bump on a reduced block takes it, and its reflection, out of both
+    # reductions
+    full = assemble(spec)
+    parts, components = reductions(full)
+    reduced = [i for i, part in enumerate(parts)
+               if part.copied_blocks or part.gauge_real_blocks]
+    b = max(reduced, key=lambda i: components[i].size)
+    image = numerics._reflection_map(full.sector)[0][components[b][0]]
+    k = next(i for i, own in enumerate(components) if image in own)
+    bad = bumped(full, components[b], components[b][0])
+    parts, after = reductions(bad)
+    assert all(np.array_equal(x, y) for x, y in zip(after, components))
+    assert parts[b].copied_blocks == parts[b].gauge_real_blocks == 0
+    assert parts[k].copied_blocks == 0
+    split = numerics._merge(parts)[0]
+    unsplit = eig_dense(bad.matrix).eigenvalues
+    assert multiset_distance(split.eigenvalues, unsplit) < 1e-10
+
+
+def test_reflection_and_transpose_halve_the_full_pair_space(monkeypatch):
+    # L = 4: of 1811 components, three are their own rho -> rho^+ image,
+    # in five real-form pieces; of the other 1808, 880 copy their
+    # reflection, 464 are conjugated, and 464 are real in the gauge
+    # i^(q(ket) - q(bra)): no complex eig is left
+    kinds = []
+    real = numerics.eig_dense
+
+    def recorded(matrix, *args, **kwargs):
+        kinds.append(matrix.dtype.kind)
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "eig_dense", recorded)
+    split = full_spectrum(biased_chain(4, 2.4, 1.6))
+    assert len(kinds) == 469 and set(kinds) == {"f"}
+    assert (split.real_blocks, split.conjugated_blocks, split.copied_blocks,
+            split.gauge_real_blocks) == (3, 464, 880, 464)
+    assert len(split.kernel_indices()) == 7
+    # the weak sector without N: the sectors 3, 4, 5 copy 2, 1, 0
+    kinds.clear()
+    weak = weak_spectrum(biased_chain(5, 2.4, 1.6))[0]
+    assert len(kinds) == 5
+    assert (weak.real_blocks, weak.copied_blocks) == (3, 3)
 
 
 def test_real_form_roundoff_does_not_hide_a_split(monkeypatch):
@@ -762,6 +872,31 @@ def test_multiset_distance_exact_on_near_ties(n, seed):
     distance = multiset_distance(a, b)
     assert hausdorff_distance(a, b) <= distance <= bound
     assert multiset_distance(b, a) == distance
+
+
+def test_multiset_distance_bisects_from_the_hausdorff_bound(monkeypatch):
+    # each point moves far less than the distance to any other, so the
+    # nearest neighbours pair off and the bottleneck is the Hausdorff
+    # distance: the bisection starts next to the answer
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=300) + 1j * rng.normal(size=300)
+    b = a + 1e-6 * (rng.normal(size=300) + 1j * rng.normal(size=300))
+    calls = []
+    matching = numerics._perfect_matching
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return matching(*args)
+
+    monkeypatch.setattr(numerics, "_perfect_matching", counted)
+    distance = multiset_distance(a, b)
+    assert distance == pytest.approx(hausdorff_distance(a, b), rel=1e-12)
+    assert distance == pytest.approx(np.abs(a - b).max(), rel=1e-12)
+    # the pairs within the Hausdorff radius (here one of them is lost to
+    # the rounding of the kd-tree query against that of the pair
+    # distances), within twice that, then one bisection step; from a
+    # lower end of 0 there were 10 matchings
+    assert len(calls) <= 3
 
 
 def test_hull_violation_signs():

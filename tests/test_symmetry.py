@@ -13,7 +13,9 @@ from dqlm.symmetry import (
     gauss_generator,
     hierarchical_charge_tables,
     partition_double_space,
+    reflect_states,
     site_occupation_table,
+    sublattice_sign,
     weak_sector,
 )
 
@@ -253,3 +255,24 @@ def test_infeasible_enumeration_guard():
     big = build_layout("chain-obc", 12)  # 23 spins
     with pytest.raises(InfeasibleSectorError):
         gauge_charge_table(big)
+
+
+def test_particle_hole_reflection_and_sublattice_sign():
+    layout = build_layout("chain-obc", 4)
+    idx = np.arange(layout.nstates)
+    image = reflect_states(layout, idx)
+    # an involution of the register
+    assert np.array_equal(np.sort(image), idx)
+    assert np.array_equal(reflect_states(layout, image), idx)
+    # N -> L - N, and the Gauss charges reflected and negated
+    occupation = site_occupation_table(layout)
+    assert np.array_equal(occupation[image], layout.L - occupation)
+    table = gauge_charge_table(layout)
+    assert np.array_equal(table[image], -table[:, ::-1])
+    # the sign of the dipole q = sum_n n N_n
+    q = sum(n * bit(idx, layout.site_slot(n)) for n in range(1, 5))
+    assert np.array_equal(sublattice_sign(layout, idx), (-1) ** q)
+    for other in (build_layout("chain-pbc", 4), build_layout("hierarchical", 4),
+                  build_layout("square-2d", 2, Ly=2)):
+        assert reflect_states(other, idx) is None
+        assert sublattice_sign(other, idx) is None
