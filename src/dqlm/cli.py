@@ -55,16 +55,17 @@ from .models import (
     is_number,
 )
 from .numerics import (
+    BLOCK_COUNTS,
     DENSE_CAP,
     KERNEL_TOL,
     RESIDUAL_TOL,
     DenseCapError,
     SolverError,
-    conjugate_partner,
     evolve,
     hausdorff_distance,
     link_z_diagonals,
     multiset_distance,
+    phase_partner,
     pure_state_vector,
     site_number_diagonals,
     spectrum_of,
@@ -488,16 +489,14 @@ def task_models(cfg):
 
 def _block_diagnostics(spectrum):
     """The blocks behind a `spectrum_of` result: how many, the largest,
-    the largest matrix handed to LAPACK, and how many were diagonalized
-    in real form, conjugated from their mirror block, copied from their
-    reflection, or diagonalized in the diagonal real form."""
+    the largest matrix handed to LAPACK, and how many were found each way
+    (`BLOCK_COUNTS`: in real form, conjugated from their mirror block,
+    copied from their reflection, in the diagonal real form, or split by
+    the parity of rho -> Sigma rho^T Sigma)."""
     sizes = np.bincount(spectrum.block_labels)
     return {"blocks": sizes.size, "max_block_dim": int(sizes.max()),
             "eig_max_dim": spectrum.eig_max_dim,
-            "real_blocks": spectrum.real_blocks,
-            "conjugated_blocks": spectrum.conjugated_blocks,
-            "copied_blocks": spectrum.copied_blocks,
-            "gauge_real_blocks": spectrum.gauge_real_blocks}
+            **{key: getattr(spectrum, key) for key in BLOCK_COUNTS}}
 
 
 def _weak_sector_checked(layout, n_particles):
@@ -636,8 +635,8 @@ def run_winding(cfg, rec):
     dsec = _weak_sector_checked(spec.layout, n_part)
     phis = [2.0 * np.pi * j / steps for j in range(steps)]
     superops, spectra = [], []
-    # partner[j]: the phase whose spectrum phase j conjugates
-    partner = [None] * steps
+    # source[j]: the phase whose spectrum phase j copies or conjugates
+    source = [None] * steps
     summary_rows = []
     for j, phi in enumerate(phis):
         t0 = time.perf_counter()
@@ -646,14 +645,12 @@ def run_winding(cfg, rec):
                                        leak_tol=tols["leak_tol"])
         except AssemblyError as exc:
             raise CliError(EXIT_CONFIG, "usage", str(exc))
-        # phase steps - j is -phi: the double-space generator there is the
-        # rho -> rho^+ image of this one, with the conjugate spectrum
         spectrum = None
-        if 2 * j > steps:
-            spectrum = conjugate_partner(superops[steps - j],
-                                         spectra[steps - j], superop)
+        for n in _partner_phases(j, steps):
+            spectrum = phase_partner(superops[n], spectra[n], superop)
             if spectrum is not None:
-                partner[j] = steps - j
+                source[j] = n
+                break
         if spectrum is None:
             spectrum = spectrum_of(superop, cap=tols["dense_cap"])
         rec.timings[f"phi_{j:03d}"] = time.perf_counter() - t0
@@ -671,27 +668,42 @@ def run_winding(cfg, rec):
     blocks = [_block_diagnostics(s) for s in spectra]
     for key in blocks[0]:
         rec.diagnostics[key] = [b[key] for b in blocks]
-    drift, hausdorff = _distances_from_phi0(spectra, partner)
+    rec.diagnostics["spectrum_from"] = source
+    drift, hausdorff = _distances_from_phi0(spectra, source)
     rec.diagnostics["max_drift_from_phi0"] = float(max(drift))
     rec.diagnostics["max_hausdorff_from_phi0"] = float(max(hausdorff))
 
 
-def _distances_from_phi0(spectra, partner):
+def _partner_phases(j, steps):
+    """The earlier phases n < j of a scan over 2 pi n / steps whose
+    generators `phase_partner` may map onto the one at phase j: -phi_j
+    (C), phi_j - pi (D) and pi - phi_j (C D), in that order. Each is only
+    a candidate: the maps are checked on the assembled generators."""
+    twice = [(-2 * j) % (2 * steps), (2 * j - steps) % (2 * steps),
+             (steps - 2 * j) % (2 * steps)]
+    return list(dict.fromkeys(t // 2 for t in twice
+                              if t % 2 == 0 and t // 2 < j))
+
+
+def _distances_from_phi0(spectra, source):
     """The bottleneck and Hausdorff distances of the phases j >= 1 from
-    phase 0. When phase 0's spectrum s0 is closed under conjugation,
-    d(s0, conj s) = d(conj s0, s) = d(s0, s) bit for bit (|conj a - b| =
-    |a - conj b|), so a phase j that conjugates phase n - j takes that
-    phase's distances."""
+    phase 0. A phase j that copies phase n (`source[j]`) has n's
+    distances, 0 for n = 0. When phase 0's spectrum s0 is closed under
+    conjugation, d(s0, conj s) = d(conj s0, s) = d(s0, s) bit for bit
+    (|conj a - b| = |a - conj b|), so a phase that conjugates phase n
+    takes n's distances too."""
     zero = spectra[0].eigenvalues
     closed = np.array_equal(np.sort_complex(zero), np.sort_complex(zero.conj()))
-    drift, hausdorff = {}, {}
+    drift, hausdorff = {0: 0.0}, {0: 0.0}
     for j in range(1, len(spectra)):
-        if closed and partner[j] is not None:
-            drift[j], hausdorff[j] = drift[partner[j]], hausdorff[partner[j]]
+        n = source[j]
+        if n is not None and (closed or spectra[j].copied_blocks):
+            drift[j], hausdorff[j] = drift[n], hausdorff[n]
         else:
             values = spectra[j].eigenvalues
             drift[j] = multiset_distance(zero, values)
             hausdorff[j] = hausdorff_distance(zero, values)
+    del drift[0], hausdorff[0]
     return drift.values(), hausdorff.values()
 
 

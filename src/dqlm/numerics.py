@@ -42,42 +42,61 @@ real form often splits where the complex block does not (518 = 339 + 179
 on the L=5 N=2 open chain; on-site disorder breaks this and nothing
 splits). Of two blocks that C maps onto each other (charge differences
 delta and -delta, momenta k and -k) one is diagonalized and the other
-gets the conjugate spectrum; in the same way the CLI `winding` scan
-takes the double-space generator at -phi as the conjugate of the one at
-phi (`conjugate_partner`). C is checked once per generator: one defect
+gets the conjugate spectrum. C is checked once per generator: one defect
 matrix D = C(M) - M gives every block its gap relative to the block
 (`_mirror_gaps`; on a self-mirror block ||D||/2 = ||Im U^+ M U||), and a
 reuse goes ahead within `MIRROR_TOL`; a generator without the symmetry
 (the double-space twist away from 0 and pi) takes the complex eig, and
 `full_spectrum` refuses it.
 
-On the pair basis of an open chain (not a Bloch frame) two more exact
-symmetries of the generator are used, after the classification of
-Lindbladian symmetries by Sa, Ribeiro & Prosen (PRX 13, 031019 (2023)),
-each a monomial map on the pairs checked once per generator by its own
-defect matrix, with per-block gaps relative to the block (`_map_gaps`):
+Two more exact symmetries of the generator are used, after the
+classification of Lindbladian symmetries by Sa, Ribeiro & Prosen (PRX
+13, 031019 (2023)), each a monomial map checked once per generator by
+its own defect matrix, with per-block gaps relative to the block
+(`_map_gaps`):
 
-* the particle-hole reflection Pi (`reflect_states`: site n to L+1-n
-  with its occupation flipped, link m to L-m), unitary, which maps the
-  sector N onto L - N. Where the pair basis is closed under it, a block
-  that Pi maps onto a block whose spectrum is known, within `MIRROR_TOL`
-  of that block's image, takes a copy of it (`copied_blocks`): the weak
-  sector without N diagonalizes the sectors N <= L/2 only.
+* the particle-hole reflection Pi of an open chain (`reflect_states`:
+  site n to L+1-n with its occupation flipped, link m to L-m), unitary,
+  which maps the sector N onto L - N. Where the pair basis is closed
+  under it, a block that Pi maps onto a block whose spectrum is known,
+  within `MIRROR_TOL` of that block's image, takes a copy of it
+  (`copied_blocks`): the weak sector without N diagonalizes the sectors
+  N <= L/2 only.
 * W(rho) = Sigma rho^T Sigma, Sigma = (-1)^q with q = sum_n n N_n
-  (`sublattice_sign`). A = C W, rho -> Sigma conj(rho) Sigma, maps every
-  pair onto itself, so in the diagonal gauge i^(q(ket) - q(bra)) (the
-  real form of A, a diagonal unitary through `_real_form`) the whole
-  generator is real. The first block of each C mirror pair, which C
-  alone leaves complex, is diagonalized in this real form by real
-  LAPACK where the gaps of C and W on the pair add up to at most
-  `MIRROR_TOL` (`gauge_real_blocks`); W is built only once such a block
-  is reached.
+  (`sublattice_sign`), on an open chain or an even ring, where every hop
+  changes q by an odd amount. On the pair basis A = C W,
+  rho -> Sigma conj(rho) Sigma, maps every pair onto itself, so in the
+  diagonal gauge i^(q(ket) - q(bra)) (the real form of A, a diagonal
+  unitary through `_real_form`) the whole generator is real. The first
+  block of each C mirror pair, which C alone leaves complex, is
+  diagonalized in this real form by real LAPACK where the gaps of C and
+  W on the pair add up to at most `MIRROR_TOL` (`gauge_real_blocks`).
+  W is a unitary involution, monomial in the Bloch frame as well
+  (`_basis_image`, which also gives C there), and every other block that
+  would take the complex eig and that W maps onto itself within
+  `MIRROR_TOL` is rotated into W's +1 and -1 columns (`_parity_form`)
+  and diagonalized one coupled component at a time
+  (`parity_split_blocks`): on even rings these are the first blocks of
+  the momentum mirror pairs and every block of the double-space twist
+  away from 0 and pi (a 190-pair block of the L=6 N=1 ring splits
+  127 + 63). W is built only once a block that could use it is reached.
 
-Both hold for every jump family of the open chain and break under
-disorder (on-site and link fields, next-nearest hops) on the blocks that
-it reaches unlike their images; periodic, hierarchical and square
-layouts and the Bloch frames have neither. The block counts of a
-`Spectrum` say which path each block took (`BLOCK_COUNTS`). Dense
+Pi holds for every jump family of the open chain, W for every jump
+family of the open chain and of an even ring and for the double-space
+twist at every phase; the lindblad twist breaks W away from 0 and pi,
+and disorder (on-site and link fields, next-nearest hops) breaks both on
+the blocks that it reaches unlike their images. Hierarchical and square
+layouts and odd rings have neither. The block counts of a `Spectrum`
+say which path each block took (`BLOCK_COUNTS`).
+
+A spectrum can also come from another generator's (`phase_partner`):
+the CLI `winding` scan takes the double-space generator at -phi as the
+conjugate of the one at phi (C), the generator of either twist at
+phi + pi as a copy of the one at phi (the diagonal sign D =
+(-1)^(b_ket + b_bra) of the wrap link's state b flips the wrap hop in
+ket and bra), and the double-space generator at pi - phi as the
+conjugate (C D). Each map is decided by one defect of the assembled
+partner within `MIRROR_TOL`, never from the phases. Dense
 eigendecomposition is capped (default
 6000) per block because the cost is cubic (`DenseCapError`, raised
 before the first block is diagonalized); sector projection is the
@@ -92,9 +111,11 @@ of its matrix - tol I, tol the kernel bin (1e-9). That one LU serves
 twice: shift-invert Arnoldi (ARPACK) on it finds the eigenvalues
 nearest 0, doubling their number until one lies outside the bin, and
 those below the bin count the kernel, as the dense spectrum's would;
-two steps of subspace iteration with it then span the kernel. Only
-blocks too small for ARPACK take a dense eig. Each group's kernel
-residual is checked against `RESIDUAL_TOL` relative to its block.
+two steps of subspace iteration with it then span the kernel. Groups
+of at most `KERNEL_DENSE_DIM` (36) coordinates, where a dense eig costs
+less than ARPACK (the L=4 gauge-fix ring has 108 groups, most of them
+that small), count their kernel by a dense eig instead. Each group's
+kernel residual is checked against `RESIDUAL_TOL` relative to its block.
 Degeneracy counting bins eigenvalues within 1e-7 of the reference
 value.
 
@@ -142,6 +163,9 @@ KERNEL_TOL = 1e-9
 DEGENERACY_BIN = 1e-7
 RESIDUAL_TOL = 1e-8
 MIRROR_TOL = 1e-12
+# blocks up to this dimension count their kernel by a dense eig, which
+# costs less there than shift-invert ARPACK
+KERNEL_DENSE_DIM = 36
 
 
 class SolverError(RuntimeError):
@@ -163,12 +187,14 @@ class Spectrum:
     block_labels: tuple = None
     # blocks diagonalized in the real form of rho -> rho^+, blocks whose
     # spectrum is the conjugate of a mirror block's, blocks whose spectrum
-    # is a copy of their reflection's, and blocks diagonalized in the
-    # diagonal real form of rho -> Sigma conj(rho) Sigma (see `mirror_eig`)
+    # is a copy of their reflection's, blocks diagonalized in the
+    # diagonal real form of rho -> Sigma conj(rho) Sigma, and blocks split
+    # by the parity of rho -> Sigma rho^T Sigma (see `mirror_eig`)
     real_blocks: int = 0
     conjugated_blocks: int = 0
     copied_blocks: int = 0
     gauge_real_blocks: int = 0
+    parity_split_blocks: int = 0
     # the largest matrix handed to LAPACK for this spectrum (0: none)
     eig_max_dim: int = 0
 
@@ -188,7 +214,7 @@ class Spectrum:
 
 
 BLOCK_COUNTS = ("real_blocks", "conjugated_blocks", "copied_blocks",
-                "gauge_real_blocks")
+                "gauge_real_blocks", "parity_split_blocks")
 
 
 def canonical_order(values):
@@ -348,28 +374,41 @@ def _mirror_map(dsec, basis=None):
     coordinate vector w to Q conj(w), with Q monomial:
     Q[image[g], g] = exp(i angle[g]). Returns (image, angle), or None when
     C does not map the coordinates onto themselves: the pair basis is not
-    closed under (a, b) -> (b, a), or some column of `basis` is not mapped
-    onto a single column, or `image` is not an involution (C^2 = 1)."""
+    closed under (a, b) -> (b, a), or `basis` fails `_basis_image`."""
     swap = dsec.lookup(dsec.bras, dsec.kets)
     if np.any(swap < 0):
         return None
     if basis is None:
         return swap, np.zeros(dsec.dim)
-    # Q = B^+ P conj(B), P the swap of ket and bra
-    q = (basis.conj().T @ basis.tocsr()[swap].conj()).tocoo()
+    seen = _basis_image(basis, swap, antiunitary=True)
+    return None if seen is None else (seen[0], np.angle(seen[1]))
+
+
+def _basis_image(basis, image, sign=None, antiunitary=False):
+    """A monomial involution on a pair basis, pair g to pair `image[g]`
+    times the real `sign[g]` (None: 1), seen on the columns of a unitary
+    `basis` over it: Q = B^+ S B, or for an antiunitary map, which acts
+    on coordinates as w -> Q conj(w), Q = B^+ S conj(B). Returns (image,
+    value) with Q[image[g], g] = value[g], or None when some column is not
+    mapped onto a single column or the image is not an involution."""
+    n = image.size
+    moved = basis.tocsr()[image]
+    if sign is not None:
+        moved = sp.diags(sign[image]) @ moved
+    q = (basis.conj().T @ (moved.conj() if antiunitary else moved)).tocoo()
     # a unit column holds at most one entry of modulus above 1/sqrt(2)
     keep = np.abs(q.data) ** 2 > 0.5
     rows, cols = q.row[keep], q.col[keep]
-    if (cols.size != dsec.dim or np.unique(cols).size != cols.size
+    if (cols.size != n or np.unique(cols).size != cols.size
             or np.unique(rows).size != rows.size):
         return None
-    image = np.empty(dsec.dim, dtype=np.int64)
-    image[cols] = rows
-    if np.any(image[image] != np.arange(dsec.dim)):
+    seen = np.empty(n, dtype=np.int64)
+    seen[cols] = rows
+    if np.any(seen[seen] != np.arange(n)):
         return None
-    angle = np.empty(dsec.dim)
-    angle[cols] = np.angle(q.data[keep])
-    return image, angle
+    value = np.empty(n, dtype=np.complex128)
+    value[cols] = q.data[keep]
+    return seen, value
 
 
 def _monomial(image, phase):
@@ -380,7 +419,9 @@ def _monomial(image, phase):
 
 def _row_gaps(defect, matrix, labels):
     """The norm of a defect's rows on each label, relative to the rows of
-    `matrix` there."""
+    `matrix` there (None: one label for all)."""
+    if labels is None:
+        labels = np.zeros(matrix.shape[0], dtype=np.int64)
     count = int(labels.max(initial=0)) + 1
     gap, norm = (np.bincount(labels[m.row], np.abs(m.data) ** 2,
                              minlength=count)
@@ -396,8 +437,6 @@ def _mirror_gaps(matrix, mirror, labels=None, partner=None):
     on j are C(M_i) - M'_j: block j's distance from block i's image, or
     for i = j, as U^+ D U = -2i Im(U^+ M U) (`_real_form`), twice the
     imaginary part of the block's real form."""
-    n = matrix.shape[0]
-    labels = np.zeros(n, dtype=np.int64) if labels is None else labels
     q = _monomial(mirror[0], np.exp(1j * mirror[1]))
     defect = q @ matrix.conj() @ q.conj().T - (
         matrix if partner is None else partner)
@@ -427,15 +466,26 @@ def _reflection_map(dsec):
     return image, np.ones(dsec.dim)
 
 
-def _transpose_map(dsec, mirror):
-    """W(rho) = Sigma rho^T Sigma on a pair basis, Sigma the sign of
-    `sublattice_sign`: (a, b) -> (b, a) times sigma(a) sigma(b), so that
-    C W is the diagonal antiunitary A(rho) = Sigma conj(rho) Sigma. Takes
-    the swap from C (`mirror`); None where the layout has no sign."""
+def _transpose_map(dsec, basis=None):
+    """W(rho) = Sigma rho^T Sigma, Sigma the sign of `sublattice_sign`, on
+    the coordinates of a generator: on the pair basis `dsec` it takes
+    (a, b) to (b, a) times sigma(a) sigma(b), so that C W is the diagonal
+    antiunitary A(rho) = Sigma conj(rho) Sigma; on the columns of a
+    unitary `basis` over it, as `_basis_image` sees it. Returns (image,
+    phase) with W e_g = phase[g] e_image[g], or None where the layout has
+    no sign, the pair basis is not closed under the swap, or some column
+    of `basis` is not mapped onto a single column."""
     signs = [sublattice_sign(dsec.layout, s) for s in (dsec.kets, dsec.bras)]
     if signs[0] is None:
         return None
-    return mirror[0], (signs[0] * signs[1]).astype(np.complex128)
+    swap = dsec.lookup(dsec.bras, dsec.kets)
+    if np.any(swap < 0):
+        return None
+    sign = (signs[0] * signs[1]).astype(np.complex128)
+    if basis is None:
+        return swap, sign
+    seen = _basis_image(basis, swap, sign.real)
+    return None if seen is None else (seen[0], seen[1] / np.abs(seen[1]))
 
 
 def _conjugate(part):
@@ -449,6 +499,25 @@ def _conjugate(part):
                     block_labels=labels)
 
 
+def _paired_unitary(within, fixed, upper, lower):
+    """A unitary whose columns an involution of the coordinates (g to
+    `within[g]`) maps onto themselves: one column fixed[g] e_g per fixed
+    coordinate g and two per pair g < h = within[g], upper[0][g] e_g +
+    upper[1][g] e_h and lower[0][g] e_g + lower[1][g] e_h (arrays over the
+    coordinates); the fixed coordinates first, then pair by pair."""
+    n = within.size
+    g = np.arange(n)
+    fixed_at, first = g[within == g], g[g < within]
+    second = within[first]
+    col = fixed_at.size + 2 * np.arange(first.size)
+    rows = np.concatenate([fixed_at, first, second, first, second])
+    cols = np.concatenate([np.arange(fixed_at.size), col, col, col + 1,
+                           col + 1])
+    values = [fixed[fixed_at]] + [v[first] for v in (*upper, *lower)]
+    return sp.csc_matrix((np.concatenate(values), (rows, cols)),
+                         shape=(n, n))
+
+
 def _real_form(block, within, phase):
     """The unitary U whose columns C maps onto themselves, and U^+ M U,
     which is real when the block commutes with C (Q[within[g], g] =
@@ -457,18 +526,24 @@ def _real_form(block, within, phase):
     sqrt(phase[g]) (e_g + e_h) / sqrt(2) and i sqrt(phase[g]) (e_g - e_h)
     / sqrt(2); on the pair basis these are e_(a,a), (e_(a,b) + e_(b,a))
     / sqrt(2) and i (e_(a,b) - e_(b,a)) / sqrt(2)."""
-    n = within.size
-    g = np.arange(n)
-    fixed, first = g[within == g], g[g < within]
-    second = within[first]
     half = np.sqrt(phase)
-    col = fixed.size + 2 * np.arange(first.size)
-    rows = np.concatenate([fixed, first, second, first, second])
-    cols = np.concatenate([np.arange(fixed.size), col, col, col + 1, col + 1])
-    root = half[first] / np.sqrt(2)
-    unitary = sp.csc_matrix(
-        (np.concatenate([half[fixed], root, root, 1j * root, -1j * root]),
-         (rows, cols)), shape=(n, n))
+    root = half / np.sqrt(2)
+    unitary = _paired_unitary(within, half, (root, root),
+                              (1j * root, -1j * root))
+    return unitary, (unitary.conj().T @ block @ unitary).tocsr()
+
+
+def _parity_form(block, within, phase):
+    """The unitary U of the +1 and -1 eigenvectors of a monomial
+    involution W (W e_g = phase[g] e_within[g]), and U^+ M U, which has no
+    entry between the two signs when the block commutes with W. A fixed
+    coordinate g gives the column e_g (eigenvalue phase[g] = +-1), a pair
+    g <-> h the columns (e_g + phase[g] e_h) / sqrt(2) (+1) and
+    (e_g - phase[g] e_h) / sqrt(2) (-1)."""
+    root = np.full(within.size, 1 / np.sqrt(2))
+    turn = phase / np.sqrt(2)
+    unitary = _paired_unitary(within, np.ones(within.size), (root, turn),
+                              (root, -turn))
     return unitary, (unitary.conj().T @ block @ unitary).tocsr()
 
 
@@ -556,12 +631,14 @@ def _reflection_images(matrix, components, labels, sector):
 
 
 def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
-               sector=None):
+               sector=None, bloch=None):
     """Dense spectra of the coupled components of a CSR generator through
     the antiunitary symmetry C(rho) = rho^+ of a Lindbladian, C on its
-    coordinates given by `mirror` (`_mirror_map`, or None), and, when the
-    coordinates are the pair basis `sector` itself, through the
-    particle-hole reflection Pi and the transpose map W of an open chain.
+    coordinates given by `mirror` (`_mirror_map`, or None), and through
+    the transpose map W of a chain, on the pair basis `sector` (or None)
+    or on the columns of the unitary `bloch` over it; when the
+    coordinates are the pair basis itself, also through the particle-hole
+    reflection Pi of an open chain.
 
     The components and their mirror blocks come from `_mirror_blocks`; a
     block over the cap raises `DenseCapError` before any eig, and with
@@ -572,14 +649,19 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
     the real form (`coupled_components` with roundoff up to `MIRROR_TOL`
     cut). Of two blocks that C maps onto each other the first is
     diagonalized, and the second, within `MIRROR_TOL` relative of its
-    image, gets the conjugate spectrum without being sliced. The first is
-    diagonalized in the real form of A = C W, which maps it onto itself
-    (a diagonal unitary, `_real_form`), when the gaps of C and W on the
-    pair add up to at most `MIRROR_TOL`; W is checked only once such a
-    block is reached. Every other block takes the complex eig. Each block
-    whose spectrum is known passes it on to the block that Pi maps it
-    onto, as a copy, when that block is within `MIRROR_TOL` relative of
-    its image (`_reflection_images`) and still open.
+    image, gets the conjugate spectrum without being sliced. On the pair
+    basis the first is diagonalized in the real form of A = C W, which
+    maps it onto itself (a diagonal unitary, `_real_form`), when the gaps
+    of C and W on the pair add up to at most `MIRROR_TOL`. Every other
+    block that W maps onto itself within `MIRROR_TOL` relative is
+    rotated into W's +1 and -1 columns (`_parity_form`) and takes one
+    complex eig per coupled component of the rotated block, roundoff up
+    to `MIRROR_TOL` cut: the two signs never couple. W is built and
+    checked once (`_transpose_blocks`), when the first block that could
+    use it is reached. Every other block takes the complex eig. Each
+    block whose spectrum is known passes it on to the block that Pi maps
+    it onto, as a copy, when that block is within `MIRROR_TOL` relative
+    of its image (`_reflection_images`) and still open.
 
     Returns one Spectrum per component, which counts itself in the one
     of `BLOCK_COUNTS` that says how it was found (none for a complex
@@ -595,37 +677,45 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
             f"component {i} has no conjugate mirror component within "
             f"{MIRROR_TOL:.0e} (relative gap {gap[i]:.3e}); not a "
             "Lindbladian")
+    pairs = None if bloch is not None else sector
     reflection, reflects = _reflection_images(matrix, components, labels,
-                                              sector)
+                                              pairs)
     # the blocks are sliced from one symmetric permutation
     order = np.concatenate(components)
     permuted = matrix[order][:, order]
     bounds = np.cumsum([0] + [c.size for c in components])
     parts = [None] * len(components)
-    gauged = gaps = None
+    transpose = gauged = None
     for i, own in enumerate(components):
         if parts[i] is not None:
             continue
         j = partner[i]
         mirrored = gap[i] <= MIRROR_TOL
-        gauge = False
-        if mirrored and j != i:
-            if gaps is None:
-                gauged, gaps = _gauge_form(matrix, order, mirror, labels,
-                                           sector)
-            gauge = gap[i] + gaps[j] <= MIRROR_TOL
-        block = (gauged if gauge else permuted)[bounds[i]:bounds[i + 1],
-                                                bounds[i]:bounds[i + 1]]
+        cut = slice(bounds[i], bounds[i + 1])
         if mirrored and j == i:
             form = _real_part(_real_form(
-                block, np.searchsorted(own, mirror[0][own]),
+                permuted[cut, cut], np.searchsorted(own, mirror[0][own]),
                 np.exp(1j * mirror[1][own]))[1])
-            parts[i] = _merge([eig_dense(form[c][:, c], basis, cap) for c
-                               in coupled_components(form, MIRROR_TOL)])[0]
+            parts[i] = _split_eig(form, basis, cap)
             parts[i].real_blocks = 1
         else:
-            parts[i] = eig_dense(block, basis, cap)
-            parts[i].gauge_real_blocks = int(gauge)
+            if transpose is None:
+                transpose = _transpose_blocks(matrix, components, labels,
+                                              sector, bloch)
+            w, target, w_gap = transpose
+            gauge = pairs is not None and mirrored
+            if gauge and gap[i] + w_gap[j] <= MIRROR_TOL:
+                if gauged is None:
+                    gauged = _gauge_form(matrix, order, w)
+                parts[i] = eig_dense(gauged[cut, cut], basis, cap)
+                parts[i].gauge_real_blocks = 1
+            elif target[i] == i and w_gap[i] <= MIRROR_TOL:
+                parts[i] = _split_eig(_parity_form(
+                    permuted[cut, cut], np.searchsorted(own, w[0][own]),
+                    w[1][own])[1], basis, cap)
+                parts[i].parity_split_blocks = 1
+            else:
+                parts[i] = eig_dense(permuted[cut, cut], basis, cap)
         known = [i]
         if mirrored and parts[j] is None:
             parts[j] = _conjugate(parts[i])
@@ -639,19 +729,38 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
     return parts, components
 
 
-def _gauge_form(matrix, order, mirror, labels, sector):
-    """The real form of a CSR generator under A = C W (`_transpose_map` on
-    the pair basis `sector`), permuted symmetrically by `order`: A is
-    diagonal, so its real form is Re(U^+ M U) for the diagonal unitary U
-    of `_real_form`, real on every block that A maps onto itself within
-    `MIRROR_TOL`. Returns it with W's gap on each block (`_map_gaps`), or
-    (None, infinite gaps) when there is no W."""
-    transpose = None if sector is None else _transpose_map(sector, mirror)
-    if transpose is None:
-        return None, np.full(int(labels.max(initial=0)) + 1, np.inf)
+def _split_eig(form, basis, cap):
+    """The spectrum of a block rotated so that its roundoff hides no
+    split: one eig per coupled component of `form`, entries up to
+    `MIRROR_TOL` relative cut (`coupled_components`, with its guard)."""
+    return _merge([eig_dense(form[c][:, c], basis, cap)
+                   for c in coupled_components(form, MIRROR_TOL)])[0]
+
+
+def _transpose_blocks(matrix, components, labels, sector, bloch):
+    """W (`_transpose_map` on the pair basis `sector`, or on the columns
+    of `bloch` over it) on the coordinates of a CSR generator, checked
+    once: W, the component it maps each component onto (or -1) and its
+    gap on each component (`_map_gaps`: for W mapping block i onto block
+    j, the gap on j is ||W(M_i) - M_j|| relative to M_j). Without W:
+    None, -1 and infinite gaps."""
+    w = None if sector is None else _transpose_map(sector, bloch)
+    count = len(components)
+    if w is None:
+        return None, np.full(count, -1), np.full(count, np.inf)
+    return (w, _block_images(components, labels, w[0]),
+            _map_gaps(matrix, w, labels))
+
+
+def _gauge_form(matrix, order, transpose):
+    """The real form of a CSR generator on a pair basis under A = C W
+    (`transpose`, W as `_transpose_map` gives it there), permuted
+    symmetrically by `order`: A is diagonal, so its real form is
+    Re(U^+ M U) for the diagonal unitary U of `_real_form`, real on every
+    block that A maps onto itself within `MIRROR_TOL`."""
     n = matrix.shape[0]
     gauged = _real_part(_real_form(matrix, np.arange(n), transpose[1])[1])
-    return gauged[order][:, order], _map_gaps(matrix, transpose, labels)
+    return gauged[order][:, order]
 
 
 def _frame(superop):
@@ -676,27 +785,66 @@ def spectrum_of(superop, cap=DENSE_CAP):
     before any block is diagonalized."""
     bloch, matrix, mirror = _frame(superop)
     parts, _ = mirror_eig(matrix, mirror, superop.basis, cap,
-                          sector=superop.sector if bloch is None else None)
+                          sector=superop.sector, bloch=bloch)
     spectrum, order = _merge(parts)
     labels = np.repeat(np.arange(len(parts)), [part.dim for part in parts])
     spectrum.block_labels = tuple(labels[order].tolist())
     return spectrum
 
 
-def conjugate_partner(superop, spectrum, partner):
-    """The spectrum of the generator `partner` when it is the C-image
-    P conj(M) P of `superop` on the same pair basis (P the ket-bra swap),
-    within `MIRROR_TOL` relative to M (`_mirror_gaps` with M' the
-    partner): the conjugate of `spectrum`, each block counted as
-    conjugated. None when it is not."""
-    mirror = _mirror_map(superop.sector)
-    if (partner.sector is not superop.sector or mirror is None
-            or _mirror_gaps(superop.matrix, mirror,
-                            partner=partner.matrix)[0] > MIRROR_TOL):
+def _wrap_sign(dsec):
+    """The diagonal sign D = (-1)^(b_ket + b_bra) on a periodic-chain pair
+    basis, b the state of the wrap link (L, 1), which only the hop across
+    it flips; None on every other layout."""
+    layout = dsec.layout
+    if layout.kind != "chain-pbc":
         return None
-    image = _conjugate(spectrum)
-    image.conjugated_blocks = len(set(spectrum.block_labels))
-    return image
+    slot = layout.link_slot(layout.L)
+    parity = (state_bit(dsec.kets, slot) + state_bit(dsec.bras, slot)) & 1
+    return 1.0 - 2.0 * parity
+
+
+def phase_partner(superop, spectrum, partner):
+    """The spectrum of the generator `partner` on the pair basis of
+    `superop`, taken from `spectrum`, the spectrum of `superop` M, when
+    one of three exact maps takes M onto the partner M':
+
+    * C, M' = P conj(M) P (P the ket-bra swap): the conjugate spectrum;
+      the double-space generator at -phi is the C image of the one at phi;
+    * D, M' = D M D, D the diagonal sign of `_wrap_sign`: a copy; D flips
+      the wrap hop in ket and bra, so it takes either twisted generator
+      at phi onto the one at phi + pi;
+    * C D: the conjugate spectrum; the double-space generator at pi - phi.
+
+    Each is decided by one defect of the assembled partner, within
+    `MIRROR_TOL` relative to M (`_mirror_gaps` with M' the partner for C
+    and C D), and they are tried in this order; nothing is assumed from
+    the phases. Each block of `spectrum` counts as conjugated or copied.
+    None when no map holds."""
+    dsec = superop.sector
+    if partner.sector is not dsec:
+        return None
+    matrix, target = superop.matrix, partner.matrix
+    mirror = _mirror_map(dsec)
+    blocks = len(set(spectrum.block_labels))
+    conjugate = _conjugate(spectrum)
+    conjugate.conjugated_blocks = blocks
+    if mirror is not None and _mirror_gaps(
+            matrix, mirror, partner=target)[0] <= MIRROR_TOL:
+        return conjugate
+    sign = _wrap_sign(dsec)
+    if sign is None:
+        return None
+    flip = _monomial(np.arange(dsec.dim), sign)
+    flipped = flip @ matrix @ flip
+    if _row_gaps(flipped - target, matrix, None)[0] <= MIRROR_TOL:
+        return Spectrum(spectrum.eigenvalues.copy(), spectrum.basis,
+                        block_labels=spectrum.block_labels,
+                        copied_blocks=blocks)
+    if mirror is not None and _mirror_gaps(
+            flipped, mirror, partner=target)[0] <= MIRROR_TOL:
+        return conjugate
+    return None
 
 
 def _check_cap(components, cap):
@@ -718,17 +866,18 @@ def _near_kernel(block, lu, tol):
     Yang, SIAM 1998) returns the k eigenvalues nearest sigma, for
     k = 2, 4, 8, ... until the farthest of them lies at least 2 tol from
     sigma: every |lambda| < tol lies within 2 tol of sigma, so it is
-    among them. A block too small for ARPACK, which needs k < n - 1, or
-    one where k reaches that limit, takes `eig_dense` instead; its blocks
-    passed the dense cap one by one before. ARPACK's start and restart
-    vectors come from a generator of their own with a fixed seed, so the
-    result repeats. An ARPACK failure raises `SolverError`."""
+    among them. A block of at most `KERNEL_DENSE_DIM` coordinates, or
+    one where k reaches ARPACK's limit k < n - 1, takes `eig_dense`
+    instead; its blocks passed the dense cap one by one before. ARPACK's
+    start and restart vectors come from a generator of their own with a
+    fixed seed, so the result repeats. An ARPACK failure raises
+    `SolverError`."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
     n = block.shape[0]
     inverse = LinearOperator(block.shape, matvec=lu.solve, dtype=block.dtype)
     k = 2
-    while k < n - 1:
+    while KERNEL_DENSE_DIM < n and k < n - 1:
         try:
             values = eigs(block, k, sigma=tol, OPinv=inverse,
                           return_eigenvectors=False, rng=0)
@@ -773,8 +922,9 @@ def steady_states(superop, tol=KERNEL_TOL, cap=DENSE_CAP, stats=None):
     nearest 0 (`_near_kernel`) count the group's kernel, the eigenvalues
     below `tol` in modulus, and its kernel vectors w (`_kernel_basis`)
     give orthonormal Hermitian operators U w. No dense spectrum is
-    computed, save for blocks too small for ARPACK. Vectors are lifted
-    back through U and, on a periodic chain, the Bloch basis.
+    computed, save for groups of at most `KERNEL_DENSE_DIM` coordinates
+    (`_near_kernel`). Vectors are lifted back through U and, on a
+    periodic chain, the Bloch basis.
 
     Each vector loses its entries up to `MIRROR_TOL` relative to its
     largest (the roundoff coherences of diagonal steady states), then is
@@ -910,10 +1060,11 @@ def multiset_distance(a, b):
     radius is doubled from there until the pairs within it (a kd-tree
     query) admit a perfect matching, then bisected over the distances of
     those pairs (Efrat, Itai & Katz, Algorithmica 31, 1 (2001)). The
-    bisection starts at the largest of those distances below the
-    Hausdorff bound, one below the first at or above it, since the
-    kd-tree query and the pair distances round separately; each matching
-    found lowers the upper end to its own largest distance.
+    kd-tree query and the pair distances round separately, so the first
+    radius lies a few ulps above the Hausdorff bound, and the bisection
+    starts at the largest pair distance below the bound, one below the
+    first at or above it; each matching found lowers the upper end to its
+    own largest distance.
     """
     from scipy.spatial import cKDTree
 
@@ -924,7 +1075,9 @@ def multiset_distance(a, b):
     if n == 0:
         return 0.0
     tree_a, tree_b = cKDTree(a), cKDTree(b)
-    radius = bound = _hausdorff(tree_a, tree_b, a, b)
+    bound = _hausdorff(tree_a, tree_b, a, b)
+    # a few ulps above the bound, so that no pair at the bound is lost
+    radius = bound + 4 * np.spacing(bound) if bound else 0.0
     while True:
         found = tree_a.sparse_distance_matrix(tree_b, radius,
                                               output_type="ndarray")

@@ -30,10 +30,10 @@ cross-check oracle that every such component lies inside one
 charge-difference block.
 
 Three maps of the register feed the symmetries `numerics` lifts to the
-pair basis: translation on a periodic chain (`translate_states`), and on
-an open chain the particle-hole reflection (`reflect_states`) and the
-sign (-1)^(sum_n n N_n) (`sublattice_sign`); the last two are None on
-every other layout.
+pair basis: translation on a periodic chain (`translate_states`), the
+particle-hole reflection of an open chain (`reflect_states`), and the
+sign (-1)^(sum_n n N_n) of an open chain or an even ring
+(`sublattice_sign`); the last two are None on every other layout.
 """
 
 from dataclasses import dataclass
@@ -133,9 +133,14 @@ def reflect_states(layout, states):
 
 
 def sublattice_sign(layout, states):
-    """The sign (-1)^q of open-chain basis states, q = sum_n n N_n the
-    dipole of the occupations (int8). None for every other layout."""
-    if layout.kind != "chain-obc":
+    """The sign (-1)^q of chain basis states, q = sum_n n N_n the dipole
+    of the occupations (int8). Every hop of an open chain changes q by
+    one, so the sign flips every hopping term. On a periodic chain the
+    wrap hop between sites L and 1 changes q by L - 1, which is odd only
+    for even L: an even ring has the sign, an odd ring does not (None).
+    None for every other layout."""
+    if layout.kind != "chain-obc" and not (
+            layout.kind == "chain-pbc" and layout.L % 2 == 0):
         return None
     states = np.asarray(states, dtype=np.int64)
     odd = np.zeros(states.shape, dtype=np.int64)

@@ -328,10 +328,14 @@ def test_winding_double_space_pi_periodicity(tmp_path):
     # 66 pairs in three momentum blocks of 22, at every phase
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["blocks"] == [3] * 4 and diag["max_block_dim"] == [22] * 4
-    # at 0 and pi one block is real and one the conjugate of another; the
-    # phase 3 pi/2 is the conjugate of pi/2, block by block
-    assert diag["real_blocks"] == [1, 0, 1, 0]
-    assert diag["conjugated_blocks"] == [1, 0, 1, 3]
+    # at 0 one block is real and one the conjugate of another; pi copies
+    # 0 through the wrap-link sign, and 3 pi/2 is the conjugate of pi/2,
+    # block by block
+    assert diag["real_blocks"] == [1, 0, 0, 0]
+    assert diag["conjugated_blocks"] == [1, 0, 0, 3]
+    assert diag["copied_blocks"] == [0, 0, 3, 0]
+    assert diag["spectrum_from"] == [None, None, 0, 1]
+    assert diag["eig_max_dim"] == [22, 22, 0, 0]
     quarter, three = (read_csv(out / f"spectrum_phi_{j:03d}.csv")[1]
                       for j in (1, 3))
     assert multiset_distance(quarter[:, 0] - 1j * quarter[:, 1],
@@ -362,18 +366,49 @@ def test_winding_without_translation_symmetry_runs_unsplit(tmp_path,
     assert diag["variant"] == "double-space"
     assert diag["blocks"] == [4, 1, 4, 1]
     assert diag["max_block_dim"] == [46, 184, 46, 184]
-    # the last phase, -pi/2, is the conjugate of pi/2: no generator of its
-    # own goes to `spectrum_of`
-    assert len(generators) == 3
+    # pi copies 0 through the wrap-link sign, and -pi/2 is the conjugate
+    # of pi/2: no generator of their own goes to `spectrum_of`
+    assert len(generators) == 2
+    assert diag["spectrum_from"] == [None, None, 0, 1]
+    # the first block of a mirror pair at 0 and the unsplit pi/2 block
+    # are split by the parity of rho -> Sigma rho^T Sigma
+    assert diag["parity_split_blocks"] == [1, 1, 0, 0]
+    assert diag["eig_max_dim"] == [31, 124, 0, 0]
     asep = ModelSpec(layout=build_layout("chain-pbc", 4),
                      jumps=(JumpSpec(family="effective-asep", gamma_right=0.3,
                                      gamma_left=0.1),))
-    mirror = assemble_twisted(asep, 1.5 * np.pi, "double-space",
-                              sector=generators[1].sector)
-    for j, superop in enumerate(generators + [mirror]):
+    for j in range(4):
+        superop = assemble_twisted(asep, j * np.pi / 2, "double-space",
+                                   sector=generators[0].sector)
         data = read_csv(out / f"spectrum_phi_{j:03d}.csv")[1]
         unsplit = eig_dense(superop.matrix).eigenvalues
         assert multiset_distance(data[:, 0] + 1j * data[:, 1], unsplit) < 1e-8
+
+
+def test_winding_diagonalizes_a_phase_whose_partner_check_fails(
+        tmp_path, monkeypatch):
+    # the generator at pi, off by 1e-10 on one entry, is no longer the
+    # wrap-link image of the one at 0: it takes its own eig
+    real = cli.assemble_twisted
+
+    def assembled(spec, phi, variant, **kwargs):
+        superop = real(spec, phi, variant, **kwargs)
+        if phi == np.pi:
+            data = superop.matrix.data
+            data[0] += 1e-10 * np.linalg.norm(data)
+        return superop
+
+    monkeypatch.setattr(cli, "assemble_twisted", assembled)
+    out = tmp_path / "w"
+    assert run("winding", "--L", "4", "--phi-steps", "4",
+               "--output-dir", str(out)) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["spectrum_from"] == [None, None, None, 1]
+    assert diag["eig_max_dim"][2] > 0 and diag["copied_blocks"][2] == 0
+    zero, pi = (read_csv(out / f"spectrum_phi_{j:03d}.csv")[1]
+                for j in (0, 2))
+    assert 0 < multiset_distance(zero[:, 0] + 1j * zero[:, 1],
+                                 pi[:, 0] + 1j * pi[:, 1]) < 1e-8
 
 
 def test_jump_family_flag_keeps_only_the_rates_it_reads(tmp_path, capsys):
@@ -423,8 +458,9 @@ def test_steady_state_kernel_and_profiles(tmp_path):
     assert manifest["diagnostics"]["conjugated_blocks"] == 0
     assert (manifest["diagnostics"]["max_block_dim"]
             < manifest["diagnostics"]["sector_dim"])
-    # every block is counted by ARPACK on its LU: none takes a dense eig
-    assert manifest["diagnostics"]["eig_max_dim"] == 0
+    # the N = 0 and N = 4 blocks, 8 pairs each, are counted by a dense
+    # eig (`KERNEL_DENSE_DIM`), the others by ARPACK on their LU
+    assert manifest["diagnostics"]["eig_max_dim"] == 8
     assert manifest["diagnostics"]["kernel_lu_nnz"] > 0
     # the smallest |lambda| outside the kernel is the dense spectrum's, to
     # the accuracy of a near-degenerate nonnormal eigenvalue

@@ -275,4 +275,11 @@ def test_particle_hole_reflection_and_sublattice_sign():
     for other in (build_layout("chain-pbc", 4), build_layout("hierarchical", 4),
                   build_layout("square-2d", 2, Ly=2)):
         assert reflect_states(other, idx) is None
+    for other in (build_layout("chain-pbc", 5), build_layout("hierarchical", 4),
+                  build_layout("square-2d", 2, Ly=2)):
         assert sublattice_sign(other, idx) is None
+    # on a ring the wrap hop changes q by L - 1: only an even ring has it
+    ring = build_layout("chain-pbc", 4)
+    idx = np.arange(ring.nstates)
+    q = sum(n * bit(idx, ring.site_slot(n)) for n in range(1, 5))
+    assert np.array_equal(sublattice_sign(ring, idx), (-1) ** q)
