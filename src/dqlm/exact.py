@@ -27,9 +27,13 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .lattice import LatticeLayout, SparseOperator, state_bit
+from .lattice import (
+    LatticeLayout,
+    diagonal_operator,
+    monomial_operator,
+    state_bit,
+)
 from .symmetry import (
     SectorSpec,
     enumerate_sector,
@@ -70,7 +74,8 @@ class DiagonalEnsemble:
         return enumerate_sector(self.layout, self.constraints)
 
     def materialize(self, normalize="trace", strip_phase=True):
-        """Full-space sparse diagonal operator on the projection sector.
+        """Full-space sparse diagonal operator on the projection sector,
+        built as CSR straight from the ascending sector states.
 
         normalize: "trace" (fall back to Frobenius for traceless
         operators), "frobenius", or "raw" (still shifted by the largest
@@ -94,9 +99,7 @@ class DiagonalEnsemble:
             w = w / np.linalg.norm(w)
         elif normalize != "raw":
             raise EnsembleError(f"unknown normalization {normalize!r}")
-        n = self.layout.nstates
-        m = sp.coo_matrix((w, (sec.states, sec.states)), shape=(n, n)).tocsr()
-        return SparseOperator(m, self.layout.basis_tag)
+        return monomial_operator(self.layout.total_spins, sec.states, 0, w)
 
 
 def _register_log_weights(zcoeff):
@@ -127,8 +130,8 @@ def generator_sum_coefficients(layout, site_coeffs):
 def similarity_transform(layout, site_coeffs, scale=1.0):
     """Diagonal operator exp(scale * sum_site c_site G_site)."""
     zc = generator_sum_coefficients(layout, site_coeffs) * scale
-    diag = _register_log_weights(zc)
-    return SparseOperator(sp.diags(np.exp(diag), format="csr"), layout.basis_tag)
+    return diagonal_operator(layout.total_spins,
+                             np.exp(_register_log_weights(zc)))
 
 
 def steady_site_coefficients(layout, beta, alpha=1.0, alpha_prime=1.0,

@@ -293,17 +293,72 @@ def commutator(a, b):
     return (a @ b) - (b @ a)
 
 
+def monomial_operator(total_spins, rows, flip, data, indptr=None):
+    """sum_k data_k |r_k><r_k ^ flip| over the ascending states r_k of `rows`.
+
+    Each row holds at most one entry, so the CSR is built straight from
+    the rows: indptr is their running count (indptr[r] = the number of
+    rows below r; counted here unless given), the columns are
+    rows ^ flip, and nothing is sorted. `data` is one value or one per
+    row, and a complex array is kept, not copied; zero entries are left
+    out, as `SparseOperator` prunes them.
+    """
+    n = 1 << total_spins
+    rows = np.asarray(rows, dtype=np.int32)
+    data = np.asarray(data, dtype=np.complex128)
+    nonzero = data != 0
+    if data.ndim == 0:
+        if not nonzero:
+            rows, indptr = rows[:0], None
+        data = np.full(rows.size, data)
+    elif not nonzero.all():
+        rows, data, indptr = rows[nonzero], data[nonzero], None
+    if indptr is None and rows.size == n:
+        indptr = np.arange(n + 1, dtype=np.int32)   # every state is a row
+    elif indptr is None:
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        indptr[rows + 1] = 1
+        np.cumsum(indptr, out=indptr)
+    matrix = sp.csr_matrix((data, rows ^ np.int32(flip), indptr), shape=(n, n))
+    return SparseOperator(matrix, f"spins:{total_spins}")
+
+
+def _fixed_bit_rows(total_spins, bits):
+    """The ascending states whose bit at each slot of `bits` (a dict
+    slot -> 0 or 1) is as given, and their running count as a CSR row
+    pointer (see `monomial_operator`). Both are built by doubling over
+    the slots, least significant first: a free slot repeats the states
+    found so far shifted by its bit, a fixed one keeps one half. No mask
+    of the register is formed."""
+    rows = np.zeros(1, dtype=np.int32)
+    indptr = np.array([0, 1], dtype=np.int32)
+    for slot in range(total_spins):
+        half = 1 << slot
+        count = indptr[-1]
+        if slot not in bits:
+            rows = np.concatenate([rows, rows + half])
+            indptr = np.concatenate([indptr[:-1], indptr + count])
+        elif bits[slot]:
+            rows = rows + half
+            indptr = np.concatenate([np.zeros(half, dtype=np.int32), indptr])
+        else:
+            indptr = np.concatenate(
+                [indptr, np.full(half, count, dtype=np.int32)])
+    return rows, indptr
+
+
 def diagonal_operator(total_spins, values):
     """Diagonal operator from a length-2**total_spins value array."""
     n = 1 << total_spins
-    values = np.asarray(values, dtype=np.complex128)
+    values = np.array(values, dtype=np.complex128)
     if values.shape != (n,):
         raise BasisMismatchError(f"need {n} diagonal values, got {values.shape}")
-    return SparseOperator(sp.diags(values, format="csr"), f"spins:{total_spins}")
+    return monomial_operator(total_spins, np.arange(n), 0, values)
 
 
-def single_spin_operator(total_spins, slot, which):
-    """s^+, s^- or s^z acting on one slot of a 2**total_spins space.
+def single_spin_operator(total_spins, slot, which, amplitude=1.0):
+    """amplitude * s^+, s^- or s^z acting on one slot of a 2**total_spins
+    space.
 
     Parameters
     ----------
@@ -312,44 +367,39 @@ def single_spin_operator(total_spins, slot, which):
         Bit position, 0-based.
     which : str
         "+", "-" or "z".
+    amplitude : complex
+        The factor on every entry; 0 gives the empty operator.
     """
     if not 0 <= slot < total_spins:
         raise LayoutError(f"slot {slot} outside 0..{total_spins - 1}")
-    n = 1 << total_spins
-    idx = np.arange(n, dtype=np.int64)
-    bit = (idx >> slot) & 1
-    tag = f"spins:{total_spins}"
     if which == "z":
-        return SparseOperator(sp.diags(bit - 0.5, format="csr"), tag)
-    if which == "+":
-        cols = idx[bit == 0]
-        rows = cols | (1 << slot)
-    elif which == "-":
-        cols = idx[bit == 1]
-        rows = cols & ~(1 << slot)
-    else:
+        bit = (np.arange(1 << total_spins) >> slot) & 1
+        return diagonal_operator(total_spins, (bit - 0.5) * amplitude)
+    if which not in ("+", "-"):
         raise LayoutError(f"unknown spin operator {which!r}")
-    data = np.ones(cols.size, dtype=np.complex128)
-    return SparseOperator(sp.csr_matrix((data, (rows, cols)), shape=(n, n)), tag)
+    # s^+ stores its entries in the rows with the bit up, s^- with it down
+    rows, indptr = _fixed_bit_rows(total_spins, {slot: int(which == "+")})
+    return monomial_operator(total_spins, rows, 1 << slot, amplitude, indptr)
+
+
+def _transition_rows(total_spins, plus_slots, minus_slots):
+    """The rows holding the entries of prod s^+_(plus_slots) *
+    prod s^-_(minus_slots), their row pointer, and the bit flip from a
+    row to its column."""
+    slots = tuple(plus_slots) + tuple(minus_slots)
+    if len(set(slots)) != len(slots):
+        raise LayoutError(f"repeated slot in transition {plus_slots}/{minus_slots}")
+    bits = {s: 1 for s in plus_slots} | {s: 0 for s in minus_slots}
+    rows, indptr = _fixed_bit_rows(total_spins, bits)
+    return rows, indptr, sum(1 << s for s in slots)
 
 
 def transition_entries(total_spins, plus_slots, minus_slots):
     """Rows and columns of the nonzeros of prod s^+_(plus_slots) *
-    prod s^-_(minus_slots), each 1; all slots must be distinct."""
-    slots = tuple(plus_slots) + tuple(minus_slots)
-    if len(set(slots)) != len(slots):
-        raise LayoutError(f"repeated slot in transition {plus_slots}/{minus_slots}")
-    idx = np.arange(1 << total_spins, dtype=np.int64)
-    keep = np.ones(idx.size, dtype=bool)
-    flip = 0
-    for s in plus_slots:
-        keep &= ((idx >> s) & 1) == 0
-        flip |= 1 << s
-    for s in minus_slots:
-        keep &= ((idx >> s) & 1) == 1
-        flip |= 1 << s
-    cols = idx[keep]
-    return cols ^ flip, cols
+    prod s^-_(minus_slots), each 1, rows ascending; all slots must be
+    distinct."""
+    rows, _, flip = _transition_rows(total_spins, plus_slots, minus_slots)
+    return rows, rows ^ np.int32(flip)
 
 
 def transition_operator(total_spins, plus_slots, minus_slots, amplitude=1.0):
@@ -358,8 +408,5 @@ def transition_operator(total_spins, plus_slots, minus_slots, amplitude=1.0):
     All slots must be distinct; built in one pass instead of multiplying
     single-spin factors. The h.c. partner is `.adjoint()`.
     """
-    rows, cols = transition_entries(total_spins, plus_slots, minus_slots)
-    n = 1 << total_spins
-    data = np.full(cols.size, amplitude, dtype=np.complex128)
-    return SparseOperator(sp.csr_matrix((data, (rows, cols)), shape=(n, n)),
-                          f"spins:{total_spins}")
+    rows, indptr, flip = _transition_rows(total_spins, plus_slots, minus_slots)
+    return monomial_operator(total_spins, rows, flip, amplitude, indptr)

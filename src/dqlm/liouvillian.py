@@ -30,11 +30,19 @@ of two routes:
 * product: any other operand, by operator products with
   K = sum_mu L_mu^+ L_mu.
 
-Each route's jump-dependent part (the weights |L_mu|^2 and K's diagonal,
-or the sparse K) is formed once per call, when the first operand that
-takes the route arrives.
+On the diagonal route `steady_residual` builds no image: the coherent
+entries lie off the diagonal and the rates on it, so
+
+    ||L[rho] - lam rho||_F^2 = sum_{stored H_ab} |H_ab|^2 |d_b - d_a|^2
+                               + ||2 (Gamma d - K d) - lam d||^2,
+
+from the same differences and rates that `lindblad_apply` turns into an
+image. Each route's jump-dependent part (the weights |L_mu|^2 and K's
+diagonal, or the sparse K) is formed once per call, when the first
+operand that takes the route arrives.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -99,7 +107,7 @@ def _is_monomial(matrix):
             and per_col.max(initial=0) <= 1)
 
 
-class _DiagonalImage:
+class _DiagonalRoute:
     """L[diag d] for monomial jumps, in O(nnz) per operand, no product.
 
     The coherent part -i[H, rho] has the values -i H_ab (d_b - d_a) on H's
@@ -109,6 +117,9 @@ class _DiagonalImage:
     equation 2 (Gamma d - K d), Gamma_rc = sum_mu |L_mu(r, c)|^2 and
     K_cc = sum_r Gamma_rc. Gamma is held as one weight matrix per jump on
     that jump's own pattern, so only the weights are new memory.
+
+    `image` builds L[rho] as CSR; `residual` takes the Frobenius norm of
+    L[rho] - lam rho from the same two parts without building it.
     """
 
     def __init__(self, ham, ops):
@@ -123,31 +134,60 @@ class _DiagonalImage:
         for gain in self.gains:
             self.loss += np.bincount(gain.indices, gain.data, minlength=n)
 
-    def __call__(self, d):
-        ham = self.ham
+    @functools.cached_property
+    def ham_weights(self):
+        """|H_ab|^2 on H's pattern. Formed on the first residual, after its
+        differences, so it is not held while they are gathered."""
+        return np.abs(self.ham.data) ** 2
+
+    def _parts(self, d):
+        """(d, d_b - d_a on H's pattern in its storage order, Gamma d - K d),
+        with d made real when its imaginary part is 0: the gathers at half
+        the size."""
         if not d.imag.any():
-            d = d.real   # the gathers below at half the size
-        diff = d[ham.indices]
+            d = d.real
+        diff = d[self.ham.indices]
         diff -= d[self.ham_rows]
+        rates = -self.loss * d
+        for gain in self.gains:
+            rates += gain @ d
+        return d, diff, rates
+
+    def image(self, d):
+        ham = self.ham
+        _, diff, rates = self._parts(d)
         # the coherent entries with d_b != d_a, as CSR in H's storage order
         keep = np.flatnonzero(diff)
         coherent = sp.csr_matrix(
             (ham.data[keep] * diff[keep] * -1j, ham.indices[keep],
              np.searchsorted(keep, ham.indptr)), shape=ham.shape)
         del diff
-        rates = -self.loss * d
-        for gain in self.gains:
-            rates += gain @ d
         return coherent + sp.diags(2.0 * rates, format="csr")
 
+    def residual(self, d, lam):
+        """||L[diag d] - lam diag d||_F, as the root of
+        sum_{stored H_ab} |H_ab|^2 |d_b - d_a|^2 + ||2 (Gamma d - K d) - lam d||^2:
+        the coherent entries lie off the diagonal, the rest on it."""
+        d, diff, rates = self._parts(d)
+        if np.iscomplexobj(diff):
+            diff = diff.real ** 2 + diff.imag ** 2
+        else:
+            diff *= diff
+        coherent = float(np.dot(self.ham_weights, diff))
+        del diff
+        rates *= 2.0
+        if lam:
+            rates = rates - d * lam
+        return float(np.sqrt(coherent + np.vdot(rates, rates).real))
 
-def _images(hamiltonian, jumps, rhos):
-    """Yield (rho, L[rho]) for each SparseOperator rho of `rhos`.
+
+class _Generator:
+    """The generator of one call, applied operand by operand.
 
     The bases of the jumps are checked once, then each rho takes a route:
 
     * diagonal, when rho is structurally diagonal (every stored entry on
-      the diagonal) and every jump is monomial: `_DiagonalImage`, in
+      the diagonal) and every jump is monomial: `_DiagonalRoute`, in
       O(nnz(H) + sum_mu nnz(L_mu)) with no sparse product;
     * product, for any other rho: 4 + 2m products for m jumps,
       L[rho] = -i(H rho - rho H) - (K rho + rho K) + 2 sum_mu (L_mu rho) L_mu^+.
@@ -157,54 +197,80 @@ def _images(hamiltonian, jumps, rhos):
     Each route's jump-dependent part is formed on raw CSR once per call,
     when the first operand that takes the route arrives.
     """
-    for op in jumps:
-        hamiltonian.check_basis(op)
-    ops = [op.matrix for op in jumps]
-    monomial = all(_is_monomial(op) for op in ops)
-    ham = hamiltonian.matrix
-    loss = diagonal = None
-    for rho in rhos:
-        hamiltonian.check_basis(rho)
+
+    def __init__(self, hamiltonian, jumps):
+        for op in jumps:
+            hamiltonian.check_basis(op)
+        self.hamiltonian = hamiltonian
+        self.ops = [op.matrix for op in jumps]
+        self.monomial = all(_is_monomial(op) for op in self.ops)
+        self.diagonal = self._loss = None
+
+    def diagonal_of(self, rho):
+        """rho's diagonal when rho takes the diagonal route, else None."""
+        self.hamiltonian.check_basis(rho)
         d = rho.matrix.diagonal()
-        if monomial and np.count_nonzero(d) == rho.nnz:
-            if diagonal is None:
-                diagonal = _DiagonalImage(ham, ops)
-            out = diagonal(d)
-        else:
-            if loss is None:
-                loss = sp.csr_matrix(ham.shape, dtype=np.complex128)
-                for op in ops:
-                    loss = loss + _adjoint(op) @ op
-            out = _image(ham, loss, ops, rho.matrix)
-        yield rho, SparseOperator(out, hamiltonian.basis)
+        if not (self.monomial and np.count_nonzero(d) == rho.nnz):
+            return None
+        if self.diagonal is None:
+            self.diagonal = _DiagonalRoute(self.hamiltonian.matrix, self.ops)
+        return d
+
+    def product(self, rho):
+        """L[rho] by the product route, as a SparseOperator."""
+        ham = self.hamiltonian.matrix
+        if self._loss is None:
+            self._loss = sp.csr_matrix(ham.shape, dtype=np.complex128)
+            for op in self.ops:
+                self._loss = self._loss + _adjoint(op) @ op
+        return SparseOperator(_image(ham, self._loss, self.ops, rho.matrix),
+                              self.hamiltonian.basis)
+
+    def image(self, rho):
+        d = self.diagonal_of(rho)
+        if d is None:
+            return self.product(rho)
+        return SparseOperator(self.diagonal.image(d), self.hamiltonian.basis)
 
 
 def lindblad_apply(hamiltonian, jumps, rho):
     """Operator-form L[rho]: one image for a SparseOperator rho, a list of
     images for a sequence of them (the jump-dependent work done once)."""
-    single = isinstance(rho, SparseOperator)
-    images = [image for _, image in
-              _images(hamiltonian, jumps, [rho] if single else rho)]
-    return images[0] if single else images
+    generator = _Generator(hamiltonian, jumps)
+    if isinstance(rho, SparseOperator):
+        return generator.image(rho)
+    return [generator.image(r) for r in rho]
 
 
 def steady_residual(hamiltonian, jumps, rho, lam=0.0):
     """|| L[rho] - lam rho ||_F / || rho ||_F.
 
     A float for a SparseOperator rho; a list of floats for a sequence or
-    any iterable of them, with `lam` a scalar or one value per rho. Each
-    image is reduced to its float as soon as it is made, so no more than
-    one image is held at a time.
+    any iterable of them, with `lam` a scalar or one value per rho. A
+    diagonal-route rho never has its image built: the norm comes from
+    the coherent differences and the rates (`_DiagonalRoute.residual`).
+    A product-route image is reduced to its float as soon as it is made,
+    so no more than one image is held at a time. A zero rho has no
+    relative residual and raises ValueError.
     """
     single = isinstance(rho, SparseOperator)
     scalar = np.ndim(lam) == 0
     lams = itertools.repeat(lam) if scalar else lam
+    generator = _Generator(hamiltonian, jumps)
     out = []
-    for (r, image), value in zip(
-            _images(hamiltonian, jumps, [rho] if single else rho), lams,
-            strict=not scalar):
-        diff = image.matrix - r.matrix * value if value else image.matrix
-        out.append(float(np.linalg.norm(diff.data)) / r.frobenius_norm())
+    for i, (r, value) in enumerate(zip([rho] if single else rho, lams,
+                                       strict=not scalar)):
+        d = generator.diagonal_of(r)
+        norm = r.frobenius_norm()
+        if not norm:
+            raise ValueError(f"operand {i} is zero: its relative residual "
+                             "is undefined")
+        if d is not None:
+            out.append(generator.diagonal.residual(d, value) / norm)
+            continue
+        image = generator.product(r).matrix
+        diff = image - r.matrix * value if value else image
+        out.append(float(np.linalg.norm(diff.data)) / norm)
         del image, diff
     return out[0] if single else out
 

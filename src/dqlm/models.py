@@ -338,18 +338,20 @@ def build_jump_set(spec):
             for k, slot in enumerate(links):
                 up, down = ((j.gamma_up, j.gamma_down) if k < n_horizontal
                             else (j.gamma_up_v, j.gamma_down_v))
-                ops += _biased_pair(total, slot, up, down)
+                ops += [single_spin_operator(total, slot, "+", np.sqrt(up)),
+                        single_spin_operator(total, slot, "-", np.sqrt(down))]
         elif j.family == "x-like":
             for slot in links:
-                op = (single_spin_operator(total, slot, "+").scale(np.sqrt(j.gamma_up))
-                      + single_spin_operator(total, slot, "-").scale(np.sqrt(j.gamma_down)))
-                ops.append(op)
+                ops.append(
+                    single_spin_operator(total, slot, "+", np.sqrt(j.gamma_up))
+                    + single_spin_operator(total, slot, "-",
+                                           np.sqrt(j.gamma_down)))
         elif j.family == "dephasing":
-            for slot in links:
-                ops.append(single_spin_operator(total, slot, "z").scale(np.sqrt(j.gamma)))
+            ops += [single_spin_operator(total, slot, "z", np.sqrt(j.gamma))
+                    for slot in links]
         elif j.family == "gauge-fix":
             root = np.sqrt(j.strength)
-            ops += [gauss_generator(layout, site).scale(root)
+            ops += [gauss_generator(layout, site, root)
                     for site in generator_sites(layout)]
         else:  # effective-asep
             for n in range(1, layout.n_links + 1):
@@ -362,11 +364,6 @@ def build_jump_set(spec):
                     np.sqrt(j.gamma_left))
                 ops += [right, left]
     return ops
-
-
-def _biased_pair(total, slot, up, down):
-    return [single_spin_operator(total, slot, "+").scale(np.sqrt(up)),
-            single_spin_operator(total, slot, "-").scale(np.sqrt(down))]
 
 
 def asep_rates(gamma_up, gamma_down, J=1.0):

@@ -226,17 +226,20 @@ def generator_sites(layout):
     return list(range(1, layout.L + 1))
 
 
-def gauss_generator(layout, site):
-    """Gauss-law generator as a diagonal operator with physical eigenvalues.
+def gauss_generator(layout, site, amplitude=1.0):
+    """amplitude * the Gauss-law generator, as a diagonal operator with
+    physical eigenvalues.
 
     Parameters
     ----------
     site : int or (int, int)
         1-based site index; a coordinate pair for ``square-2d``.
+    amplitude : complex
+        The factor on every entry.
     """
     g = _charge(_index_column(layout),
                 generator_slot_coefficients(layout, site))
-    return diagonal_operator(layout.total_spins, g * 0.5)
+    return diagonal_operator(layout.total_spins, g * 0.5 * amplitude)
 
 
 @dataclass(frozen=True)

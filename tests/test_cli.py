@@ -52,6 +52,37 @@ def test_verify_exact_battery_passes(tmp_path):
     assert manifest["diagnostics"]["peak_rss_mb"] > 0
 
 
+VERIFY_L4_ROWS = [
+    ("chain_L4_b1.5_plain", 1e-10), ("chain_L4_b1.5_gauge-fix", 1e-10),
+    ("chain_L4_b1.5_disorder", 1e-10), ("chain_L4_b3_plain", 1e-10),
+    ("chain_L4_b3_gauge-fix", 1e-10), ("chain_L4_b3_disorder", 1e-10),
+    ("eigenoperators_L4", 1e-10), ("xlike_identity_L4", 1e-12),
+    ("similarity_commutes_L4", 1e-12), ("hierarchical_L4", 1e-10),
+    ("grid_2x2", 1e-10), ("dp_vs_enumeration_L4", 1e-12),
+]
+
+
+def test_verify_exact_battery_is_pinned_at_l4(tmp_path):
+    # every row, in order, with its threshold: none may be dropped or
+    # loosened, and each value passes
+    out = tmp_path / "v"
+    assert run("verify-exact", "--L", "4", "--output-dir", str(out)) == 0
+    with open(out / "verify_exact.csv", encoding="utf-8") as fh:
+        lines = fh.read().strip().splitlines()
+    assert lines[0] == "check[name],value[1],threshold[1],passed[bool]"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(name, float(bound)) for name, _, bound, _ in rows] == \
+        VERIFY_L4_ROWS
+    for name, value, bound, passed in rows:
+        assert passed == "true" and 0 <= float(value) < float(bound), name
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diagnostics["checks"] == len(VERIFY_L4_ROWS)
+    assert diagnostics["failed"] == []
+    # six chain states, 2^(L-1) = 8 eigenoperators, L+1 = 5 identities,
+    # and the hierarchical and grid states
+    assert diagnostics["operands"] == 6 + 8 + 5 + 2
+
+
 def test_spectrum_both_boundaries_and_manifest(tmp_path):
     out = tmp_path / "s"
     code = run("spectrum", "--L", "4", "--boundary", "both",

@@ -11,6 +11,7 @@ from dqlm.lattice import (
     diagonal_operator,
     single_spin_operator,
     state_bit,
+    transition_entries,
     transition_operator,
 )
 
@@ -170,3 +171,71 @@ def test_sparse_operator_guards_and_canonical_form():
 def test_state_bit_and_format():
     assert state_bit(0b001, 0) == 1 and state_bit(0b001, 1) == 0
     assert np.array_equal(state_bit(np.array([1, 2, 4]), 1), np.array([0, 1, 0]))
+
+
+AMPLITUDES = (1.0, 0.0, 0.37, -2.5j, 0.3 - 0.4j, 5e-324)
+
+
+def coo_reference(total, rows, cols, values):
+    """The canonical CSR of a COO triple, as `SparseOperator` keeps it."""
+    n = 1 << total
+    values = np.broadcast_to(np.asarray(values, dtype=np.complex128),
+                             np.shape(rows))
+    m = sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
+    m.sum_duplicates()
+    m.sort_indices()
+    m.eliminate_zeros()
+    return m
+
+
+def assert_same_csr(op, ref):
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(op.matrix, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_direct_csr_spin_operators_match_a_coo_reference():
+    for total in (1, 3, 6):
+        idx = np.arange(1 << total)
+        for slot in range(total):
+            bit = (idx >> slot) & 1
+            up, down = idx[bit == 0], idx[bit == 1]
+            for amp in AMPLITUDES:
+                refs = {"+": coo_reference(total, up | (1 << slot), up, amp),
+                        "-": coo_reference(total, down & ~(1 << slot), down,
+                                           amp),
+                        "z": coo_reference(total, idx, idx,
+                                           (bit - 0.5) * amp)}
+                for which, ref in refs.items():
+                    op = single_spin_operator(total, slot, which, amp)
+                    assert op.basis == f"spins:{total}"
+                    assert_same_csr(op, ref)
+                    if amp == 0:
+                        assert op.nnz == 0 and not op.matrix.indptr.any()
+                    if amp == 1.0:
+                        assert_same_csr(single_spin_operator(total, slot,
+                                                             which), ref)
+
+
+def test_direct_csr_transition_matches_a_coo_reference():
+    total = 6
+    idx = np.arange(1 << total)
+    for plus, minus in (((0,), ()), ((), (5,)), ((0, 1), (3,)),
+                        ((4,), (0, 2)), ((5, 1), (2, 0)), ((2, 3, 4), ())):
+        keep = np.ones(idx.size, dtype=bool)
+        for s in plus:
+            keep &= ((idx >> s) & 1) == 0
+        for s in minus:
+            keep &= ((idx >> s) & 1) == 1
+        cols = idx[keep]
+        rows = cols ^ sum(1 << s for s in plus + minus)
+        r, c = transition_entries(total, plus, minus)
+        assert np.all(np.diff(r) > 0)
+        order = np.argsort(rows)
+        assert np.array_equal(r, rows[order]) and np.array_equal(c, cols[order])
+        for amp in AMPLITUDES:
+            op = transition_operator(total, plus, minus, amp)
+            assert_same_csr(op, coo_reference(total, rows, cols, amp))
+            if amp == 0:
+                assert op.nnz == 0 and not op.matrix.indptr.any()

@@ -448,3 +448,73 @@ def test_non_monomial_jump_takes_products_on_a_diagonal_rho():
     dissipator = dense_lindblad(0 * ham.toarray(), [mixed.toarray()],
                                 np.diag(d).astype(complex))
     assert np.abs(dissipator - np.diag(np.diag(dissipator))).max() > 1e-3
+
+
+def test_zero_operand_raises_naming_its_position():
+    chain, ham, jumps = ladder_model(3)
+    n = chain.nstates
+    zero = SparseOperator(sp.csr_matrix((n, n)), chain.basis_tag)
+    rng = np.random.default_rng(29)
+    good = SparseOperator(sp.diags(rng.uniform(0.1, 1.0, n)), chain.basis_tag)
+    with pytest.raises(ValueError, match="operand 0 is zero"):
+        steady_residual(ham, jumps, zero)
+    with pytest.raises(ValueError, match="operand 1 is zero"):
+        steady_residual(ham, jumps, iter([good, zero, good]))
+    with pytest.raises(ValueError, match="operand 2 is zero"):
+        steady_residual(ham, jumps, [good, good, zero], lam=[0.0, 1.0, 2.0])
+    # an all-zero operator still has an image
+    assert lindblad_apply(ham, jumps, zero).nnz == 0
+
+
+RESIDUAL_LAYOUTS = {
+    "chain-obc": (build_layout("chain-obc", 3), "qlm", tuple(JUMP_RATES)),
+    "chain-pbc": (build_layout("chain-pbc", 3), "qlm", tuple(JUMP_RATES)),
+    "hierarchical": (build_layout("hierarchical", 3), "hierarchical",
+                     ("biased", "gauge-fix")),
+    "square-2d": (build_layout("square-2d", 2, Ly=2), "qlm-2d",
+                  ("biased", "gauge-fix")),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(RESIDUAL_LAYOUTS)), st.data(),
+       st.lists(st.floats(0.1, 3.0), min_size=4, max_size=4),
+       st.lists(st.sampled_from(("real", "complex", "dense")), min_size=1,
+                max_size=4),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_norm_only_residual_matches_the_image(kind, data, rates, kinds,
+                                              per_operand, seed):
+    # a structurally diagonal rho takes the norm-only route; a dense one
+    # the product route, whose residual is its image's norm as before
+    layout, hamiltonian, admitted = RESIDUAL_LAYOUTS[kind]
+    families = data.draw(st.lists(st.sampled_from(admitted), min_size=1,
+                                  max_size=len(admitted), unique=True))
+    spec = ModelSpec(layout, hamiltonian, J=0.9, J1=1.0, J2=0.7,
+                     jumps=tuple(family_jump(f, rates) for f in families))
+    ham, jumps = build_hamiltonian(spec), build_jump_set(spec)
+    rng = np.random.default_rng(seed)
+    n = layout.nstates
+    rhos = []
+    for form in kinds:
+        if form == "dense":
+            rhos.append(random_operator(layout, rng))
+            continue
+        d = rng.standard_normal(n) * (rng.random(n) < 0.8)
+        if form == "complex":
+            d = d + 1j * rng.standard_normal(n)
+        d[rng.integers(n)] = 1.0   # never the zero operator
+        rhos.append(SparseOperator(sp.diags(d), layout.basis_tag))
+    if per_operand:
+        lam = list(rng.standard_normal(len(rhos))
+                   + 1j * rng.standard_normal(len(rhos)) * rng.integers(2))
+    else:
+        lam = float(rng.standard_normal())
+    lams = lam if per_operand else [lam] * len(rhos)
+    got = steady_residual(ham, jumps, rhos, lam=lam)
+    assert got == [steady_residual(ham, jumps, rho, lam=value)
+                   for rho, value in zip(rhos, lams)]
+    for rho, value, res, image in zip(rhos, lams, got,
+                                      lindblad_apply(ham, jumps, rhos)):
+        want = ((image - rho.scale(value)).frobenius_norm()
+                / rho.frobenius_norm())
+        assert abs(res - want) <= 1e-12 * want, (res, want)

@@ -3,8 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from dqlm.lattice import build_layout, commutator, diagonal_operator
+from dqlm.lattice import (
+    build_layout,
+    commutator,
+    diagonal_operator,
+    single_spin_operator,
+    transition_operator,
+)
 from dqlm.models import (
+    JUMP_RATES,
     DisorderSpec,
     JumpSpec,
     ModelError,
@@ -16,7 +23,7 @@ from dqlm.models import (
     disorder_terms,
     twist_term,
 )
-from dqlm.symmetry import gauss_generator, site_occupation_table
+from dqlm.symmetry import gauss_generator, generator_sites, site_occupation_table
 
 
 def number_operator(layout):
@@ -285,3 +292,63 @@ def test_from_dict_reads_null_and_empty_disorder_as_none():
         spec = ModelSpec.from_dict({"layout": {"kind": "chain-obc", "L": 3},
                                     "disorder": dis})
         assert spec.disorder is None
+
+
+def scaled_jump_reference(spec):
+    """`build_jump_set` from unit operators and `.scale()`, family by
+    family in the pinned order."""
+    layout = spec.layout
+    total, links = layout.total_spins, layout.link_slots
+    ops = []
+    for j in spec.jumps:
+        if j.family == "biased":
+            n_horizontal = ((layout.L - 1) * layout.Ly
+                            if layout.kind == "square-2d" else len(links))
+            for k, slot in enumerate(links):
+                up, down = ((j.gamma_up, j.gamma_down) if k < n_horizontal
+                            else (j.gamma_up_v, j.gamma_down_v))
+                ops += [single_spin_operator(total, slot, "+").scale(np.sqrt(up)),
+                        single_spin_operator(total, slot, "-").scale(np.sqrt(down))]
+        elif j.family == "x-like":
+            ops += [single_spin_operator(total, slot, "+").scale(np.sqrt(j.gamma_up))
+                    + single_spin_operator(total, slot, "-").scale(
+                        np.sqrt(j.gamma_down)) for slot in links]
+        elif j.family == "dephasing":
+            ops += [single_spin_operator(total, slot, "z").scale(np.sqrt(j.gamma))
+                    for slot in links]
+        elif j.family == "gauge-fix":
+            ops += [gauss_generator(layout, site).scale(np.sqrt(j.strength))
+                    for site in generator_sites(layout)]
+        else:
+            for n in range(1, layout.n_links + 1):
+                a, b = layout.site_slot(n), layout.site_slot(n % layout.L + 1)
+                ops += [transition_operator(total, (b,), (a,)).scale(
+                            np.sqrt(j.gamma_right)),
+                        transition_operator(total, (a,), (b,)).scale(
+                            np.sqrt(j.gamma_left))]
+    return ops
+
+
+@pytest.mark.parametrize("rates", [(0.7, 1.3, 0.9, 1.1), (1.2, 0.0, 0.8, 0.0)])
+def test_jump_sets_match_the_scaled_unit_operators_bit_for_bit(rates):
+    layouts = (build_layout("chain-obc", 3), build_layout("chain-pbc", 4),
+               build_layout("hierarchical", 4),
+               build_layout("square-2d", 2, Ly=3))
+    built = 0
+    for layout in layouts:
+        for family, names in JUMP_RATES.items():
+            try:
+                spec = ModelSpec(layout, "none", jumps=(
+                    JumpSpec(family, **dict(zip(names, rates))),))
+            except ModelError:
+                continue
+            got, want = build_jump_set(spec), scaled_jump_reference(spec)
+            assert len(got) == len(want) > 0
+            for op, ref in zip(got, want):
+                assert op.basis == ref.basis
+                for name in ("indptr", "indices", "data"):
+                    a, b = getattr(op.matrix, name), getattr(ref.matrix, name)
+                    assert a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes(), (layout.kind, family)
+            built += 1
+    assert built == 2 * 5 + 2 * 2
