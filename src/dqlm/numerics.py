@@ -26,8 +26,8 @@ components of its nonzero pattern (`coupled_components`): the finest
 block-diagonal split the matrix itself proves, which refines momentum and
 every weak-symmetry label at once (particle number inside a weak sector,
 the charge difference and more in the full pair space). One label array,
-the component of each coordinate, guards the split: no nonzero may join
-two components (else `SectorLeakageError`).
+the component of each coordinate, guards the split (`_split`): no
+nonzero may join two components (else `SectorLeakageError`).
 
 Every block then goes through `mirror_eig`, which uses the antiunitary
 symmetry C(rho) = rho^+ of a Lindbladian (Minganti, Biella, Bartolo &
@@ -43,17 +43,17 @@ on the L=5 N=2 open chain; on-site disorder breaks this and nothing
 splits). Of two blocks that C maps onto each other (charge differences
 delta and -delta, momenta k and -k) one is diagonalized and the other
 gets the conjugate spectrum. C is checked once per generator: one defect
-matrix D = C(M) - M gives every block its gap relative to the block
-(`_mirror_gaps`; on a self-mirror block ||D||/2 = ||Im U^+ M U||), and a
-reuse goes ahead within `MIRROR_TOL`; a generator without the symmetry
-(the double-space twist away from 0 and pi) takes the complex eig, and
-`full_spectrum` refuses it.
+matrix D = C(M) - M gives every block its image and its gap relative to
+the block (`_block_images` through `_gaps`; on a self-mirror block
+||D||/2 = ||Im U^+ M U||), and a reuse goes ahead within `MIRROR_TOL`; a
+generator without the symmetry (the double-space twist away from 0 and
+pi) takes the complex eig, and `full_spectrum` refuses it.
 
 Two more exact symmetries of the generator are used, after the
 classification of Lindbladian symmetries by Sa, Ribeiro & Prosen (PRX
 13, 031019 (2023)), each a monomial map checked once per generator by
-its own defect matrix, with per-block gaps relative to the block
-(`_map_gaps`):
+its own defect matrix, with per-block images and gaps relative to the
+block (`_block_images` and `_gaps`, as for C):
 
 * the particle-hole reflection Pi of an open chain (`reflect_states`:
   site n to L+1-n with its occupation flipped, link m to L-m), unitary,
@@ -96,12 +96,12 @@ phi + pi as a copy of the one at phi (the diagonal sign D =
 (-1)^(b_ket + b_bra) of the wrap link's state b flips the wrap hop in
 ket and bra), and the double-space generator at pi - phi as the
 conjugate (C D). Each map is decided by one defect of the assembled
-partner within `MIRROR_TOL`, never from the phases. Dense
-eigendecomposition is capped (default
-6000) per block because the cost is cubic (`DenseCapError`, raised
-before the first block is diagonalized); sector projection is the
-intended way to keep the blocks below the cap. Only eigenvalues are
-computed densely.
+partner within `MIRROR_TOL`, never from the phases: `_gaps`, which makes
+every symmetry check here, the translation's included. Dense
+eigendecomposition is capped (default 6000) per block because the cost
+is cubic (`DenseCapError`, raised by `_split` before the first block is
+diagonalized); sector projection is the intended way to keep the blocks
+below the cap. Only eigenvalues are computed densely.
 
 Steady states (`steady_states`) split the same frame into the same
 blocks, under the same dense cap, and compute no dense spectrum. Each
@@ -261,7 +261,8 @@ def coupled_components(matrix, tol=None):
     rank[np.argsort(first)] = np.arange(count)
     labels = rank[labels]
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    # cut after every component and drop the empty tail (none for 0 x 0)
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count)))[:-1]
 
 
 def _translation(dsec, twists):
@@ -339,22 +340,18 @@ def momentum_blocks(superop):
     entries between two momenta dropped: the blocks B_k^+ M B_k on its
     diagonal. Returns None when M has no such symmetry: its pair
     basis is not closed under translation, or M does not commute with the
-    translation within `LEAK_TOL` relative. Raises `SectorLeakageError`
-    when the blocks' squared Frobenius norms do not add up to M's (weight
-    off the block diagonal).
+    translation S within `LEAK_TOL` relative (the defect S M S^+ - M of
+    `_gaps`). Raises `SectorLeakageError` when the blocks' squared
+    Frobenius norms do not add up to M's (weight off the block diagonal).
     """
     matrix = superop.matrix
-    dim = superop.dim
     translation = _translation(superop.sector, superop.twists)
     if translation is None:
         return None
     image, angle = translation
-    shift = sp.csr_matrix((np.exp(1j * angle), (image, np.arange(dim))),
-                          shape=(dim, dim))
-    norm_sq = float(np.sum(np.abs(matrix.data) ** 2))
-    commutator = (shift @ matrix - matrix @ shift).data
-    if np.linalg.norm(commutator) > LEAK_TOL * np.sqrt(norm_sq):
+    if _gaps(matrix, (image, np.exp(1j * angle)))[0] > LEAK_TOL:
         return None
+    norm_sq = float(np.sum(np.abs(matrix.data) ** 2))
     basis, bounds = _bloch_basis(superop.sector, superop.twists, image, angle)
     rotated = (basis.conj().T @ matrix @ basis).tocsr()
     momentum = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
@@ -372,16 +369,18 @@ def _mirror_map(dsec, basis=None):
     """C(rho) = rho^+ on the coordinates of a generator: the pair basis
     `dsec`, or the columns of a unitary `basis` over it. C takes the
     coordinate vector w to Q conj(w), with Q monomial:
-    Q[image[g], g] = exp(i angle[g]). Returns (image, angle), or None when
-    C does not map the coordinates onto themselves: the pair basis is not
-    closed under (a, b) -> (b, a), or `basis` fails `_basis_image`."""
+    Q[image[g], g] = phase[g] = exp(i angle[g]). Returns (image, phase),
+    or None when C does not map the coordinates onto themselves: the pair
+    basis is not closed under (a, b) -> (b, a), or `basis` fails
+    `_basis_image`."""
     swap = dsec.lookup(dsec.bras, dsec.kets)
     if np.any(swap < 0):
         return None
     if basis is None:
-        return swap, np.zeros(dsec.dim)
+        return swap, np.ones(dsec.dim, dtype=np.complex128)
     seen = _basis_image(basis, swap, antiunitary=True)
-    return None if seen is None else (seen[0], np.angle(seen[1]))
+    return None if seen is None else (seen[0],
+                                      np.exp(1j * np.angle(seen[1])))
 
 
 def _basis_image(basis, image, sign=None, antiunitary=False):
@@ -411,46 +410,28 @@ def _basis_image(basis, image, sign=None, antiunitary=False):
     return seen, value
 
 
-def _monomial(image, phase):
-    """The sparse monomial Q with Q[image[g], g] = phase[g]."""
+def _gaps(matrix, symmetry, labels=None, antiunitary=False, partner=None):
+    """The defect D = S M^ S^+ - M' of a CSR generator M under a monomial
+    map S on its coordinates (`symmetry` = (image, phase), S[image[g], g]
+    = phase[g]; M^ = conj(M) for an antiunitary map, w -> S conj(w), such
+    as C of `_mirror_map`, else M; M' the `partner`, or M), formed once:
+    the norm of D's rows on each label (one per coordinate; None: one for
+    all), relative to M's rows there. When S maps block i onto block j,
+    D's rows on j are S(M_i) - M'_j; for C and i = j, as U^+ D U =
+    -2i Im(U^+ M U) (`_real_form`), twice the imaginary part of the
+    block's real form."""
+    image, phase = symmetry
     n = image.size
-    return sp.csr_matrix((phase, (image, np.arange(n))), shape=(n, n))
-
-
-def _row_gaps(defect, matrix, labels):
-    """The norm of a defect's rows on each label, relative to the rows of
-    `matrix` there (None: one label for all)."""
+    s = sp.csr_matrix((phase, (image, np.arange(n))), shape=(n, n))
+    defect = s @ (matrix.conj() if antiunitary else matrix) @ s.conj().T - (
+        matrix if partner is None else partner)
     if labels is None:
-        labels = np.zeros(matrix.shape[0], dtype=np.int64)
+        labels = np.zeros(n, dtype=np.int64)
     count = int(labels.max(initial=0)) + 1
     gap, norm = (np.bincount(labels[m.row], np.abs(m.data) ** 2,
                              minlength=count)
                  for m in (defect.tocoo(), matrix.tocoo()))
     return np.sqrt(gap / np.maximum(norm, np.finfo(float).tiny))
-
-
-def _mirror_gaps(matrix, mirror, labels=None, partner=None):
-    """The defect D = Q conj(M) Q^+ - M' of a CSR generator M (C as
-    `_mirror_map` gives it, M' the `partner`, or M), formed once: the norm
-    of D's rows on each label (one per coordinate; None: one for all),
-    relative to M's rows there. When C maps block i onto block j, D's rows
-    on j are C(M_i) - M'_j: block j's distance from block i's image, or
-    for i = j, as U^+ D U = -2i Im(U^+ M U) (`_real_form`), twice the
-    imaginary part of the block's real form."""
-    q = _monomial(mirror[0], np.exp(1j * mirror[1]))
-    defect = q @ matrix.conj() @ q.conj().T - (
-        matrix if partner is None else partner)
-    return _row_gaps(defect, matrix, labels)
-
-
-def _map_gaps(matrix, symmetry, labels):
-    """The defect D = S M S^+ - M of a CSR generator M under a unitary
-    monomial map S on its coordinates, `symmetry` = (image, phase) with
-    S[image[g], g] = phase[g], formed once: per label, as `_mirror_gaps`
-    gives it. When S maps block i onto block j, D's rows on j are
-    S(M_i) - M_j."""
-    s = _monomial(*symmetry)
-    return _row_gaps(s @ matrix @ s.conj().T - matrix, matrix, labels)
 
 
 def _reflection_map(dsec):
@@ -569,29 +550,14 @@ def _merge(parts):
     return spectrum, order
 
 
-def _block_images(components, labels, image):
-    """The component that a monomial map (coordinate g to `image[g]`) maps
-    each component onto, or -1 where it does not map it onto a single
-    component of its size."""
-    sizes = np.array([c.size for c in components])
-    mapped = labels[image]
-    first = mapped[[c[0] for c in components]]
-    whole = np.bincount(labels, mapped == first[labels], minlength=sizes.size)
-    return np.where((whole == sizes) & (sizes[first] == sizes), first, -1)
-
-
-def _mirror_blocks(matrix, mirror):
-    """The coupled components of a CSR generator, guarded by one label
-    array: they must cover the coordinates once and no nonzero may join
-    two of them (else `SectorLeakageError`: the split cut a coupling).
-    With each component i, the component j of its size that C (`mirror`
-    as `_mirror_map` gives it, or None) maps it onto and the gap of
-    `_mirror_gaps`, halved for j = i, where it is ||Im U^+ M U|| relative
-    to the block; else -1 and infinity. C is checked once. Returns the
-    components, the label array (the component of each coordinate), the
-    partners j and the gaps."""
+def _split(matrix, cap):
+    """The coupled components of a CSR generator and their guard, the
+    label array of the component of each coordinate: they must cover the
+    coordinates once and no nonzero may join two of them (else
+    `SectorLeakageError`: the split cut a coupling); a component over the
+    dense cap raises `DenseCapError`."""
     components = coupled_components(matrix)
-    n, count = matrix.shape[0], len(components)
+    n = matrix.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
     for i, own in enumerate(components):
         labels[own] = i
@@ -604,30 +570,37 @@ def _mirror_blocks(matrix, mirror):
         raise SectorLeakageError(
             f"{joined} of the generator's {matrix.nnz} nonzeros join two "
             "components")
-    partner, gap = np.full(count, -1), np.full(count, np.inf)
-    if mirror is None:
-        return components, labels, partner, gap
-    gaps = _mirror_gaps(matrix, mirror, labels)
-    partner = _block_images(components, labels, mirror[0])
-    mapped = np.flatnonzero(partner >= 0)
-    own = partner[mapped] == mapped
-    gap[mapped] = np.where(own, gaps[mapped] / 2, gaps[partner[mapped]])
-    return components, labels, partner, gap
+    largest = max((c.size for c in components), default=0)
+    if largest > cap:
+        raise DenseCapError(
+            f"a block of dimension {largest} exceeds the dense cap {cap}; "
+            "project onto a smaller sector or reduce L")
+    return components, labels
 
 
-def _reflection_images(matrix, components, labels, sector):
-    """The component that the particle-hole reflection Pi
-    (`_reflection_map` on the pair basis `sector`, or None) maps each
-    component onto, or -1, and whether each component lies within
-    `MIRROR_TOL` relative of Pi's image of the component Pi maps onto it
-    (`_map_gaps`; Pi is an involution, so that is the same component).
-    Pi is checked once."""
+def _block_images(matrix, components, labels, symmetry, antiunitary=False):
+    """For each component of a CSR generator (`_split`), the component
+    that a monomial map (`symmetry` as `_gaps` takes it, or None) maps it
+    onto, or -1 where it does not map it onto a single component of its
+    size, and the map's gap on that target (`_gaps`: for block i mapped
+    onto block j, ||S(M_i) - M_j|| relative to M_j), halved for an
+    antiunitary map of a block onto itself, where it is ||Im U^+ M U||
+    relative to the block; infinity without a target. The map is checked
+    once."""
     count = len(components)
-    reflection = None if sector is None else _reflection_map(sector)
-    if reflection is None:
-        return np.full(count, -1), np.zeros(count, dtype=bool)
-    target = _block_images(components, labels, reflection[0])
-    return target, _map_gaps(matrix, reflection, labels) <= MIRROR_TOL
+    target, gap = np.full(count, -1), np.full(count, np.inf)
+    if symmetry is None:
+        return target, gap
+    sizes = np.array([c.size for c in components])
+    mapped = labels[symmetry[0]]
+    first = mapped[[c[0] for c in components]]
+    whole = np.bincount(labels, mapped == first[labels], minlength=count)
+    target = np.where((whole == sizes) & (sizes[first] == sizes), first, -1)
+    gaps = _gaps(matrix, symmetry, labels, antiunitary=antiunitary)
+    hit = np.flatnonzero(target >= 0)
+    own = antiunitary & (target[hit] == hit)
+    gap[hit] = np.where(own, gaps[hit] / 2, gaps[target[hit]])
+    return target, gap
 
 
 def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
@@ -640,35 +613,36 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
     coordinates are the pair basis itself, also through the particle-hole
     reflection Pi of an open chain.
 
-    The components and their mirror blocks come from `_mirror_blocks`; a
-    block over the cap raises `DenseCapError` before any eig, and with
-    `strict` a block that C does not map onto a block within `MIRROR_TOL`
-    relative raises `SolverError` before any eig. A block that C maps
-    onto itself, with ||Im U^+ M U|| within `MIRROR_TOL` relative, goes to
-    real LAPACK in its real form U^+ M U, one eig per coupled component of
-    the real form (`coupled_components` with roundoff up to `MIRROR_TOL`
-    cut). Of two blocks that C maps onto each other the first is
-    diagonalized, and the second, within `MIRROR_TOL` relative of its
-    image, gets the conjugate spectrum without being sliced. On the pair
-    basis the first is diagonalized in the real form of A = C W, which
-    maps it onto itself (a diagonal unitary, `_real_form`), when the gaps
-    of C and W on the pair add up to at most `MIRROR_TOL`. Every other
-    block that W maps onto itself within `MIRROR_TOL` relative is
-    rotated into W's +1 and -1 columns (`_parity_form`) and takes one
-    complex eig per coupled component of the rotated block, roundoff up
-    to `MIRROR_TOL` cut: the two signs never couple. W is built and
-    checked once (`_transpose_blocks`), when the first block that could
-    use it is reached. Every other block takes the complex eig. Each
-    block whose spectrum is known passes it on to the block that Pi maps
-    it onto, as a copy, when that block is within `MIRROR_TOL` relative
-    of its image (`_reflection_images`) and still open.
+    The components come from `_split`, which raises `DenseCapError` for a
+    block over the cap before any eig, and each map's block images and
+    gaps from one call of `_block_images`. With `strict` a block that C
+    does not map onto a block within `MIRROR_TOL` relative raises
+    `SolverError` before any eig. A block that C maps onto itself, with
+    ||Im U^+ M U|| within `MIRROR_TOL` relative, goes to real LAPACK in
+    its real form U^+ M U, one eig per coupled component of the real form
+    (`coupled_components` with roundoff up to `MIRROR_TOL` cut). Of two
+    blocks that C maps onto each other the first is diagonalized, and the
+    second, within `MIRROR_TOL` relative of its image, gets the conjugate
+    spectrum without being sliced. On the pair basis the first is
+    diagonalized in the real form of A = C W, which maps it onto itself
+    (a diagonal unitary, `_real_form`), when the gaps of C and W on the
+    pair add up to at most `MIRROR_TOL`. Every other block that W maps
+    onto itself within `MIRROR_TOL` relative is rotated into W's +1 and
+    -1 columns (`_parity_form`) and takes one complex eig per coupled
+    component of the rotated block, roundoff up to `MIRROR_TOL` cut: the
+    two signs never couple. W is built and checked once, when the first
+    block that could use it is reached. Every other block takes the
+    complex eig. Each block whose spectrum is known passes it on to the
+    block that Pi maps it onto, as a copy, when that block is within
+    `MIRROR_TOL` relative of its image and still open.
 
     Returns one Spectrum per component, which counts itself in the one
     of `BLOCK_COUNTS` that says how it was found (none for a complex
     eig), and the components.
     """
-    components, labels, partner, gap = _mirror_blocks(matrix, mirror)
-    _check_cap(components, cap)
+    components, labels = _split(matrix, cap)
+    partner, gap = _block_images(matrix, components, labels, mirror,
+                                 antiunitary=True)
     # a NaN gap counts as no mirror
     unmirrored = np.flatnonzero(~(gap <= MIRROR_TOL)) if strict else ()
     if len(unmirrored):
@@ -678,10 +652,11 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
             f"{MIRROR_TOL:.0e} (relative gap {gap[i]:.3e}); not a "
             "Lindbladian")
     pairs = None if bloch is not None else sector
-    reflection, reflects = _reflection_images(matrix, components, labels,
-                                              pairs)
+    reflection, reflection_gap = _block_images(
+        matrix, components, labels,
+        None if pairs is None else _reflection_map(pairs))
     # the blocks are sliced from one symmetric permutation
-    order = np.concatenate(components)
+    order = np.concatenate(components) if components else np.arange(0)
     permuted = matrix[order][:, order]
     bounds = np.cumsum([0] + [c.size for c in components])
     parts = [None] * len(components)
@@ -695,16 +670,17 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
         if mirrored and j == i:
             form = _real_part(_real_form(
                 permuted[cut, cut], np.searchsorted(own, mirror[0][own]),
-                np.exp(1j * mirror[1][own]))[1])
+                mirror[1][own])[1])
             parts[i] = _split_eig(form, basis, cap)
             parts[i].real_blocks = 1
         else:
             if transpose is None:
-                transpose = _transpose_blocks(matrix, components, labels,
-                                              sector, bloch)
+                w = None if sector is None else _transpose_map(sector, bloch)
+                transpose = (w, *_block_images(matrix, components, labels, w))
             w, target, w_gap = transpose
+            # on the pair basis W maps each block where C does
             gauge = pairs is not None and mirrored
-            if gauge and gap[i] + w_gap[j] <= MIRROR_TOL:
+            if gauge and gap[i] + w_gap[i] <= MIRROR_TOL:
                 if gauged is None:
                     gauged = _gauge_form(matrix, order, w)
                 parts[i] = eig_dense(gauged[cut, cut], basis, cap)
@@ -723,7 +699,7 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
             known.append(j)
         for b in known:
             k = reflection[b]
-            if k >= 0 and reflects[k] and parts[k] is None:
+            if k >= 0 and reflection_gap[b] <= MIRROR_TOL and parts[k] is None:
                 parts[k] = Spectrum(parts[b].eigenvalues.copy(), basis,
                                     copied_blocks=1)
     return parts, components
@@ -735,21 +711,6 @@ def _split_eig(form, basis, cap):
     `MIRROR_TOL` relative cut (`coupled_components`, with its guard)."""
     return _merge([eig_dense(form[c][:, c], basis, cap)
                    for c in coupled_components(form, MIRROR_TOL)])[0]
-
-
-def _transpose_blocks(matrix, components, labels, sector, bloch):
-    """W (`_transpose_map` on the pair basis `sector`, or on the columns
-    of `bloch` over it) on the coordinates of a CSR generator, checked
-    once: W, the component it maps each component onto (or -1) and its
-    gap on each component (`_map_gaps`: for W mapping block i onto block
-    j, the gap on j is ||W(M_i) - M_j|| relative to M_j). Without W:
-    None, -1 and infinite gaps."""
-    w = None if sector is None else _transpose_map(sector, bloch)
-    count = len(components)
-    if w is None:
-        return None, np.full(count, -1), np.full(count, np.inf)
-    return (w, _block_images(components, labels, w[0]),
-            _map_gaps(matrix, w, labels))
 
 
 def _gauge_form(matrix, order, transpose):
@@ -782,10 +743,14 @@ def spectrum_of(superop, cap=DENSE_CAP):
     into its coupled components, which go through `mirror_eig`.
     Eigenvalues are merged in canonical order and labelled by the running
     index of their block. A block over the cap raises `DenseCapError`
-    before any block is diagonalized."""
+    before any block is diagonalized. An empty sector gives an empty
+    spectrum."""
     bloch, matrix, mirror = _frame(superop)
     parts, _ = mirror_eig(matrix, mirror, superop.basis, cap,
                           sector=superop.sector, bloch=bloch)
+    if not parts:
+        return Spectrum(np.empty(0, dtype=np.complex128), superop.basis,
+                        block_labels=())
     spectrum, order = _merge(parts)
     labels = np.repeat(np.arange(len(parts)), [part.dim for part in parts])
     spectrum.block_labels = tuple(labels[order].tolist())
@@ -817,10 +782,10 @@ def phase_partner(superop, spectrum, partner):
     * C D: the conjugate spectrum; the double-space generator at pi - phi.
 
     Each is decided by one defect of the assembled partner, within
-    `MIRROR_TOL` relative to M (`_mirror_gaps` with M' the partner for C
-    and C D), and they are tried in this order; nothing is assumed from
-    the phases. Each block of `spectrum` counts as conjugated or copied.
-    None when no map holds."""
+    `MIRROR_TOL` relative to M (`_gaps` with M' the partner; C D is the
+    monomial of C times the sign D), and they are tried in this order;
+    nothing is assumed from the phases. Each block of `spectrum` counts
+    as conjugated or copied. None when no map holds."""
     dsec = superop.sector
     if partner.sector is not dsec:
         return None
@@ -829,32 +794,22 @@ def phase_partner(superop, spectrum, partner):
     blocks = len(set(spectrum.block_labels))
     conjugate = _conjugate(spectrum)
     conjugate.conjugated_blocks = blocks
-    if mirror is not None and _mirror_gaps(
-            matrix, mirror, partner=target)[0] <= MIRROR_TOL:
+    if mirror is not None and _gaps(matrix, mirror, antiunitary=True,
+                                    partner=target)[0] <= MIRROR_TOL:
         return conjugate
     sign = _wrap_sign(dsec)
     if sign is None:
         return None
-    flip = _monomial(np.arange(dsec.dim), sign)
-    flipped = flip @ matrix @ flip
-    if _row_gaps(flipped - target, matrix, None)[0] <= MIRROR_TOL:
+    if _gaps(matrix, (np.arange(dsec.dim), sign),
+             partner=target)[0] <= MIRROR_TOL:
         return Spectrum(spectrum.eigenvalues.copy(), spectrum.basis,
                         block_labels=spectrum.block_labels,
                         copied_blocks=blocks)
-    if mirror is not None and _mirror_gaps(
-            flipped, mirror, partner=target)[0] <= MIRROR_TOL:
+    if mirror is not None and _gaps(matrix, (mirror[0], mirror[1] * sign),
+                                    antiunitary=True,
+                                    partner=target)[0] <= MIRROR_TOL:
         return conjugate
     return None
-
-
-def _check_cap(components, cap):
-    """`DenseCapError` when a block is larger than the dense cap."""
-    largest = max(c.size for c in components)
-    if largest > cap:
-        raise DenseCapError(
-            f"a block of dimension {largest} exceeds the dense cap {cap}; "
-            "project onto a smaller sector or reduce L")
-    return largest
 
 
 def _near_kernel(block, lu, tol):
@@ -912,12 +867,14 @@ def _kernel_basis(block, lu, count, rng):
 def steady_states(superop, tol=KERNEL_TOL, cap=DENSE_CAP, stats=None):
     """Kernel basis of a generator as trace-normalized density matrices.
 
-    The generator's frame (`_frame`) is split into blocks as `mirror_eig`
-    splits it; a block over the cap raises `DenseCapError` before any
-    factorization. A block that C(rho) = rho^+ maps onto itself, or a
-    block with the block C maps it onto, is one group, taken in its real
-    form U^+ M U as `mirror_eig` decides; only a block that does not
-    commute with C is taken complex. Each group is factored once, by a
+    The generator's frame (`_frame`) is split into blocks by `_split`, as
+    `mirror_eig` splits it; a block over the cap raises `DenseCapError`
+    before any factorization. A block that C(rho) = rho^+ maps onto
+    itself, or a block with the block C maps it onto, is one group, taken
+    in its real form U^+ M U where `_block_images` finds C within
+    `MIRROR_TOL`, as in `mirror_eig`; only a block that does not commute
+    with C is taken complex. A mirror pair is sliced as the sorted union
+    of its two blocks. Each group is factored once, by a
     sparse LU of its matrix - tol I, which serves twice: its eigenvalues
     nearest 0 (`_near_kernel`) count the group's kernel, the eigenvalues
     below `tol` in modulus, and its kernel vectors w (`_kernel_basis`)
@@ -940,13 +897,16 @@ def steady_states(superop, tol=KERNEL_TOL, cap=DENSE_CAP, stats=None):
     none), the entries SuperLU stores for all the LU factors
     (`kernel_lu_nnz`) and the
     smallest |lambda| outside the kernel among the eigenvalues the counts
-    were decided from (`kernel_separation`, None for none).
+    were decided from (`kernel_separation`, None for none). An empty
+    sector has no blocks and no states.
     """
     from scipy.sparse.linalg import splu
 
     bloch, matrix, mirror = _frame(superop)
-    components, _, partner, gap = _mirror_blocks(matrix, mirror)
-    largest = _check_cap(components, cap)
+    components, labels = _split(matrix, cap)
+    partner, gap = _block_images(matrix, components, labels, mirror,
+                                 antiunitary=True)
+    largest = max((c.size for c in components), default=0)
     lift = sp.identity(superop.dim, format="csc") if bloch is None else bloch
     tvec = trace_vector(superop.sector)
     rng = np.random.default_rng(0)
@@ -967,8 +927,7 @@ def steady_states(superop, tol=KERNEL_TOL, cap=DENSE_CAP, stats=None):
         block, unitary = matrix[own][:, own], sp.identity(own.size)
         if real:
             unitary, rotated = _real_form(
-                block, np.searchsorted(own, mirror[0][own]),
-                np.exp(1j * mirror[1][own]))
+                block, np.searchsorted(own, mirror[0][own]), mirror[1][own])
             block = _real_part(rotated)
         try:
             lu = splu(sp.csc_matrix(
@@ -990,7 +949,7 @@ def steady_states(superop, tol=KERNEL_TOL, cap=DENSE_CAP, stats=None):
             trace = tvec @ vec
             vec = vec / (trace if abs(trace) > 1e-10 else np.linalg.norm(vec))
             states.append(devectorize_from(vec, superop.sector))
-    if not states:
+    if components and not states:
         raise SolverError("empty kernel; a Lindblad generator always has one")
     if stats is not None:
         stats.update(
@@ -1197,14 +1156,15 @@ def _real_coordinates(matrix, v0, dsec):
     """dv/dt = M v in the coordinates w = U^+ v of `_real_form` on the pair
     basis `dsec`: returns U, the real CSR U^+ M U (`_real_part`) and the
     real w0. None when C(rho) = rho^+ does not map `dsec` onto itself,
-    when M does not commute with C (half the defect of `_mirror_gaps`,
+    when M does not commute with C (half the defect of `_gaps`,
     the imaginary part of U^+ M U, exceeds `MIRROR_TOL` relative to M),
     or when v0 is not Hermitian (the imaginary part of U^+ v0 exceeds
     `MIRROR_TOL` relative to v0)."""
     mirror = _mirror_map(dsec)
-    if mirror is None or _mirror_gaps(matrix, mirror)[0] / 2 > MIRROR_TOL:
+    if mirror is None or _gaps(matrix, mirror,
+                               antiunitary=True)[0] / 2 > MIRROR_TOL:
         return None
-    unitary, rotated = _real_form(matrix, mirror[0], np.exp(1j * mirror[1]))
+    unitary, rotated = _real_form(matrix, *mirror)
     w0 = unitary.conj().T @ v0
     if np.linalg.norm(w0.imag) > MIRROR_TOL * np.linalg.norm(w0):
         return None

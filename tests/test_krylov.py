@@ -66,8 +66,7 @@ def test_l7_quench_beats_dop853_against_expm_multiply(rates, sites, frame_gap,
     assert series.trace_defect.max() < 1e-12
     # the reference in the same real coordinates, at half the arithmetic
     mirror = numerics._mirror_map(dsec)
-    unitary, rotated = numerics._real_form(superop.matrix, mirror[0],
-                                           np.exp(1j * mirror[1]))
+    unitary, rotated = numerics._real_form(superop.matrix, *mirror)
     reference = expm_multiply(numerics._real_part(rotated),
                               (unitary.conj().T @ v0).real, start=0.0,
                               stop=180.0, num=81, endpoint=True) @ unitary.T

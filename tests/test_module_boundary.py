@@ -1,8 +1,10 @@
-"""No module of the package imports a private (underscore) name of another.
+"""No module of the package imports a private (underscore) name of another,
+and every private module-level helper is used somewhere in the package.
 
 A name that two modules need belongs to the public surface of the module
 that defines it; importing its private helpers instead hides the
-dependency.
+dependency. A private helper that nothing in the package references, but
+for tests, is a leftover of a refactor.
 """
 
 import ast
@@ -39,3 +41,41 @@ def private_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_name_imported_from_another_module(path):
     assert private_imports(path) == []
+
+
+def referenced_names(node):
+    """Every name and attribute that `node` mentions, imports included."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def private_helpers():
+    """`module: name` of each private module-level function or class of
+    the package, and every name the package references outside the
+    definition of that very name."""
+    defined, used = [], set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            names = referenced_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if is_private(node.name):
+                    defined.append((path.name, node.name))
+                names.discard(node.name)
+            used |= names
+    return defined, used
+
+
+def test_every_private_helper_is_referenced_in_the_package():
+    defined, used = private_helpers()
+    assert defined
+    assert [f"{module}: {name}" for module, name in defined
+            if name not in used] == []

@@ -335,8 +335,7 @@ def split_real_form(superop):
     """The coupled components of the real form of a one-component
     weak-sector generator."""
     mirror = numerics._mirror_map(superop.sector)
-    _, rotated = numerics._real_form(superop.matrix, mirror[0],
-                                     np.exp(1j * mirror[1]))
+    _, rotated = numerics._real_form(superop.matrix, *mirror)
     return numerics.coupled_components(numerics._real_part(rotated))
 
 
@@ -376,8 +375,7 @@ def test_disordered_real_form_does_not_split():
                     dsec=superop.sector)
     assert series.real_form and series.evolved_dim == 518
     mirror = numerics._mirror_map(superop.sector)
-    unitary, rotated = numerics._real_form(superop.matrix, mirror[0],
-                                           np.exp(1j * mirror[1]))
+    unitary, rotated = numerics._real_form(superop.matrix, *mirror)
     real = numerics._real_part(rotated)
     whole = solve_ivp(lambda _, y: real @ y, (0.0, 1.0),
                       (unitary.conj().T @ v0).real, method=KrylovExpm,
@@ -539,8 +537,8 @@ def test_frozen_blocks_take_the_dense_fallback(kind, monkeypatch):
     monkeypatch.setattr(numerics, "eig_dense", recording)
     stats = {}
     assert len(steady_states(superop, stats=stats)) == kernel
-    _, matrix, mirror = numerics._frame(superop)
-    components = numerics._mirror_blocks(matrix, mirror)[0]
+    matrix = numerics._frame(superop)[1]
+    components = numerics._split(matrix, numerics.DENSE_CAP)[0]
     frozen = sum(c.size == 1 for c in components)
     # each alone, or in one 2 x 2 real form with its mirror partner
     assert frozen > 0 and sizes.count(1) + 2 * sizes.count(2) == frozen
@@ -549,13 +547,15 @@ def test_frozen_blocks_take_the_dense_fallback(kind, monkeypatch):
 
 def test_mirror_check_runs_once_per_generator(monkeypatch):
     calls = []
-    gaps = numerics._mirror_gaps
+    gaps = numerics._gaps
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+        # C is the one antiunitary map; the others are unitary
+        if kwargs.get("antiunitary"):
+            calls.append(args[0].shape)
         return gaps(*args, **kwargs)
 
-    monkeypatch.setattr(numerics, "_mirror_gaps", counted)
+    monkeypatch.setattr(numerics, "_gaps", counted)
     spec = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
     dsec = weak_sector(spec.layout, 1)
     # momentum blocks, each split into components, partners and real forms
@@ -635,20 +635,85 @@ def test_a_block_off_w_by_1e_10_leaves_the_parity_split():
                              clean[hit].eigenvalues) < 1e-8
 
 
+def dense_gap(matrix, image, phase, rows, antiunitary=False):
+    """||S M^ S^+ - M|| on `rows` relative to ||M|| there, densely."""
+    m = matrix.toarray()
+    s = np.zeros(m.shape, dtype=complex)
+    s[image, np.arange(image.size)] = phase
+    defect = s @ (m.conj() if antiunitary else m) @ s.conj().T - m
+    return np.linalg.norm(defect[rows]) / np.linalg.norm(m[rows])
+
+
+def test_block_images_of_a_synthetic_block_diagonal_matrix():
+    rng = np.random.default_rng(7)
+
+    def block(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    # blocks A = {0, 1}, B = {2, 3}, C = {4, 5, 6}; B is A's image under
+    # the swap of the two, up to a 1e-3 bump
+    a = block(2)
+    swap = np.array([[0, 1], [1, 0]])
+    b = swap @ a @ swap.T + 1e-3 * block(2)
+    matrix = sp.block_diag([a, b, block(3)], format="csr")
+    components, labels = numerics._split(matrix, 3)
+    assert [c.tolist() for c in components] == [[0, 1], [2, 3], [4, 5, 6]]
+    with pytest.raises(numerics.DenseCapError):
+        numerics._split(matrix, 2)
+    # unit phases on A and B, others on C
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, 7))
+    phase[:4] = 1
+
+    def images(image, antiunitary=False):
+        return numerics._block_images(matrix, components, labels,
+                                      (np.array(image), phase), antiunitary)
+
+    # A <-> B, and 4 <-> 5 inside C
+    image = np.array([3, 2, 1, 0, 5, 4, 6])
+    target, gap = images(image)
+    assert target.tolist() == [1, 0, 2]
+    # A's gap is measured on B, B's on A; a unitary self-map's in full
+    for i, rows in enumerate(([2, 3], [0, 1], [4, 5, 6])):
+        assert gap[i] == pytest.approx(dense_gap(matrix, image, phase, rows),
+                                       rel=1e-12)
+    assert gap[0] < 1e-2 and 0 < gap[2] < np.inf
+    # an antiunitary self-map's gap is halved
+    target, gap = images(image, antiunitary=True)
+    assert target.tolist() == [1, 0, 2]
+    assert gap[2] == pytest.approx(
+        dense_gap(matrix, image, phase, [4, 5, 6], antiunitary=True) / 2,
+        rel=1e-12)
+    assert gap[0] == pytest.approx(
+        dense_gap(matrix, image, phase, [2, 3], antiunitary=True), rel=1e-12)
+    # a map that splits every block has no targets
+    target, gap = images([2, 4, 0, 5, 1, 3, 6])
+    assert target.tolist() == [-1, -1, -1] and np.all(gap == np.inf)
+    # A sent into C, a block of another size, and C split; B on itself
+    target, gap = images([4, 5, 2, 3, 0, 1, 6])
+    assert target.tolist() == [-1, 1, -1]
+    assert gap[0] == gap[2] == np.inf and gap[1] < np.inf
+    # no map
+    target, gap = numerics._block_images(matrix, components, labels, None)
+    assert target.tolist() == [-1, -1, -1] and np.all(gap == np.inf)
+
+
 def test_transpose_check_runs_once_per_generator(monkeypatch):
-    built, checked = [], []
-    transpose, gaps = numerics._transpose_map, numerics._map_gaps
+    built, maps, checked = [], [], []
+    transpose, gaps = numerics._transpose_map, numerics._gaps
 
     def counted_transpose(*args, **kwargs):
         built.append(args[0].dim)
-        return transpose(*args, **kwargs)
+        maps.append(transpose(*args, **kwargs))
+        return maps[-1]
 
     def counted_gaps(*args, **kwargs):
-        checked.append(args[0].shape)
+        # a defect of W, not of C, Pi or the translation
+        if any(args[1] is w for w in maps):
+            checked.append(args[0].shape)
         return gaps(*args, **kwargs)
 
     monkeypatch.setattr(numerics, "_transpose_map", counted_transpose)
-    monkeypatch.setattr(numerics, "_map_gaps", counted_gaps)
+    monkeypatch.setattr(numerics, "_gaps", counted_gaps)
     spec = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
     dsec = weak_sector(spec.layout, 1)
     # four momentum blocks, each split by W's parity, from one check
@@ -1160,8 +1225,7 @@ def test_evolve_integrates_only_the_reached_components():
     assert series.real_form and series.evolved_dim == 339
     # the unrestricted integration: DOP853 on the whole real form
     mirror = numerics._mirror_map(dsec)
-    unitary, rotated = numerics._real_form(superop.matrix, mirror[0],
-                                           np.exp(1j * mirror[1]))
+    unitary, rotated = numerics._real_form(superop.matrix, *mirror)
     w0 = (unitary.conj().T @ v0).real
     whole = solve_ivp(lambda _, y: rotated.real @ y, (0.0, 3.0), w0,
                       method="DOP853", t_eval=times, **tols)
@@ -1230,3 +1294,18 @@ def test_empty_spectrum_helpers():
     assert empty.dim == 0
     assert empty.max_real() == -np.inf
     assert multiset_distance([], []) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["chain-obc", "chain-pbc"])
+def test_an_empty_sector_has_no_blocks(kind):
+    # three sites hold at most three particles
+    spec = biased_chain(3, 2.4, 1.6, kind=kind)
+    spectrum, dsec, superop = weak_spectrum(spec, n_particles=5)
+    assert dsec.dim == 0
+    assert numerics.coupled_components(superop.matrix) == []
+    assert spectrum.dim == 0 and spectrum.block_labels == ()
+    assert spectrum.max_real() == -np.inf
+    assert spectrum_of(superop).dim == 0
+    stats = {}
+    assert steady_states(superop, stats=stats) == []
+    assert stats["blocks"] == stats["max_block_dim"] == 0
