@@ -89,6 +89,21 @@ the blocks that it reaches unlike their images. Hierarchical and square
 layouts and odd rings have neither. The block counts of a `Spectrum`
 say which path each block took (`BLOCK_COUNTS`).
 
+`mirror_eig` decides which way each block goes on the integer arrays of
+the maps before any block is sliced (`_reuse_plan` for the conjugated
+and copied blocks). It then takes every matrix to diagonalize straight
+from the one sparse matrix it lies in: the permuted generator, its
+gauge form, or a block's real or parity form. Matrices of one size and
+dtype are densified into (k, n, n) stacks (`_eig_stacks`), each
+diagonalized by one `np.linalg.eigvals` call, which runs LAPACK geev
+matrix by matrix, so the eigenvalues are bit for bit those of one call
+per matrix. A stack holds at most as many entries, k n^2, as the
+largest matrix diagonalized, so no stack needs more memory than that
+matrix's own eig; the 469 matrices of the L = 4 full pair space take 50
+calls. Conjugated and copied blocks take their spectra by index, and
+the merged spectrum is sorted once, in the tie order that per-block
+spectra merged in component order have.
+
 A spectrum can also come from another generator's (`phase_partner`):
 the CLI `winding` scan takes the double-space generator at -phi as the
 conjugate of the one at phi (C), the generator of either twist at
@@ -215,6 +230,8 @@ class Spectrum:
 
 BLOCK_COUNTS = ("real_blocks", "conjugated_blocks", "copied_blocks",
                 "gauge_real_blocks", "parity_split_blocks")
+# each block's way in `mirror_eig`, as its index in BLOCK_COUNTS
+REAL, CONJUGATED, COPIED, GAUGE, PARITY = range(len(BLOCK_COUNTS))
 
 
 def canonical_order(values):
@@ -536,20 +553,6 @@ def _real_part(rotated):
     return real
 
 
-def _merge(parts):
-    """Spectra of diagonal blocks merged in canonical order, and the order
-    applied. The largest eig is the largest part's; the block counts
-    (`BLOCK_COUNTS`) add up."""
-    merged = np.concatenate([part.eigenvalues for part in parts])
-    order = canonical_order(merged)
-    spectrum = Spectrum(
-        merged[order], parts[0].basis,
-        eig_max_dim=max(part.eig_max_dim for part in parts),
-        **{key: sum(getattr(part, key) for part in parts)
-           for key in BLOCK_COUNTS})
-    return spectrum, order
-
-
 def _split(matrix, cap):
     """The coupled components of a CSR generator and their guard, the
     label array of the component of each coordinate: they must cover the
@@ -617,28 +620,38 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
     block over the cap before any eig, and each map's block images and
     gaps from one call of `_block_images`. With `strict` a block that C
     does not map onto a block within `MIRROR_TOL` relative raises
-    `SolverError` before any eig. A block that C maps onto itself, with
-    ||Im U^+ M U|| within `MIRROR_TOL` relative, goes to real LAPACK in
-    its real form U^+ M U, one eig per coupled component of the real form
-    (`coupled_components` with roundoff up to `MIRROR_TOL` cut). Of two
-    blocks that C maps onto each other the first is diagonalized, and the
-    second, within `MIRROR_TOL` relative of its image, gets the conjugate
-    spectrum without being sliced. On the pair basis the first is
-    diagonalized in the real form of A = C W, which maps it onto itself
-    (a diagonal unitary, `_real_form`), when the gaps of C and W on the
-    pair add up to at most `MIRROR_TOL`. Every other block that W maps
-    onto itself within `MIRROR_TOL` relative is rotated into W's +1 and
-    -1 columns (`_parity_form`) and takes one complex eig per coupled
+    `SolverError` before any eig. The blocks are taken in order, and each
+    one not yet known is diagonalized. A block that C maps onto itself,
+    with ||Im U^+ M U|| within `MIRROR_TOL` relative, goes to real LAPACK
+    in its real form U^+ M U, one eig per coupled component of the real
+    form (`coupled_components` with roundoff up to `MIRROR_TOL` cut). Of
+    two blocks that C maps onto each other the first is diagonalized, and
+    the second, within `MIRROR_TOL` relative of its image, gets the
+    conjugate spectrum without being sliced. On the pair basis the first
+    is diagonalized in the real form of A = C W, which maps it onto
+    itself (a diagonal unitary, `_real_form`), when the gaps of C and W on
+    the pair add up to at most `MIRROR_TOL`. Every other block that W maps
+    onto itself within `MIRROR_TOL` relative is rotated into W's +1 and -1
+    columns (`_parity_form`) and takes one complex eig per coupled
     component of the rotated block, roundoff up to `MIRROR_TOL` cut: the
-    two signs never couple. W is built and checked once, when the first
-    block that could use it is reached. Every other block takes the
+    two signs never couple. W is built and checked once, when some block
+    to diagonalize is not its own C image. Every other block takes the
     complex eig. Each block whose spectrum is known passes it on to the
     block that Pi maps it onto, as a copy, when that block is within
     `MIRROR_TOL` relative of its image and still open.
 
-    Returns one Spectrum per component, which counts itself in the one
-    of `BLOCK_COUNTS` that says how it was found (none for a complex
-    eig), and the components.
+    Which way each block goes is decided on the index arrays of the maps
+    before any matrix is sliced. The matrices to diagonalize are then
+    densified and diagonalized in stacks of equal size and dtype
+    (`_eig_stacks`), none holding more entries than the largest of them,
+    and the conjugated and copied blocks take their spectra by index.
+
+    Returns the merged Spectrum, its eigenvalues in canonical order and
+    labelled by the index of their component (`block_labels`), with the
+    blocks counted in `BLOCK_COUNTS` by how they were found and the
+    largest matrix handed to LAPACK (`eig_max_dim`); the components; and
+    for each component the index in `BLOCK_COUNTS` of the count it went
+    to, or -1 for a complex eig.
     """
     components, labels = _split(matrix, cap)
     partner, gap = _block_images(matrix, components, labels, mirror,
@@ -655,62 +668,170 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
     reflection, reflection_gap = _block_images(
         matrix, components, labels,
         None if pairs is None else _reflection_map(pairs))
+    mirrored = gap <= MIRROR_TOL
+    source, turned, path = _reuse_plan(
+        partner, mirrored, reflection, reflection_gap <= MIRROR_TOL)
+    count = len(components)
+    index = np.arange(count)
+    roots = index[source == index]
+    path[roots[(mirrored & (partner == index))[roots]]] = REAL
+    rest = roots[path[roots] < 0]
+    if rest.size:
+        w = None if sector is None else _transpose_map(sector, bloch)
+        target, w_gap = _block_images(matrix, components, labels, w)
+        # on the pair basis W maps each block where C does
+        gauge = (pairs is not None) & mirrored & (gap + w_gap <= MIRROR_TOL)
+        parity = (target == index) & (w_gap <= MIRROR_TOL)
+        path[rest] = np.where(gauge[rest], GAUGE,
+                              np.where(parity[rest], PARITY, -1))
     # the blocks are sliced from one symmetric permutation
-    order = np.concatenate(components) if components else np.arange(0)
+    order = np.concatenate(components) if count else np.arange(0)
     permuted = matrix[order][:, order]
-    bounds = np.cumsum([0] + [c.size for c in components])
-    parts = [None] * len(components)
-    transpose = gauged = None
-    for i, own in enumerate(components):
-        if parts[i] is not None:
+    sizes = np.array([c.size for c in components], dtype=np.int64)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    # each matrix to diagonalize: its source, first row there, size, and
+    # the offset of its eigenvalues among all of them in component order
+    sources, jobs = [permuted], []
+    whole = roots[path[roots] < 0]
+    jobs.append((np.zeros_like(whole), bounds[whole], sizes[whole],
+                 bounds[whole]))
+    whole = roots[path[roots] == GAUGE]
+    if whole.size:
+        sources.append(_gauge_form(matrix, order, w))
+        jobs.append((np.full_like(whole, len(sources) - 1), bounds[whole],
+                     sizes[whole], bounds[whole]))
+    for i in roots[(path[roots] == REAL) | (path[roots] == PARITY)]:
+        cut, own = slice(bounds[i], bounds[i + 1]), components[i]
+        real = path[i] == REAL
+        image, phase = mirror if real else w
+        form = (_real_form if real else _parity_form)(
+            permuted[cut, cut], np.searchsorted(own, image[own]),
+            phase[own])[1]
+        if real:
+            form = _real_part(form)
+        # its components, made contiguous
+        pieces = coupled_components(form, MIRROR_TOL)
+        joined = np.concatenate(pieces)
+        sources.append(form[joined][:, joined])
+        size = np.array([p.size for p in pieces])
+        start = np.cumsum(size) - size
+        jobs.append((np.full_like(size, len(sources) - 1), start, size,
+                     bounds[i] + start))
+    which, starts, lengths, first = (np.concatenate(c) for c in zip(*jobs))
+    # in component order, so that the eigenvalues fill the roots in order
+    at = np.argsort(first)
+    values, complex_typed = _eig_stacks(sources, which[at], starts[at],
+                                        lengths[at])
+    block = np.repeat(index, sizes)
+    # a block's spectrum is complex-typed when one of its eigs is
+    complex_part = np.bincount(block[first[at]], complex_typed,
+                               minlength=count) > 0
+    raw = np.empty(bounds[-1], dtype=np.complex128)
+    raw[(source == index)[block]] = values
+    # conjugate where the block's spectrum was complex-typed, so that a
+    # real spectrum's zero imaginary parts keep their sign
+    raw = raw[bounds[source][block] + np.arange(bounds[-1]) - bounds[block]]
+    flip = (turned & complex_part[source])[block]
+    raw[flip] = raw[flip].conj()
+    ranked = canonical_order(raw)
+    if count and not complex_part.any():
+        raw = raw.real
+    counts = np.bincount(path[path >= 0], minlength=len(BLOCK_COUNTS))
+    spectrum = Spectrum(raw[ranked], basis,
+                        block_labels=tuple(block[ranked].tolist()),
+                        eig_max_dim=int(lengths.max(initial=0)),
+                        **dict(zip(BLOCK_COUNTS, counts.tolist())))
+    return spectrum, components, path
+
+
+def _reuse_plan(partner, mirrored, reflection, reflected):
+    """Which blocks take their spectrum from another, in block order: a
+    block not yet known is diagonalized; it hands the conjugate of its
+    spectrum to its C image `partner` where `mirrored`, and its spectrum,
+    or that conjugate, to the Pi image `reflection` of either where
+    `reflected`, when that block is still open. Returns for each block
+    the diagonalized block it takes its spectrum from (itself when it is
+    diagonalized), whether conjugated, and its `BLOCK_COUNTS` index
+    (conjugated or copied; -1 where diagonalized)."""
+    count = partner.size
+    partner, reflection = partner.tolist(), reflection.tolist()
+    mirrored, reflected = mirrored.tolist(), reflected.tolist()
+    source, turned, path = list(range(count)), [False] * count, [-1] * count
+    done = [False] * count
+    for i in range(count):
+        if done[i]:
             continue
-        j = partner[i]
-        mirrored = gap[i] <= MIRROR_TOL
-        cut = slice(bounds[i], bounds[i + 1])
-        if mirrored and j == i:
-            form = _real_part(_real_form(
-                permuted[cut, cut], np.searchsorted(own, mirror[0][own]),
-                mirror[1][own])[1])
-            parts[i] = _split_eig(form, basis, cap)
-            parts[i].real_blocks = 1
-        else:
-            if transpose is None:
-                w = None if sector is None else _transpose_map(sector, bloch)
-                transpose = (w, *_block_images(matrix, components, labels, w))
-            w, target, w_gap = transpose
-            # on the pair basis W maps each block where C does
-            gauge = pairs is not None and mirrored
-            if gauge and gap[i] + w_gap[i] <= MIRROR_TOL:
-                if gauged is None:
-                    gauged = _gauge_form(matrix, order, w)
-                parts[i] = eig_dense(gauged[cut, cut], basis, cap)
-                parts[i].gauge_real_blocks = 1
-            elif target[i] == i and w_gap[i] <= MIRROR_TOL:
-                parts[i] = _split_eig(_parity_form(
-                    permuted[cut, cut], np.searchsorted(own, w[0][own]),
-                    w[1][own])[1], basis, cap)
-                parts[i].parity_split_blocks = 1
-            else:
-                parts[i] = eig_dense(permuted[cut, cut], basis, cap)
+        done[i] = True
         known = [i]
-        if mirrored and parts[j] is None:
-            parts[j] = _conjugate(parts[i])
-            parts[j].conjugated_blocks = 1
+        j = partner[i]
+        if mirrored[i] and not done[j]:
+            done[j], source[j], turned[j], path[j] = True, i, True, CONJUGATED
             known.append(j)
         for b in known:
             k = reflection[b]
-            if k >= 0 and reflection_gap[b] <= MIRROR_TOL and parts[k] is None:
-                parts[k] = Spectrum(parts[b].eigenvalues.copy(), basis,
-                                    copied_blocks=1)
-    return parts, components
+            if reflected[b] and k >= 0 and not done[k]:
+                done[k], path[k] = True, COPIED
+                source[k], turned[k] = source[b], turned[b]
+    return (np.array(source, dtype=np.int64), np.array(turned, dtype=bool),
+            np.array(path, dtype=np.int64))
 
 
-def _split_eig(form, basis, cap):
-    """The spectrum of a block rotated so that its roundoff hides no
-    split: one eig per coupled component of `form`, entries up to
-    `MIRROR_TOL` relative cut (`coupled_components`, with its guard)."""
-    return _merge([eig_dense(form[c][:, c], basis, cap)
-                   for c in coupled_components(form, MIRROR_TOL)])[0]
+def _eig_stacks(sources, which, starts, sizes):
+    """Eigenvalues of diagonal blocks of CSR matrices, block t the
+    sizes[t] x sizes[t] one from row starts[t] of sources[which[t]],
+    concatenated in block order, and for each block whether
+    `np.linalg.eigvals` types its spectrum complex (a complex block, or a
+    real one with a complex pair).
+
+    Blocks of one size and dtype are densified together (`_add_blocks`)
+    into (k, n, n) stacks, and one `np.linalg.eigvals` call diagonalizes
+    each stack, by LAPACK geev matrix by matrix: the eigenvalues are those
+    of one call per block, bit for bit. No stack holds more entries,
+    k n^2, than the largest block, so none needs more memory than that
+    block's eig alone."""
+    is_complex = np.array([m.dtype.kind == "c" for m in sources],
+                          dtype=bool)[which]
+    offsets = np.cumsum(sizes) - sizes
+    values = np.empty(int(sizes.sum()), dtype=np.complex128)
+    complex_typed = is_complex.copy()
+    budget = int(sizes.max(initial=0)) ** 2
+    key = 2 * sizes + is_complex
+    for k in np.unique(key):
+        group = np.flatnonzero(key == k)
+        n = int(k // 2)
+        per = budget // n ** 2
+        for lo in range(0, group.size, per):
+            stack = group[lo:lo + per]
+            dense = np.zeros((stack.size, n, n),
+                             dtype=np.complex128 if k % 2 else np.float64)
+            for s in np.unique(which[stack]):
+                slots = np.flatnonzero(which[stack] == s)
+                _add_blocks(dense, slots, sources[s], starts[stack[slots]])
+            found = np.linalg.eigvals(dense)
+            if not k % 2:
+                # a real block's spectrum is real unless it has a pair
+                complex_typed[stack] = np.any(found.imag != 0, axis=1)
+            values[offsets[stack, None] + np.arange(n)] = found
+    return values, complex_typed
+
+
+def _add_blocks(dense, slots, matrix, starts):
+    """Add the n x n diagonal blocks of a CSR matrix that start at rows
+    `starts` onto the zero matrices dense[slots], each entry in storage
+    order, as `toarray` adds them. Entries outside the blocks, the
+    roundoff a form's `coupled_components` cut, are left out, as slicing
+    leaves them."""
+    n = dense.shape[1]
+    rows = (starts[:, None] + np.arange(n)).ravel()
+    length = matrix.indptr[rows + 1] - matrix.indptr[rows]
+    entry = np.repeat(matrix.indptr[rows] - np.cumsum(length) + length,
+                      length) + np.arange(length.sum())
+    col = matrix.indices[entry] - np.repeat(np.repeat(starts, n), length)
+    # each entry's row among the k n rows of the stack
+    row = np.repeat((slots[:, None] * n + np.arange(n)).ravel(), length)
+    keep = (col >= 0) & (col < n)
+    np.add.at(dense.reshape(-1), (row * n + col)[keep],
+              matrix.data[entry][keep])
 
 
 def _gauge_form(matrix, order, transpose):
@@ -736,7 +857,7 @@ def _frame(superop):
 
 
 def spectrum_of(superop, cap=DENSE_CAP):
-    """Spectrum of an assembled generator, one dense eig per block.
+    """Spectrum of an assembled generator, block by block.
 
     The generator's frame (`_frame`: on a periodic chain with the
     translation symmetry its Bloch frame, else the generator) is split
@@ -746,15 +867,8 @@ def spectrum_of(superop, cap=DENSE_CAP):
     before any block is diagonalized. An empty sector gives an empty
     spectrum."""
     bloch, matrix, mirror = _frame(superop)
-    parts, _ = mirror_eig(matrix, mirror, superop.basis, cap,
-                          sector=superop.sector, bloch=bloch)
-    if not parts:
-        return Spectrum(np.empty(0, dtype=np.complex128), superop.basis,
-                        block_labels=())
-    spectrum, order = _merge(parts)
-    labels = np.repeat(np.arange(len(parts)), [part.dim for part in parts])
-    spectrum.block_labels = tuple(labels[order].tolist())
-    return spectrum
+    return mirror_eig(matrix, mirror, superop.basis, cap,
+                      sector=superop.sector, bloch=bloch)[0]
 
 
 def _wrap_sign(dsec):
@@ -979,21 +1093,20 @@ def full_spectrum(spec, cap=DENSE_CAP):
     component is diagonalized in its real form and of each delta/-delta
     mirror pair only one is diagonalized. A generator without that
     symmetry raises `SolverError`. A component over the cap raises
-    `DenseCapError` before any component is diagonalized.
+    `DenseCapError` before any component is diagonalized. The labels are
+    gathered from each component's delta by the block index that
+    `mirror_eig` gives each eigenvalue.
     """
     full = assemble(spec)
     n = spec.layout.nstates
-    parts, components = mirror_eig(
+    spectrum, components, _ = mirror_eig(
         full.matrix, _mirror_map(full.sector), basis=spec.layout.basis_tag,
         cap=cap, strict=True, sector=full.sector)
     table = gauge_charge_table(spec.layout).astype(np.int16)
-    labels = []
-    for comp, part in zip(components, parts):
-        first = comp[0]
-        delta = table[first // n] - table[first % n]
-        labels.extend([tuple(int(v) for v in delta)] * part.dim)
-    spectrum, order = _merge(parts)
-    spectrum.block_labels = tuple(labels[i] for i in order)
+    first = np.array([comp[0] for comp in components])
+    delta = [tuple(d) for d in (table[first // n] - table[first % n]).tolist()]
+    spectrum.block_labels = tuple(map(delta.__getitem__,
+                                      spectrum.block_labels))
     return spectrum
 
 

@@ -8,13 +8,15 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from dqlm import cli, krylov
+from dqlm import cli, krylov, numerics
 from dqlm.cli import main
 from dqlm.exact import enumeration_marginals, ensemble_marginals, \
     exact_steady_state
 from dqlm.lattice import build_layout
-from dqlm.liouvillian import assemble_twisted, devectorize_from, trace_vector
+from dqlm.liouvillian import Superoperator, assemble, assemble_twisted, \
+    devectorize_from, trace_vector
 from dqlm.models import JumpSpec, ModelSpec
 from dqlm.numerics import KERNEL_TOL, eig_dense, multiset_distance, \
     positivity_defect, weak_spectrum
@@ -254,6 +256,35 @@ def test_steady_state_solver_failure_exits_4(name, tmp_path, capsys,
     err = stderr_error(capsys)
     assert err["kind"] == "solver" and "block of dimension" in err["message"]
     assert not (out / "steady_state_profiles.csv").exists()
+
+
+def test_a_nan_in_a_stacked_block_exits_4(tmp_path, capsys, monkeypatch):
+    # a NaN on the diagonal of the smallest gauge block of the L=4 pair
+    # space: it and its mirror block take the complex eig in one stack,
+    # which fails whole, before any CSV is written
+    spec = ModelSpec(layout=build_layout("chain-obc", 4),
+                     jumps=(JumpSpec(family="biased", gamma_up=2.4,
+                                     gamma_down=1.6),))
+    full = assemble(spec)
+    _, components, paths = numerics.mirror_eig(
+        full.matrix, numerics._mirror_map(full.sector), sector=full.sector)
+    own = min((components[i]
+               for i in np.flatnonzero(paths == numerics.GAUGE)), key=len)
+    nan = sp.csr_matrix(([np.nan], ([own[0]], [own[0]])),
+                        shape=full.matrix.shape)
+    bad = Superoperator((full.matrix + nan).tocsr(), full.sector,
+                        full.hamiltonian, full.jumps, full.twists)
+    stacks = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: stacks.append(a.shape) or eigvals(a))
+    monkeypatch.setattr(cli, "assemble", lambda *args, **kwargs: bad)
+    out = tmp_path / "s"
+    assert run("spectrum", "--boundary", "obc", "--L", "4",
+               "--output-dir", str(out)) == 4
+    assert stderr_error(capsys)["kind"] == "solver"
+    assert stacks[-1] == (2, own.size, own.size)
+    assert not (out / "spectrum_obc.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

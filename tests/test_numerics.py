@@ -27,6 +27,7 @@ from dqlm.liouvillian import (
 from dqlm.models import JUMP_FAMILIES, JUMP_RATES, DisorderSpec, JumpSpec, \
     ModelSpec, build_hamiltonian, build_jump_set
 from dqlm.numerics import (
+    BLOCK_COUNTS,
     SolverError,
     Spectrum,
     canonical_order,
@@ -608,31 +609,40 @@ def test_parity_split_matches_the_unsplit_eig(L, n_particles, monkeypatch):
             assert np.array_equal(split.eigenvalues, unchanged.eigenvalues)
 
 
+def block_values(spectrum, i):
+    """The eigenvalues of a `mirror_eig` spectrum that came from its
+    component i, in canonical order."""
+    return spectrum.eigenvalues[np.array(spectrum.block_labels) == i]
+
+
 def test_a_block_off_w_by_1e_10_leaves_the_parity_split():
     spec = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
     superop = assemble_twisted(spec, 0.7, "double-space",
                                sector=weak_sector(spec.layout, 1))
     bloch, matrix, mirror = numerics._frame(superop)
-    clean, components = numerics.mirror_eig(matrix, mirror,
-                                            sector=superop.sector, bloch=bloch)
-    assert [part.parity_split_blocks for part in clean] == [1] * 4
+    clean, components, paths = numerics.mirror_eig(
+        matrix, mirror, sector=superop.sector, bloch=bloch)
+    assert paths.tolist() == [numerics.PARITY] * 4
     # a diagonal entry of the largest block whose coordinate W moves
     image = numerics._transpose_map(superop.sector, bloch)[0]
     own = max(components, key=len)
     g = own[image[own] != own][0]
     size = np.linalg.norm(matrix[own][:, own].data)
     bump = sp.csr_matrix(([1e-10 * size], ([g], [g])), shape=matrix.shape)
-    parts, _ = numerics.mirror_eig((matrix + bump).tocsr(), mirror,
-                                   sector=superop.sector, bloch=bloch)
+    split, _, paths = numerics.mirror_eig((matrix + bump).tocsr(), mirror,
+                                          sector=superop.sector, bloch=bloch)
     hit = next(i for i, c in enumerate(components) if g in c)
-    assert [part.parity_split_blocks for part in parts] == [
-        int(i != hit) for i in range(4)]
-    for i, (part, before) in enumerate(zip(parts, clean)):
+    assert paths.tolist() == [numerics.PARITY if i != hit else -1
+                              for i in range(4)]
+    assert split.parity_split_blocks == 3
+    for i in range(4):
         if i != hit:
-            assert np.array_equal(part.eigenvalues, before.eigenvalues)
-    assert parts[hit].eig_max_dim == own.size
-    assert multiset_distance(parts[hit].eigenvalues,
-                             clean[hit].eigenvalues) < 1e-8
+            assert np.array_equal(block_values(split, i),
+                                  block_values(clean, i))
+    # the largest block, taken whole
+    assert clean.eig_max_dim < own.size == split.eig_max_dim
+    assert multiset_distance(block_values(split, hit),
+                             block_values(clean, hit)) < 1e-8
 
 
 def dense_gap(matrix, image, phase, rows, antiunitary=False):
@@ -763,9 +773,8 @@ def test_phase_partner_copies_only_an_exact_image():
 
 
 def reductions(superop):
-    """`mirror_eig` on a generator's own pair basis: the spectrum of each
-    coupled component, which counts how it was found, and the
-    components."""
+    """`mirror_eig` on a generator's own pair basis: the merged spectrum,
+    the coupled components and the way each was found."""
     return numerics.mirror_eig(superop.matrix,
                                numerics._mirror_map(superop.sector),
                                sector=superop.sector)
@@ -803,10 +812,10 @@ def test_reflection_and_transpose_reductions_match_the_unsplit_eig(
         assert multiset_distance(split.eigenvalues, unsplit.eigenvalues) < 1e-10
         assert len(split.kernel_indices()) == len(unsplit.kernel_indices())
         # each block, copied or not, has its own spectrum
-        parts, components = reductions(superop)
-        for part, own in zip(parts, components):
+        merged, components, _ = reductions(superop)
+        for i, own in enumerate(components):
             direct = eig_dense(superop.matrix[own][:, own]).eigenvalues
-            assert multiset_distance(part.eigenvalues, direct) < 1e-10
+            assert multiset_distance(block_values(merged, i), direct) < 1e-10
         clean = split if not disordered else run(replace(spec, disorder=None))[0]
         assert clean.copied_blocks > 0
         # disorder breaks both symmetries on blocks that its fields and
@@ -821,20 +830,36 @@ def test_reflection_and_transpose_reductions_match_the_unsplit_eig(
     # a bump on a reduced block takes it, and its reflection, out of both
     # reductions
     full = assemble(spec)
-    parts, components = reductions(full)
-    reduced = [i for i, part in enumerate(parts)
-               if part.copied_blocks or part.gauge_real_blocks]
+    _, components, paths = reductions(full)
+    reduced = [i for i, way in enumerate(paths)
+               if way in (numerics.COPIED, numerics.GAUGE)]
     b = max(reduced, key=lambda i: components[i].size)
     image = numerics._reflection_map(full.sector)[0][components[b][0]]
     k = next(i for i, own in enumerate(components) if image in own)
     bad = bumped(full, components[b], components[b][0])
-    parts, after = reductions(bad)
+    split, after, paths = reductions(bad)
     assert all(np.array_equal(x, y) for x, y in zip(after, components))
-    assert parts[b].copied_blocks == parts[b].gauge_real_blocks == 0
-    assert parts[k].copied_blocks == 0
-    split = numerics._merge(parts)[0]
+    assert paths[b] not in (numerics.COPIED, numerics.GAUGE)
+    assert paths[k] != numerics.COPIED
     unsplit = eig_dense(bad.matrix).eigenvalues
     assert multiset_distance(split.eigenvalues, unsplit) < 1e-10
+
+
+def recorded_eigs(monkeypatch):
+    """Record every matrix that `np.linalg.eigvals` diagonalizes, through
+    `eig_dense` or a stack of `numerics._eig_stacks`, as its (size, dtype
+    kind), and the shape of each call's argument."""
+    matrices, calls = [], []
+    eigvals = np.linalg.eigvals
+
+    def recorded(a):
+        calls.append(a.shape)
+        matrices.extend([(a.shape[-1], a.dtype.kind)] * int(
+            np.prod(a.shape[:-2])))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    return matrices, calls
 
 
 def test_reflection_and_transpose_halve_the_full_pair_space(monkeypatch):
@@ -842,23 +867,18 @@ def test_reflection_and_transpose_halve_the_full_pair_space(monkeypatch):
     # in five real-form pieces; of the other 1808, 880 copy their
     # reflection, 464 are conjugated, and 464 are real in the gauge
     # i^(q(ket) - q(bra)): no complex eig is left
-    kinds = []
-    real = numerics.eig_dense
-
-    def recorded(matrix, *args, **kwargs):
-        kinds.append(matrix.dtype.kind)
-        return real(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(numerics, "eig_dense", recorded)
+    matrices, calls = recorded_eigs(monkeypatch)
     split = full_spectrum(biased_chain(4, 2.4, 1.6))
-    assert len(kinds) == 469 and set(kinds) == {"f"}
+    assert len(matrices) == 469 and {k for _, k in matrices} == {"f"}
+    # stacked by size, in 50 calls
+    assert len(calls) == 50
     assert (split.real_blocks, split.conjugated_blocks, split.copied_blocks,
             split.gauge_real_blocks) == (3, 464, 880, 464)
     assert len(split.kernel_indices()) == 7
     # the weak sector without N: the sectors 3, 4, 5 copy 2, 1, 0
-    kinds.clear()
+    matrices.clear()
     weak = weak_spectrum(biased_chain(5, 2.4, 1.6))[0]
-    assert len(kinds) == 5
+    assert len(matrices) == 5
     assert (weak.real_blocks, weak.copied_blocks) == (3, 3)
 
 
@@ -867,18 +887,14 @@ def test_real_form_roundoff_does_not_hide_a_split(monkeypatch):
     # zeros are; dropped, the 96 block splits as the k = 0 one does
     spec = biased_chain(4, 2.4, 1.6, kind="chain-pbc")
     superop = assemble(spec, sector=weak_sector(spec.layout, 2))
-    sizes = []
     eig = numerics.eig_dense
-
-    def recorded(matrix, *args, **kwargs):
-        sizes.append(matrix.shape[0])
-        return eig(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(numerics, "eig_dense", recorded)
+    matrices, _ = recorded_eigs(monkeypatch)
     split = spectrum_of(superop)
-    # the first block of the k = 1, 3 mirror pair (86) splits 53 + 33 by
-    # the parity of rho -> Sigma rho^T Sigma
-    assert sizes == [62, 34, 53, 33, 62, 34]
+    # the real forms of k = 0 and k = 2 split 62 + 34; the first block of
+    # the k = 1, 3 mirror pair (86) splits 53 + 33 by the parity of
+    # rho -> Sigma rho^T Sigma
+    assert sorted(matrices) == sorted([(62, "f"), (34, "f"), (53, "c"),
+                                       (33, "c"), (62, "f"), (34, "f")])
     assert split.real_blocks == 2 and split.conjugated_blocks == 1
     assert split.parity_split_blocks == 1
     unsplit = eig(superop.matrix).eigenvalues
@@ -936,7 +952,7 @@ def test_oversized_block_is_refused_before_any_eig(monkeypatch):
     sizes = [c.size for c in numerics.coupled_components(superop.matrix)]
     # smaller components come before the largest one
     assert sizes.index(max(sizes)) > 0
-    calls = []
+    calls, _ = recorded_eigs(monkeypatch)
     monkeypatch.setattr(numerics, "eig_dense",
                         lambda *args, **kwargs: calls.append(args))
     with pytest.raises(numerics.DenseCapError, match="block of dimension"):
@@ -950,6 +966,209 @@ def test_oversized_block_is_refused_before_any_eig(monkeypatch):
     with pytest.raises(numerics.DenseCapError, match="block of dimension"):
         full_spectrum(small, cap=max(sizes) - 1)
     assert calls == []
+
+
+def per_block_mirror_eig(matrix, mirror, basis="unknown",
+                         cap=numerics.DENSE_CAP, strict=False, sector=None,
+                         bloch=None):
+    """The reference of `mirror_eig`: its blocks visited one at a time,
+    each matrix diagonalized by its own `eig_dense` call, each block's
+    spectrum its own Spectrum. Returns those and the components."""
+    tol = numerics.MIRROR_TOL
+    components, labels = numerics._split(matrix, cap)
+    partner, gap = numerics._block_images(matrix, components, labels, mirror,
+                                          antiunitary=True)
+    if strict and not np.all(gap <= tol):
+        raise SolverError("no conjugate mirror component")
+    pairs = None if bloch is not None else sector
+    reflection, reflection_gap = numerics._block_images(
+        matrix, components, labels,
+        None if pairs is None else numerics._reflection_map(pairs))
+    order = np.concatenate(components) if components else np.arange(0)
+    permuted = matrix[order][:, order]
+    bounds = np.cumsum([0] + [c.size for c in components])
+
+    def pieces_eig(form):
+        return per_block_merge([
+            eig_dense(form[c][:, c], basis, cap)
+            for c in numerics.coupled_components(form, tol)])[0]
+
+    parts = [None] * len(components)
+    transpose = gauged = None
+    for i, own in enumerate(components):
+        if parts[i] is not None:
+            continue
+        j = partner[i]
+        mirrored = gap[i] <= tol
+        cut = slice(bounds[i], bounds[i + 1])
+        if mirrored and j == i:
+            parts[i] = pieces_eig(numerics._real_part(numerics._real_form(
+                permuted[cut, cut], np.searchsorted(own, mirror[0][own]),
+                mirror[1][own])[1]))
+            parts[i].real_blocks = 1
+        else:
+            if transpose is None:
+                w = (None if sector is None
+                     else numerics._transpose_map(sector, bloch))
+                transpose = (w, *numerics._block_images(matrix, components,
+                                                        labels, w))
+            w, target, w_gap = transpose
+            if pairs is not None and mirrored and gap[i] + w_gap[i] <= tol:
+                if gauged is None:
+                    gauged = numerics._gauge_form(matrix, order, w)
+                parts[i] = eig_dense(gauged[cut, cut], basis, cap)
+                parts[i].gauge_real_blocks = 1
+            elif target[i] == i and w_gap[i] <= tol:
+                parts[i] = pieces_eig(numerics._parity_form(
+                    permuted[cut, cut], np.searchsorted(own, w[0][own]),
+                    w[1][own])[1])
+                parts[i].parity_split_blocks = 1
+            else:
+                parts[i] = eig_dense(permuted[cut, cut], basis, cap)
+        known = [i]
+        if mirrored and parts[j] is None:
+            parts[j] = numerics._conjugate(parts[i])
+            parts[j].conjugated_blocks = 1
+            known.append(j)
+        for b in known:
+            k = reflection[b]
+            if k >= 0 and reflection_gap[b] <= tol and parts[k] is None:
+                parts[k] = Spectrum(parts[b].eigenvalues.copy(), basis,
+                                    copied_blocks=1)
+    return parts, components
+
+
+def per_block_merge(parts):
+    """Per-block spectra merged in canonical order, and the order."""
+    merged = np.concatenate([part.eigenvalues for part in parts])
+    order = canonical_order(merged)
+    return Spectrum(
+        merged[order], parts[0].basis,
+        eig_max_dim=max(part.eig_max_dim for part in parts),
+        **{key: sum(getattr(part, key) for part in parts)
+           for key in BLOCK_COUNTS}), order
+
+
+def per_block_spectrum_of(superop):
+    bloch, matrix, mirror = numerics._frame(superop)
+    parts, _ = per_block_mirror_eig(matrix, mirror, superop.basis,
+                                    sector=superop.sector, bloch=bloch)
+    spectrum, order = per_block_merge(parts)
+    labels = np.repeat(np.arange(len(parts)), [part.dim for part in parts])
+    spectrum.block_labels = tuple(labels[order].tolist())
+    return spectrum
+
+
+def per_block_full_spectrum(spec):
+    full = assemble(spec)
+    n = spec.layout.nstates
+    parts, components = per_block_mirror_eig(
+        full.matrix, numerics._mirror_map(full.sector),
+        basis=spec.layout.basis_tag, strict=True, sector=full.sector)
+    table = numerics.gauge_charge_table(spec.layout).astype(np.int16)
+    labels = []
+    for comp, part in zip(components, parts):
+        delta = table[comp[0] // n] - table[comp[0] % n]
+        labels.extend([tuple(int(v) for v in delta)] * part.dim)
+    spectrum, order = per_block_merge(parts)
+    spectrum.block_labels = tuple(labels[i] for i in order)
+    return spectrum
+
+
+def ring(L, n_particles, phi=None):
+    spec = biased_chain(L, 2.4, 1.6, kind="chain-pbc")
+    dsec = weak_sector(spec.layout, n_particles)
+    if phi is None:
+        return assemble(spec, sector=dsec)
+    return assemble_twisted(spec, phi, "double-space", sector=dsec)
+
+
+@pytest.mark.parametrize("stacked, per_block", [
+    *(pytest.param(lambda L=L: full_spectrum(biased_chain(L, 2.4, 1.6)),
+                   lambda L=L: per_block_full_spectrum(
+                       biased_chain(L, 2.4, 1.6)), id=f"full-L{L}")
+      for L in (3, 4)),
+    pytest.param(
+        lambda: full_spectrum(replace(biased_chain(3, 2.4, 1.6),
+                                      disorder=DisorderSpec(seed=3))),
+        lambda: per_block_full_spectrum(replace(
+            biased_chain(3, 2.4, 1.6), disorder=DisorderSpec(seed=3))),
+        id="full-L3-disorder"),
+    *(pytest.param(lambda kind=kind: weak_spectrum(
+        biased_chain(5, 2.4, 1.6, kind=kind))[0],
+                   lambda kind=kind: per_block_spectrum_of(weak_spectrum(
+                       biased_chain(5, 2.4, 1.6, kind=kind))[2]),
+                   id=f"weak-L5-{kind}")
+      for kind in ("chain-obc", "chain-pbc")),
+    pytest.param(lambda: spectrum_of(ring(4, 2)),
+                 lambda: per_block_spectrum_of(ring(4, 2)), id="ring-L4-N2"),
+    *(pytest.param(lambda phi=phi: spectrum_of(ring(6, 1, phi)),
+                   lambda phi=phi: per_block_spectrum_of(ring(6, 1, phi)),
+                   id=f"double-space-L6-{phi:.2f}")
+      for phi in (0.7, np.pi / 2))])
+def test_stacked_eigs_match_one_eig_per_block(stacked, per_block,
+                                              monkeypatch):
+    reference = per_block()
+    _, calls = recorded_eigs(monkeypatch)
+    spectrum = stacked()
+    # bit for bit, signed zeros and dtype included
+    assert spectrum.eigenvalues.dtype == reference.eigenvalues.dtype
+    assert spectrum.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+    assert spectrum.block_labels == reference.block_labels
+    for key in (*BLOCK_COUNTS, "eig_max_dim", "basis"):
+        assert getattr(spectrum, key) == getattr(reference, key)
+    # no stack holds more entries than the largest matrix diagonalized
+    assert all(np.prod(shape) <= spectrum.eig_max_dim ** 2 for shape in calls)
+
+
+def test_stacks_hold_no_more_entries_than_the_largest_block(monkeypatch):
+    # twenty 3 x 3 blocks and one 6 x 6: at most 36 / 9 = 4 in a stack
+    rng = np.random.default_rng(11)
+    blocks = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+              for n in [3] * 10 + [6] + [3] * 10]
+    matrix = sp.block_diag(blocks, format="csr")
+    _, calls = recorded_eigs(monkeypatch)
+    spectrum, components, paths = numerics.mirror_eig(matrix, None)
+    assert len(components) == 21 and np.all(paths == -1)
+    assert calls == [(4, 3, 3)] * 5 + [(1, 6, 6)]
+    reference = per_block_merge([eig_dense(b) for b in blocks])[0]
+    assert spectrum.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+    assert spectrum.eig_max_dim == 6
+
+
+def planted_nan(matrix, row):
+    """A copy of a CSR matrix whose first stored entry in `row` is NaN."""
+    planted = matrix.copy()
+    planted.data[planted.indptr[row]] = np.nan
+    return planted
+
+
+def test_a_nan_in_a_stacked_block_raises(monkeypatch):
+    # the NaN block's stack fails as a whole: no partial spectrum
+    spec = biased_chain(4, 2.4, 1.6)
+    full = assemble(spec)
+    _, components, paths = reductions(full)
+    sizes = np.array([c.size for c in components])
+    gauge = np.flatnonzero(paths == numerics.GAUGE)
+    # the smallest gauge block that shares its size with another
+    shared = [i for i in gauge
+              if np.count_nonzero(sizes[gauge] == sizes[i]) > 1]
+    i = min(shared, key=lambda i: sizes[i])
+    _, calls = recorded_eigs(monkeypatch)
+    # in the generator, it and its mirror block take the complex eig
+    bad = bumped(full, components[i], components[i][0], np.nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        spectrum_of(bad)
+    assert calls[-1] == (2, sizes[i], sizes[i])
+    # full_spectrum refuses that generator before any eig (not a
+    # Lindbladian), so the NaN goes into its real gauge form
+    calls.clear()
+    gauge_form = numerics._gauge_form
+    monkeypatch.setattr(numerics, "_gauge_form", lambda *args: planted_nan(
+        gauge_form(*args), sizes[:i].sum()))
+    with pytest.raises(np.linalg.LinAlgError):
+        full_spectrum(spec)
+    assert calls[-1][0] > 1 and calls[-1][1] == sizes[i]
 
 
 def test_momentum_split_refuses_weight_off_the_blocks(monkeypatch):
