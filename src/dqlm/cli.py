@@ -194,6 +194,12 @@ def format_number(x):
     return format(float(x), ".17g")
 
 
+# the %-conversion that gives a cell of each exact type the text of
+# `format_number`; a row with a cell of another type takes that function
+_CONVERSIONS = {str: "%s", int: "%d", np.int64: "%d", float: "%.17g",
+                np.float64: "%.17g"}
+
+
 def _atomic_write(path, text):
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -203,14 +209,23 @@ def _atomic_write(path, text):
 
 
 def write_csv(path, header, rows):
+    """Write the rows under `header`, each cell as `format_number` gives it
+    (a string as it is), through one %-template per row type; return the
+    file's SHA-256 and the row count."""
     lines = [",".join(header)]
-    count = 0
+    templates = {}
     for row in rows:
-        lines.append(",".join(format_number(cell) if not isinstance(cell, str)
-                              else cell for cell in row))
-        count += 1
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            fields = [_CONVERSIONS.get(kind) for kind in kinds]
+            templates[kinds] = None if None in fields else ",".join(fields)
+        template = templates[kinds]
+        lines.append(template % row if template else ",".join(
+            cell if isinstance(cell, str) else format_number(cell)
+            for cell in row))
     digest = _atomic_write(path, "\n".join(lines) + "\n")
-    return digest, count
+    return digest, len(lines) - 1
 
 
 def _plain(obj):
@@ -640,11 +655,15 @@ def run_winding(cfg, rec):
     summary_rows = []
     for j, phi in enumerate(phis):
         t0 = time.perf_counter()
-        try:
-            superop = assemble_twisted(spec, phi, variant, sector=dsec,
-                                       leak_tol=tols["leak_tol"])
-        except AssemblyError as exc:
-            raise CliError(EXIT_CONFIG, "usage", str(exc))
+        # one assembly; every other phase re-phases its wrap-hop entries
+        if j:
+            superop = superops[0].rephase(phi)
+        else:
+            try:
+                superop = assemble_twisted(spec, phi, variant, sector=dsec,
+                                           leak_tol=tols["leak_tol"])
+            except AssemblyError as exc:
+                raise CliError(EXIT_CONFIG, "usage", str(exc))
         spectrum = None
         for n in _partner_phases(j, steps):
             spectrum = phase_partner(superops[n], spectra[n], superop)

@@ -16,10 +16,24 @@ eigenvalue ladder) assume this normalization.
 Every superoperator is a sparse matrix assembled on a `DoubleSectorBasis`
 of (ket, bra) pairs, with leakage detection: a weak sector, a
 charge-difference block, or the full pair space (`full_pairs`, whose key
-order is the vec order above). `lindblad_apply` and `steady_residual`
-apply the same generator to sparse density operators without a basis;
-they take one operator or a stream of them, and each operand takes one
-of two routes:
+order is the vec order above). The assembly is one vectorized pass over
+the pairs (`_assemble`): the coherent terms -i H_ket (x) 1 and
+1 (x) +i H_bra^T are read off H's own CSR (and CSC), and every jump, all
+of them monomial, is taken as a map of the register states (image and
+value), from which the gain 2 L (x) L^* and the losses -K (x) 1 and
+1 (x) -K (K = L^+ L) are formed, stacked over the jumps; no operator
+product or identity is built. The entries come in one fixed order, so
+duplicates are summed in a fixed order and the matrix repeats bit for
+bit. A generator with an inf or NaN entry (finite rates whose products
+overflow) raises `NonFiniteGeneratorError`, a `SolverError`. The
+twisted-boundary phase enters only the wrap-around hop, whose entries
+are single contributions: `assemble_twisted` records where they sit, and
+`Superoperator.rephase` gives the generator at another phase by
+rewriting them.
+
+`lindblad_apply` and `steady_residual` apply the same generator to
+sparse density operators without a basis; they take one operator or a
+stream of them, and each operand takes one of two routes:
 
 * diagonal: rho = diag(d) is structurally diagonal and every jump is
   monomial (at most one stored entry per row and per column, as every
@@ -48,7 +62,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import SparseOperator
+from .lattice import SparseOperator, state_bit
 from .models import build_hamiltonian, build_jump_set, bulk_hamiltonian, twist_term
 from .symmetry import SectorLeakageError, full_pairs
 
@@ -57,6 +71,16 @@ LEAK_TOL = 1e-12
 
 class AssemblyError(ValueError):
     """Superoperator construction outside supported sizes or layouts."""
+
+
+class SolverError(RuntimeError):
+    """Eigen- or ODE-solver breakdown, a request over the dense cap, or a
+    generator no solver can take."""
+
+
+class NonFiniteGeneratorError(SolverError):
+    """A generator with an inf or NaN entry: its rates and couplings are
+    finite, but products of them overflow."""
 
 
 class Superoperator:
@@ -69,9 +93,13 @@ class Superoperator:
     twists     : (phi_ket, phi_bra) on a chain-pbc layout, else None: the
                  boundary twists of the ket and bra Hamiltonians, which fix
                  the generator's translation symmetry (see `numerics`)
+
+    A generator of `assemble_twisted` also gives itself at another phase
+    (`rephase`).
     """
 
-    def __init__(self, matrix, sector, hamiltonian, jumps, twists=None):
+    def __init__(self, matrix, sector, hamiltonian, jumps, twists=None,
+                 wrap=None):
         self.basis = sector.tag
         self.dim = sector.dim
         self.matrix = matrix
@@ -79,10 +107,31 @@ class Superoperator:
         self.hamiltonian = hamiltonian
         self.jumps = jumps
         self.twists = twists
+        # from `assemble_twisted`: (J, variant, the `_wrap_slots`)
+        self._wrap = wrap
 
     @property
     def nnz(self):
         return self.matrix.nnz
+
+    def rephase(self, phi):
+        """This `assemble_twisted` generator at the phase phi: a copy whose
+        wrap-hop entries, in the matrix and in H_ket, take phi's values
+        (`_wrap_values`), bit for bit what `assemble_twisted` builds at
+        phi, with phi's twists and this generator's sector and jumps.
+        Raises `AssemblyError` on any other generator."""
+        if self._wrap is None:
+            raise AssemblyError(
+                "only a generator of assemble_twisted can be re-phased")
+        J, variant, slots, kinds, ham_slots, ham_kinds = self._wrap
+        twists, _, stored, values = _wrap_values(J, phi, variant)
+        matrix = self.matrix.copy()
+        matrix.data[slots] = values[kinds]
+        ham = self.hamiltonian.matrix.copy()
+        ham.data[ham_slots] = stored[ham_kinds]
+        return Superoperator(matrix, self.sector,
+                             SparseOperator(ham, self.hamiltonian.basis),
+                             self.jumps, twists, self._wrap)
 
     def __repr__(self):
         return f"Superoperator(dim={self.dim}, nnz={self.nnz}, basis={self.basis!r})"
@@ -275,95 +324,225 @@ def steady_residual(hamiltonian, jumps, rho, lam=0.0):
     return out[0] if single else out
 
 
-def _term_list(ham_ket, ham_bra, jumps):
-    """(A, B) pairs meaning A rho B, summed. ham_bra is the operator that
-    multiplies rho from the right in the coherent part (+i rho ham_bra);
-    it differs from ham_ket only for the double-space twisted variant."""
-    n = ham_ket.dim
-    eye = SparseOperator(sp.identity(n, dtype=np.complex128, format="csr"),
-                         ham_ket.basis)
-    terms = [(ham_ket.scale(-1j), eye), (eye, ham_bra.scale(1j))]
-    for op in jumps:
-        dag = op.adjoint()
-        loss = (dag @ op).scale(-1.0)
-        terms.append((op.scale(2.0), dag))
-        terms.append((loss, eye))
-        terms.append((eye, loss))
-    return terms
+_ONE = 1 + 0j   # the identity factor of a term that acts on one side only
 
 
-def _assemble_on_pairs(terms, dsec, leak_tol=LEAK_TOL):
-    """Restrict sum_k A_k rho B_k to a DoubleSectorBasis.
+def _coherent_values(data, ket_side):
+    """The generator's value of each entry of H: of -i H rho on the ket
+    side, of rho (+i H_bra) on the bra side, with the identity factor
+    multiplied in as the unit entry it is."""
+    if ket_side:
+        return (data * -1j) * _ONE
+    return _ONE * (data * 1j)
 
-    Every term individually maps the sector into itself for a legal
-    sector, so per-term leakage is measured and summed.
+
+def _coherent(ham, own, other, dsec, ket_side):
+    """The entries of one coherent term on the pairs of dsec, pair by pair.
+
+    `ham` is H_ket in CSC on the ket side (its column at the ket a gives
+    the kets a2 of (-i H rho)_{a2 b}) or H_bra in CSR on the bra side (its
+    row at the bra b gives the bras b2 of (rho i H_bra)_{a b2}); `own`
+    and `other` are the pairs' states on that side and on the other one.
+    Each pair's entries are in H's storage order. Returns the rows,
+    columns and values inside the sector, and the squared weight of the
+    values outside it."""
+    count = np.diff(ham.indptr)[own]
+    cols = np.repeat(np.arange(dsec.dim, dtype=np.int32), count)
+    skip = ham.indptr[own] - (np.cumsum(count) - count)
+    entry = np.arange(cols.size) + np.repeat(skip, count)
+    del skip
+    moved, fixed = ham.indices[entry], other[cols]
+    pos = (dsec.lookup(moved, fixed) if ket_side
+           else dsec.lookup(fixed, moved))
+    del moved, fixed
+    values = _coherent_values(ham.data, ket_side)[entry]
+    del entry
+    inside = pos >= 0
+    leak = 0.0 if inside.all() else float(
+        np.sum(np.abs(values[~inside]) ** 2))
+    return (pos[inside].astype(np.int32), cols[inside], values[inside]), leak
+
+
+def _monomial_maps(jumps, n):
+    """Every jump as a map of the register: img[mu, c] is the one state r
+    with L_mu(r, c) stored, val[mu, c] that entry and loss[mu, c] the
+    entry of -K_mu = -L_mu^+ L_mu there (0 where conj(x) x underflows);
+    -1, 0 and 0 when column c is empty. A jump with two entries in a row
+    or a column raises `AssemblyError`."""
+    img = np.full((len(jumps), n), -1, dtype=np.int32)
+    val = np.zeros((len(jumps), n), dtype=np.complex128)
+    loss = np.zeros_like(val)
+    for mu, op in enumerate(jumps):
+        matrix = op.matrix
+        if not _is_monomial(matrix):
+            raise AssemblyError(
+                f"jump {mu} ({op!r}) has two entries in a row or a column; "
+                "assembly takes every jump as a monomial map of the states")
+        img[mu, matrix.indices] = np.repeat(
+            np.arange(n, dtype=np.int32), np.diff(matrix.indptr))
+        val[mu, matrix.indices] = x = matrix.data
+        # conj(x) x rounded as a sparse product sums it, then times -1.0
+        k = np.empty_like(x)
+        k.real = x.real * x.real + x.imag * x.imag
+        k.imag = x.real * x.imag - x.imag * x.real
+        loss[mu, matrix.indices] = k * -1.0
+    return img, val, loss
+
+
+def _dissipator(jumps, dsec):
+    """The entries of the jump terms on the pairs of dsec, each term
+    stacked over the jumps: for the gain 2 L rho L^+ and the losses
+    -K rho and -rho K, the rows, columns and values inside the sector,
+    jump by jump and pair by pair, with their count per jump; and the
+    squared weight of each jump's gain entries outside the sector. The
+    losses stay on the pair itself."""
+    kets, bras = dsec.kets, dsec.bras
+    img, val, loss = _monomial_maps(jumps, dsec.layout.nstates)
+    pairs = np.broadcast_to(np.arange(dsec.dim, dtype=np.int32),
+                            (len(jumps), dsec.dim))
+    image_ket, image_bra = img[:, kets], img[:, bras]
+    hit = (image_ket >= 0) & (image_bra >= 0)
+    pos = dsec.lookup(image_ket[hit], image_bra[hit])
+    del img, image_ket, image_bra
+    values = (val[:, kets][hit] * 2.0) * np.conj(val[:, bras][hit])
+    inside = pos >= 0
+    leaks = []
+    if not inside.all():
+        cuts = np.cumsum(hit.sum(axis=1))[:-1]
+        leaks = [float(np.sum(np.abs(v[~keep]) ** 2)) for v, keep
+                 in zip(np.split(values, cuts), np.split(inside, cuts))]
+        values = values[inside]
+        hit[hit] = inside
+    terms = [(pos[inside].astype(np.int32), pairs[hit], values,
+              hit.sum(axis=1))]
+    del pos, inside, values, val
+    for states in (kets, bras):
+        on = loss[:, states]
+        kept = on != 0
+        on = on[kept]
+        diagonal = pairs[kept]
+        terms.append((diagonal, diagonal,
+                      on * _ONE if states is kets else _ONE * on,
+                      kept.sum(axis=1)))
+    return terms, leaks
+
+
+def _assemble(ham_ket, ham_bra, jumps, dsec, leak_tol):
+    """L on the pairs of a DoubleSectorBasis, in one pass over the pairs.
+
+    The terms, each A rho B, are -i H_ket rho and rho (+i H_bra) (ham_bra
+    differs from ham_ket only for the double-space twisted variant), and
+    for each jump the gain 2 L rho L^+ and the losses -K rho and -rho K,
+    K = L^+ L. H is read from its own CSR (and CSC); the jumps, all
+    monomial, from their state maps (`_monomial_maps`), stacked over the
+    jumps. No operator is formed.
+
+    The COO entries come in a fixed order, which fixes how scipy orders
+    (and so rounds) the sums of entries that share a position: the two
+    coherent terms, then per jump its gain, -K rho and -rho K entries;
+    within a term by pair, then by entry. Every term maps a legal sector
+    into itself, so the weight of the entries outside it is summed term
+    by term, in that order, and refused above `leak_tol`
+    (`SectorLeakageError`). A generator with a non-finite entry, from
+    rates or couplings whose products overflow, raises
+    `NonFiniteGeneratorError`.
     """
-    dim = dsec.dim
-    rows, cols, vals = [], [], []
-    leak_sq = 0.0
-    t_all = np.arange(dim, dtype=np.int64)
-    for a_op, b_op in terms:
-        acsc = a_op.matrix.tocsc()
-        bcsr = b_op.matrix.tocsr()
-        ca = np.diff(acsc.indptr)[dsec.kets]
-        cb = np.diff(bcsr.indptr)[dsec.bras]
-        reps = ca * cb
-        total = int(reps.sum())
-        if total == 0:
-            continue
-        t_idx = np.repeat(t_all, reps)
-        starts = np.cumsum(reps) - reps
-        k = np.arange(total, dtype=np.int64) - np.repeat(starts, reps)
-        cb_rep = np.repeat(cb, reps)
-        ia = k // cb_rep
-        ib = k - ia * cb_rep
-        a_entry = np.repeat(acsc.indptr[dsec.kets], reps) + ia
-        b_entry = np.repeat(bcsr.indptr[dsec.bras], reps) + ib
-        a2 = acsc.indices[a_entry]
-        b2 = bcsr.indices[b_entry]
-        v = acsc.data[a_entry] * bcsr.data[b_entry]
-        pos = dsec.lookup(a2, b2)
-        bad = pos < 0
-        if bad.any():
-            leak_sq += float(np.sum(np.abs(v[bad]) ** 2))
-            keep = ~bad
-            t_idx, pos, v = t_idx[keep], pos[keep], v[keep]
-        # int32, the index type scipy casts to anyway, halves what the
-        # lists of all the terms hold
-        rows.append(pos.astype(np.int32))
-        cols.append(t_idx.astype(np.int32))
-        vals.append(v)
-    if np.sqrt(leak_sq) > leak_tol:
+    dim, kets, bras = dsec.dim, dsec.kets, dsec.bras
+    with np.errstate(over="ignore", invalid="ignore"):
+        ket, ket_leak = _coherent(ham_ket.matrix.tocsc(), kets, bras, dsec,
+                                  True)
+        bra, bra_leak = _coherent(ham_bra.matrix, bras, kets, dsec, False)
+        stacked, gain_leaks = _dissipator(jumps, dsec)
+    leak_sq = sum(gain_leaks, ket_leak + bra_leak)
+    # an overflowing weight outside the sector is leakage too
+    if not np.sqrt(leak_sq) <= leak_tol:
         raise SectorLeakageError(
             f"Liouvillian couples out of {dsec.tag}: "
             f"||(1-P) L P||_F >= {np.sqrt(leak_sq):.3e}")
-    if not rows:
-        return sp.csr_matrix((dim, dim), dtype=np.complex128)
-    m = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim)).tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    m.eliminate_zeros()
-    return m
+    # each stacked term cut into its jumps, then jump by jump
+    cut = [[np.split(a, np.cumsum(count)[:-1]) for a in arrays]
+           for *arrays, count in stacked]
+    pieces = [ket, bra] + [[term[k][mu] for k in range(3)]
+                           for mu in range(len(jumps)) for term in cut]
+    del stacked, cut
+    rows, cols, vals = (np.concatenate(p) for p in zip(*pieces))
+    del pieces, ket, bra
+    coo = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
+    del rows, cols, vals
+    matrix = coo.tocsr()
+    del coo
+    matrix.sum_duplicates()
+    matrix.sort_indices()
+    matrix.eliminate_zeros()
+    bad = np.count_nonzero(~np.isfinite(matrix.data))
+    if bad:
+        raise NonFiniteGeneratorError(
+            f"the Liouvillian on {dsec.tag} has {bad} non-finite entries: "
+            "products of its rates or couplings overflow")
+    return matrix
 
 
-def _build(terms, layout, sector, hamiltonian, jumps, leak_tol, twists):
-    if sector is None:
-        sector = full_pairs(layout)
-    matrix = _assemble_on_pairs(terms, sector, leak_tol)
-    return Superoperator(matrix, sector, hamiltonian, jumps, twists)
+def _wrap_values(J, phi, variant):
+    """Everything the wrap-around hop of `assemble_twisted` takes from the
+    phase phi: the generator's twists; the twist phases of H_ket and H_bra,
+    reduced to [0, 2 pi) for `twist_term`; the two values it stores in
+    H_ket, J e^{i phi} on the rows that raise the wrap link and its
+    conjugate on the rows that lower it, as H_bulk + H_twist holds them;
+    and the four values of the generator's wrap entries, -i (that pair of
+    H_ket) then +i (the same pair of H_bra), as `_assemble` computes
+    them."""
+    ket = phi % (2 * np.pi)
+    if variant == "lindblad":
+        twists, bra = (phi, phi), ket
+    else:
+        twists, bra = (phi, -phi), (-phi) % (2 * np.pi)
+    stored = []
+    for phase in (ket, bra):
+        hop = J * np.exp(1j * phase)   # as `twist_term` forms it
+        stored.append(np.array([hop, np.conj(hop)]) + 0j)
+    values = np.concatenate([_coherent_values(stored[0], True),
+                             _coherent_values(stored[1], False)])
+    return twists, (ket, bra), stored[0], values
+
+
+def _wrap_slots(matrix, ham, dsec):
+    """Where a twisted generator and its H_ket hold the wrap-around hop:
+    the data positions of the generator's entries that move the wrap link
+    of the ket alone or of the bra alone, and which of `_wrap_values`'
+    four values each takes; then the same for H_ket and its two values.
+    Only the hop across the wrap link flips that link's state on one side
+    (a jump's gain flips it on both), so each such entry is that hop's
+    single contribution, and the pattern does not depend on the phase."""
+    layout = dsec.layout
+    slot = layout.link_slot(layout.L)
+    rows = np.repeat(np.arange(dsec.dim), np.diff(matrix.indptr))
+    ket_bit = state_bit(dsec.kets, slot)
+    bra_bit = state_bit(dsec.bras, slot)
+    ket_hop = ket_bit[rows] != ket_bit[matrix.indices]
+    bra_hop = bra_bit[rows] != bra_bit[matrix.indices]
+    slots = np.flatnonzero(ket_hop != bra_hop)
+    # raising H entries first: the ket's on the row, the bra's (H_bra's
+    # row is the column pair's bra) on the column
+    kinds = np.where(ket_hop[slots], 1 - ket_bit[rows[slots]],
+                     3 - bra_bit[matrix.indices[slots]])
+    h = ham.matrix
+    h_rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    h_hop = state_bit(h_rows, slot) != state_bit(h.indices, slot)
+    ham_slots = np.flatnonzero(h_hop)
+    return slots, kinds, ham_slots, 1 - state_bit(h_rows[ham_slots], slot)
 
 
 def assemble(spec, sector=None, leak_tol=LEAK_TOL):
     """Assembled Liouvillian of a ModelSpec on `sector`, or on the full
     pair space when no sector is given."""
+    if sector is None:
+        sector = full_pairs(spec.layout)
     h = build_hamiltonian(spec)
     jumps = build_jump_set(spec)
     twists = ((spec.twist, spec.twist) if spec.layout.kind == "chain-pbc"
               else None)
-    return _build(_term_list(h, h, jumps), spec.layout, sector, h, jumps,
-                  leak_tol, twists)
+    return Superoperator(_assemble(h, h, jumps, sector, leak_tol), sector, h,
+                         jumps, twists)
 
 
 def assemble_twisted(spec, phi, variant, sector=None, leak_tol=LEAK_TOL):
@@ -376,27 +555,34 @@ def assemble_twisted(spec, phi, variant, sector=None, leak_tol=LEAK_TOL):
                              the matrix, NOT transposed), so it is not of
                              Lindblad form for phi != 0; spectrum winds and
                              is pi-periodic. Equals "lindblad" at phi = 0.
+
+    The phase enters only the wrap-around hop, whose entries are single
+    contributions, so the generator's pattern does not depend on it. The
+    result records where the hop sits (`_wrap_slots`), and its `rephase`
+    gives the generator at any other phase, bit for bit as this function
+    would assemble it, without a new assembly.
     """
     layout = spec.layout
     if layout.kind != "chain-pbc":
         raise AssemblyError("twisted assembly needs a chain-pbc layout")
     if spec.twist:
         raise AssemblyError("pass the twist angle explicitly, not via the spec")
+    if variant not in ("lindblad", "double-space"):
+        raise AssemblyError(f"unknown twisted variant {variant!r}")
+    if sector is None:
+        sector = full_pairs(layout)
+    twists, (ket, bra), _, _ = _wrap_values(spec.J, phi, variant)
     jumps = build_jump_set(spec)
     bulk = bulk_hamiltonian(layout, spec.J)
-    h_ket = bulk + twist_term(layout, spec.J, phi % (2 * np.pi))
-    if variant == "lindblad":
-        h_bra = h_ket
-        twists = (phi, phi)
-    elif variant == "double-space":
-        # (I (x) M) vec(rho) = rho M^T, so the right operand must be
-        # M^T = H_bulk + H_twist(-phi) to realize +i I (x) (H_bulk+H_twist(phi))
-        h_bra = bulk + twist_term(layout, spec.J, (-phi) % (2 * np.pi))
-        twists = (phi, -phi)
-    else:
-        raise AssemblyError(f"unknown twisted variant {variant!r}")
-    return _build(_term_list(h_ket, h_bra, jumps), layout, sector, h_ket, jumps,
-                  leak_tol, twists)
+    h_ket = bulk + twist_term(layout, spec.J, ket)
+    # (I (x) M) vec(rho) = rho M^T, so in the double-space variant the
+    # right operand is M^T = H_bulk + H_twist(-phi), which realizes
+    # +i I (x) (H_bulk + H_twist(phi))
+    h_bra = (h_ket if variant == "lindblad"
+             else bulk + twist_term(layout, spec.J, bra))
+    matrix = _assemble(h_ket, h_bra, jumps, sector, leak_tol)
+    wrap = (spec.J, variant, *_wrap_slots(matrix, h_ket, sector))
+    return Superoperator(matrix, sector, h_ket, jumps, twists, wrap)
 
 
 # -- vectorization -------------------------------------------------------

@@ -162,7 +162,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import state_bit
-from .liouvillian import LEAK_TOL, assemble, devectorize_from, trace_vector
+from .liouvillian import (
+    LEAK_TOL,
+    NonFiniteGeneratorError,
+    SolverError,
+    assemble,
+    devectorize_from,
+    trace_vector,
+)
 from .symmetry import (
     SectorLeakageError,
     gauge_charge_table,
@@ -181,10 +188,6 @@ MIRROR_TOL = 1e-12
 # blocks up to this dimension count their kernel by a dense eig, which
 # costs less there than shift-invert ARPACK
 KERNEL_DENSE_DIM = 36
-
-
-class SolverError(RuntimeError):
-    """Eigen- or ODE-solver breakdown, or a request over the dense cap."""
 
 
 class DenseCapError(SolverError):
@@ -620,7 +623,8 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
     block over the cap before any eig, and each map's block images and
     gaps from one call of `_block_images`. With `strict` a block that C
     does not map onto a block within `MIRROR_TOL` relative raises
-    `SolverError` before any eig. The blocks are taken in order, and each
+    `SolverError` before any eig, `NonFiniteGeneratorError` when its gap
+    is NaN. The blocks are taken in order, and each
     one not yet known is diagonalized. A block that C maps onto itself,
     with ||Im U^+ M U|| within `MIRROR_TOL` relative, goes to real LAPACK
     in its real form U^+ M U, one eig per coupled component of the real
@@ -656,10 +660,14 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
     components, labels = _split(matrix, cap)
     partner, gap = _block_images(matrix, components, labels, mirror,
                                  antiunitary=True)
-    # a NaN gap counts as no mirror
+    # a NaN gap counts as no mirror, from a non-finite generator
     unmirrored = np.flatnonzero(~(gap <= MIRROR_TOL)) if strict else ()
     if len(unmirrored):
         i = unmirrored[0]
+        if np.isnan(gap[i]):
+            raise NonFiniteGeneratorError(
+                f"component {i} has a NaN conjugate-mirror gap: the "
+                "generator has non-finite entries")
         raise SolverError(
             f"component {i} has no conjugate mirror component within "
             f"{MIRROR_TOL:.0e} (relative gap {gap[i]:.3e}); not a "

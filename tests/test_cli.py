@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqlm import cli, krylov, numerics
 from dqlm.cli import main
@@ -451,16 +453,16 @@ def test_winding_diagonalizes_a_phase_whose_partner_check_fails(
         tmp_path, monkeypatch):
     # the generator at pi, off by 1e-10 on one entry, is no longer the
     # wrap-link image of the one at 0: it takes its own eig
-    real = cli.assemble_twisted
+    real = Superoperator.rephase
 
-    def assembled(spec, phi, variant, **kwargs):
-        superop = real(spec, phi, variant, **kwargs)
+    def rephased(superop, phi):
+        superop = real(superop, phi)
         if phi == np.pi:
             data = superop.matrix.data
             data[0] += 1e-10 * np.linalg.norm(data)
         return superop
 
-    monkeypatch.setattr(cli, "assemble_twisted", assembled)
+    monkeypatch.setattr(Superoperator, "rephase", rephased)
     out = tmp_path / "w"
     assert run("winding", "--L", "4", "--phi-steps", "4",
                "--output-dir", str(out)) == 0
@@ -950,3 +952,52 @@ def test_each_task_imports_only_what_it_runs(tmp_path, argv, absent, present):
         "if m in sys.modules]]))", tmp_path)
     assert code == 0
     assert sorted(loaded) == sorted(present)
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--L", "3"),
+    ("steady-state", "--L", "3"),
+    ("dynamics", "--L", "3", "--initial-sites", "1"),
+    ("winding", "--L", "3", "--phi-steps", "2")],
+    ids=lambda argv: argv[0])
+def test_an_overflowing_generator_exits_4_with_one_line(argv, tmp_path,
+                                                          capsys):
+    # the rates pass validation, but the gain 2 L (x) L^* overflows
+    out = tmp_path / "o"
+    assert run(*argv, "--gamma-up", "1e308", "--gamma-down", "1",
+               "--output-dir", str(out)) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])["error"]
+    assert error["kind"] == "solver"
+    assert "non-finite entries" in error["message"]
+    assert not list(out.glob("*.csv"))
+
+
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-2**70, 2**70),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.booleans(), st.booleans().map(np.bool_),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e16, 10**17 + 1,
+                     np.int64(2**63 - 1), np.int64(-2**63)]),
+    st.text(alphabet="abc_[]", max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(CELLS, min_size=1, max_size=4), min_size=1,
+                max_size=6))
+def test_csv_rows_read_as_format_number_writes_each_cell(tmp_path_factory,
+                                                          rows):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    width = max(map(len, rows))
+    rows = [tuple(row) + ("x",) * (width - len(row)) for row in rows]
+    _, count = cli.write_csv(path, [f"c{i}" for i in range(width)], rows)
+    want = [",".join(cell if isinstance(cell, str)
+                     else cli.format_number(cell) for cell in row)
+            for row in rows]
+    assert count == len(rows)
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == want

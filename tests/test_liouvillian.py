@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqlm import liouvillian
 from dqlm.exact import eigenoperator_set
 from dqlm.lattice import (
     BasisMismatchError,
@@ -13,7 +16,10 @@ from dqlm.lattice import (
     single_spin_operator,
 )
 from dqlm.liouvillian import (
+    LEAK_TOL,
     AssemblyError,
+    NonFiniteGeneratorError,
+    SolverError,
     assemble,
     assemble_twisted,
     devectorize_from,
@@ -31,6 +37,8 @@ from dqlm.models import (
     ModelSpec,
     build_hamiltonian,
     build_jump_set,
+    bulk_hamiltonian,
+    twist_term,
 )
 from dqlm.symmetry import (
     DoubleSectorBasis,
@@ -40,6 +48,7 @@ from dqlm.symmetry import (
     enumerate_sector,
     full_pairs,
     gauss_generator,
+    partition_double_space,
     weak_sector,
 )
 
@@ -518,3 +527,249 @@ def test_norm_only_residual_matches_the_image(kind, data, rates, kinds,
         want = ((image - rho.scale(value)).frobenius_norm()
                 / rho.frobenius_norm())
         assert abs(res - want) <= 1e-12 * want, (res, want)
+
+
+# -- the single-pass assembly against the per-term reference ---------------
+
+def reference_term_list(ham_ket, ham_bra, jumps):
+    """(A, B) pairs meaning A rho B, summed: the coherent terms, then per
+    jump the gain and the two losses, each as a SparseOperator."""
+    n = ham_ket.dim
+    eye = SparseOperator(sp.identity(n, dtype=np.complex128, format="csr"),
+                         ham_ket.basis)
+    terms = [(ham_ket.scale(-1j), eye), (eye, ham_bra.scale(1j))]
+    for op in jumps:
+        dag = op.adjoint()
+        loss = (dag @ op).scale(-1.0)
+        terms.append((op.scale(2.0), dag))
+        terms.append((loss, eye))
+        terms.append((eye, loss))
+    return terms
+
+
+def reference_assemble_on_pairs(terms, dsec, leak_tol=LEAK_TOL):
+    """sum_k A_k rho B_k restricted to a DoubleSectorBasis, term by term
+    through each term's CSC and CSR, with the per-term leakage summed."""
+    dim = dsec.dim
+    rows, cols, vals = [], [], []
+    leak_sq = 0.0
+    t_all = np.arange(dim, dtype=np.int64)
+    for a_op, b_op in terms:
+        acsc = a_op.matrix.tocsc()
+        bcsr = b_op.matrix.tocsr()
+        ca = np.diff(acsc.indptr)[dsec.kets]
+        cb = np.diff(bcsr.indptr)[dsec.bras]
+        reps = ca * cb
+        total = int(reps.sum())
+        if total == 0:
+            continue
+        t_idx = np.repeat(t_all, reps)
+        starts = np.cumsum(reps) - reps
+        k = np.arange(total, dtype=np.int64) - np.repeat(starts, reps)
+        cb_rep = np.repeat(cb, reps)
+        ia = k // cb_rep
+        ib = k - ia * cb_rep
+        a_entry = np.repeat(acsc.indptr[dsec.kets], reps) + ia
+        b_entry = np.repeat(bcsr.indptr[dsec.bras], reps) + ib
+        v = acsc.data[a_entry] * bcsr.data[b_entry]
+        pos = dsec.lookup(acsc.indices[a_entry], bcsr.indices[b_entry])
+        bad = pos < 0
+        if bad.any():
+            leak_sq += float(np.sum(np.abs(v[bad]) ** 2))
+            keep = ~bad
+            t_idx, pos, v = t_idx[keep], pos[keep], v[keep]
+        rows.append(pos.astype(np.int32))
+        cols.append(t_idx.astype(np.int32))
+        vals.append(v)
+    if np.sqrt(leak_sq) > leak_tol:
+        raise SectorLeakageError(
+            f"Liouvillian couples out of {dsec.tag}: "
+            f"||(1-P) L P||_F >= {np.sqrt(leak_sq):.3e}")
+    if not rows:
+        return sp.csr_matrix((dim, dim), dtype=np.complex128)
+    m = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim)).tocsr()
+    m.sum_duplicates()
+    m.sort_indices()
+    m.eliminate_zeros()
+    return m
+
+
+def reference_matrix(spec, sector=None, phi=None, variant=None):
+    """The reference generator of `assemble` (phi None) or of
+    `assemble_twisted`, with its H_ket."""
+    sector = full_pairs(spec.layout) if sector is None else sector
+    jumps = build_jump_set(spec)
+    if phi is None:
+        h_ket = h_bra = build_hamiltonian(spec)
+    else:
+        bulk = bulk_hamiltonian(spec.layout, spec.J)
+        h_ket = bulk + twist_term(spec.layout, spec.J, phi % (2 * np.pi))
+        h_bra = h_ket if variant == "lindblad" else bulk + twist_term(
+            spec.layout, spec.J, (-phi) % (2 * np.pi))
+    terms = reference_term_list(h_ket, h_bra, jumps)
+    return reference_assemble_on_pairs(terms, sector), h_ket
+
+
+def assert_same_csr(got, want):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def battery():
+    """(id, spec, sector) for every admitted jump family on the four
+    layout kinds, each with its layout's Hamiltonian, and for weak sectors
+    with and without N, the full pair space, charge-difference blocks and
+    disorder."""
+    rates = (0.7, 1.3, 0.9, 1.1)
+    layouts = (build_layout("chain-obc", 3), build_layout("chain-pbc", 3),
+               build_layout("hierarchical", 3),
+               build_layout("square-2d", 2, Ly=2))
+    cases = []
+    for layout in layouts:
+        for family, names in JUMP_RATES.items():
+            jump = JumpSpec(family, **dict(zip(names, rates)))
+            kind = {"hierarchical": "hierarchical",
+                    "square-2d": "qlm-2d"}.get(layout.kind, "qlm")
+            try:
+                spec = ModelSpec(layout, kind, J=0.9, J1=0.8, J2=1.2,
+                                 jumps=(jump,))
+            except ModelError:
+                continue
+            sector = (weak_sector(layout) if layout.kind == "square-2d"
+                      else None)
+            cases.append((f"{layout.kind}-{family}", spec, sector))
+    biased = JumpSpec("biased", gamma_up=2.9, gamma_down=1.1)
+    chain = ModelSpec(build_layout("chain-obc", 5), J=0.8, jumps=(
+        biased, JumpSpec("dephasing", gamma=0.3),
+        JumpSpec("gauge-fix", strength=0.6)))
+    cases += [("weak-N2", chain, weak_sector(chain.layout, 2)),
+              ("weak", chain, weak_sector(chain.layout))]
+    ring = ModelSpec(build_layout("chain-pbc", 4), twist=0.4, jumps=(biased,))
+    cases.append(("ring-twist-weak-N2", ring, weak_sector(ring.layout, 2)))
+    small = ModelSpec(build_layout("chain-obc", 4), jumps=(biased,))
+    cases.append(("full-L4", small, None))
+    blocks = partition_double_space(small.layout)
+    for i in (0, 1, len(blocks) // 2, len(blocks) - 1):
+        key, block = blocks[i]
+        cases.append(("block" + "".join(f"{d:+d}" for d in key), small, block))
+    disordered = ModelSpec(build_layout("chain-obc", 5), jumps=(biased,),
+                           disorder=DisorderSpec(seed=3))
+    cases += [("disorder", disordered, weak_sector(disordered.layout)),
+              ("disorder-N2", disordered, weak_sector(disordered.layout, 2))]
+    return cases
+
+
+@pytest.mark.parametrize("spec, sector", [case[1:] for case in battery()],
+                         ids=[case[0] for case in battery()])
+def test_assembly_is_bit_identical_to_the_per_term_reference(spec, sector):
+    superop = assemble(spec, sector=sector)
+    want, ham = reference_matrix(spec, sector)
+    assert superop.nnz > 0
+    assert_same_csr(superop.matrix, want)
+    assert_same_csr(superop.hamiltonian.matrix, ham.matrix)
+
+
+PHASES = (0.0, 0.7, np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi - 1e-3)
+
+
+@pytest.mark.parametrize("variant", ["lindblad", "double-space"])
+@pytest.mark.parametrize("jumps", [
+    (JumpSpec("biased", gamma_up=2.9, gamma_down=1.1),
+     JumpSpec("dephasing", gamma=0.3)),
+    (JumpSpec("effective-asep", gamma_right=0.3, gamma_left=0.1),)],
+    ids=["biased-dephasing", "asep"])
+def test_twisted_and_rephased_generators_are_bit_identical(variant, jumps):
+    spec = ModelSpec(build_layout("chain-pbc", 4), J=0.8, jumps=jumps)
+    dsec = weak_sector(spec.layout, 2)
+    direct = {}
+    for phi in PHASES:
+        direct[phi] = assemble_twisted(spec, phi, variant, sector=dsec)
+        want, ham = reference_matrix(spec, dsec, phi, variant)
+        assert_same_csr(direct[phi].matrix, want)
+        assert_same_csr(direct[phi].hamiltonian.matrix, ham.matrix)
+    for source, phi in zip(PHASES, PHASES[1:] + PHASES[:1]):
+        rephased = direct[source].rephase(phi)
+        assert_same_csr(rephased.matrix, direct[phi].matrix)
+        assert_same_csr(rephased.hamiltonian.matrix,
+                        direct[phi].hamiltonian.matrix)
+        assert rephased.twists == direct[phi].twists
+        assert rephased.sector is dsec
+        assert rephased.jumps is direct[source].jumps
+        # the source keeps its own values
+        assert_same_csr(direct[source].matrix,
+                        reference_matrix(spec, dsec, source, variant)[0])
+
+
+def test_only_twisted_generators_rephase():
+    spec = ModelSpec(build_layout("chain-pbc", 3), jumps=(
+        JumpSpec("biased", gamma_up=2.4, gamma_down=1.6),))
+    with pytest.raises(AssemblyError):
+        assemble(spec).rephase(0.3)
+
+
+def leaky_sectors():
+    """(id, spec, sector) where the Hamiltonian, the gain, or both leave
+    the sector."""
+    layout = build_layout("chain-obc", 3)
+    biased = JumpSpec("biased", gamma_up=2.4, gamma_down=1.6)
+    states = np.arange(layout.nstates)
+    # the diagonal pairs: a hop of the ket alone leaves them
+    diagonal = DoubleSectorBasis(layout, states, states, "diagonal")
+    # the pairs whose first link is down: its s^+ gain leaves them
+    down = states[(states >> layout.link_slot(1)) & 1 == 0]
+    kets, bras = np.meshgrid(down, down, indexing="ij")
+    link_down = DoubleSectorBasis(layout, kets.ravel(), bras.ravel(), "down")
+    both = DoubleSectorBasis(layout, down, down, "diagonal-down")
+    return [("coherent", ModelSpec(layout, jumps=(biased,)), diagonal),
+            ("gain", ModelSpec(layout, "none", jumps=(biased,)), link_down),
+            ("both", ModelSpec(layout, jumps=(biased,)), both)]
+
+
+@pytest.mark.parametrize("spec, sector", [case[1:] for case in leaky_sectors()],
+                         ids=[case[0] for case in leaky_sectors()])
+def test_a_term_leaking_out_of_the_sector_raises(spec, sector):
+    with pytest.raises(SectorLeakageError) as want:
+        reference_matrix(spec, sector)
+    with pytest.raises(SectorLeakageError) as got:
+        assemble(spec, sector=sector)
+    assert str(got.value) == str(want.value)
+    # with the check off, the entries kept inside are the same
+    ham = build_hamiltonian(spec)
+    terms = reference_term_list(ham, ham, build_jump_set(spec))
+    assert_same_csr(assemble(spec, sector, np.inf).matrix,
+                    reference_assemble_on_pairs(terms, sector, np.inf))
+
+
+def test_a_non_monomial_jump_is_refused_by_name(monkeypatch):
+    spec = full_specs()[0]
+    layout = spec.layout
+    total, slot = layout.total_spins, layout.link_slot(1)
+    mixed = (single_spin_operator(total, slot, "+")
+             + single_spin_operator(total, slot, "z").scale(0.8))
+    jumps = build_jump_set(spec)
+    monkeypatch.setattr(liouvillian, "build_jump_set",
+                        lambda _spec: jumps + [mixed])
+    with pytest.raises(AssemblyError, match=f"jump {len(jumps)} "):
+        assemble(spec)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_an_overflowing_generator_is_refused_without_warnings(twisted):
+    # every input is finite; the gain 2 L (x) L^* overflows
+    spec = ModelSpec(build_layout("chain-pbc" if twisted else "chain-obc", 3),
+                     jumps=(JumpSpec("biased", gamma_up=1e308,
+                                     gamma_down=1.0),))
+    dsec = weak_sector(spec.layout, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteGeneratorError, match="non-finite"):
+            if twisted:
+                assemble_twisted(spec, 0.5, "double-space", sector=dsec)
+            else:
+                assemble(spec, sector=dsec)
+    assert issubclass(NonFiniteGeneratorError, SolverError)
+    assert not issubclass(NonFiniteGeneratorError, AssemblyError)

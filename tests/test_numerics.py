@@ -16,6 +16,7 @@ from dqlm.exact import exact_steady_state, link_polarization
 from dqlm.krylov import KrylovExpm
 from dqlm.lattice import build_layout, state_bit
 from dqlm.liouvillian import (
+    NonFiniteGeneratorError,
     Superoperator,
     assemble,
     assemble_twisted,
@@ -1169,6 +1170,16 @@ def test_a_nan_in_a_stacked_block_raises(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         full_spectrum(spec)
     assert calls[-1][0] > 1 and calls[-1][1] == sizes[i]
+
+
+def test_a_strict_mirror_check_names_a_nan_generator():
+    # a NaN entry gives its block a NaN mirror gap: the strict check calls
+    # the generator non-finite, not a generator without the symmetry
+    full = assemble(biased_chain(3, 2.4, 1.6))
+    bad = bumped(full, np.arange(full.dim), 0, np.nan)
+    with pytest.raises(NonFiniteGeneratorError, match="non-finite"):
+        numerics.mirror_eig(bad.matrix, numerics._mirror_map(bad.sector),
+                            strict=True, sector=bad.sector)
 
 
 def test_momentum_split_refuses_weight_off_the_blocks(monkeypatch):
