@@ -89,20 +89,19 @@ the blocks that it reaches unlike their images. Hierarchical and square
 layouts and odd rings have neither. The block counts of a `Spectrum`
 say which path each block took (`BLOCK_COUNTS`).
 
-`mirror_eig` decides which way each block goes on the integer arrays of
-the maps before any block is sliced (`_reuse_plan` for the conjugated
-and copied blocks). It then takes every matrix to diagonalize straight
-from the one sparse matrix it lies in: the permuted generator, its
-gauge form, or a block's real or parity form. Matrices of one size and
-dtype are densified into (k, n, n) stacks (`_eig_stacks`), each
-diagonalized by one `np.linalg.eigvals` call, which runs LAPACK geev
-matrix by matrix, so the eigenvalues are bit for bit those of one call
-per matrix. A stack holds at most as many entries, k n^2, as the
-largest matrix diagonalized, so no stack needs more memory than that
-matrix's own eig; the 469 matrices of the L = 4 full pair space take 50
-calls. Conjugated and copied blocks take their spectra by index, and
-the merged spectrum is sorted once, in the tie order that per-block
-spectra merged in component order have.
+One plan (`_plan`) decides, on the integer arrays of the maps and
+before any block is sliced, which blocks are worked on (the roots) and
+which take their spectrum or kernel from a root through C or Pi;
+`mirror_eig` and `steady_states` both read it. `mirror_eig` takes every
+matrix to diagonalize straight from the one sparse matrix it lies in:
+the permuted generator, its gauge form, or a block's real or parity
+form. Matrices of one size and dtype are densified into (k, n, n)
+stacks (`_eig_stacks`), each diagonalized by one `np.linalg.eigvals`
+call, which runs LAPACK geev matrix by matrix, so the eigenvalues are
+bit for bit those of one call per matrix; no stack holds more entries,
+k n^2, than the largest matrix diagonalized. The merged spectrum is
+sorted once, in the tie order that per-block spectra merged in
+component order have.
 
 A spectrum can also come from another generator's (`phase_partner`):
 the CLI `winding` scan takes the double-space generator at -phi as the
@@ -118,21 +117,16 @@ is cubic (`DenseCapError`, raised by `_split` before the first block is
 diagonalized); sector projection is the intended way to keep the blocks
 below the cap. Only eigenvalues are computed densely.
 
-Steady states (`steady_states`) split the same frame into the same
-blocks, under the same dense cap, and compute no dense spectrum. Each
-block, or pair of mirror blocks, is taken in its real form (so each
-kernel vector is a Hermitian operator) and factored once by a sparse LU
-of its matrix - tol I, tol the kernel bin (1e-9). That one LU serves
-twice: shift-invert Arnoldi (ARPACK) on it finds the eigenvalues
-nearest 0, doubling their number until one lies outside the bin, and
-those below the bin count the kernel, as the dense spectrum's would;
-two steps of subspace iteration with it then span the kernel. Groups
-of at most `KERNEL_DENSE_DIM` (36) coordinates, where a dense eig costs
-less than ARPACK (the L=4 gauge-fix ring has 108 groups, most of them
-that small), count their kernel by a dense eig instead. Each group's
-kernel residual is checked against `RESIDUAL_TOL` relative to its block.
-Degeneracy counting bins eigenvalues within 1e-7 of the reference
-value.
+Steady states (`steady_states`) compute no dense spectrum. Each root of
+the plan is factored once, at its own size, by a sparse LU of its matrix
+- tol I, tol the kernel bin (1e-9). That one LU serves twice:
+shift-invert Arnoldi (ARPACK) on it counts the eigenvalues below the
+bin, as the dense spectrum's would, and two steps of subspace iteration
+with it span the kernel (roots of at most `KERNEL_DENSE_DIM` coordinates
+count theirs by a dense eig). Every other block's kernel is its root's
+mapped through C or Pi. The kernel's residual over its separation from
+the rest of the spectrum must stay below `KERNEL_ANGLE_TOL`. Degeneracy
+counting bins eigenvalues within 1e-7 of the reference value.
 
 Time integration takes adaptive Krylov exponential steps (`evolve`,
 with `krylov.KrylovExpm`): Arnoldi approximations of exp(h M) v whose
@@ -185,6 +179,9 @@ KERNEL_TOL = 1e-9
 DEGENERACY_BIN = 1e-7
 RESIDUAL_TOL = 1e-8
 MIRROR_TOL = 1e-12
+# a kernel residual over the separation above this is refused: the ratio
+# bounds the angle to the true kernel
+KERNEL_ANGLE_TOL = 1e-8
 # blocks up to this dimension count their kernel by a dense eig, which
 # costs less there than shift-invert ARPACK
 KERNEL_DENSE_DIM = 36
@@ -192,6 +189,11 @@ KERNEL_DENSE_DIM = 36
 
 class DenseCapError(SolverError):
     """A block to diagonalize is larger than the dense cap."""
+
+
+class UncertifiedKernelError(SolverError):
+    """A kernel that its separation from the rest of the spectrum does
+    not resolve (`steady_states`)."""
 
 
 @dataclass
@@ -609,54 +611,44 @@ def _block_images(matrix, components, labels, symmetry, antiunitary=False):
     return target, gap
 
 
-def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
-               sector=None, bloch=None):
-    """Dense spectra of the coupled components of a CSR generator through
-    the antiunitary symmetry C(rho) = rho^+ of a Lindbladian, C on its
-    coordinates given by `mirror` (`_mirror_map`, or None), and through
-    the transpose map W of a chain, on the pair basis `sector` (or None)
-    or on the columns of the unitary `bloch` over it; when the
-    coordinates are the pair basis itself, also through the particle-hole
-    reflection Pi of an open chain.
+@dataclass
+class _Plan:
+    """The blocks of a generator and the way each one goes (`_plan`)."""
 
-    The components come from `_split`, which raises `DenseCapError` for a
-    block over the cap before any eig, and each map's block images and
-    gaps from one call of `_block_images`. With `strict` a block that C
-    does not map onto a block within `MIRROR_TOL` relative raises
-    `SolverError` before any eig, `NonFiniteGeneratorError` when its gap
-    is NaN. The blocks are taken in order, and each
-    one not yet known is diagonalized. A block that C maps onto itself,
-    with ||Im U^+ M U|| within `MIRROR_TOL` relative, goes to real LAPACK
-    in its real form U^+ M U, one eig per coupled component of the real
-    form (`coupled_components` with roundoff up to `MIRROR_TOL` cut). Of
-    two blocks that C maps onto each other the first is diagonalized, and
-    the second, within `MIRROR_TOL` relative of its image, gets the
-    conjugate spectrum without being sliced. On the pair basis the first
-    is diagonalized in the real form of A = C W, which maps it onto
-    itself (a diagonal unitary, `_real_form`), when the gaps of C and W on
-    the pair add up to at most `MIRROR_TOL`. Every other block that W maps
-    onto itself within `MIRROR_TOL` relative is rotated into W's +1 and -1
-    columns (`_parity_form`) and takes one complex eig per coupled
-    component of the rotated block, roundoff up to `MIRROR_TOL` cut: the
-    two signs never couple. W is built and checked once, when some block
-    to diagonalize is not its own C image. Every other block takes the
-    complex eig. Each block whose spectrum is known passes it on to the
-    block that Pi maps it onto, as a copy, when that block is within
-    `MIRROR_TOL` relative of its image and still open.
+    components: list
+    labels: np.ndarray
+    order: np.ndarray
+    permuted: sp.csr_matrix
+    bounds: np.ndarray
+    gap: np.ndarray
+    source: np.ndarray
+    turned: np.ndarray
+    path: np.ndarray
 
-    Which way each block goes is decided on the index arrays of the maps
-    before any matrix is sliced. The matrices to diagonalize are then
-    densified and diagonalized in stacks of equal size and dtype
-    (`_eig_stacks`), none holding more entries than the largest of them,
-    and the conjugated and copied blocks take their spectra by index.
+    @property
+    def roots(self):
+        return np.flatnonzero(self.source == np.arange(self.source.size))
 
-    Returns the merged Spectrum, its eigenvalues in canonical order and
-    labelled by the index of their component (`block_labels`), with the
-    blocks counted in `BLOCK_COUNTS` by how they were found and the
-    largest matrix handed to LAPACK (`eig_max_dim`); the components; and
-    for each component the index in `BLOCK_COUNTS` of the count it went
-    to, or -1 for a complex eig.
-    """
+
+def _plan(matrix, mirror, cap=DENSE_CAP, strict=False, pairs=None):
+    """Which block of a CSR generator takes its spectrum or kernel from
+    which, decided once on the index arrays of the maps: C(rho) = rho^+
+    on its coordinates (`mirror`, `_mirror_map`, or None) and, on the
+    pair basis `pairs` (or None), the particle-hole reflection Pi.
+
+    The components and their guard come from `_split`, which raises
+    `DenseCapError` for a block over the cap, and each map's block images
+    and gaps from one call of `_block_images`. With `strict` a block that
+    C does not map onto a block within `MIRROR_TOL` relative raises
+    `SolverError`, `NonFiniteGeneratorError` when its gap is NaN. The
+    blocks are then taken in order. A block not yet known is a root, its
+    own source: `REAL` when C maps it onto itself within `MIRROR_TOL`.
+    It hands the conjugate of its spectrum to its C image, when that is
+    within `MIRROR_TOL` and still open (`CONJUGATED`), and it and that
+    image hand theirs to their Pi images, when those are within
+    `MIRROR_TOL` and still open (`COPIED`, conjugated as the block they
+    copy). The generator is permuted so that its blocks are contiguous,
+    in component order."""
     components, labels = _split(matrix, cap)
     partner, gap = _block_images(matrix, components, labels, mirror,
                                  antiunitary=True)
@@ -672,31 +664,84 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
             f"component {i} has no conjugate mirror component within "
             f"{MIRROR_TOL:.0e} (relative gap {gap[i]:.3e}); not a "
             "Lindbladian")
-    pairs = None if bloch is not None else sector
     reflection, reflection_gap = _block_images(
         matrix, components, labels,
         None if pairs is None else _reflection_map(pairs))
-    mirrored = gap <= MIRROR_TOL
-    source, turned, path = _reuse_plan(
-        partner, mirrored, reflection, reflection_gap <= MIRROR_TOL)
+    count = len(components)
+    partner, reflection = partner.tolist(), reflection.tolist()
+    mirrored = (gap <= MIRROR_TOL).tolist()
+    reflected = (reflection_gap <= MIRROR_TOL).tolist()
+    source, turned, path = list(range(count)), [False] * count, [-1] * count
+    done = [False] * count
+    for i in range(count):
+        if done[i]:
+            continue
+        done[i] = True
+        known = [i]
+        j = partner[i]
+        if mirrored[i] and j == i:
+            path[i] = REAL
+        elif mirrored[i] and not done[j]:
+            done[j], source[j], turned[j], path[j] = True, i, True, CONJUGATED
+            known.append(j)
+        for b in known:
+            k = reflection[b]
+            if reflected[b] and k >= 0 and not done[k]:
+                done[k], path[k] = True, COPIED
+                source[k], turned[k] = source[b], turned[b]
+    order = np.concatenate(components) if count else np.arange(0)
+    sizes = np.array([c.size for c in components], dtype=np.int64)
+    return _Plan(components, labels, order, matrix[order][:, order],
+                 np.concatenate([[0], np.cumsum(sizes)]), gap,
+                 np.array(source, dtype=np.int64),
+                 np.array(turned, dtype=bool), np.array(path, dtype=np.int64))
+
+
+def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
+               sector=None, bloch=None):
+    """Dense spectra of the coupled components of a CSR generator, C on
+    its coordinates given by `mirror` (`_mirror_map`, or None), on the
+    pair basis `sector` (or None) or on the columns of the unitary `bloch`
+    over it.
+
+    `_plan` splits the generator and decides, before any eig, which
+    blocks are diagonalized (its roots) and which take a conjugated or
+    copied spectrum by index. A `REAL` root goes to real LAPACK in its
+    real form U^+ M U, one eig per coupled component of the form
+    (roundoff up to `MIRROR_TOL` cut). For the other roots the transpose
+    map W (`_transpose_map`) is built and checked once: on the pair basis
+    a root whose gaps of C and W add up to at most `MIRROR_TOL` is
+    diagonalized in the real form of the diagonal A = C W
+    (`_gauge_form`); a root that W maps onto itself within `MIRROR_TOL`
+    is rotated into W's +1 and -1 columns (`_parity_form`), which never
+    couple, and takes one complex eig per coupled component; every other
+    root takes the complex eig. The matrices go to LAPACK in stacks of
+    equal size and dtype (`_eig_stacks`).
+
+    Returns the merged Spectrum, its eigenvalues in canonical order and
+    labelled by the index of their component (`block_labels`), with the
+    blocks counted in `BLOCK_COUNTS` by how they were found and the
+    largest matrix handed to LAPACK (`eig_max_dim`); the components; and
+    for each component the index in `BLOCK_COUNTS` of the count it went
+    to, or -1 for a complex eig.
+    """
+    pairs = None if bloch is not None else sector
+    plan = _plan(matrix, mirror, cap, strict, pairs)
+    components, source, path = plan.components, plan.source, plan.path
     count = len(components)
     index = np.arange(count)
-    roots = index[source == index]
-    path[roots[(mirrored & (partner == index))[roots]]] = REAL
+    roots = plan.roots
     rest = roots[path[roots] < 0]
     if rest.size:
         w = None if sector is None else _transpose_map(sector, bloch)
-        target, w_gap = _block_images(matrix, components, labels, w)
+        target, w_gap = _block_images(matrix, components, plan.labels, w)
         # on the pair basis W maps each block where C does
-        gauge = (pairs is not None) & mirrored & (gap + w_gap <= MIRROR_TOL)
+        gauge = (pairs is not None) & (plan.gap + w_gap <= MIRROR_TOL)
         parity = (target == index) & (w_gap <= MIRROR_TOL)
         path[rest] = np.where(gauge[rest], GAUGE,
                               np.where(parity[rest], PARITY, -1))
-    # the blocks are sliced from one symmetric permutation
-    order = np.concatenate(components) if count else np.arange(0)
-    permuted = matrix[order][:, order]
-    sizes = np.array([c.size for c in components], dtype=np.int64)
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    permuted, bounds = plan.permuted, plan.bounds
+    sizes = np.diff(bounds)
     # each matrix to diagonalize: its source, first row there, size, and
     # the offset of its eigenvalues among all of them in component order
     sources, jobs = [permuted], []
@@ -705,7 +750,7 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
                  bounds[whole]))
     whole = roots[path[roots] == GAUGE]
     if whole.size:
-        sources.append(_gauge_form(matrix, order, w))
+        sources.append(_gauge_form(matrix, plan.order, w))
         jobs.append((np.full_like(whole, len(sources) - 1), bounds[whole],
                      sizes[whole], bounds[whole]))
     for i in roots[(path[roots] == REAL) | (path[roots] == PARITY)]:
@@ -739,7 +784,7 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
     # conjugate where the block's spectrum was complex-typed, so that a
     # real spectrum's zero imaginary parts keep their sign
     raw = raw[bounds[source][block] + np.arange(bounds[-1]) - bounds[block]]
-    flip = (turned & complex_part[source])[block]
+    flip = (plan.turned & complex_part[source])[block]
     raw[flip] = raw[flip].conj()
     ranked = canonical_order(raw)
     if count and not complex_part.any():
@@ -750,38 +795,6 @@ def mirror_eig(matrix, mirror, basis="unknown", cap=DENSE_CAP, strict=False,
                         eig_max_dim=int(lengths.max(initial=0)),
                         **dict(zip(BLOCK_COUNTS, counts.tolist())))
     return spectrum, components, path
-
-
-def _reuse_plan(partner, mirrored, reflection, reflected):
-    """Which blocks take their spectrum from another, in block order: a
-    block not yet known is diagonalized; it hands the conjugate of its
-    spectrum to its C image `partner` where `mirrored`, and its spectrum,
-    or that conjugate, to the Pi image `reflection` of either where
-    `reflected`, when that block is still open. Returns for each block
-    the diagonalized block it takes its spectrum from (itself when it is
-    diagonalized), whether conjugated, and its `BLOCK_COUNTS` index
-    (conjugated or copied; -1 where diagonalized)."""
-    count = partner.size
-    partner, reflection = partner.tolist(), reflection.tolist()
-    mirrored, reflected = mirrored.tolist(), reflected.tolist()
-    source, turned, path = list(range(count)), [False] * count, [-1] * count
-    done = [False] * count
-    for i in range(count):
-        if done[i]:
-            continue
-        done[i] = True
-        known = [i]
-        j = partner[i]
-        if mirrored[i] and not done[j]:
-            done[j], source[j], turned[j], path[j] = True, i, True, CONJUGATED
-            known.append(j)
-        for b in known:
-            k = reflection[b]
-            if reflected[b] and k >= 0 and not done[k]:
-                done[k], path[k] = True, COPIED
-                source[k], turned[k] = source[b], turned[b]
-    return (np.array(source, dtype=np.int64), np.array(turned, dtype=bool),
-            np.array(path, dtype=np.int64))
 
 
 def _eig_stacks(sources, which, starts, sizes):
@@ -969,85 +982,77 @@ def _near_kernel(block, lu, tol):
 
 def _kernel_basis(block, lu, count, rng):
     """An orthonormal basis of the `count`-dimensional kernel of a sparse
-    square `block`: two steps of subspace iteration, from a random start
-    (`rng`), with the sparse LU `lu` of block - tol I. A residual
-    ||block X||_F above `RESIDUAL_TOL` relative to ||block||_F raises
-    `SolverError`."""
+    square `block` and its residual ||block X||_F: two steps of subspace
+    iteration, from a random start (`rng`), with the sparse LU `lu` of
+    block - tol I. A residual above `RESIDUAL_TOL` relative to
+    ||block||_F raises `SolverError`."""
     n = block.shape[0]
     basis = rng.standard_normal((n, count))
     for _ in range(2):
         basis = np.linalg.qr(lu.solve(basis))[0]
+    residual = np.linalg.norm(block @ basis)
     # a zero block (a frozen 1 x 1) has residual 0, not 0/0; NaN fails
     norm = max(np.linalg.norm(block.data), np.finfo(float).tiny)
-    residual = np.linalg.norm(block @ basis) / norm
-    if not residual <= RESIDUAL_TOL:
-        raise SolverError(f"kernel residual {residual:.3e} of a block of "
-                          f"dimension {n} exceeds {RESIDUAL_TOL:.1e}")
-    return basis
+    if not residual / norm <= RESIDUAL_TOL:
+        raise SolverError(f"kernel residual {residual / norm:.3e} of a block "
+                          f"of dimension {n} exceeds {RESIDUAL_TOL:.1e}")
+    return basis, residual
 
 
 def steady_states(superop, tol=KERNEL_TOL, cap=DENSE_CAP, stats=None):
     """Kernel basis of a generator as trace-normalized density matrices.
 
-    The generator's frame (`_frame`) is split into blocks by `_split`, as
-    `mirror_eig` splits it; a block over the cap raises `DenseCapError`
-    before any factorization. A block that C(rho) = rho^+ maps onto
-    itself, or a block with the block C maps it onto, is one group, taken
-    in its real form U^+ M U where `_block_images` finds C within
-    `MIRROR_TOL`, as in `mirror_eig`; only a block that does not commute
-    with C is taken complex. A mirror pair is sliced as the sorted union
-    of its two blocks. Each group is factored once, by a
-    sparse LU of its matrix - tol I, which serves twice: its eigenvalues
-    nearest 0 (`_near_kernel`) count the group's kernel, the eigenvalues
-    below `tol` in modulus, and its kernel vectors w (`_kernel_basis`)
-    give orthonormal Hermitian operators U w. No dense spectrum is
-    computed, save for groups of at most `KERNEL_DENSE_DIM` coordinates
-    (`_near_kernel`). Vectors are lifted back through U and, on a
-    periodic chain, the Bloch basis.
+    The generator's frame (`_frame`) is planned by `_plan`, as in
+    `mirror_eig`; a block over the cap raises `DenseCapError` before any
+    factorization. Only the roots are factored, each at its own size (a
+    `REAL` root in its real form U^+ M U, any other as its complex
+    block), once, by a sparse LU of its matrix - tol I: its eigenvalues
+    nearest 0 (`_near_kernel`) count its kernel, those below `tol` in
+    modulus, and its kernel vectors (`_kernel_basis`) are lifted back
+    through U and, on a periodic chain, the Bloch basis. A block that the
+    plan conjugates or copies takes its root's vectors v mapped on the
+    pair basis, by C (conj(v[swap])), Pi (v[image]) or both; a block and
+    its conjugate give the Hermitian parts (v + C v) / sqrt(2) and
+    i (v - C v) / sqrt(2), at the first of the two.
+
+    The largest residual ||M X||_F of a root's orthonormal kernel basis
+    X, over the smallest |lambda| outside the kernel, bounds the angle to
+    the true kernel (Davis & Kahan, SIAM J. Numer. Anal. 7, 1 (1970));
+    above `KERNEL_ANGLE_TOL` it raises `UncertifiedKernelError`. Without
+    a separation nothing is refused.
 
     Each vector loses its entries up to `MIRROR_TOL` relative to its
     largest (the roundoff coherences of diagonal steady states), then is
-    scaled to unit trace, or where its trace vanishes (possible for
-    degenerate kernels) to unit Frobenius norm. States come in the order
-    of their groups' first blocks: a block with a one-dimensional kernel,
-    such as one particle-number sector, gives that sector's own steady
-    state.
+    scaled to unit trace, or where its trace vanishes to unit Frobenius
+    norm. States come in block order: a block with a one-dimensional
+    kernel, such as one particle-number sector, gives that sector's own
+    steady state.
 
-    A dict `stats` receives the blocks (`blocks`, `max_block_dim`,
-    `real_blocks`, `conjugated_blocks`, as `mirror_eig` counts them), the
-    largest group that took the dense fallback (`eig_max_dim`, 0 for
-    none), the entries SuperLU stores for all the LU factors
-    (`kernel_lu_nnz`) and the
-    smallest |lambda| outside the kernel among the eigenvalues the counts
-    were decided from (`kernel_separation`, None for none). An empty
-    sector has no blocks and no states.
+    A dict `stats` receives `blocks`, `max_block_dim`, `real_blocks`,
+    `conjugated_blocks` and `copied_blocks` (as `mirror_eig` counts
+    them), `eig_max_dim` (the largest root that took the dense fallback,
+    0 for none), `kernel_lu_nnz` (the entries SuperLU stores for all the
+    LU factors), `kernel_separation` (the smallest |lambda| outside the
+    kernel among the eigenvalues the counts were decided from, None for
+    none) and `kernel_residual_ratio` (the ratio above, None without a
+    separation). An empty sector has no blocks and no states.
     """
     from scipy.sparse.linalg import splu
 
     bloch, matrix, mirror = _frame(superop)
-    components, labels = _split(matrix, cap)
-    partner, gap = _block_images(matrix, components, labels, mirror,
-                                 antiunitary=True)
-    largest = max((c.size for c in components), default=0)
+    dsec = superop.sector
+    plan = _plan(matrix, mirror, cap, pairs=None if bloch is not None
+                 else dsec)
+    components, bounds, path = plan.components, plan.bounds, plan.path
     lift = sp.identity(superop.dim, format="csc") if bloch is None else bloch
-    tvec = trace_vector(superop.sector)
     rng = np.random.default_rng(0)
-    done = np.zeros(len(components), dtype=bool)
-    states = []
-    real_blocks = conjugated = eig_max_dim = lu_nnz = 0
+    kernels = {}
+    eig_max_dim = lu_nnz = worst = 0
     separation = np.inf
-    for i in range(len(components)):
-        if done[i]:
-            continue
-        real = gap[i] <= MIRROR_TOL
-        group = np.unique([i, partner[i]]) if real else [i]
-        done[group] = True
-        if real:
-            real_blocks += len(group) == 1
-            conjugated += len(group) == 2
-        own = np.sort(np.concatenate([components[g] for g in group]))
-        block, unitary = matrix[own][:, own], sp.identity(own.size)
-        if real:
+    for i in plan.roots:
+        cut, own = slice(bounds[i], bounds[i + 1]), components[i]
+        block, unitary = plan.permuted[cut, cut], sp.identity(own.size)
+        if path[i] == REAL:
             unitary, rotated = _real_form(
                 block, np.searchsorted(own, mirror[0][own]), mirror[1][own])
             block = _real_part(rotated)
@@ -1063,23 +1068,57 @@ def steady_states(superop, tol=KERNEL_TOL, cap=DENSE_CAP, stats=None):
             eig_max_dim = max(eig_max_dim, own.size)
         kernel = np.abs(values) < tol
         separation = np.abs(values[~kernel]).min(initial=separation)
-        if not kernel.any():
-            continue
-        basis = _kernel_basis(block, lu, np.count_nonzero(kernel), rng)
-        for vec in (lift[:, own] @ (unitary @ basis)).T:
-            vec[np.abs(vec) <= MIRROR_TOL * np.abs(vec).max()] = 0
+        if kernel.any():
+            basis, residual = _kernel_basis(block, lu,
+                                            np.count_nonzero(kernel), rng)
+            worst = max(worst, residual)
+            kernels[i] = lift[:, own] @ (unitary @ basis)
+    # C v = conj(v[swap]) and Pi v = v[image] on the pair basis
+    swap = _mirror_map(dsec)[0] if plan.turned.any() else None
+    image = _reflection_map(dsec)[0] if np.any(path == COPIED) else None
+    found = {}
+    for i, vectors in kernels.items():
+        group = np.flatnonzero(plan.source == i)
+        # i with its C image, then i's Pi image with that one's
+        for copied in (False, True):
+            mates = group[(path[group] == COPIED) == copied]
+            if not mates.size:
+                continue
+            v = vectors[image] if copied else vectors
+            if mates.size == 2:
+                cv = v[swap].conj()
+                found[mates[0]] = np.hstack([v + cv, 1j * (v - cv)]) \
+                    / np.sqrt(2)
+            else:
+                found[mates[0]] = (v[swap].conj() if plan.turned[mates[0]]
+                                   else v)
+    tvec = trace_vector(dsec)
+    states = []
+    for b in sorted(found):
+        for vec in found[b].T:
+            vec = np.where(np.abs(vec) <= MIRROR_TOL * np.abs(vec).max(),
+                           0, vec)
             trace = tvec @ vec
             vec = vec / (trace if abs(trace) > 1e-10 else np.linalg.norm(vec))
-            states.append(devectorize_from(vec, superop.sector))
+            states.append(devectorize_from(vec, dsec))
     if components and not states:
         raise SolverError("empty kernel; a Lindblad generator always has one")
+    certified = np.isfinite(separation)
+    ratio = float(worst / separation) if certified else None
     if stats is not None:
+        counts = np.bincount(path[path >= 0], minlength=COPIED + 1)
         stats.update(
-            blocks=len(components), max_block_dim=largest,
-            eig_max_dim=eig_max_dim, real_blocks=real_blocks,
-            conjugated_blocks=conjugated, kernel_lu_nnz=lu_nnz,
-            kernel_separation=(float(separation) if np.isfinite(separation)
-                               else None))
+            blocks=len(components), eig_max_dim=eig_max_dim,
+            max_block_dim=int(np.diff(bounds).max(initial=0)),
+            kernel_lu_nnz=lu_nnz,
+            **dict(zip(BLOCK_COUNTS, counts.tolist())),
+            kernel_separation=float(separation) if certified else None,
+            kernel_residual_ratio=ratio)
+    if certified and not ratio <= KERNEL_ANGLE_TOL:
+        raise UncertifiedKernelError(
+            f"kernel residual {worst:.3e} over the separation "
+            f"{separation:.3e} of the rest of the spectrum is {ratio:.3e}, "
+            f"above {KERNEL_ANGLE_TOL:.0e}: the kernel is not resolved")
     return states
 
 

@@ -516,16 +516,19 @@ def test_steady_state_kernel_and_profiles(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diagnostics"]["kernel_dim"] == 5
     assert manifest["diagnostics"]["max_residual"] < 1e-8
-    # one coupled block per particle number 0..4, each in its real form
+    # one coupled block per particle number 0..4: N = 0, 1, 2 factored
+    # in their real form, N = 3, 4 copied from N = 1, 0 through Pi
     assert manifest["diagnostics"]["blocks"] == 5
-    assert manifest["diagnostics"]["real_blocks"] == 5
+    assert manifest["diagnostics"]["real_blocks"] == 3
+    assert manifest["diagnostics"]["copied_blocks"] == 2
     assert manifest["diagnostics"]["conjugated_blocks"] == 0
     assert (manifest["diagnostics"]["max_block_dim"]
             < manifest["diagnostics"]["sector_dim"])
-    # the N = 0 and N = 4 blocks, 8 pairs each, are counted by a dense
-    # eig (`KERNEL_DENSE_DIM`), the others by ARPACK on their LU
+    # the N = 0 block, 8 pairs, is counted by a dense eig
+    # (`KERNEL_DENSE_DIM`), the others by ARPACK on their LU
     assert manifest["diagnostics"]["eig_max_dim"] == 8
     assert manifest["diagnostics"]["kernel_lu_nnz"] > 0
+    assert manifest["diagnostics"]["kernel_residual_ratio"] < 1e-12
     # the smallest |lambda| outside the kernel is the dense spectrum's, to
     # the accuracy of a near-degenerate nonnormal eigenvalue
     spec = ModelSpec(layout=build_layout("chain-obc", 4),
@@ -539,6 +542,29 @@ def test_steady_state_kernel_and_profiles(tmp_path):
     assert lines[0] == "state[index],kind[name],position[index],value[1]"
     # five states, four sites and three links each
     assert len(lines) - 1 == 5 * 7
+
+
+@pytest.mark.parametrize("args, code", [
+    # rates x1e6: one state 1.3e-4 off the exact profile, ratio 1.2e-2
+    (("--L", "4", "--n-particles", "2", "--gamma-up", "2.4e6",
+      "--gamma-down", "1.6e6"), 4),
+    # rates x1e-10: 15 states where the kernel has one, ratio 3.9
+    (("--L", "4", "--n-particles", "2", "--gamma-up", "2.4e-10",
+      "--gamma-down", "1.6e-10"), 4),
+    # the README calls
+    (("--L", "4"), 0),
+    (("--L", "5", "--disorder-seed", "3"), 0)])
+def test_steady_state_certifies_its_kernel_by_the_separation(
+        tmp_path, capsys, args, code):
+    out = tmp_path / "ss"
+    assert run("steady-state", *args, "--output-dir", str(out)) == code
+    if code:
+        err = stderr_error(capsys)
+        assert err["kind"] == "solver" and "not resolved" in err["message"]
+        assert not (out / "steady_state_profiles.csv").exists()
+    else:
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["kernel_residual_ratio"] < 1e-12
 
 
 def test_steady_state_refuses_a_state_that_is_not_steady(tmp_path, capsys,

@@ -233,7 +233,7 @@ def test_degenerate_kernels_give_independent_hermitian_states(build, kernel,
                                                               most):
     # `kernel` kernel eigenvalues, up to `most` in one block; on the
     # periodic chain blocks k and -k are mirror partners whose kernel
-    # vectors share their Hermitian parts, so the two are solved together
+    # vectors share their Hermitian parts, taken from the first one's
     superop = build()
     split = spectrum_of(superop)
     labels = np.asarray(split.block_labels)[split.kernel_indices()]
@@ -471,8 +471,15 @@ def test_mirror_check_catches_a_block_off_by_1e_10(kind, monkeypatch):
         return basis(block, *args)
 
     monkeypatch.setattr(numerics, "_kernel_basis", recorded)
+    steady_states(full)
+    # the first block of each mirror pair is factored complex
+    clean_kinds = kinds[:]
+    assert "f" in clean_kinds and "c" in clean_kinds
+    kinds.clear()
     states = steady_states(bad)
-    assert "f" in kinds and ("c" in kinds) == (kind == "imaginary")
+    moved = kind == "imaginary"
+    assert kinds.count("c") == clean_kinds.count("c") + moved
+    assert kinds.count("f") == clean_kinds.count("f") - moved
     assert len(states) == len(split.kernel_indices())
     vectors = np.array([vectorize_into(rho, bad.sector) for rho in states]).T
     assert np.linalg.matrix_rank(vectors) == len(states)
@@ -484,10 +491,14 @@ def test_mirror_check_catches_a_block_off_by_1e_10(kind, monkeypatch):
         full_spectrum(spec)
 
 
-def open_chain_L5(disorder=None):
-    spec = ModelSpec(layout=build_layout("chain-obc", 5),
-                     jumps=biased_chain(5, 2.4, 1.6).jumps, disorder=disorder)
+def open_chain(L, disorder=None):
+    spec = ModelSpec(layout=build_layout("chain-obc", L),
+                     jumps=biased_chain(L, 2.4, 1.6).jumps, disorder=disorder)
     return assemble(spec, sector=weak_sector(spec.layout))
+
+
+def open_chain_L5(disorder=None):
+    return open_chain(5, disorder)
 
 
 @pytest.mark.parametrize("build, least_k", [
@@ -496,8 +507,8 @@ def open_chain_L5(disorder=None):
                  id="obc-L5-disorder"),
     pytest.param(lambda: dict(mirror_cases())["dephasing"], 2,
                  id="dephasing"),
-    # a mirror pair of blocks with 9 kernel states each: k = 32 > 18
-    pytest.param(lambda: gauge_fixed("chain-pbc"), 32, id="pbc-gauge-fix"),
+    # a block with 9 kernel states, factored at its own size: k = 16 > 9
+    pytest.param(lambda: gauge_fixed("chain-pbc"), 16, id="pbc-gauge-fix"),
     pytest.param(lambda: dict(mirror_cases())["hierarchical"], 2,
                  id="hierarchical"),
     pytest.param(lambda: mutated(assemble(biased_chain(2, 2.4, 1.6)),
@@ -539,12 +550,175 @@ def test_frozen_blocks_take_the_dense_fallback(kind, monkeypatch):
     monkeypatch.setattr(numerics, "eig_dense", recording)
     stats = {}
     assert len(steady_states(superop, stats=stats)) == kernel
-    matrix = numerics._frame(superop)[1]
-    components = numerics._split(matrix, numerics.DENSE_CAP)[0]
-    frozen = sum(c.size == 1 for c in components)
-    # each alone, or in one 2 x 2 real form with its mirror partner
-    assert frozen > 0 and sizes.count(1) + 2 * sizes.count(2) == frozen
+    plan = plan_of(superop)
+    frozen = np.diff(plan.bounds) == 1
+    # each frozen root alone; its conjugate and its copies are not counted
+    assert frozen.any() and sizes.count(1) == np.count_nonzero(
+        frozen[plan.roots])
+    assert 2 not in sizes
     assert stats["eig_max_dim"] == max(sizes)
+
+
+def reference_steady_states(superop, tol=numerics.KERNEL_TOL):
+    """The reference of `steady_states`: its groups visited one at a time,
+    a block or a C mirror pair of blocks sliced as the sorted union of its
+    coordinates, each factored whole, in its real form where C holds."""
+    from scipy.sparse.linalg import splu
+
+    bloch, matrix, mirror = numerics._frame(superop)
+    components, labels = numerics._split(matrix, numerics.DENSE_CAP)
+    partner, gap = numerics._block_images(matrix, components, labels, mirror,
+                                          antiunitary=True)
+    lift = sp.identity(superop.dim, format="csc") if bloch is None else bloch
+    tvec = numerics.trace_vector(superop.sector)
+    rng = np.random.default_rng(0)
+    done = np.zeros(len(components), dtype=bool)
+    states = []
+    for i in range(len(components)):
+        if done[i]:
+            continue
+        real = gap[i] <= numerics.MIRROR_TOL
+        group = np.unique([i, partner[i]]) if real else [i]
+        done[group] = True
+        own = np.sort(np.concatenate([components[g] for g in group]))
+        block, unitary = matrix[own][:, own], sp.identity(own.size)
+        if real:
+            unitary, rotated = numerics._real_form(
+                block, np.searchsorted(own, mirror[0][own]), mirror[1][own])
+            block = numerics._real_part(rotated)
+        lu = splu(sp.csc_matrix(
+            block - tol * sp.identity(own.size, format="csc")))
+        values = numerics._near_kernel(block, lu, tol)[0]
+        count = np.count_nonzero(np.abs(values) < tol)
+        if not count:
+            continue
+        basis = numerics._kernel_basis(block, lu, count, rng)[0]
+        for vec in (lift[:, own] @ (unitary @ basis)).T:
+            vec[np.abs(vec) <= numerics.MIRROR_TOL * np.abs(vec).max()] = 0
+            trace = tvec @ vec
+            vec = vec / (trace if abs(trace) > 1e-10 else np.linalg.norm(vec))
+            states.append(devectorize_from(vec, superop.sector))
+    return states
+
+
+def plan_of(superop):
+    """The block plan `steady_states` reads for a generator."""
+    bloch, matrix, mirror = numerics._frame(superop)
+    return numerics._plan(matrix, mirror,
+                          pairs=superop.sector if bloch is None else None)
+
+
+def kernel_groups(superop, states):
+    """The vectorized states by the first block of the frame that each
+    touches: a block, or the first of a C mirror pair."""
+    bloch, matrix, _ = numerics._frame(superop)
+    labels = numerics._split(matrix, numerics.DENSE_CAP)[1]
+    groups = {}
+    for rho in states:
+        vec = vectorize_into(rho, superop.sector)
+        coords = vec if bloch is None else bloch.conj().T @ vec
+        first = labels[np.abs(coords) > 1e-12 * np.abs(coords).max()].min()
+        groups.setdefault(first, []).append(vec)
+    return {b: np.array(vectors).T for b, vectors in groups.items()}
+
+
+def subspace_distance(a, b):
+    """The sine of the largest principal angle between two column spans."""
+    qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+    return np.linalg.norm(qa - qb @ (qb.conj().T @ qa), 2)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: open_chain(4), id="obc-L4"),
+    pytest.param(lambda: open_chain(5), id="obc-L5"),
+    pytest.param(lambda: open_chain(5, DisorderSpec(seed=3)),
+                 id="obc-L5-disorder"),
+    pytest.param(lambda: ring(4, None), id="ring-L4"),
+    pytest.param(lambda: ring(4, 2), id="ring-L4-N2"),
+    pytest.param(lambda: ring(5, 2), id="ring-L5-N2"),
+    pytest.param(lambda: ring(6, 3), id="ring-L6-N3",
+                 marks=pytest.mark.slow),
+    pytest.param(lambda: gauge_fixed("chain-pbc"), id="pbc-gauge-fix"),
+    pytest.param(lambda: gauge_fixed("chain-obc"), id="obc-gauge-fix")])
+def test_planned_kernels_match_the_per_group_reference(build):
+    # roots are factored as the reference factors them, so their states
+    # are bit for bit the same; a Pi copy differs in its last bits, and a
+    # degenerate kernel, a mirror pair's included, comes in another basis
+    superop = build()
+    states = steady_states(superop)
+    reference = reference_steady_states(superop)
+    assert len(states) == len(reference)
+    plan = plan_of(superop)
+    got, want = (kernel_groups(superop, s) for s in (states, reference))
+    assert sorted(got) == sorted(want)
+    for b, vectors in got.items():
+        assert vectors.shape == want[b].shape
+        if vectors.shape[1] > 1:
+            assert subspace_distance(vectors, want[b]) < 1e-12
+        elif plan.path[b] == numerics.COPIED:
+            assert np.abs(vectors - want[b]).max() <= 1e-15
+        else:
+            assert np.array_equal(vectors, want[b])
+    spectrum = spectrum_of(superop)
+    assert len(states) == len(spectrum.kernel_indices())
+    hermitian_steady_basis(superop, spectrum)
+
+
+def factored_sizes(monkeypatch):
+    """The dimension of every matrix `steady_states` hands to splu."""
+    import scipy.sparse.linalg
+
+    sizes = []
+    real = scipy.sparse.linalg.splu
+
+    def recording(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[0])
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    return sizes
+
+
+def test_only_the_roots_of_the_plan_are_factored(monkeypatch):
+    sizes = factored_sizes(monkeypatch)
+    # the L=4 N=2 ring: each mirror pair's first block at its own size
+    superop = ring(4, 2)
+    plan = plan_of(superop)
+    blocks = np.diff(plan.bounds)
+    assert np.any(plan.path == numerics.CONJUGATED)
+    assert len(steady_states(superop)) == 1
+    assert sorted(sizes) == sorted(blocks[plan.roots].tolist())
+    assert max(sizes) <= blocks.max() and 2 * blocks.max() not in sizes
+    # the L=5 open chain without N: Pi copies N = 3, 4, 5 from 2, 1, 0
+    sizes.clear()
+    stats = {}
+    assert len(steady_states(open_chain(5), stats=stats)) == 6
+    assert sorted(sizes) == [16, 178, 518]
+    assert stats["copied_blocks"] == 3 and stats["real_blocks"] == 3
+    assert stats["conjugated_blocks"] == 0
+
+
+@pytest.mark.slow
+def test_ring_l6_n3_factors_under_3m_entries():
+    stats = {}
+    assert len(steady_states(ring(6, 3), stats=stats)) == 1
+    assert stats["kernel_lu_nnz"] < 3.0e6
+    assert stats["kernel_residual_ratio"] < 1e-12
+
+
+def test_a_kernel_is_refused_unless_its_separation_resolves_it():
+    spec = biased_chain(4, 2.4e6, 1.6e6)
+    superop = assemble(spec, sector=weak_sector(spec.layout, 2))
+    stats = {}
+    with pytest.raises(numerics.UncertifiedKernelError, match="not resolved"):
+        steady_states(superop, stats=stats)
+    assert stats["kernel_residual_ratio"] > 1e-3
+    # a zero generator: every block is a frozen kernel, with no separation
+    zero = Superoperator(sp.csr_matrix(superop.matrix.shape), superop.sector,
+                         superop.hamiltonian, superop.jumps)
+    assert len(steady_states(zero, stats=stats)) == zero.dim
+    assert stats["kernel_separation"] is None
+    assert stats["kernel_residual_ratio"] is None
 
 
 def test_mirror_check_runs_once_per_generator(monkeypatch):
