@@ -437,11 +437,9 @@ def build_config(args):
             model["disorder"] = {}
         _set_path(cfg, "model.disorder.seed", args.disorder_seed)
     if getattr(args, "boundary", None) is not None:
+        # only the spectrum subparser accepts "both"
         if task == "spectrum":
             _set_path(cfg, "spectrum.boundary", args.boundary)
-        elif args.boundary == "both":
-            raise CliError(EXIT_CONFIG, "usage",
-                           "boundary 'both' is only valid for task=spectrum")
         else:
             _set_path(cfg, "model.layout.kind",
                       "chain-obc" if args.boundary == "obc" else "chain-pbc")

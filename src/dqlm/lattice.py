@@ -272,14 +272,6 @@ class SparseOperator:
         self.check_basis(other)
         return SparseOperator(self.matrix - other.matrix, self.basis)
 
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
     def __matmul__(self, other):
         self.check_basis(other)
         return SparseOperator(self.matrix @ other.matrix, self.basis)

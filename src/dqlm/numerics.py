@@ -129,7 +129,7 @@ the rest of the spectrum must stay below `KERNEL_ANGLE_TOL`. Degeneracy
 counting bins eigenvalues within 1e-7 of the reference value.
 
 Time integration takes adaptive Krylov exponential steps (`evolve`,
-with `krylov.KrylovExpm`): Arnoldi approximations of exp(h M) v whose
+with `krylov.integrate`): Arnoldi approximations of exp(h M) v whose
 error estimates add up, over the time grid, to at most atol + rtol |v|
 in the 2-norm, 1e-9 each by default; it records observables and the
 trace defect. The same symmetry C makes a Hermitian state's coordinates
@@ -139,15 +139,15 @@ initial state touches (the same split as the spectra's real forms).
 
 Only numpy and scipy.sparse are imported with the module. The scipy
 submodules are imported inside the functions that use them, so a task
-loads only what it runs: `scipy.sparse.csgraph` (the component split
-and the matching of `multiset_distance`), `scipy.sparse.linalg` (the
-kernel LU and ARPACK), `scipy.spatial` (the kd-trees of the spectral
-distances and the hull of `hull_violation`) and `scipy.integrate`
-(`evolve`, through the `krylov` module). The closed-form tasks
-(`profile`, `verify-exact`) load none of them. `solve_ivp` stays a
-module-level function that forwards to scipy's, and `evolve` looks it
-up when it is called, so rebinding `numerics.solve_ivp` reaches every
-integration.
+loads only what it runs: `scipy.sparse.csgraph` (the component split and
+the matching of `multiset_distance`), `scipy.sparse.linalg` (the kernel
+LU and ARPACK), `scipy.spatial` (the kd-trees of the spectral distances
+and the hull of `hull_violation`) and the `krylov` module (`evolve`),
+which needs `scipy.linalg` and no `scipy.integrate`. The closed-form
+tasks (`profile`, `verify-exact`) load none of them. `solve_ivp` stays a
+module-level function that forwards to `krylov.integrate`, and `evolve`
+looks it up when it is called, so rebinding `numerics.solve_ivp` reaches
+every integration.
 """
 
 from dataclasses import dataclass, field
@@ -1292,9 +1292,10 @@ class StateSeries:
     observables: dict = field(default_factory=dict)
     trace_defect: np.ndarray = None
     final_vector: np.ndarray = None
-    # matrix-vector products, status, steps and largest Krylov dimension
-    # of the integration, whether the real coordinates U^+ v were
-    # integrated, and how many coordinates (see `evolve`)
+    # matrix-vector products, status (always 0: a failure raises), steps
+    # and largest Krylov dimension of the integration, whether the real
+    # coordinates U^+ v were integrated, and how many coordinates (see
+    # `evolve`)
     nfev: int = 0
     status: int = 0
     steps: int = 0
@@ -1303,13 +1304,13 @@ class StateSeries:
     evolved_dim: int = 0
 
 
-def solve_ivp(fun, t_span, y0, **options):
-    """scipy.integrate.solve_ivp, imported on the first call. `evolve`
-    looks this name up when it runs, so a caller may rebind it (to count
-    right-hand-side evaluations, say)."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
+def solve_ivp(matvec, y0, times, **options):
+    """`krylov.integrate`, imported on the first call. `evolve` looks
+    this name up when it runs, so a caller may rebind it (to count
+    matrix-vector products, say)."""
+    from .krylov import integrate
 
-    return scipy_solve_ivp(fun, t_span, y0, **options)
+    return integrate(matvec, y0, times, **options)
 
 
 def _real_coordinates(matrix, v0, dsec):
@@ -1336,12 +1337,13 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
     """Integrate dv/dt = M v on a time grid with adaptive Krylov steps.
 
     Each step approximates exp(h M) v on an Arnoldi basis
-    (`krylov.KrylovExpm`, run through `solve_ivp`) with an error
+    (`krylov.integrate`, called through `solve_ivp`) with an error
     estimate of at most (atol + rtol |v|) h / T, T the span of the grid
     and |v| the 2-norm of the integrated coordinates at the step's start;
     an rtol below 100 machine epsilons is raised to that, with a
     warning. ``nfev`` in the result counts the products M v, ``steps``
-    the steps and ``krylov_dim_max`` the largest basis.
+    the steps and ``krylov_dim_max`` the largest basis. A grid of fewer
+    than two times, or not strictly increasing, raises `SolverError`.
 
     observables maps names to callables vec -> complex, evaluated at each
     grid time. With a pair basis the trace defect |tr(t) - tr(0)| is
@@ -1365,8 +1367,6 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
     the result is the number of coordinates integrated.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
-        raise SolverError("time grid must be strictly increasing, length >= 2")
     mat = sp.csr_matrix(matrix)
     v0 = np.asarray(v0, dtype=np.complex128)
     real = None if dsec is None else _real_coordinates(mat, v0, dsec)
@@ -1382,15 +1382,8 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
         # couples it to the rest
         rhs, lift, y0 = rhs[kept][:, kept], lift[:, kept], y0[kept]
 
-    from .krylov import KrylovExpm
-
-    stats = {}
-    result = solve_ivp(lambda _, y: rhs @ y, (t_grid[0], t_grid[-1]), y0,
-                       method=KrylovExpm, t_eval=t_grid, rtol=rtol,
-                       atol=atol, stats=stats)
-    if not result.success:
-        raise SolverError(f"integration failed: {result.message}")
-    frames = result.y
+    result = solve_ivp(lambda y: rhs @ y, y0, t_grid, rtol=rtol, atol=atol)
+    frames = result.frames
 
     observables = observables or {}
     values = {name: [] for name in observables}
@@ -1401,8 +1394,9 @@ def evolve(matrix, v0, t_grid, observables=None, dsec=None,
     series = StateSeries(
         times=t_grid, final_vector=vec,
         observables={name: np.array(v) for name, v in values.items()},
-        nfev=result.nfev, status=result.status, real_form=real_form,
-        evolved_dim=kept.size, **stats)
+        nfev=result.nfev, steps=result.steps,
+        krylov_dim_max=result.krylov_dim_max, real_form=real_form,
+        evolved_dim=kept.size)
     if dsec is not None:
         # tr(lift w) = (lift^T tvec) . w, a real functional of a real w
         tvec = (lift.T @ trace_vector(dsec)).real

@@ -185,9 +185,42 @@ def test_malformed_json_config(tmp_path, capsys):
 
 
 def test_usage_error_prints_json(capsys):
-    code = run("spectrum", "--boundary", "bogus")
-    assert code == 2
-    assert stderr_error(capsys)["kind"] == "usage"
+    # only the spectrum subparser accepts --boundary both
+    for argv in (("spectrum", "--boundary", "bogus"),
+                 ("steady-state", "--boundary", "both"),
+                 ("dynamics", "--boundary", "both")):
+        assert run(*argv) == 2
+        assert stderr_error(capsys)["kind"] == "usage"
+
+
+PROFILE_L8 = ("profile", "--layout", "chain", "--L", "8", "--beta", "3")
+
+
+@pytest.mark.parametrize("argv, cfg, code, kind", [
+    (("spectrum", "--config", "missing.json"), None, 2, "config-io"),
+    (("spectrum", "--config", "cfg.json"), [1], 2, "config-parse"),
+    (PROFILE_L8 + ("--fillings", "9"), None, 3, "empty-sector"),
+    (("dynamics", "--L", "3", "--config", "cfg.json"),
+     {"sector": {"n_particles": 1}, "dynamics": {"initial_sites": [1, 2]}},
+     2, "usage"),
+    (("dynamics", "--L", "3", "--initial-sites", "1,x"), None, 2, "usage"),
+    (PROFILE_L8 + ("--fillings", "0.5,a"), None, 2, "usage"),
+    (("winding", "--config", "cfg.json"),
+     {"model": {"layout": {"kind": "chain-pbc", "L": 3},
+                "hamiltonian": {"twist": 0.5}}}, 2, "usage"),
+], ids=["missing-config", "list-root", "filling-outside-sites",
+        "sector-against-sites", "initial-sites-not-integers",
+        "fillings-not-numbers", "winding-twist-in-config"])
+def test_refused_input_exits_with_its_kind_and_no_csv(tmp_path, monkeypatch,
+                                                      capsys, argv, cfg,
+                                                      code, kind):
+    monkeypatch.chdir(tmp_path)
+    if cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(*argv, "--output-dir", "out") == code
+    error = stderr_error(capsys)
+    assert (error["exit_code"], error["kind"]) == (code, kind)
+    assert list(tmp_path.rglob("*.csv")) == []
 
 
 def test_infeasible_sector_exits_3(tmp_path, capsys):
@@ -939,9 +972,11 @@ def test_empty_dp_sector_exits_3(tmp_path, capsys):
 
 
 # modules that no task needs at import: the config checks need no schema
-# library, and each scipy submodule below is imported where it is used
-DEFERRED = ("jsonschema", "scipy.integrate", "scipy.optimize", "scipy.spatial",
-            "scipy.sparse.linalg", "scipy.sparse.csgraph")
+# library, no dqlm module imports scipy.integrate, scipy.optimize or
+# scipy.special itself (the Krylov integrator steps on its own), and each
+# other scipy submodule below is imported where it is used
+DEFERRED = ("jsonschema", "scipy.integrate", "scipy.optimize", "scipy.special",
+            "scipy.spatial", "scipy.sparse.linalg", "scipy.sparse.csgraph")
 
 
 def fresh_interpreter(code, tmp_path=None):
@@ -961,23 +996,23 @@ def test_cli_import_leaves_unused_modules_out():
     assert loaded == []
 
 
-@pytest.mark.parametrize("argv, absent, present", [
+@pytest.mark.parametrize("argv, absent", [
     (("profile", "--layout", "chain", "--L", "24", "--beta", "3",
-      "--fillings", "0.25,0.5,0.75"),
-     ("scipy.integrate", "scipy.spatial"), ()),
-    (("verify-exact", "--L", "5"), ("scipy.integrate", "scipy.spatial"), ()),
+      "--fillings", "0.25,0.5,0.75"), ("scipy.integrate", "scipy.spatial")),
+    (("verify-exact", "--L", "5"), ("scipy.integrate", "scipy.spatial")),
     (("dynamics", "--L", "3", "--initial-sites", "1", "--t-final", "1",
-      "--t-points", "3"), (), ("scipy.integrate",)),
+      "--t-points", "3"),
+     ("scipy.integrate", "scipy.optimize", "scipy.special")),
 ], ids=["profile", "verify-exact", "dynamics"])
-def test_each_task_imports_only_what_it_runs(tmp_path, argv, absent, present):
+def test_each_task_imports_only_what_it_runs(tmp_path, argv, absent):
     argv = list(argv) + ["--output-dir", "out"]
     code, loaded = fresh_interpreter(
         "import json, sys; from dqlm.cli import main; "
         f"code = main({argv!r}); "
-        f"print(json.dumps([code, [m for m in {absent + present!r} "
+        f"print(json.dumps([code, [m for m in {absent!r} "
         "if m in sys.modules]]))", tmp_path)
     assert code == 0
-    assert sorted(loaded) == sorted(present)
+    assert loaded == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import expm_multiply
 
 from dqlm import krylov, numerics
 from dqlm.exact import exact_steady_state
-from dqlm.krylov import KrylovExpm
 from dqlm.lattice import build_layout
 from dqlm.liouvillian import (
     assemble,
@@ -100,13 +98,11 @@ def test_a_zero_start_stays_zero_without_a_product():
     series = frames(superop, zero, times, dsec=dsec)
     assert series.evolved_dim == 0 and series.nfev == 0
     assert not np.any(series.observables["frame"])
-    # the solver itself, on the whole zero vector
-    stats = {}
-    result = solve_ivp(lambda _, y: superop.matrix @ y, (0.0, 2.0), zero,
-                       method=KrylovExpm, t_eval=times, stats=stats)
-    assert result.success and result.nfev == 0
-    assert stats == {"steps": 1, "krylov_dim_max": 0}
-    assert result.y.shape == (dsec.dim, 5) and not np.any(result.y)
+    # the integrator itself, on the whole zero vector
+    result = krylov.integrate(lambda y: superop.matrix @ y, zero, times)
+    assert result.nfev == 0
+    assert (result.steps, result.krylov_dim_max) == (1, 0)
+    assert result.frames.shape == (dsec.dim, 5) and not np.any(result.frames)
 
 
 def test_complex_path_matches_the_matrix_exponential():
@@ -132,13 +128,11 @@ def test_happy_breakdown_is_exact_over_the_whole_interval():
     rng = np.random.default_rng(5)
     matrix = rng.normal(size=(4, 4)) - 3.0 * np.eye(4)
     y0 = rng.normal(size=4)
-    stats = {}
     times = np.linspace(0.0, 50.0, 6)
-    result = solve_ivp(lambda _, y: matrix @ y, (0.0, 50.0), y0,
-                       method=KrylovExpm, t_eval=times, rtol=1e-12,
-                       atol=1e-14, stats=stats)
-    assert stats == {"steps": 1, "krylov_dim_max": 4} and result.nfev == 4
-    for t, frame in zip(times, result.y.T):
+    result = krylov.integrate(lambda y: matrix @ y, y0, times, rtol=1e-12,
+                              atol=1e-14)
+    assert (result.steps, result.krylov_dim_max) == (1, 4) and result.nfev == 4
+    for t, frame in zip(times, result.frames.T):
         assert np.abs(frame - scipy.linalg.expm(matrix * t) @ y0).max() < 1e-13
 
 
@@ -156,4 +150,6 @@ def test_rtol_below_the_floor_is_raised_with_a_warning():
     assert series.status == 0 and series.nfev == floor.nfev
     assert np.array_equal(series.observables["frame"],
                           floor.observables["frame"])
-
+    # a negative atol has no floor
+    with pytest.raises(ValueError, match="atol"):
+        krylov.integrate(lambda y: y, np.ones(2), times, atol=-1.0)

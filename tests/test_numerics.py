@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from dqlm import numerics
+from dqlm import krylov, numerics
 from dqlm.exact import exact_steady_state, link_polarization
-from dqlm.krylov import KrylovExpm
 from dqlm.lattice import build_layout, state_bit
 from dqlm.liouvillian import (
     NonFiniteGeneratorError,
@@ -379,12 +378,12 @@ def test_disordered_real_form_does_not_split():
     mirror = numerics._mirror_map(superop.sector)
     unitary, rotated = numerics._real_form(superop.matrix, *mirror)
     real = numerics._real_part(rotated)
-    whole = solve_ivp(lambda _, y: real @ y, (0.0, 1.0),
-                      (unitary.conj().T @ v0).real, method=KrylovExpm,
-                      t_eval=times, rtol=1e-9, atol=1e-9)
+    whole = krylov.integrate(lambda y: real @ y,
+                             (unitary.conj().T @ v0).real, times,
+                             rtol=1e-9, atol=1e-9)
     assert series.nfev == whole.nfev
     assert np.array_equal(series.observables["frame"],
-                          np.array([unitary @ w for w in whole.y.T]))
+                          np.array([unitary @ w for w in whole.frames.T]))
 
 
 def test_mirror_guards_fall_back_to_the_complex_path():
