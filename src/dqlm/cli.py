@@ -629,7 +629,6 @@ def run_dynamics(cfg, rec):
     rec.diagnostics["sector_dim"] = dsec.dim
     rec.diagnostics["max_trace_defect"] = float(series.trace_defect.max())
     rec.diagnostics["rhs_evals"] = series.nfev
-    rec.diagnostics["integrator_status"] = series.status
     rec.diagnostics["integrator_steps"] = series.steps
     rec.diagnostics["krylov_dim_max"] = series.krylov_dim_max
     rec.diagnostics["real_form"] = series.real_form

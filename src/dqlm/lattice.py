@@ -7,7 +7,10 @@ Basis conventions, pinned once and used everywhere:
 * bit 1 means spin up (occupied site, flux-up link), index 0 is all-down;
 * s^z eigenvalues are +1/2 (up) and -1/2 (down);
 * operators are scipy CSR matrices in this basis, wrapped together with a
-  basis tag so that mixing operators from different spaces fails loudly.
+  basis tag so that mixing operators from different spaces fails loudly;
+* an operator taking each state to at most one state, as every jump does,
+  is a `Monomial` (a bit flip and an amplitude table), whose CSR is built
+  only on request.
 
 Slot assignment per layout kind:
 
@@ -285,29 +288,25 @@ def commutator(a, b):
     return (a @ b) - (b @ a)
 
 
-def monomial_operator(total_spins, rows, flip, data, indptr=None):
-    """sum_k data_k |r_k><r_k ^ flip| over the ascending states r_k of `rows`.
+def monomial_operator(total_spins, rows, flip, data):
+    """sum_k data_k |r_k><r_k ^ flip| over the ascending states r_k of `rows`,
+    one value of `data` per row.
 
     Each row holds at most one entry, so the CSR is built straight from
     the rows: indptr is their running count (indptr[r] = the number of
-    rows below r; counted here unless given), the columns are
-    rows ^ flip, and nothing is sorted. `data` is one value or one per
-    row, and a complex array is kept, not copied; zero entries are left
-    out, as `SparseOperator` prunes them.
+    rows below r), the columns are rows ^ flip, and nothing is sorted. A
+    complex `data` array is kept, not copied; zero entries are left out,
+    as `SparseOperator` prunes them.
     """
     n = 1 << total_spins
     rows = np.asarray(rows, dtype=np.int32)
     data = np.asarray(data, dtype=np.complex128)
     nonzero = data != 0
-    if data.ndim == 0:
-        if not nonzero:
-            rows, indptr = rows[:0], None
-        data = np.full(rows.size, data)
-    elif not nonzero.all():
-        rows, data, indptr = rows[nonzero], data[nonzero], None
-    if indptr is None and rows.size == n:
+    if not nonzero.all():
+        rows, data = rows[nonzero], data[nonzero]
+    if rows.size == n:
         indptr = np.arange(n + 1, dtype=np.int32)   # every state is a row
-    elif indptr is None:
+    else:
         indptr = np.zeros(n + 1, dtype=np.int32)
         indptr[rows + 1] = 1
         np.cumsum(indptr, out=indptr)
@@ -315,28 +314,54 @@ def monomial_operator(total_spins, rows, flip, data, indptr=None):
     return SparseOperator(matrix, f"spins:{total_spins}")
 
 
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """sum_c table[key(c)] |c ^ flip><c| on a 2**total_spins register,
+    where bit k of key(c) is c's bit at slots[k]: each state goes to at
+    most one state, as every jump of the models does. `values` evaluates
+    it on any states; `operator()` builds its CSR.
+    """
+
+    total_spins: int
+    flip: int
+    slots: tuple
+    table: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "table",
+                           np.asarray(self.table, dtype=np.complex128))
+
+    @property
+    def basis(self):
+        return f"spins:{self.total_spins}"
+
+    def values(self, states):
+        """The amplitude taking each state c of `states` to c ^ flip."""
+        key = np.zeros(np.shape(states), dtype=np.intp)
+        for k, slot in enumerate(self.slots):
+            key |= ((states >> slot) & 1) << k
+        return self.table[key]
+
+    def operator(self):
+        """The map as a SparseOperator over the whole register."""
+        rows = np.arange(1 << self.total_spins, dtype=np.int32)
+        return monomial_operator(self.total_spins, rows, self.flip,
+                                 self.values(rows ^ np.int32(self.flip)))
+
+
 def _fixed_bit_rows(total_spins, bits):
     """The ascending states whose bit at each slot of `bits` (a dict
-    slot -> 0 or 1) is as given, and their running count as a CSR row
-    pointer (see `monomial_operator`). Both are built by doubling over
-    the slots, least significant first: a free slot repeats the states
-    found so far shifted by its bit, a fixed one keeps one half. No mask
-    of the register is formed."""
+    slot -> 0 or 1) is as given, built by doubling over the slots, least
+    significant first: a free slot repeats the states found so far
+    shifted by its bit, a fixed one keeps one half. No mask of the
+    register is formed."""
     rows = np.zeros(1, dtype=np.int32)
-    indptr = np.array([0, 1], dtype=np.int32)
     for slot in range(total_spins):
-        half = 1 << slot
-        count = indptr[-1]
         if slot not in bits:
-            rows = np.concatenate([rows, rows + half])
-            indptr = np.concatenate([indptr[:-1], indptr + count])
+            rows = np.concatenate([rows, rows + (1 << slot)])
         elif bits[slot]:
-            rows = rows + half
-            indptr = np.concatenate([np.zeros(half, dtype=np.int32), indptr])
-        else:
-            indptr = np.concatenate(
-                [indptr, np.full(half, count, dtype=np.int32)])
-    return rows, indptr
+            rows = rows + (1 << slot)
+    return rows
 
 
 def diagonal_operator(total_spins, values):
@@ -350,7 +375,7 @@ def diagonal_operator(total_spins, values):
 
 def single_spin_operator(total_spins, slot, which, amplitude=1.0):
     """amplitude * s^+, s^- or s^z acting on one slot of a 2**total_spins
-    space.
+    register, as a `Monomial`.
 
     Parameters
     ----------
@@ -358,47 +383,40 @@ def single_spin_operator(total_spins, slot, which, amplitude=1.0):
     slot : int
         Bit position, 0-based.
     which : str
-        "+", "-" or "z".
-    amplitude : complex
+        "+", "-", "z", or "+-" for a s^+ + b s^- with amplitude = (a, b).
+    amplitude : complex, or a pair of them for "+-"
         The factor on every entry; 0 gives the empty operator.
     """
     if not 0 <= slot < total_spins:
         raise LayoutError(f"slot {slot} outside 0..{total_spins - 1}")
     if which == "z":
-        bit = (np.arange(1 << total_spins) >> slot) & 1
-        return diagonal_operator(total_spins, (bit - 0.5) * amplitude)
-    if which not in ("+", "-"):
+        return Monomial(total_spins, 0, (slot,),
+                        (np.arange(2) - 0.5) * amplitude)
+    # indexed by the slot's bit before the flip: s^+ raises a down spin
+    tables = {"+": (amplitude, 0), "-": (0, amplitude), "+-": amplitude}
+    if which not in tables:
         raise LayoutError(f"unknown spin operator {which!r}")
-    # s^+ stores its entries in the rows with the bit up, s^- with it down
-    rows, indptr = _fixed_bit_rows(total_spins, {slot: int(which == "+")})
-    return monomial_operator(total_spins, rows, 1 << slot, amplitude, indptr)
-
-
-def _transition_rows(total_spins, plus_slots, minus_slots):
-    """The rows holding the entries of prod s^+_(plus_slots) *
-    prod s^-_(minus_slots), their row pointer, and the bit flip from a
-    row to its column."""
-    slots = tuple(plus_slots) + tuple(minus_slots)
-    if len(set(slots)) != len(slots):
-        raise LayoutError(f"repeated slot in transition {plus_slots}/{minus_slots}")
-    bits = {s: 1 for s in plus_slots} | {s: 0 for s in minus_slots}
-    rows, indptr = _fixed_bit_rows(total_spins, bits)
-    return rows, indptr, sum(1 << s for s in slots)
+    return Monomial(total_spins, 1 << slot, (slot,), tables[which])
 
 
 def transition_entries(total_spins, plus_slots, minus_slots):
-    """Rows and columns of the nonzeros of prod s^+_(plus_slots) *
-    prod s^-_(minus_slots), each 1, rows ascending; all slots must be
-    distinct."""
-    rows, _, flip = _transition_rows(total_spins, plus_slots, minus_slots)
+    """Rows and columns of the nonzeros of `transition_operator`, rows
+    ascending."""
+    flip = transition_operator(total_spins, plus_slots, minus_slots).flip
+    bits = {s: 1 for s in plus_slots} | {s: 0 for s in minus_slots}
+    rows = _fixed_bit_rows(total_spins, bits)
     return rows, rows ^ np.int32(flip)
 
 
 def transition_operator(total_spins, plus_slots, minus_slots, amplitude=1.0):
-    """amplitude * prod s^+_(plus_slots) * prod s^-_(minus_slots).
-
-    All slots must be distinct; built in one pass instead of multiplying
-    single-spin factors. The h.c. partner is `.adjoint()`.
+    """amplitude * prod s^+_(plus_slots) * prod s^-_(minus_slots), as a
+    `Monomial`; all slots must be distinct. Its one nonzero amplitude sits
+    at the key whose plus bits are down and whose minus bits are up. The
+    h.c. partner is `.operator().adjoint()`.
     """
-    rows, indptr, flip = _transition_rows(total_spins, plus_slots, minus_slots)
-    return monomial_operator(total_spins, rows, flip, amplitude, indptr)
+    slots = tuple(plus_slots) + tuple(minus_slots)
+    if len(set(slots)) != len(slots):
+        raise LayoutError(f"repeated slot in transition {plus_slots}/{minus_slots}")
+    table = np.zeros(1 << len(slots), dtype=np.complex128)
+    table[((1 << len(minus_slots)) - 1) << len(plus_slots)] = amplitude
+    return Monomial(total_spins, sum(1 << s for s in slots), slots, table)

@@ -16,12 +16,12 @@ eigenvalue ladder) assume this normalization.
 Every superoperator is a sparse matrix assembled on a `DoubleSectorBasis`
 of (ket, bra) pairs, with leakage detection: a weak sector, a
 charge-difference block, or the full pair space (`full_pairs`, whose key
-order is the vec order above). The assembly is one vectorized pass over
-the pairs (`_assemble`): the coherent terms -i H_ket (x) 1 and
-1 (x) +i H_bra^T are read off H's own CSR (and CSC), and every jump, all
-of them monomial, is taken as a map of the register states (image and
-value), from which the gain 2 L (x) L^* and the losses -K (x) 1 and
-1 (x) -K (K = L^+ L) are formed, stacked over the jumps; no operator
+order is the vec order above). The assembly is vectorized over the
+pairs (`_assemble`): the coherent terms -i H_ket (x) 1 and
+1 (x) +i H_bra^T are read off H's own CSR (and CSC), and every jump is a
+`Monomial` map of the register states, whose image c ^ flip and value
+on the pairs' kets and bras give the gain 2 L (x) L^* and the losses
+-K (x) 1 and 1 (x) -K (K = L^+ L), jump by jump; no jump CSR, operator
 product or identity is built. The entries come in one fixed order, so
 duplicates are summed in a fixed order and the matrix repeats bit for
 bit. A generator with an inf or NaN entry (finite rates whose products
@@ -35,14 +35,14 @@ rewriting them.
 sparse density operators without a basis; they take one operator or a
 stream of them, and each operand takes one of two routes:
 
-* diagonal: rho = diag(d) is structurally diagonal and every jump is
-  monomial (at most one stored entry per row and per column, as every
-  `build_jump_set` family is). Then L[rho] is the coherent part
-  -i H_ab (d_b - d_a) on H's own pattern plus the Pauli rate equation
-  2 (Gamma - K) d on the diagonal, Gamma_rc = sum_mu |L_mu(r, c)|^2 and
-  K_cc = sum_mu ||L_mu e_c||^2, with no sparse product;
-* product: any other operand, by operator products with
-  K = sum_mu L_mu^+ L_mu.
+* diagonal: rho = diag(d) is structurally diagonal. Every jump is a
+  `Monomial`, taking each state to at most one state, so L[rho] is the
+  coherent part -i H_ab (d_b - d_a) on H's own pattern plus the Pauli
+  rate equation 2 (Gamma - K) d on the diagonal,
+  Gamma_rc = sum_mu |L_mu(r, c)|^2 and K_cc = sum_mu ||L_mu e_c||^2,
+  with no sparse product;
+* product: any other operand, by operator products of the jumps' CSRs
+  (`Monomial.operator`) with K = sum_mu L_mu^+ L_mu.
 
 On the diagonal route `steady_residual` builds no image: the coherent
 entries lie off the diagonal and the rates on it, so
@@ -52,8 +52,8 @@ entries lie off the diagonal and the rates on it, so
 
 from the same differences and rates that `lindblad_apply` turns into an
 image. Each route's jump-dependent part (the weights |L_mu|^2 and K's
-diagonal, or the sparse K) is formed once per call, when the first
-operand that takes the route arrives.
+diagonal, or the jumps' CSRs and the sparse K) is formed once per call,
+when the first operand that takes the route arrives.
 """
 
 import functools
@@ -62,7 +62,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import SparseOperator, state_bit
+from .lattice import BasisMismatchError, SparseOperator, state_bit
 from .models import build_hamiltonian, build_jump_set, bulk_hamiltonian, twist_term
 from .symmetry import SectorLeakageError, full_pairs
 
@@ -149,39 +149,32 @@ def _image(ham, loss, ops, rho):
     return out
 
 
-def _is_monomial(matrix):
-    """At most one stored entry in every row and every column."""
-    per_col = np.bincount(matrix.indices, minlength=matrix.shape[1])
-    return (np.diff(matrix.indptr).max(initial=0) <= 1
-            and per_col.max(initial=0) <= 1)
-
-
 class _DiagonalRoute:
-    """L[diag d] for monomial jumps, in O(nnz) per operand, no product.
+    """L[diag d] for `Monomial` jumps, in O(nnz) per operand, no product.
 
     The coherent part -i[H, rho] has the values -i H_ab (d_b - d_a) on H's
-    own pattern, nonzero only off the diagonal. A monomial L_mu maps each
-    basis state c to one state r (or to 0), so L_mu rho L_mu^+ and
-    L_mu^+ L_mu rho are both diagonal and the dissipator is the Pauli rate
-    equation 2 (Gamma d - K d), Gamma_rc = sum_mu |L_mu(r, c)|^2 and
-    K_cc = sum_r Gamma_rc. Gamma is held as one weight matrix per jump on
-    that jump's own pattern, so only the weights are new memory.
+    own pattern, nonzero only off the diagonal. A jump L_mu maps each
+    basis state c to the one state c ^ flip_mu (or to 0), so
+    L_mu rho L_mu^+ and L_mu^+ L_mu rho are both diagonal and the
+    dissipator is the Pauli rate equation 2 (Gamma d - K d),
+    Gamma_rc = sum_mu |L_mu(r, c)|^2 and K_cc = sum_r Gamma_rc. Gamma is
+    held as one weight per jump and state c, w_mu = |L_mu(c ^ flip_mu, c)|^2,
+    and Gamma d is gathered: (Gamma d)_r = sum_mu (w_mu d)_(r ^ flip_mu).
 
     `image` builds L[rho] as CSR; `residual` takes the Frobenius norm of
     L[rho] - lam rho from the same two parts without building it.
     """
 
-    def __init__(self, ham, ops):
+    def __init__(self, ham, jumps):
         n = ham.shape[0]
         self.ham = ham
-        self.ham_rows = np.repeat(np.arange(n, dtype=ham.indices.dtype),
-                                  np.diff(ham.indptr))
-        self.gains = [sp.csr_matrix((np.abs(op.data) ** 2, op.indices,
-                                     op.indptr), shape=op.shape)
-                      for op in ops]
+        self.states = np.arange(n, dtype=ham.indices.dtype)
+        self.ham_rows = np.repeat(self.states, np.diff(ham.indptr))
+        self.gains = [(jump.flip, np.abs(jump.values(self.states)) ** 2)
+                      for jump in jumps]
         self.loss = np.zeros(n)
-        for gain in self.gains:
-            self.loss += np.bincount(gain.indices, gain.data, minlength=n)
+        for _, weight in self.gains:
+            self.loss += weight
 
     @functools.cached_property
     def ham_weights(self):
@@ -198,8 +191,8 @@ class _DiagonalRoute:
         diff = d[self.ham.indices]
         diff -= d[self.ham_rows]
         rates = -self.loss * d
-        for gain in self.gains:
-            rates += gain @ d
+        for flip, weight in self.gains:
+            rates += (weight * d)[self.states ^ flip]
         return d, diff, rates
 
     def image(self, d):
@@ -233,46 +226,51 @@ class _DiagonalRoute:
 class _Generator:
     """The generator of one call, applied operand by operand.
 
-    The bases of the jumps are checked once, then each rho takes a route:
+    The jumps are `Monomial`s; their bases are checked once, then each rho
+    takes a route:
 
     * diagonal, when rho is structurally diagonal (every stored entry on
-      the diagonal) and every jump is monomial: `_DiagonalRoute`, in
-      O(nnz(H) + sum_mu nnz(L_mu)) with no sparse product;
-    * product, for any other rho: 4 + 2m products for m jumps,
-      L[rho] = -i(H rho - rho H) - (K rho + rho K) + 2 sum_mu (L_mu rho) L_mu^+.
-      Only K is held: an adjoint costs a transposition, far less than a
+      the diagonal): `_DiagonalRoute`, in O(nnz(H) + m n) for m jumps on
+      n states, with no sparse product;
+    * product, for any other rho: 4 + 2m products,
+      L[rho] = -i(H rho - rho H) - (K rho + rho K) + 2 sum_mu (L_mu rho) L_mu^+,
+      on the jumps' CSRs, built for the first such rho. Only K is held
+      besides them: an adjoint costs a transposition, far less than a
       product, and holding all m of them would double the jumps' memory.
 
-    Each route's jump-dependent part is formed on raw CSR once per call,
-    when the first operand that takes the route arrives.
+    Each route's jump-dependent part is formed once per call, when the
+    first operand that takes the route arrives.
     """
 
     def __init__(self, hamiltonian, jumps):
-        for op in jumps:
-            hamiltonian.check_basis(op)
+        for jump in jumps:
+            if jump.basis != hamiltonian.basis:
+                raise BasisMismatchError(
+                    f"basis mismatch: jump on {jump.basis!r}, Hamiltonian "
+                    f"on {hamiltonian.basis!r}")
         self.hamiltonian = hamiltonian
-        self.ops = [op.matrix for op in jumps]
-        self.monomial = all(_is_monomial(op) for op in self.ops)
-        self.diagonal = self._loss = None
+        self.jumps = jumps
+        self.diagonal = self._ops = None
 
     def diagonal_of(self, rho):
         """rho's diagonal when rho takes the diagonal route, else None."""
         self.hamiltonian.check_basis(rho)
         d = rho.matrix.diagonal()
-        if not (self.monomial and np.count_nonzero(d) == rho.nnz):
+        if np.count_nonzero(d) != rho.nnz:
             return None
         if self.diagonal is None:
-            self.diagonal = _DiagonalRoute(self.hamiltonian.matrix, self.ops)
+            self.diagonal = _DiagonalRoute(self.hamiltonian.matrix, self.jumps)
         return d
 
     def product(self, rho):
         """L[rho] by the product route, as a SparseOperator."""
         ham = self.hamiltonian.matrix
-        if self._loss is None:
+        if self._ops is None:
+            self._ops = [jump.operator().matrix for jump in self.jumps]
             self._loss = sp.csr_matrix(ham.shape, dtype=np.complex128)
-            for op in self.ops:
+            for op in self._ops:
                 self._loss = self._loss + _adjoint(op) @ op
-        return SparseOperator(_image(ham, self._loss, self.ops, rho.matrix),
+        return SparseOperator(_image(ham, self._loss, self._ops, rho.matrix),
                               self.hamiltonian.basis)
 
     def image(self, rho):
@@ -363,79 +361,46 @@ def _coherent(ham, own, other, dsec, ket_side):
     return (pos[inside].astype(np.int32), cols[inside], values[inside]), leak
 
 
-def _monomial_maps(jumps, n):
-    """Every jump as a map of the register: img[mu, c] is the one state r
-    with L_mu(r, c) stored, val[mu, c] that entry and loss[mu, c] the
-    entry of -K_mu = -L_mu^+ L_mu there (0 where conj(x) x underflows);
-    -1, 0 and 0 when column c is empty. A jump with two entries in a row
-    or a column raises `AssemblyError`."""
-    img = np.full((len(jumps), n), -1, dtype=np.int32)
-    val = np.zeros((len(jumps), n), dtype=np.complex128)
-    loss = np.zeros_like(val)
-    for mu, op in enumerate(jumps):
-        matrix = op.matrix
-        if not _is_monomial(matrix):
-            raise AssemblyError(
-                f"jump {mu} ({op!r}) has two entries in a row or a column; "
-                "assembly takes every jump as a monomial map of the states")
-        img[mu, matrix.indices] = np.repeat(
-            np.arange(n, dtype=np.int32), np.diff(matrix.indptr))
-        val[mu, matrix.indices] = x = matrix.data
-        # conj(x) x rounded as a sparse product sums it, then times -1.0
-        k = np.empty_like(x)
-        k.real = x.real * x.real + x.imag * x.imag
-        k.imag = x.real * x.imag - x.imag * x.real
-        loss[mu, matrix.indices] = k * -1.0
-    return img, val, loss
-
-
 def _dissipator(jumps, dsec):
-    """The entries of the jump terms on the pairs of dsec, each term
-    stacked over the jumps: for the gain 2 L rho L^+ and the losses
-    -K rho and -rho K, the rows, columns and values inside the sector,
-    jump by jump and pair by pair, with their count per jump; and the
-    squared weight of each jump's gain entries outside the sector. The
-    losses stay on the pair itself."""
+    """The entries of the jump terms on the pairs of dsec, jump by jump:
+    for the gain 2 L rho L^+, then the losses -K rho and -rho K, the
+    rows, columns and values inside the sector, pair by pair; and the
+    squared weight of each jump's gain entries outside it. The gain takes
+    the pair (a, b) to (a ^ flip, b ^ flip) where the jump's values on a
+    and on b are both nonzero; the losses stay on the pair itself."""
     kets, bras = dsec.kets, dsec.bras
-    img, val, loss = _monomial_maps(jumps, dsec.layout.nstates)
-    pairs = np.broadcast_to(np.arange(dsec.dim, dtype=np.int32),
-                            (len(jumps), dsec.dim))
-    image_ket, image_bra = img[:, kets], img[:, bras]
-    hit = (image_ket >= 0) & (image_bra >= 0)
-    pos = dsec.lookup(image_ket[hit], image_bra[hit])
-    del img, image_ket, image_bra
-    values = (val[:, kets][hit] * 2.0) * np.conj(val[:, bras][hit])
-    inside = pos >= 0
-    leaks = []
-    if not inside.all():
-        cuts = np.cumsum(hit.sum(axis=1))[:-1]
-        leaks = [float(np.sum(np.abs(v[~keep]) ** 2)) for v, keep
-                 in zip(np.split(values, cuts), np.split(inside, cuts))]
-        values = values[inside]
-        hit[hit] = inside
-    terms = [(pos[inside].astype(np.int32), pairs[hit], values,
-              hit.sum(axis=1))]
-    del pos, inside, values, val
-    for states in (kets, bras):
-        on = loss[:, states]
-        kept = on != 0
-        on = on[kept]
-        diagonal = pairs[kept]
-        terms.append((diagonal, diagonal,
-                      on * _ONE if states is kets else _ONE * on,
-                      kept.sum(axis=1)))
-    return terms, leaks
+    pieces, leaks = [], []
+    for jump in jumps:
+        on_ket, on_bra = jump.values(kets), jump.values(bras)
+        hit = np.flatnonzero((on_ket != 0) & (on_bra != 0))
+        pos = dsec.lookup(kets[hit] ^ jump.flip, bras[hit] ^ jump.flip)
+        values = (on_ket[hit] * 2.0) * np.conj(on_bra[hit])
+        inside = pos >= 0
+        leaks.append(float(np.sum(np.abs(values[~inside]) ** 2)))
+        pieces.append((pos[inside].astype(np.int32),
+                       hit[inside].astype(np.int32), values[inside]))
+        for bra_side, x in enumerate((on_ket, on_bra)):
+            # -conj(x) x, rounded as a sparse product sums it, then times -1.0
+            loss = np.empty_like(x)
+            loss.real = x.real * x.real + x.imag * x.imag
+            loss.imag = x.real * x.imag - x.imag * x.real
+            loss *= -1.0
+            kept = np.flatnonzero(loss).astype(np.int32)
+            loss = loss[kept]
+            pieces.append((kept, kept,
+                           _ONE * loss if bra_side else loss * _ONE))
+    return pieces, leaks
 
 
 def _assemble(ham_ket, ham_bra, jumps, dsec, leak_tol):
-    """L on the pairs of a DoubleSectorBasis, in one pass over the pairs.
+    """L on the pairs of a DoubleSectorBasis, vectorized over the pairs.
 
     The terms, each A rho B, are -i H_ket rho and rho (+i H_bra) (ham_bra
     differs from ham_ket only for the double-space twisted variant), and
     for each jump the gain 2 L rho L^+ and the losses -K rho and -rho K,
     K = L^+ L. H is read from its own CSR (and CSC); the jumps, all
-    monomial, from their state maps (`_monomial_maps`), stacked over the
-    jumps. No operator is formed.
+    `Monomial`s, from their flips and values on the pairs' states. No
+    operator is formed.
 
     The COO entries come in a fixed order, which fixes how scipy orders
     (and so rounds) the sums of entries that share a position: the two
@@ -452,21 +417,15 @@ def _assemble(ham_ket, ham_bra, jumps, dsec, leak_tol):
         ket, ket_leak = _coherent(ham_ket.matrix.tocsc(), kets, bras, dsec,
                                   True)
         bra, bra_leak = _coherent(ham_bra.matrix, bras, kets, dsec, False)
-        stacked, gain_leaks = _dissipator(jumps, dsec)
+        jump_terms, gain_leaks = _dissipator(jumps, dsec)
     leak_sq = sum(gain_leaks, ket_leak + bra_leak)
     # an overflowing weight outside the sector is leakage too
     if not np.sqrt(leak_sq) <= leak_tol:
         raise SectorLeakageError(
             f"Liouvillian couples out of {dsec.tag}: "
             f"||(1-P) L P||_F >= {np.sqrt(leak_sq):.3e}")
-    # each stacked term cut into its jumps, then jump by jump
-    cut = [[np.split(a, np.cumsum(count)[:-1]) for a in arrays]
-           for *arrays, count in stacked]
-    pieces = [ket, bra] + [[term[k][mu] for k in range(3)]
-                           for mu in range(len(jumps)) for term in cut]
-    del stacked, cut
-    rows, cols, vals = (np.concatenate(p) for p in zip(*pieces))
-    del pieces, ket, bra
+    rows, cols, vals = (np.concatenate(p) for p in zip(ket, bra, *jump_terms))
+    del ket, bra, jump_terms
     coo = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
     del rows, cols, vals
     matrix = coo.tocsr()

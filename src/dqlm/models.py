@@ -1,9 +1,11 @@
 """Hamiltonians, jump-operator families, and symmetry-preserving disorder.
 
-All builders return `SparseOperator`s on the layout's spin register.
-Couplings: chains use J (and the boundary twist phi enters only the
-wrap-around term, so H_pbc(phi) = H_obc + H_twist(phi)); the hierarchical
-ladder and the 2D lattice use (J1, J2) for the two term species.
+The Hamiltonian builders return `SparseOperator`s on the layout's spin
+register; `build_jump_set` returns `Monomial`s on it (`lattice`), since
+every jump takes each state to at most one state. Couplings: chains use
+J (and the boundary twist phi enters only the wrap-around term, so
+H_pbc(phi) = H_obc + H_twist(phi)); the hierarchical ladder and the 2D
+lattice use (J1, J2) for the two term species.
 
 Jump families, one list entry per operator:
 
@@ -322,9 +324,10 @@ def build_hamiltonian(spec):
 
 
 def build_jump_set(spec):
-    """All jump operators of the spec, flattened in a pinned order:
-    per family in spec order; within a family, link/site order; biased
-    emits the s^+ operator before the s^- operator per link."""
+    """All jump operators of the spec as `Monomial`s, flattened in a
+    pinned order: per family in spec order; within a family, link/site
+    order; biased emits the s^+ operator before the s^- operator per
+    link."""
     layout = spec.layout
     total = layout.total_spins
     links = layout.link_slots
@@ -341,11 +344,9 @@ def build_jump_set(spec):
                 ops += [single_spin_operator(total, slot, "+", np.sqrt(up)),
                         single_spin_operator(total, slot, "-", np.sqrt(down))]
         elif j.family == "x-like":
-            for slot in links:
-                ops.append(
-                    single_spin_operator(total, slot, "+", np.sqrt(j.gamma_up))
-                    + single_spin_operator(total, slot, "-",
-                                           np.sqrt(j.gamma_down)))
+            pair = (np.sqrt(j.gamma_up), np.sqrt(j.gamma_down))
+            ops += [single_spin_operator(total, slot, "+-", pair)
+                    for slot in links]
         elif j.family == "dephasing":
             ops += [single_spin_operator(total, slot, "z", np.sqrt(j.gamma))
                     for slot in links]

@@ -1292,12 +1292,10 @@ class StateSeries:
     observables: dict = field(default_factory=dict)
     trace_defect: np.ndarray = None
     final_vector: np.ndarray = None
-    # matrix-vector products, status (always 0: a failure raises), steps
-    # and largest Krylov dimension of the integration, whether the real
-    # coordinates U^+ v were integrated, and how many coordinates (see
-    # `evolve`)
+    # matrix-vector products, steps and largest Krylov dimension of the
+    # integration, whether the real coordinates U^+ v were integrated, and
+    # how many coordinates (see `evolve`); a failed integration raises
     nfev: int = 0
-    status: int = 0
     steps: int = 0
     krylov_dim_max: int = 0
     real_form: bool = False

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LayoutError, diagonal_operator, state_bit
+from .lattice import LayoutError, Monomial, state_bit
 
 MAX_ENUM_SPINS = 22          # sector enumeration walks all 2**total_spins states
 MAX_FULL_PAIR_STATES = 1024  # full pair-space bases hold nstates**2 pairs
@@ -227,8 +227,9 @@ def generator_sites(layout):
 
 
 def gauss_generator(layout, site, amplitude=1.0):
-    """amplitude * the Gauss-law generator, as a diagonal operator with
-    physical eigenvalues.
+    """amplitude * the Gauss-law generator, with physical eigenvalues, as
+    a diagonal `Monomial`: its table is the charge on the bits of the
+    slots it reads.
 
     Parameters
     ----------
@@ -237,9 +238,11 @@ def gauss_generator(layout, site, amplitude=1.0):
     amplitude : complex
         The factor on every entry.
     """
-    g = _charge(_index_column(layout),
-                generator_slot_coefficients(layout, site))
-    return diagonal_operator(layout.total_spins, g * 0.5 * amplitude)
+    coeffs = generator_slot_coefficients(layout, site)
+    slots = np.flatnonzero(coeffs)
+    g = _charge(np.arange(1 << slots.size), coeffs[slots])
+    return Monomial(layout.total_spins, 0, tuple(int(s) for s in slots),
+                    g * 0.5 * amplitude)
 
 
 @dataclass(frozen=True)

@@ -103,14 +103,15 @@ def test_layout_validation():
 
 
 def test_single_spin_matrices_one_slot():
-    sz = single_spin_operator(1, 0, "z").toarray()
-    sp_ = single_spin_operator(1, 0, "+").toarray()
-    sm = single_spin_operator(1, 0, "-").toarray()
+    sz = single_spin_operator(1, 0, "z").operator().toarray()
+    sp_ = single_spin_operator(1, 0, "+").operator().toarray()
+    sm = single_spin_operator(1, 0, "-").operator().toarray()
     # index 0 = down, index 1 = up
     assert np.array_equal(sz, np.diag([-0.5, 0.5]))
     assert np.array_equal(sp_, np.array([[0, 0], [1, 0]], dtype=complex))
     assert np.array_equal(sm, np.array([[0, 1], [0, 0]], dtype=complex))
-    num = single_spin_operator(1, 0, "+") @ single_spin_operator(1, 0, "-")
+    num = (single_spin_operator(1, 0, "+").operator()
+           @ single_spin_operator(1, 0, "-").operator())
     assert np.array_equal(num.toarray(), np.diag([0.0, 1.0]))
 
 
@@ -119,10 +120,10 @@ def test_spin_algebra_random_slots():
     total = 5
     for _ in range(10):
         a, b = rng.choice(total, size=2, replace=False)
-        sza = single_spin_operator(total, a, "z")
-        spa = single_spin_operator(total, a, "+")
-        sma = single_spin_operator(total, a, "-")
-        spb = single_spin_operator(total, b, "+")
+        sza = single_spin_operator(total, a, "z").operator()
+        spa = single_spin_operator(total, a, "+").operator()
+        sma = single_spin_operator(total, a, "-").operator()
+        spb = single_spin_operator(total, b, "+").operator()
         # [s^z, s^+-] = +-s^+- on the same slot
         assert (commutator(sza, spa) - spa).frobenius_norm() < 1e-14
         assert (commutator(sza, sma) + sma).frobenius_norm() < 1e-14
@@ -141,10 +142,12 @@ def test_transition_matches_operator_product():
     for _ in range(8):
         slots = rng.choice(total, size=3, replace=False)
         amp = complex(rng.standard_normal(), rng.standard_normal())
-        t = transition_operator(total, (slots[0], slots[1]), (slots[2],), amp)
-        prod = (single_spin_operator(total, slots[0], "+")
-                @ single_spin_operator(total, slots[1], "+")
-                @ single_spin_operator(total, slots[2], "-")).scale(amp)
+        t = transition_operator(total, (slots[0], slots[1]), (slots[2],),
+                                amp).operator()
+        prod = (single_spin_operator(total, slots[0], "+").operator()
+                @ single_spin_operator(total, slots[1], "+").operator()
+                @ single_spin_operator(total, slots[2], "-").operator()
+                ).scale(amp)
         assert (t - prod).frobenius_norm() < 1e-13
         assert (t.adjoint() - prod.adjoint()).frobenius_norm() < 1e-13
     with pytest.raises(LayoutError):
@@ -152,8 +155,8 @@ def test_transition_matches_operator_product():
 
 
 def test_sparse_operator_guards_and_canonical_form():
-    a = single_spin_operator(2, 0, "+")
-    b = single_spin_operator(3, 0, "+")
+    a = single_spin_operator(2, 0, "+").operator()
+    b = single_spin_operator(3, 0, "+").operator()
     with pytest.raises(BasisMismatchError):
         _ = a + b
     with pytest.raises(BasisMismatchError):
@@ -208,14 +211,15 @@ def test_direct_csr_spin_operators_match_a_coo_reference():
                         "z": coo_reference(total, idx, idx,
                                            (bit - 0.5) * amp)}
                 for which, ref in refs.items():
-                    op = single_spin_operator(total, slot, which, amp)
+                    op = single_spin_operator(total, slot, which,
+                                              amp).operator()
                     assert op.basis == f"spins:{total}"
                     assert_same_csr(op, ref)
                     if amp == 0:
                         assert op.nnz == 0 and not op.matrix.indptr.any()
                     if amp == 1.0:
-                        assert_same_csr(single_spin_operator(total, slot,
-                                                             which), ref)
+                        assert_same_csr(single_spin_operator(
+                            total, slot, which).operator(), ref)
 
 
 def test_direct_csr_transition_matches_a_coo_reference():
@@ -235,7 +239,7 @@ def test_direct_csr_transition_matches_a_coo_reference():
         order = np.argsort(rows)
         assert np.array_equal(r, rows[order]) and np.array_equal(c, cols[order])
         for amp in AMPLITUDES:
-            op = transition_operator(total, plus, minus, amp)
+            op = transition_operator(total, plus, minus, amp).operator()
             assert_same_csr(op, coo_reference(total, rows, cols, amp))
             if amp == 0:
                 assert op.nnz == 0 and not op.matrix.indptr.any()

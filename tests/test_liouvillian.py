@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqlm import liouvillian
 from dqlm.exact import eigenoperator_set
 from dqlm.lattice import (
     BasisMismatchError,
@@ -87,8 +86,8 @@ def test_vectorize_conventions():
     rhs = np.kron(a, b.T) @ r.reshape(-1)
     assert np.linalg.norm(lhs - rhs) < 1e-13
     # gain-term orientation: vec(s+ rho s-) = (s+ (x) s+) vec(rho)
-    sp_ = single_spin_operator(1, 0, "+").toarray()
-    sm = single_spin_operator(1, 0, "-").toarray()
+    sp_ = single_spin_operator(1, 0, "+").operator().toarray()
+    sm = single_spin_operator(1, 0, "-").operator().toarray()
     lhs = (sp_ @ r[:2, :2] @ sm).reshape(-1)
     rhs = np.kron(sp_, sp_) @ r[:2, :2].reshape(-1)
     assert np.linalg.norm(lhs - rhs) < 1e-14
@@ -206,7 +205,7 @@ def test_weak_symmetry_generators_commute():
     eye = sp.identity(spec.layout.nstates, format="csr")
     for n in range(1, 4):
         # the double-space generator O -> G O - O G
-        gauss = gauss_generator(spec.layout, n).matrix
+        gauss = gauss_generator(spec.layout, n).operator().matrix
         g = sp.kron(gauss, eye) - sp.kron(eye, gauss.transpose())
         comm = g @ lv.matrix - lv.matrix @ g
         assert (np.abs(comm.data).max() if comm.nnz else 0.0) < 1e-12
@@ -357,8 +356,10 @@ def test_streamed_basis_mismatch_raises():
     rng = np.random.default_rng(3)
     good = random_operator(chain, rng)
     other = random_operator(build_layout("chain-obc", 2), rng)
+    elsewhere = single_spin_operator(build_layout("chain-obc", 2).total_spins,
+                                     1, "+")
     with pytest.raises(BasisMismatchError):
-        lindblad_apply(ham, jumps + [other], [good])
+        lindblad_apply(ham, jumps + [elsewhere], [good])
     with pytest.raises(BasisMismatchError):
         lindblad_apply(ham, jumps, [good, other])
     with pytest.raises(BasisMismatchError):
@@ -411,9 +412,11 @@ def admitted_jump_sets():
     return found
 
 
-def test_every_built_jump_is_monomial():
-    # at most one nonzero per row and per column: the diagonal route of
-    # the operator-form generator relies on it
+def test_every_jump_csr_is_the_map_it_evaluates():
+    # assembly and the diagonal route read a jump through `values` and its
+    # flip, the product route through `operator()`: on the whole register,
+    # each column of the CSR holds at most one entry, at the row c ^ flip,
+    # with the value values(c)
     found = admitted_jump_sets()
     assert {(kind, family) for kind, family, _ in found} == {
         (kind, family) for kind in ("chain-obc", "chain-pbc")
@@ -422,41 +425,22 @@ def test_every_built_jump_is_monomial():
         for family in ("biased", "gauge-fix")}
     for kind, family, jumps in found:
         assert jumps, (kind, family)
-        for op in jumps:
-            nonzero = op.toarray() != 0
-            assert nonzero.sum(axis=0).max() <= 1, (kind, family)
-            assert nonzero.sum(axis=1).max() <= 1, (kind, family)
-
-
-def dense_lindblad(ham, jumps, rho):
-    """-i[H, rho] + sum_mu (2 L rho L^+ - {L^+ L, rho}), all dense."""
-    out = -1j * (ham @ rho - rho @ ham)
-    for op in jumps:
-        dag = op.conj().T
-        out += 2 * op @ rho @ dag - dag @ op @ rho - rho @ dag @ op
-    return out
-
-
-def test_non_monomial_jump_takes_products_on_a_diagonal_rho():
-    # s^+ + s^z has two entries in the link-up row, so a diagonal rho must
-    # not take the diagonal route: its image has off-diagonal gain terms
-    spec = full_specs()[0]
-    layout = spec.layout
-    total, slot = layout.total_spins, layout.link_slot(1)
-    mixed = (single_spin_operator(total, slot, "+")
-             + single_spin_operator(total, slot, "z").scale(0.8))
-    jumps = build_jump_set(spec) + [mixed]
-    ham = build_hamiltonian(spec)
-    rng = np.random.default_rng(19)
-    d = rng.uniform(0.1, 1.0, layout.nstates)
-    rho = SparseOperator(sp.diags(d), layout.basis_tag)
-    image = lindblad_apply(ham, jumps, rho).toarray()
-    want = dense_lindblad(ham.toarray(), [op.toarray() for op in jumps],
-                          np.diag(d).astype(complex))
-    assert np.linalg.norm(image - want) <= 1e-12 * np.linalg.norm(want)
-    dissipator = dense_lindblad(0 * ham.toarray(), [mixed.toarray()],
-                                np.diag(d).astype(complex))
-    assert np.abs(dissipator - np.diag(np.diag(dissipator))).max() > 1e-3
+        for jump in jumps:
+            matrix = jump.operator().matrix
+            n = matrix.shape[0]
+            states = np.arange(n)
+            csc = matrix.tocsc()
+            assert np.diff(csc.indptr).max() <= 1, (kind, family)
+            # the image and value per column, -1 and 0 where it is empty
+            img = np.full(n, -1)
+            val = np.zeros(n, dtype=np.complex128)
+            img[matrix.indices] = np.repeat(states, np.diff(matrix.indptr))
+            val[matrix.indices] = matrix.data
+            values = jump.values(states)
+            assert np.array_equal(val, values), (kind, family)
+            stored = values != 0
+            assert np.array_equal(img[stored], (states ^ jump.flip)[stored])
+            assert (img[~stored] == -1).all(), (kind, family)
 
 
 def test_zero_operand_raises_naming_its_position():
@@ -533,12 +517,13 @@ def test_norm_only_residual_matches_the_image(kind, data, rates, kinds,
 
 def reference_term_list(ham_ket, ham_bra, jumps):
     """(A, B) pairs meaning A rho B, summed: the coherent terms, then per
-    jump the gain and the two losses, each as a SparseOperator."""
+    jump the gain and the two losses, each as a SparseOperator (the
+    jumps' own, from `operator()`)."""
     n = ham_ket.dim
     eye = SparseOperator(sp.identity(n, dtype=np.complex128, format="csr"),
                          ham_ket.basis)
     terms = [(ham_ket.scale(-1j), eye), (eye, ham_bra.scale(1j))]
-    for op in jumps:
+    for op in (jump.operator() for jump in jumps):
         dag = op.adjoint()
         loss = (dag @ op).scale(-1.0)
         terms.append((op.scale(2.0), dag))
@@ -742,19 +727,6 @@ def test_a_term_leaking_out_of_the_sector_raises(spec, sector):
     terms = reference_term_list(ham, ham, build_jump_set(spec))
     assert_same_csr(assemble(spec, sector, np.inf).matrix,
                     reference_assemble_on_pairs(terms, sector, np.inf))
-
-
-def test_a_non_monomial_jump_is_refused_by_name(monkeypatch):
-    spec = full_specs()[0]
-    layout = spec.layout
-    total, slot = layout.total_spins, layout.link_slot(1)
-    mixed = (single_spin_operator(total, slot, "+")
-             + single_spin_operator(total, slot, "z").scale(0.8))
-    jumps = build_jump_set(spec)
-    monkeypatch.setattr(liouvillian, "build_jump_set",
-                        lambda _spec: jumps + [mixed])
-    with pytest.raises(AssemblyError, match=f"jump {len(jumps)} "):
-        assemble(spec)
 
 
 @pytest.mark.parametrize("twisted", [False, True])

@@ -32,9 +32,9 @@ def number_operator(layout):
 
 def all_generators(layout):
     if layout.kind == "square-2d":
-        return [gauss_generator(layout, (x, y))
+        return [gauss_generator(layout, (x, y)).operator()
                 for x in range(1, layout.L + 1) for y in range(1, layout.Ly + 1)]
-    return [gauss_generator(layout, n) for n in range(1, layout.L + 1)]
+    return [gauss_generator(layout, n).operator() for n in range(1, layout.L + 1)]
 
 
 def test_single_term_matrix_element():
@@ -91,19 +91,19 @@ def test_jump_counts_and_kinds():
     deph = build_jump_set(ModelSpec(lay3, "qlm", jumps=(
         JumpSpec("dephasing", gamma=1.0),)))
     assert len(deph) == 2
-    for op in deph:
+    for op in (jump.operator() for jump in deph):
         assert (op - op.adjoint()).frobenius_norm() < 1e-12
         for g in all_generators(lay3):
             assert commutator(g, op).frobenius_norm() == 0.0
     fix = build_jump_set(ModelSpec(lay3, "qlm", jumps=(
         JumpSpec("gauge-fix", strength=1.0),)))
     assert len(fix) == 3
-    for op in fix:
+    for op in (jump.operator() for jump in fix):
         assert (op - op.adjoint()).frobenius_norm() < 1e-12
     xl = build_jump_set(ModelSpec(build_layout("chain-obc", 4), "qlm", jumps=(
         JumpSpec("x-like", gamma_up=2.0, gamma_down=2.0),)))
     assert len(xl) == 3
-    for op in xl:
+    for op in (jump.operator() for jump in xl):
         # equal rates: proportional to s^x
         assert (op - op.adjoint()).frobenius_norm() < 1e-13
     sq = build_layout("square-2d", 2, 2)
@@ -119,7 +119,7 @@ def test_jumps_conserve_particle_number_not_gauge():
     n_op = number_operator(lay)
     gens = all_generators(lay)
     broke_gauge = False
-    for op in build_jump_set(spec):
+    for op in (jump.operator() for jump in build_jump_set(spec)):
         assert commutator(n_op, op).frobenius_norm() == 0.0
         broke_gauge |= any(commutator(g, op).frobenius_norm() > 0.1 for g in gens)
     assert broke_gauge
@@ -132,12 +132,12 @@ def test_asep_family():
         JumpSpec("effective-asep", gamma_right=0.01875, gamma_left=0.00625),)))
     assert len(ops) == 6
     n_op = number_operator(lay)
-    for op in ops:
+    for op in (jump.operator() for jump in ops):
         assert commutator(n_op, op).frobenius_norm() < 1e-14
     # rightward operator moves a particle from site 1 to site 2
     src = 1 << lay.site_slot(1)
     dst = 1 << lay.site_slot(2)
-    right = ops[0].toarray()
+    right = ops[0].operator().toarray()
     assert right[dst, src] == pytest.approx(np.sqrt(0.01875))
     pbc = build_layout("chain-pbc", 3)
     wrap = build_jump_set(ModelSpec(pbc, "none", jumps=(
@@ -145,7 +145,7 @@ def test_asep_family():
     assert len(wrap) == 6
     src = 1 << pbc.site_slot(3)
     dst = 1 << pbc.site_slot(1)
-    assert wrap[-2].toarray()[dst, src] == pytest.approx(1.0)
+    assert wrap[-2].operator().toarray()[dst, src] == pytest.approx(1.0)
 
 
 def csr_digest(op):
@@ -294,6 +294,11 @@ def test_from_dict_reads_null_and_empty_disorder_as_none():
         assert spec.disorder is None
 
 
+def unit(jump, rate):
+    """The CSR of a unit-amplitude jump, scaled by sqrt(rate)."""
+    return jump.operator().scale(np.sqrt(rate))
+
+
 def scaled_jump_reference(spec):
     """`build_jump_set` from unit operators and `.scale()`, family by
     family in the pinned order."""
@@ -307,25 +312,25 @@ def scaled_jump_reference(spec):
             for k, slot in enumerate(links):
                 up, down = ((j.gamma_up, j.gamma_down) if k < n_horizontal
                             else (j.gamma_up_v, j.gamma_down_v))
-                ops += [single_spin_operator(total, slot, "+").scale(np.sqrt(up)),
-                        single_spin_operator(total, slot, "-").scale(np.sqrt(down))]
+                ops += [unit(single_spin_operator(total, slot, "+"), up),
+                        unit(single_spin_operator(total, slot, "-"), down)]
         elif j.family == "x-like":
-            ops += [single_spin_operator(total, slot, "+").scale(np.sqrt(j.gamma_up))
-                    + single_spin_operator(total, slot, "-").scale(
-                        np.sqrt(j.gamma_down)) for slot in links]
+            ops += [unit(single_spin_operator(total, slot, "+"), j.gamma_up)
+                    + unit(single_spin_operator(total, slot, "-"), j.gamma_down)
+                    for slot in links]
         elif j.family == "dephasing":
-            ops += [single_spin_operator(total, slot, "z").scale(np.sqrt(j.gamma))
+            ops += [unit(single_spin_operator(total, slot, "z"), j.gamma)
                     for slot in links]
         elif j.family == "gauge-fix":
-            ops += [gauss_generator(layout, site).scale(np.sqrt(j.strength))
+            ops += [unit(gauss_generator(layout, site), j.strength)
                     for site in generator_sites(layout)]
         else:
             for n in range(1, layout.n_links + 1):
                 a, b = layout.site_slot(n), layout.site_slot(n % layout.L + 1)
-                ops += [transition_operator(total, (b,), (a,)).scale(
-                            np.sqrt(j.gamma_right)),
-                        transition_operator(total, (a,), (b,)).scale(
-                            np.sqrt(j.gamma_left))]
+                ops += [unit(transition_operator(total, (b,), (a,)),
+                             j.gamma_right),
+                        unit(transition_operator(total, (a,), (b,)),
+                             j.gamma_left)]
     return ops
 
 
@@ -344,8 +349,9 @@ def test_jump_sets_match_the_scaled_unit_operators_bit_for_bit(rates):
                 continue
             got, want = build_jump_set(spec), scaled_jump_reference(spec)
             assert len(got) == len(want) > 0
-            for op, ref in zip(got, want):
-                assert op.basis == ref.basis
+            for jump, ref in zip(got, want):
+                op = jump.operator()
+                assert jump.basis == op.basis == ref.basis
                 for name in ("indptr", "indices", "data"):
                     a, b = getattr(op.matrix, name), getattr(ref.matrix, name)
                     assert a.dtype == b.dtype

@@ -117,15 +117,16 @@ def test_boundary_even_interior_odd():
 
 def test_generator_sum_telescopes():
     for lay in (build_layout("chain-obc", 4), build_layout("chain-pbc", 4)):
-        total = sum(gauss_generator(lay, n).diagonal() for n in range(1, lay.L + 1))
+        total = sum(gauss_generator(lay, n).operator().diagonal()
+                    for n in range(1, lay.L + 1))
         occ = site_occupation_table(lay)
         assert np.allclose(total, occ - lay.L / 2)
     hl = build_layout("hierarchical", 4)
-    total = sum(gauss_generator(hl, n).diagonal() for n in range(1, 5))
+    total = sum(gauss_generator(hl, n).operator().diagonal() for n in range(1, 5))
     n2, _ = hierarchical_charge_tables(hl)
     assert np.allclose(total, n2 / 2)
     sq = build_layout("square-2d", 2, 2)
-    total = sum(gauss_generator(sq, (x, y)).diagonal()
+    total = sum(gauss_generator(sq, (x, y)).operator().diagonal()
                 for x in (1, 2) for y in (1, 2))
     assert np.allclose(total, site_occupation_table(sq) - 2)
 
