@@ -16,6 +16,7 @@ one JSON object on stderr.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -30,12 +31,14 @@ from . import __version__
 from .exact import (
     EmptySectorError,
     EnsembleError,
+    UnrepresentableWeightError,
     centered_quadrupole,
     eigenoperator_set,
     ensemble_marginals,
     enumeration_marginals,
     exact_steady_state,
     link_polarization,
+    materialize_each,
     similarity_transform,
     special_steady_states,
     steady_site_coefficients,
@@ -842,11 +845,11 @@ def _verify_rows(L):
     operands = len(rows)
 
     # each eigenoperator has unit Frobenius norm, so its relative residual
-    # is ||L[op] - lam op||_F
+    # is ||L[op] - lam op||_F; all share the whole register as their sector
     ladder = eigenoperator_set(chain, 2.4, 1.6)
     worst = max(steady_residual(
         ham, biased[2.4, 1.6],
-        (ens.materialize(normalize="frobenius") for _, ens, _ in ladder),
+        materialize_each([ens for _, ens, _ in ladder], normalize="frobenius"),
         lam=[lam for _, _, lam in ladder]))
     rows.append((f"eigenoperators_L{L}", worst, 1e-10))
     operands += len(ladder)
@@ -931,7 +934,11 @@ RUNNERS = {
 
 # -- argument parsing ------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it (about 3 ms, most of it argparse's help
+    formatters) is the largest fixed cost of a `main` call."""
     parser = JsonArgumentParser(prog="dqlm",
                                 description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -1026,6 +1033,9 @@ def main(argv=None):
     except EmptySectorError as exc:
         _emit_error(EXIT_SECTOR, "empty-sector", str(exc))
         return EXIT_SECTOR
+    except UnrepresentableWeightError as exc:
+        _emit_error(EXIT_SOLVER, "unrepresentable-weight", str(exc))
+        return EXIT_SOLVER
     except (ModelError, EnsembleError, LayoutError) as exc:
         _emit_error(EXIT_CONFIG, "model", str(exc))
         return EXIT_CONFIG

@@ -17,13 +17,27 @@ resulting diagonal is real and signed after removing one global phase
 (the per-state phases differ by integer multiples of pi).
 
 Profiles are computed by dynamic programming over the slots with integer
-charge lattices (doubled where half-integers appear), with per-slot
-magnitude normalization so that L = 24 chains and L = 14 ladders stay in
-floating-point range; a brute-force enumeration of the same marginals is
-kept alongside as the cross-check path.
+charge keys (doubled where half-integers appear), one row per key and
+one column per constraint, moved a whole table per slot as numpy arrays.
+Each value carries its own power-of-two exponent and is rescaled by an
+exact power of two after every slot, so a long chain's weights never
+leave floating-point range (a per-table scale would not do: one L = 100
+chain table spans 1e-1360 between its keys), and wherever unscaled
+floats stay normal the digits are the ones they would hold. Emptiness
+is decided from the keys alone: a sector no key reaches raises
+`EmptySectorError` (exit 3 in the CLI); a reached sector whose weight is
+zero or not finite raises `UnrepresentableWeightError` (exit 4). A
+brute-force enumeration of the same marginals is kept alongside as the
+cross-check path.
+
+Materializing many ensembles on one sector (`materialize_each`, the
+eigenoperator ladder) enumerates the sector once and takes all their
+log weights from one pass over the register.
 """
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +63,12 @@ class EnsembleError(ValueError):
 
 
 class EmptySectorError(EnsembleError):
-    """A projection sector with no state, or with a vanishing weight."""
+    """A projection sector with no state."""
+
+
+class UnrepresentableWeightError(EnsembleError):
+    """A reachable charge sector whose weight has no floating-point value:
+    an inf or nan coefficient, or complex weights that cancel to zero."""
 
 
 @dataclass(frozen=True)
@@ -81,10 +100,29 @@ class DiagonalEnsemble:
         operators), "frobenius", or "raw" (still shifted by the largest
         magnitude, so "raw" is defined up to one overall constant).
         """
-        sec = self.sector()
-        if sec.dim == 0:
-            raise EmptySectorError(f"empty projection sector for {self.label}")
-        logw = self.log_weight(sec.states)
+        return next(materialize_each([self], normalize, strip_phase))
+
+
+def materialize_each(ensembles, normalize="trace", strip_phase=True):
+    """`materialize` of each ensemble in turn, the same floats, for
+    ensembles on one layout and one projection sector. The sector is
+    enumerated once, and the log weights of all of them come from one
+    pass over the register (`_register_log_weights` on the stacked
+    coefficients, gathered at the sector's states unless the sector is
+    the whole register). A generator: it builds one operator at a time."""
+    first = ensembles[0]
+    if any((ens.layout, ens.constraints) != (first.layout, first.constraints)
+           for ens in ensembles):
+        raise EnsembleError("materialize_each needs one layout and one sector")
+    if normalize not in ("trace", "frobenius", "raw"):
+        raise EnsembleError(f"unknown normalization {normalize!r}")
+    sec = first.sector()
+    if sec.dim == 0:
+        raise EmptySectorError(f"empty projection sector for {first.label}")
+    table = _register_log_weights([ens.coefficient_array() for ens in ensembles])
+    if sec.dim < first.layout.nstates:
+        table = table[:, sec.states]
+    for logw in table:
         w = np.exp(logw - logw.real.max())
         if strip_phase:
             lead = w[np.argmax(np.abs(w))]
@@ -97,33 +135,50 @@ class DiagonalEnsemble:
                 w = w / np.linalg.norm(w)
         elif normalize == "frobenius":
             w = w / np.linalg.norm(w)
-        elif normalize != "raw":
-            raise EnsembleError(f"unknown normalization {normalize!r}")
-        return monomial_operator(self.layout.total_spins, sec.states, 0, w)
+        yield monomial_operator(first.layout.total_spins, sec.states, 0, w)
 
 
 def _register_log_weights(zcoeff):
     """sum_k c_k z_k, z_k = bit_k - 1/2, on every basis state of the
-    register, indexed by the state: one outer sum per slot, least
+    register, indexed by the state: one doubling per slot, least
     significant first, table -> (table - c_k/2, table + c_k/2). Each state
     gets the same terms in the same order as from a sum over the slots,
-    so the values are the same bits."""
-    table = np.zeros(1, dtype=np.complex128)
-    for c in np.asarray(zcoeff, dtype=np.complex128):
-        half = c * 0.5
-        table = np.concatenate([table - half, table + half])
-    return table
+    so the values are the same bits. A stack of coefficient rows (shape
+    (rows, slots)) gives one table per row from one pass, each the same
+    floats as that row's own; the tables are filled in place, so the
+    pass allocates them once."""
+    zc = np.asarray(zcoeff, dtype=np.complex128)
+    rows = np.atleast_2d(zc)
+    table = np.zeros((rows.shape[0], 1 << rows.shape[1]), dtype=np.complex128)
+    size = 1
+    for half in rows.T * 0.5:
+        half = half[:, None]
+        np.add(table[:, :size], half, out=table[:, size:2 * size])
+        table[:, :size] -= half
+        size *= 2
+    return table.reshape(zc.shape[:-1] + table.shape[-1:])
+
+
+@functools.lru_cache(maxsize=16)
+def _generator_rows(layout):
+    """`generator_slot_coefficients` of every site, in `generator_sites`
+    order, as one read-only int8 array: built once per layout, since a
+    ladder asks for the same rows once per eigenoperator."""
+    rows = np.array([generator_slot_coefficients(layout, site)
+                     for site in generator_sites(layout)])
+    rows.setflags(write=False)
+    return rows
 
 
 def generator_sum_coefficients(layout, site_coeffs):
     """Per-slot coefficients of sum_site c_site G_site."""
-    sites = generator_sites(layout)
-    if len(site_coeffs) != len(sites):
+    rows = _generator_rows(layout)
+    if len(site_coeffs) != len(rows):
         raise EnsembleError(
-            f"need {len(sites)} generator coefficients, got {len(site_coeffs)}")
+            f"need {len(rows)} generator coefficients, got {len(site_coeffs)}")
     out = np.zeros(layout.total_spins, dtype=np.complex128)
-    for c, site in zip(site_coeffs, sites):
-        out += c * generator_slot_coefficients(layout, site)
+    for c, row in zip(site_coeffs, rows):
+        out += c * row
     return out
 
 
@@ -250,77 +305,255 @@ def _constraint_list(layout, spec):
     return cons
 
 
-def _dp_step(table, w_up_k, w_dn_k, up_shift, dn_shift):
-    nxt = {}
-    for key, val in table.items():
-        ku = tuple(a + b for a, b in zip(key, up_shift))
-        nxt[ku] = nxt.get(ku, 0.0) + val * w_up_k
-        kd = tuple(a + b for a, b in zip(key, dn_shift))
-        nxt[kd] = nxt.get(kd, 0.0) + val * w_dn_k
-    return nxt
+_CODE_LIMIT = 2 ** 62   # the linear codes' range, slot included
+
+
+class _KeyCodes:
+    """int64 codes of charge keys (rows of integer charges, one column
+    per constraint), equal exactly where the rows are equal.
+
+    Every partial sum of a constraint's shifts, forward or backward, lies
+    in [lo, hi] (lo <= 0 <= hi), and the marginals compare the sum of two
+    such keys with a target in the same box. So the codes are linear,
+    code(x) = sum_j x_j s_j with the mixed-radix strides s_j of
+    2 (hi_j - lo_j) + 1: linear codes turn sums of keys into sums of codes,
+    and these radices keep every difference the DP compares inside one
+    digit. When the strides would leave int64 (many constraints, as gauge
+    keys have), rows are numbered by `np.unique` instead.
+    """
+
+    def __init__(self, lo, hi, slots):
+        radix = [2 * int(h - l) + 1 for l, h in zip(lo, hi)]
+        self.span = int(np.prod(radix, dtype=object))
+        self.strides = None
+        if self.span * slots < _CODE_LIMIT:
+            self.strides = np.cumprod([1] + radix, dtype=np.int64)[:-1]
+
+    def __call__(self, rows, slot=None):
+        """Codes of `rows`, and with `slot` (one slot index per row) of the
+        pairs (slot, row). Codes from separate calls compare only when the
+        strides are linear, so rows to be matched go into one call."""
+        if self.strides is not None:
+            codes = rows @ self.strides
+            return codes if slot is None else slot * self.span + codes
+        if slot is not None:
+            rows = np.column_stack([slot, rows])
+        return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _ldexp(values, exponents):
+    """values * 2**exponents, exactly, for real or complex values."""
+    if np.iscomplexobj(values):
+        return np.ldexp(values.view(np.float64),
+                        np.repeat(exponents, 2)).view(np.complex128)
+    return np.ldexp(values, exponents)
+
+
+def _normalized(values, exponents):
+    """(mantissas, exponents) of values * 2**exponents, each mantissa's
+    larger part in [1/2, 1) (or 0), by exact powers of two."""
+    if not np.iscomplexobj(values):
+        mant, shift = np.frexp(values)
+        return mant, exponents + shift
+    part = np.maximum(np.abs(values.real), np.abs(values.imag))
+    shift = np.frexp(part)[1]
+    return _ldexp(values, -shift), exponents + shift
+
+
+def _combine(index, terms, exponents, size):
+    """(mantissa, exponent) of sum_j terms[j] * 2**exponents[j] over
+    index[j] = i, for every i < size, each added in input order from 0:
+    the terms of one i are first brought to their largest exponent by
+    exact powers of two, so the sum is the one unscaled floats would give
+    wherever those stay normal. An i without terms gives 0."""
+    top = np.zeros(size, dtype=np.int64)
+    top[index] = exponents
+    np.maximum.at(top, index, exponents)
+    total = _add_by_index(index, _ldexp(terms, exponents - top[index]), size)
+    return _normalized(total, top)
+
+
+def _add_by_index(index, terms, size):
+    """out[i] = the sum of terms[index == i], each in input order from 0."""
+    if not np.iscomplexobj(terms):
+        return np.bincount(index, terms, size)
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(index, terms.real, size)
+    out.imag = np.bincount(index, terms.imag, size)
+    return out
+
+
+def _dp_step(table, weights, up, dn, moves, codes):
+    """One slot of the DP: every key moves by the up and by the down shift,
+    with its value times that shift's weight, and coinciding keys add.
+    The keys come out in the order in which a dict filled key by key, up
+    before down, would first see them; each sum has at most two terms
+    (one from each shift), so the values are the floats such a dict
+    would add up, times a power of two per key."""
+    keys, mant, exps = table
+    (w_up, e_up), (w_dn, e_dn) = weights
+    if not moves:   # no constraint tells the two shifts apart
+        if e_up == e_dn:
+            return (keys + up, *_normalized(mant * w_up + mant * w_dn,
+                                            exps + e_up))
+        index = np.concatenate([np.arange(len(keys))] * 2)
+        return (keys + up, *_combine(
+            index, np.concatenate([mant * w_up, mant * w_dn]),
+            np.concatenate([exps + e_up, exps + e_dn]), len(keys)))
+    # interleaved, as a dict meets them: up then down, key by key
+    rows = np.empty((2 * len(keys), keys.shape[1]), dtype=np.int64)
+    rows[0::2], rows[1::2] = keys + up, keys + dn
+    terms = np.empty(2 * len(mant), dtype=mant.dtype)
+    terms[0::2], terms[1::2] = mant * w_up, mant * w_dn
+    powers = np.repeat(exps, 2)
+    if e_up or e_dn:
+        powers += np.tile([e_up, e_dn], len(exps))
+    first, index = _first_seen(codes(rows))
+    return rows[first], *_combine(index, terms, powers, first.size)
+
+
+def _first_seen(codes):
+    """The positions at which each distinct code of `codes` is first seen,
+    ascending (the order in which a dict would first meet them), and for
+    every code the rank of its value in that order. The first positions
+    come from one table over the codes' range; a range much wider than
+    the codes is first renumbered by `np.unique`."""
+    n = codes.size
+    if not n:
+        return codes, codes
+    if codes.max() - codes.min() > 8 * n + 1024:
+        codes = np.unique(codes, return_inverse=True)[1].reshape(-1)
+    codes = codes - codes.min()
+    seen = np.full(codes.max() + 1, n)
+    np.minimum.at(seen, codes, np.arange(n))
+    first = np.sort(seen[seen < n])
+    rank = np.empty(seen.size, dtype=np.int64)
+    rank[codes[first]] = np.arange(first.size)
+    return first, rank[codes]
+
+
+def _dp_sweep(slot_order, weights, qup, qdn, target, closing, codes):
+    """The DP tables over the slots in `slot_order`, each (keys, mantissas,
+    exponents), a value being its mantissa times 2**exponent. After the
+    step at a slot that `closing` maps to constraints, only keys at those
+    constraints' targets are kept."""
+    (w_up, e_up), (w_dn, e_dn) = weights
+    moves = (qup != qdn).any(axis=1).tolist()
+    e_up, e_dn = e_up.tolist(), e_dn.tolist()
+    table = (np.zeros((1, len(target)), dtype=np.int64),
+             np.ones(1, dtype=w_up.dtype), np.zeros(1, dtype=np.int64))
+    tables = [table]
+    for k in slot_order:
+        table = _dp_step(table, ((w_up[k], e_up[k]), (w_dn[k], e_dn[k])),
+                         qup[k], qdn[k], moves[k], codes)
+        done = closing.get(k)
+        if done is not None:
+            keep = np.all(table[0][:, done] == target[done], axis=1)
+            table = tuple(x[keep] for x in table)
+        tables.append(table)
+    return tables
+
+
+def _slot_weight(x):
+    """exp(x) as (mantissa, exponent), exp(x) = mantissa * 2**exponent:
+    np.exp(x) itself with exponent 0 where it stays normal, and
+    exp(x - e ln 2) with exponent e where it would underflow."""
+    e = np.where(x.real < -700.0, np.ceil(x.real / np.log(2.0)), 0.0)
+    return np.exp(x - e * np.log(2.0)), e.astype(np.int64)
 
 
 def _dp_bit_marginals(zcoeff, constraints):
     """P(bit_k = 1) for the weighted, charge-constrained product measure.
 
-    Charge keys live on an integer lattice (doubled charges stay
-    integer); weights are per-slot max-normalized so the partition ratio
-    never leaves floating-point range. Keys whose already-completed
-    charge components miss their target are pruned as soon as the last
+    Charge keys are integer rows (doubled charges stay integer), one
+    column per constraint, held as arrays: each slot moves a whole table
+    at once (`_dp_step`). Weights are per-slot max-normalized, and every
+    value carries its own power-of-two exponent, rescaled exactly after
+    each slot (the scaled forward-backward recursion of Rabiner, Proc.
+    IEEE 77, 257 (1989), with one scale per key: at L = 100 one chain
+    table spans 1e-1360 between its keys, more than any one scale could
+    hold). Where the floats stay normal the mantissas are the digits an
+    unscaled DP would hold. Keys whose already-completed charge
+    components miss their target are pruned as soon as the last
     supporting slot has been consumed.
+
+    Emptiness is decided from the keys alone: a sector no key reaches
+    raises `EmptySectorError`. A reached sector whose weight is not
+    finite (an inf or nan coefficient) or zero (complex weights that
+    cancel) raises `UnrepresentableWeightError`. Finite coefficients
+    give finite, nonzero slot weights (`_slot_weight`), so every other
+    reached sector has a weight.
+
+    All slots' marginals come from one reduction: every forward key of
+    every slot is matched with the backward key completing it to the
+    target, and the products are summed per slot in forward-table order.
     """
     total = len(zcoeff)
     c = np.asarray(zcoeff, dtype=np.complex128)
+    finite = np.isfinite(c).all()
+    if not finite:   # the keys alone still decide emptiness
+        c = np.zeros_like(c)
     shift = np.abs(c.real) / 2
-    w_up = np.exp(c / 2 - shift)
-    w_dn = np.exp(-c / 2 - shift)
+    weights = [_slot_weight(c / 2 - shift), _slot_weight(-c / 2 - shift)]
+    if not any(w.imag.any() for w, _ in weights):
+        # the real parts are the products and sums a complex DP would form
+        weights = [(w.real, e) for w, e in weights]
     ncons = len(constraints)
-    qup = np.array([q[0] for q in constraints], dtype=np.int64).reshape(ncons, total)
-    qdn = np.array([q[1] for q in constraints], dtype=np.int64).reshape(ncons, total)
-    target = tuple(int(q[2]) for q in constraints)
-    zero = (0,) * ncons
-    support = np.abs(qup) + np.abs(qdn) > 0
-    first = [int(np.argmax(row)) if row.any() else total for row in support]
-    last = [total - 1 - int(np.argmax(row[::-1])) if row.any() else -1
-            for row in support]
+    qup = np.array([q[0] for q in constraints], dtype=np.int64).reshape(ncons, total).T
+    qdn = np.array([q[1] for q in constraints], dtype=np.int64).reshape(ncons, total).T
+    target = np.array([int(q[2]) for q in constraints], dtype=np.int64)
+    lo = np.minimum(np.minimum(qup, qdn), 0).sum(axis=0)
+    hi = np.maximum(np.maximum(qup, qdn), 0).sum(axis=0)
+    if np.any((target < lo) | (target > hi)):
+        raise EmptySectorError("no state reaches the charge sector")
+    codes = _KeyCodes(lo, hi, total)
+    supported = (qup != 0) | (qdn != 0)
+    first, last = {}, {}
+    for j in range(ncons):
+        slots = np.flatnonzero(supported[:, j])
+        if slots.size:
+            first.setdefault(int(slots[0]), []).append(j)
+            last.setdefault(int(slots[-1]), []).append(j)
 
-    forward = [None] * (total + 1)
-    forward[0] = {zero: 1.0 + 0j}
-    for k in range(total):
-        nxt = _dp_step(forward[k], w_up[k], w_dn[k],
-                       tuple(qup[:, k]), tuple(qdn[:, k]))
-        done = [j for j in range(ncons) if last[j] == k]
-        if done:
-            nxt = {key: val for key, val in nxt.items()
-                   if all(key[j] == target[j] for j in done)}
-        forward[k + 1] = nxt
+    forward = _dp_sweep(range(total), weights, qup, qdn, target, last, codes)
+    keys, mant, exps = forward[total]
+    at_target = np.all(keys == target, axis=1)
+    if not at_target.any():
+        raise EmptySectorError("no state reaches the charge sector")
+    if not finite:
+        raise UnrepresentableWeightError(
+            "the charge sector is reached, but its weight is not finite: "
+            "a coefficient is inf or nan")
+    z, z_exponent = mant[at_target][0], exps[at_target][0]
+    if z == 0:
+        raise UnrepresentableWeightError(
+            "the charge sector is reached, but its weights cancel to zero")
+    backward = _dp_sweep(range(total - 1, -1, -1), weights, qup, qdn, target,
+                         first, codes)[::-1]
 
-    z = forward[total].get(target, 0.0)
-    if not forward[total] or abs(z) < 1e-300:
-        raise EmptySectorError("empty or numerically vanishing charge sector")
-
-    backward = [None] * (total + 1)
-    backward[total] = {zero: 1.0 + 0j}
-    for k in range(total - 1, -1, -1):
-        nxt = _dp_step(backward[k + 1], w_up[k], w_dn[k],
-                       tuple(qup[:, k]), tuple(qdn[:, k]))
-        done = [j for j in range(ncons) if first[j] == k]
-        if done:
-            nxt = {key: val for key, val in nxt.items()
-                   if all(key[j] == target[j] for j in done)}
-        backward[k] = nxt
-
-    p_up = np.zeros(total, dtype=np.complex128)
-    for k in range(total):
-        up_shift = tuple(qup[:, k])
-        acc = 0.0 + 0j
-        for key, val in forward[k].items():
-            need = tuple(t - a - b for t, a, b in zip(target, key, up_shift))
-            tail = backward[k + 1].get(need)
-            if tail is not None:
-                acc += val * w_up[k] * tail
-        p_up[k] = acc / z
-    return p_up
+    # forward keys of slot k raised at k, and the backward keys of k+1 as
+    # the keys that would complete them: target minus the backward key
+    slot = np.arange(total)
+    f_slot = np.repeat(slot, [len(forward[k][0]) for k in slot])
+    b_slot = np.repeat(slot, [len(backward[k + 1][0]) for k in slot])
+    both = codes(np.concatenate([forward[k][0] + qup[k] for k in slot]
+                                + [target - backward[k + 1][0] for k in slot]),
+                 np.concatenate([f_slot, b_slot]))
+    f_codes, b_codes = both[:f_slot.size], both[f_slot.size:]
+    (w_up, e_up), _ = weights
+    f_vals = np.concatenate([forward[k][1] for k in slot]) * w_up[f_slot]
+    f_exps = np.concatenate([forward[k][2] for k in slot]) + e_up[f_slot]
+    b_vals = np.concatenate([backward[k + 1][1] for k in slot])
+    b_exps = np.concatenate([backward[k + 1][2] for k in slot])
+    order = np.argsort(b_codes)
+    pos = np.searchsorted(b_codes, f_codes, sorter=order)
+    match = order[np.minimum(pos, b_codes.size - 1)]
+    hit = np.flatnonzero(b_codes[match] == f_codes)
+    acc, acc_exponent = _combine(f_slot[hit], f_vals[hit] * b_vals[match[hit]],
+                                 f_exps[hit] + b_exps[match[hit]], total)
+    # complex division, as the scalars of a complex DP divide
+    ratio = acc.astype(np.complex128) / np.complex128(z)
+    return _ldexp(ratio, acc_exponent - z_exponent)
 
 
 def _layer_views(layout, p_up):

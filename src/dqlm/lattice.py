@@ -10,7 +10,12 @@ Basis conventions, pinned once and used everywhere:
   basis tag so that mixing operators from different spaces fails loudly;
 * an operator taking each state to at most one state, as every jump does,
   is a `Monomial` (a bit flip and an amplitude table), whose CSR is built
-  only on request.
+  only on request;
+* an array over the whole register is split at chosen slots by
+  `register_axes`: one axis of size 2 per slot, the runs of other bits
+  between them merged, most significant first, so the states with a
+  given bit at a slot, or their images under a bit flip, are a view
+  picked by an index, not a gather.
 
 Slot assignment per layout kind:
 
@@ -37,6 +42,7 @@ layout, so the order is pinned here once:
 Coordinates are 1-based, matching the analytic formulas they feed.
 """
 
+import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -335,18 +341,75 @@ class Monomial:
     def basis(self):
         return f"spins:{self.total_spins}"
 
-    def values(self, states):
-        """The amplitude taking each state c of `states` to c ^ flip."""
+    def blocks(self):
+        """The map as blocks of the register: (shape, [(source, target,
+        amplitude)]). `shape` splits a register array at the slots and
+        the flipped bits (`register_axes`); for each assignment of those
+        bits whose amplitude is nonzero, `source` indexes that shape's
+        array at the states c with the assignment and `target` at their
+        images c ^ flip, each a view of 2**total_spins / 2**len(bits)
+        states."""
+        flipped = {s for s in range(self.total_spins) if self.flip >> s & 1}
+        bits = sorted(flipped.union(self.slots))
+        shape, axis = register_axes(self.total_spins, bits)
+        out = []
+        for assignment in itertools.product((0, 1), repeat=len(bits)):
+            bit = dict(zip(bits, assignment))
+            amplitude = self.table[sum(bit[s] << k
+                                       for k, s in enumerate(self.slots))]
+            if amplitude == 0:
+                continue
+            source, target = [slice(None)] * len(shape), [slice(None)] * len(shape)
+            for s, b in bit.items():
+                source[axis[s]], target[axis[s]] = b, b ^ (s in flipped)
+            out.append((tuple(source), tuple(target), amplitude))
+        return shape, out
+
+    def values(self, states=None):
+        """The amplitude taking each state c of `states` to c ^ flip,
+        gathered from the table by each state's key. Without `states`, on
+        the whole register in index order, with no key and no gather: each
+        nonzero amplitude is broadcast into its block."""
+        if states is None:
+            return self._on_register(image=False)
         key = np.zeros(np.shape(states), dtype=np.intp)
         for k, slot in enumerate(self.slots):
             key |= ((states >> slot) & 1) << k
         return self.table[key]
 
+    def _on_register(self, image):
+        """An array over the register holding each amplitude at its source
+        states c, or (`image`) at their images c ^ flip."""
+        shape, blocks = self.blocks()
+        out = np.zeros(1 << self.total_spins, dtype=np.complex128)
+        view = out.reshape(shape)
+        for source, target, amplitude in blocks:
+            view[target if image else source] = amplitude
+        return out
+
     def operator(self):
-        """The map as a SparseOperator over the whole register."""
+        """The map as a SparseOperator over the whole register: row r holds
+        the amplitude of r ^ flip, at the column r ^ flip."""
         rows = np.arange(1 << self.total_spins, dtype=np.int32)
         return monomial_operator(self.total_spins, rows, self.flip,
-                                 self.values(rows ^ np.int32(self.flip)))
+                                 self._on_register(image=True))
+
+
+def register_axes(total_spins, slots):
+    """Shape of a 2**total_spins register array split at `slots`, and the
+    axis of each slot (a dict): one axis of size 2 per slot, and between
+    them the runs of the other bits, each merged into one axis (of size 1
+    where a run is empty), most significant first, as C order reshapes
+    the register."""
+    shape, axis = [], {}
+    top = total_spins
+    for slot in sorted(set(slots), reverse=True):
+        shape.append(1 << (top - slot - 1))
+        axis[slot] = len(shape)
+        shape.append(2)
+        top = slot
+    shape.append(1 << top)
+    return tuple(shape), axis
 
 
 def _fixed_bit_rows(total_spins, bits):

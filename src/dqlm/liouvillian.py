@@ -149,6 +149,15 @@ def _image(ham, loss, ops, rho):
     return out
 
 
+def _accumulate(out, weight, x):
+    """out += weight * x on two register views of one shape. When a
+    block's lowest bit is slot 1, its contiguous runs hold two states and
+    numpy's inner loop would take them two at a time (three times slower
+    at 2**13 states), so such views are walked along their first axis."""
+    order = "F" if x.shape[-1] == 2 < x.shape[0] else "C"
+    np.add(out, np.multiply(weight, x, order=order), out=out, order=order)
+
+
 class _DiagonalRoute:
     """L[diag d] for `Monomial` jumps, in O(nnz) per operand, no product.
 
@@ -157,9 +166,16 @@ class _DiagonalRoute:
     basis state c to the one state c ^ flip_mu (or to 0), so
     L_mu rho L_mu^+ and L_mu^+ L_mu rho are both diagonal and the
     dissipator is the Pauli rate equation 2 (Gamma d - K d),
-    Gamma_rc = sum_mu |L_mu(r, c)|^2 and K_cc = sum_r Gamma_rc. Gamma is
-    held as one weight per jump and state c, w_mu = |L_mu(c ^ flip_mu, c)|^2,
-    and Gamma d is gathered: (Gamma d)_r = sum_mu (w_mu d)_(r ^ flip_mu).
+    Gamma_rc = sum_mu |L_mu(r, c)|^2 and K_cc = sum_r Gamma_rc. The weight
+    w_mu(c) = |L_mu(c ^ flip_mu, c)|^2 is one number per block of
+    `Monomial.blocks`, so (Gamma d)_r = sum_mu (w_mu d)_(r ^ flip_mu) is
+    added block by block: d's view at a block's source states, times its
+    weight, into the rates' view at their images. The route holds K's
+    diagonal (8 bytes per register state), the blocks' index tuples and
+    H's row indices; no array over the register per jump and no index of
+    the register states. Each product and sum is the one a gather of
+    (w_mu d)[r ^ flip_mu] over the register would make, in the same jump
+    order, so the rates are the same floats.
 
     `image` builds L[rho] as CSR; `residual` takes the Frobenius norm of
     L[rho] - lam rho from the same two parts without building it.
@@ -168,13 +184,19 @@ class _DiagonalRoute:
     def __init__(self, ham, jumps):
         n = ham.shape[0]
         self.ham = ham
-        self.states = np.arange(n, dtype=ham.indices.dtype)
-        self.ham_rows = np.repeat(self.states, np.diff(ham.indptr))
-        self.gains = [(jump.flip, np.abs(jump.values(self.states)) ** 2)
-                      for jump in jumps]
+        self.ham_rows = np.repeat(np.arange(n, dtype=ham.indices.dtype),
+                                  np.diff(ham.indptr))
         self.loss = np.zeros(n)
-        for _, weight in self.gains:
-            self.loss += weight
+        self.gains = []
+        for jump in jumps:
+            shape, blocks = jump.blocks()
+            weights = np.abs([amplitude for *_, amplitude in blocks]) ** 2
+            blocks = [(source, target, weight) for (source, target, _), weight
+                      in zip(blocks, weights)]
+            loss = self.loss.reshape(shape)
+            for source, _, weight in blocks:
+                loss[source] += weight
+            self.gains.append((shape, blocks))
 
     @functools.cached_property
     def ham_weights(self):
@@ -188,11 +210,13 @@ class _DiagonalRoute:
         the size."""
         if not d.imag.any():
             d = d.real
-        diff = d[self.ham.indices]
-        diff -= d[self.ham_rows]
+        diff = d.take(self.ham.indices)
+        diff -= d.take(self.ham_rows)
         rates = -self.loss * d
-        for flip, weight in self.gains:
-            rates += (weight * d)[self.states ^ flip]
+        for shape, blocks in self.gains:
+            into, source_of = rates.reshape(shape), d.reshape(shape)
+            for source, target, weight in blocks:
+                _accumulate(into[target], weight, source_of[source])
         return d, diff, rates
 
     def image(self, d):

@@ -200,6 +200,9 @@ PROFILE_L8 = ("profile", "--layout", "chain", "--L", "8", "--beta", "3")
     (("spectrum", "--config", "missing.json"), None, 2, "config-io"),
     (("spectrum", "--config", "cfg.json"), [1], 2, "config-parse"),
     (PROFILE_L8 + ("--fillings", "9"), None, 3, "empty-sector"),
+    # doubled charge and dipole of different parity: no state reaches it
+    (("profile", "--layout", "hierarchical", "--L", "20", "--beta", "3",
+      "--sector", "0,0"), None, 3, "empty-sector"),
     (("dynamics", "--L", "3", "--config", "cfg.json"),
      {"sector": {"n_particles": 1}, "dynamics": {"initial_sites": [1, 2]}},
      2, "usage"),
@@ -209,8 +212,9 @@ PROFILE_L8 = ("profile", "--layout", "chain", "--L", "8", "--beta", "3")
      {"model": {"layout": {"kind": "chain-pbc", "L": 3},
                 "hamiltonian": {"twist": 0.5}}}, 2, "usage"),
 ], ids=["missing-config", "list-root", "filling-outside-sites",
-        "sector-against-sites", "initial-sites-not-integers",
-        "fillings-not-numbers", "winding-twist-in-config"])
+        "unreachable-hierarchical-sector", "sector-against-sites",
+        "initial-sites-not-integers", "fillings-not-numbers",
+        "winding-twist-in-config"])
 def test_refused_input_exits_with_its_kind_and_no_csv(tmp_path, monkeypatch,
                                                       capsys, argv, cfg,
                                                       code, kind):
@@ -740,6 +744,34 @@ def test_grid_profile_refuses_a_count_outside_the_sites(tmp_path, capsys,
     assert run(*GRID_PROFILE, "--fillings", "9",
                "--output-dir", str(out)) == 0
     assert calls == [9]
+
+
+@pytest.mark.parametrize("L, beta, filling", [(72, 3, 0.5), (100, 3, 0.25),
+                                              (400, 3, 0.5), (400, 10, 0.5)])
+def test_long_chain_profiles_pass_the_chain_oracle(tmp_path, L, beta,
+                                                   filling):
+    # these exited 3 (empty-sector) while the DP underflowed
+    out = tmp_path / "p"
+    assert run("profile", "--layout", "chain", "--L", str(L), "--beta",
+               str(beta), "--fillings", str(filling),
+               "--output-dir", str(out)) == 0
+    _, sites = read_csv(out / "profile_sites.csv")
+    _, links = read_csv(out / "profile_links.csv")
+    assert abs(sites[:, 1].sum() - L * filling) < 1e-10
+    assert np.abs(links[:, 1] - (beta - 1) / (2 * beta + 2)).max() < 1e-9
+
+
+def test_an_unrepresentable_weight_exits_4_without_csv(tmp_path, monkeypatch,
+                                                       capsys):
+    def unrepresentable(ens):
+        raise cli.UnrepresentableWeightError("weight nan")
+
+    monkeypatch.setattr(cli, "ensemble_marginals", unrepresentable)
+    out = tmp_path / "p"
+    assert run(*PROFILE_L8, "--fillings", "0.5", "--output-dir", str(out)) == 4
+    error = stderr_error(capsys)
+    assert (error["exit_code"], error["kind"]) == (4, "unrepresentable-weight")
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_no_stray_temp_files(tmp_path):

@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dqlm import exact
 from dqlm.exact import (
     DiagonalEnsemble,
     EmptySectorError,
     EnsembleError,
+    UnrepresentableWeightError,
+    _constraint_list,
+    _dp_bit_marginals,
+    _register_log_weights,
     centered_quadrupole,
     eigenoperator_set,
     ensemble_marginals,
@@ -15,14 +22,21 @@ from dqlm.exact import (
     exact_steady_state,
     generator_sum_coefficients,
     link_polarization,
+    materialize_each,
     similarity_transform,
     special_steady_states,
     steady_site_coefficients,
 )
-from dqlm.lattice import build_layout, commutator, state_bit
+from dqlm.lattice import build_layout, commutator, monomial_operator, state_bit
 from dqlm.liouvillian import lindblad_apply, steady_residual
 from dqlm.models import JumpSpec, ModelSpec, build_hamiltonian, build_jump_set
-from dqlm.symmetry import SectorSpec, gauge_sector_census
+from dqlm.symmetry import (
+    SectorSpec,
+    gauge_charge_table,
+    gauge_sector_census,
+    hierarchical_charge_tables,
+    site_occupation_table,
+)
 
 
 def hand_chain_marginals(L, beta, alpha, n_particles=None):
@@ -353,3 +367,258 @@ def test_error_paths():
         enumeration_marginals(big)
     with pytest.raises(EnsembleError):
         exact_steady_state(layout, 2.0).materialize(normalize="bogus")
+
+
+# -- the array DP against the dict DP it replaced, and against enumeration --
+
+def reference_dp_bit_marginals(zcoeff, constraints):
+    """The dict-of-tuples DP that `_dp_bit_marginals` replaced, kept as the
+    reference its arithmetic is pinned to: per-slot max-normalized
+    weights, no rescaling, so it underflows on long chains."""
+    total = len(zcoeff)
+    c = np.asarray(zcoeff, dtype=np.complex128)
+    shift = np.abs(c.real) / 2
+    w_up = np.exp(c / 2 - shift)
+    w_dn = np.exp(-c / 2 - shift)
+    ncons = len(constraints)
+    qup = np.array([q[0] for q in constraints], dtype=np.int64).reshape(ncons, total)
+    qdn = np.array([q[1] for q in constraints], dtype=np.int64).reshape(ncons, total)
+    target = tuple(int(q[2]) for q in constraints)
+    zero = (0,) * ncons
+    support = np.abs(qup) + np.abs(qdn) > 0
+    first = [int(np.argmax(row)) if row.any() else total for row in support]
+    last = [total - 1 - int(np.argmax(row[::-1])) if row.any() else -1
+            for row in support]
+
+    def step(table, w_up_k, w_dn_k, up_shift, dn_shift):
+        nxt = {}
+        for key, val in table.items():
+            ku = tuple(a + b for a, b in zip(key, up_shift))
+            nxt[ku] = nxt.get(ku, 0.0) + val * w_up_k
+            kd = tuple(a + b for a, b in zip(key, dn_shift))
+            nxt[kd] = nxt.get(kd, 0.0) + val * w_dn_k
+        return nxt
+
+    forward = [{zero: 1.0 + 0j}]
+    for k in range(total):
+        nxt = step(forward[k], w_up[k], w_dn[k], tuple(qup[:, k]),
+                   tuple(qdn[:, k]))
+        done = [j for j in range(ncons) if last[j] == k]
+        forward.append({key: val for key, val in nxt.items()
+                        if all(key[j] == target[j] for j in done)})
+    z = forward[total].get(target, 0.0)
+    backward = [None] * (total + 1)
+    backward[total] = {zero: 1.0 + 0j}
+    for k in range(total - 1, -1, -1):
+        nxt = step(backward[k + 1], w_up[k], w_dn[k], tuple(qup[:, k]),
+                   tuple(qdn[:, k]))
+        done = [j for j in range(ncons) if first[j] == k]
+        backward[k] = {key: val for key, val in nxt.items()
+                       if all(key[j] == target[j] for j in done)}
+    p_up = np.zeros(total, dtype=np.complex128)
+    for k in range(total):
+        acc = 0.0 + 0j
+        for key, val in forward[k].items():
+            need = tuple(t - a - b for t, a, b in zip(target, key, qup[:, k]))
+            tail = backward[k + 1].get(need)
+            if tail is not None:
+                acc += val * w_up[k] * tail
+        p_up[k] = acc / z
+    return p_up
+
+
+def profile_ensembles():
+    """The README profile ensembles and a few more, all inside the range
+    where the dict DP neither underflows nor goes subnormal."""
+    chain = build_layout("chain-obc", 24)
+    cases = [exact_steady_state(chain, beta, n_particles=n)
+             for beta in (3.0, 0.45) for n in (6, 12, 18)]
+    cases.append(exact_steady_state(build_layout("hierarchical", 14), 3.0,
+                                    hier_charges=(0, 0)))
+    cases.append(exact_steady_state(build_layout("hierarchical", 6), 2.0,
+                                    alpha=1.3, alpha_prime=0.7,
+                                    hier_charges=(0, 2)))
+    cases.append(exact_steady_state(build_layout("square-2d", 3, Ly=3), 3.0,
+                                    beta_prime=2.0, n_particles=4))
+    layout = build_layout("chain-obc", 4)
+    configs, counts = gauge_sector_census(layout)
+    cases.append(DiagonalEnsemble(
+        layout, tuple(np.linspace(-2.0, 3.0, layout.total_spins) + 0j),
+        SectorSpec(gauge=tuple(int(v) for v in configs[np.argmax(counts)])),
+        "gauge"))
+    return cases
+
+
+def test_array_dp_gives_the_floats_of_the_dict_dp():
+    for ens in profile_ensembles():
+        cons = _constraint_list(ens.layout, ens.constraints)
+        zc = ens.coefficient_array()
+        assert np.array_equal(_dp_bit_marginals(zc, cons),
+                              reference_dp_bit_marginals(zc, cons)), ens.label
+
+
+RANDOM_LAYOUTS = [build_layout("chain-obc", L) for L in (2, 4, 6)] + [
+    build_layout("chain-pbc", L) for L in (3, 6)] + [
+    build_layout("hierarchical", L) for L in (3, 5)] + [
+    build_layout("square-2d", 2, Ly=2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RANDOM_LAYOUTS), st.data())
+def test_array_dp_matches_enumeration_on_random_sectors(layout, data):
+    # random coefficients and a random mix of particle-number,
+    # hierarchical-charge and gauge constraints, up to 12 spins; a target
+    # is either some state's charge (a nonempty sector) or any value
+    total = layout.total_spins
+    zc = data.draw(st.lists(st.floats(-6.0, 6.0), min_size=total,
+                            max_size=total))
+    state = data.draw(st.integers(0, layout.nstates - 1))
+    kinds = ["n_particles", "gauge"] + (
+        ["hier_charges"] if layout.kind == "hierarchical" else [])
+    chosen = data.draw(st.lists(st.sampled_from(kinds), unique=True))
+    spec = {}
+    for kind in chosen:
+        if kind == "n_particles":
+            spec[kind] = data.draw(st.one_of(
+                st.just(int(site_occupation_table(layout)[state])),
+                st.integers(-1, len(layout.site_slots) + 1)))
+        elif kind == "gauge":
+            own = tuple(int(v) for v in gauge_charge_table(layout)[state])
+            spec[kind] = data.draw(st.one_of(st.just(own), st.tuples(
+                *[st.integers(-4, 4)] * len(own))))
+        else:
+            n2, d2 = hierarchical_charge_tables(layout)
+            spec[kind] = data.draw(st.one_of(
+                st.just((int(n2[state]), int(d2[state]))),
+                st.tuples(st.integers(-6, 6), st.integers(-20, 20))))
+    ens = DiagonalEnsemble(layout, tuple(zc), SectorSpec(**spec), "random")
+    if ens.sector().dim == 0:
+        with pytest.raises(EmptySectorError):
+            ensemble_marginals(ens)
+        return
+    dp, enum = ensemble_marginals(ens), enumeration_marginals(ens)
+    assert set(dp) == set(enum)
+    for key in dp:
+        assert np.abs(dp[key] - enum[key]).max() <= 1e-12, key
+
+
+def test_row_numbering_gives_the_floats_of_linear_codes(monkeypatch):
+    # with many constraints the linear key codes would leave int64, and
+    # keys are numbered by np.unique instead; forcing that numbering on
+    # every case must not move a digit
+    want = [ensemble_marginals(ens) for ens in profile_ensembles()]
+    monkeypatch.setattr(exact, "_CODE_LIMIT", 0)
+    for ens, marg in zip(profile_ensembles(), want):
+        got = ensemble_marginals(ens)
+        for key in marg:
+            assert np.array_equal(got[key], marg[key]), (ens.label, key)
+
+
+@pytest.mark.parametrize("L, beta, n", [(400, 0.1, 200), (150, 30.0, 40)])
+def test_long_chains_do_not_underflow(L, beta, n):
+    # the dict DP reported such nonempty sectors as empty from L = 72 at
+    # beta = 3 (L = 50 at beta = 10; the CLI test runs those); with one
+    # scale per key they pass the chain oracle: the densities sum to N and
+    # every link holds the uniform polarization, for either bias
+    marg = ensemble_marginals(exact_steady_state(
+        build_layout("chain-obc", L), beta, n_particles=n))
+    assert np.isfinite(marg["site_density"]).all()
+    assert abs(marg["site_density"].sum() - n) < 1e-10
+    assert np.abs(marg["link_sz"] - link_polarization(beta)).max() < 1e-9
+
+
+def test_unconstrained_marginals_are_the_product_measure():
+    # without a constraint the slots are independent, P(bit_k) = 1 / (1 +
+    # e^-c_k); at L = 700 and beta = 10 a down weight exp(-c_k) underflows
+    # on its own from c_k = 745 and is carried as a mantissa and an exponent
+    ens = exact_steady_state(build_layout("chain-obc", 700), 10.0)
+    c = ens.coefficient_array()
+    assert c.real.max() > 1500
+    want = np.exp(-np.logaddexp(0.0, -c.real))
+    assert np.abs(_dp_bit_marginals(c, []) - want).max() < 1e-12
+
+
+def test_emptiness_is_decided_by_reachability_alone():
+    # (N2, D2) = (0, 0) at L = 20 has no state: D2 and N2 differ in parity
+    hier = build_layout("hierarchical", 20)
+    with pytest.raises(EmptySectorError):
+        ensemble_marginals(exact_steady_state(hier, 3.0, hier_charges=(0, 0)))
+    chain = build_layout("chain-obc", 6)
+    for n in (-1, 7):
+        with pytest.raises(EmptySectorError):
+            ensemble_marginals(exact_steady_state(chain, 3.0, n_particles=n))
+    # a reached sector without a floating-point weight is a different
+    # failure; an unreached one stays empty whatever its coefficients
+    for bad in (np.inf, -np.inf, np.nan):
+        zc = (bad,) + (0.5,) * 10
+        with pytest.raises(UnrepresentableWeightError):
+            ensemble_marginals(DiagonalEnsemble(
+                chain, zc, SectorSpec(n_particles=3), "bad"))
+        with pytest.raises(EmptySectorError):
+            ensemble_marginals(DiagonalEnsemble(
+                chain, zc, SectorSpec(n_particles=8), "bad"))
+
+
+# -- stacked materialization against the per-operand reference -------------
+
+def reference_materialize(ens, normalize="trace", strip_phase=True):
+    """`DiagonalEnsemble.materialize` as it was before the ladder shared one
+    sector and one log-weight pass: each operand enumerates its sector
+    and gathers its own log-weight table."""
+    sec = ens.sector()
+    logw = ens.log_weight(sec.states)
+    w = np.exp(logw - logw.real.max())
+    if strip_phase:
+        lead = w[np.argmax(np.abs(w))]
+        w = w * (np.abs(lead) / lead)
+    if normalize == "trace":
+        s = w.sum()
+        w = w / s if np.abs(s) > 1e-12 * np.abs(w).sum() else w / np.linalg.norm(w)
+    elif normalize == "frobenius":
+        w = w / np.linalg.norm(w)
+    return monomial_operator(ens.layout.total_spins, sec.states, 0, w)
+
+
+def assert_same_operator(got, want):
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.matrix, part),
+                              getattr(want.matrix, part)), part
+
+
+@pytest.mark.parametrize("normalize", ["trace", "frobenius", "raw"])
+def test_stacked_materialize_gives_the_per_operand_floats(normalize):
+    chain = build_layout("chain-obc", 5)
+    groups = [
+        [ens for _, ens, _ in eigenoperator_set(chain, 2.4, 1.6)],
+        [exact_steady_state(chain, beta) for beta in (1.5, 3.0)],
+        [exact_steady_state(chain, beta, n_particles=2) for beta in (0.7, 3.0)],
+        [exact_steady_state(build_layout("hierarchical", 5), 3.0,
+                            hier_charges=(-1, 1))],
+    ]
+    for group in groups:
+        for strip in (True, False):
+            got = list(materialize_each(group, normalize, strip))
+            assert len(got) == len(group)
+            for ens, op in zip(group, got):
+                want = reference_materialize(ens, normalize, strip)
+                assert_same_operator(op, want)
+                assert_same_operator(ens.materialize(normalize, strip), want)
+
+
+def test_stacked_log_weights_are_each_rows_own():
+    chain = build_layout("chain-obc", 6)
+    rows = np.array([ens.coefficient_array() for _, ens, _ in
+                     eigenoperator_set(chain, 2.4, 1.6)])
+    stacked = _register_log_weights(rows)
+    assert stacked.shape == (rows.shape[0], chain.nstates)
+    for row, table in zip(rows, stacked):
+        assert np.array_equal(table, _register_log_weights(row))
+
+
+def test_stacked_materialize_needs_one_sector():
+    chain = build_layout("chain-obc", 4)
+    with pytest.raises(EnsembleError, match="one layout and one sector"):
+        list(materialize_each([exact_steady_state(chain, 2.0),
+                               exact_steady_state(chain, 2.0, n_particles=2)]))
+    with pytest.raises(EmptySectorError):
+        next(materialize_each([exact_steady_state(chain, 2.0, n_particles=9)]))

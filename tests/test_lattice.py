@@ -9,6 +9,7 @@ from dqlm.lattice import (
     build_layout,
     commutator,
     diagonal_operator,
+    register_axes,
     single_spin_operator,
     state_bit,
     transition_entries,
@@ -243,3 +244,16 @@ def test_direct_csr_transition_matches_a_coo_reference():
             assert_same_csr(op, coo_reference(total, rows, cols, amp))
             if amp == 0:
                 assert op.nnz == 0 and not op.matrix.indptr.any()
+
+
+def test_register_axes_split_the_register_at_the_slots():
+    shape, axis = register_axes(7, (4, 0, 5))
+    assert shape == (2, 2, 1, 2, 8, 2, 1)
+    assert axis == {5: 1, 4: 3, 0: 5}
+    # fixing a slot's axis picks the states with that bit
+    states = np.arange(1 << 7).reshape(shape)
+    for slot, ax in axis.items():
+        for bit in (0, 1):
+            picked = np.take(states, bit, axis=ax).ravel()
+            assert picked.size == 64 and (state_bit(picked, slot) == bit).all()
+    assert register_axes(3, ()) == ((8,), {})

@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 from dqlm.exact import eigenoperator_set
 from dqlm.lattice import (
     BasisMismatchError,
+    Monomial,
     SparseOperator,
     build_layout,
+    monomial_operator,
     single_spin_operator,
+    transition_operator,
 )
 from dqlm.liouvillian import (
     LEAK_TOL,
     AssemblyError,
     NonFiniteGeneratorError,
     SolverError,
+    _DiagonalRoute,
     assemble,
     assemble_twisted,
     devectorize_from,
@@ -441,6 +445,91 @@ def test_every_jump_csr_is_the_map_it_evaluates():
             stored = values != 0
             assert np.array_equal(img[stored], (states ^ jump.flip)[stored])
             assert (img[~stored] == -1).all(), (kind, family)
+
+
+class ReferenceDiagonalRoute(_DiagonalRoute):
+    """`_DiagonalRoute` as it was before the register views: one weight
+    array over the whole register per jump, from `values` gathered at
+    every state, and the gain gathered as (w d)[states ^ flip]."""
+
+    def __init__(self, ham, jumps):
+        n = ham.shape[0]
+        self.ham = ham
+        self.states = np.arange(n, dtype=ham.indices.dtype)
+        self.ham_rows = np.repeat(self.states, np.diff(ham.indptr))
+        self.gains = [(jump.flip, np.abs(jump.values(self.states)) ** 2)
+                      for jump in jumps]
+        self.loss = np.zeros(n)
+        for _, weight in self.gains:
+            self.loss += weight
+
+    def _parts(self, d):
+        if not d.imag.any():
+            d = d.real
+        diff = d[self.ham.indices]
+        diff -= d[self.ham_rows]
+        rates = -self.loss * d
+        for flip, weight in self.gains:
+            rates += (weight * d)[self.states ^ flip]
+        return d, diff, rates
+
+
+def test_register_views_give_the_gathered_floats():
+    # for every family on every layout kind, the view route's loss, rates,
+    # residual and image are the floats of the gather route it replaced
+    rng = np.random.default_rng(29)
+    for kind, family, jumps in admitted_jump_sets():
+        layout, hamiltonian, _ = RESIDUAL_LAYOUTS[kind]
+        ham = build_hamiltonian(ModelSpec(layout, hamiltonian, J=0.9, J1=1.0,
+                                          J2=0.7)).matrix
+        route, reference = _DiagonalRoute(ham, jumps), \
+            ReferenceDiagonalRoute(ham, jumps)
+        assert np.array_equal(route.loss, reference.loss), (kind, family)
+        n = layout.nstates
+        for d in (rng.standard_normal(n) + 0j,
+                  rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            got, want = route._parts(d), reference._parts(d)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (kind, family)
+            assert route.residual(d, 0.3) == reference.residual(d, 0.3)
+            image, image_ref = route.image(d), reference.image(d)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(image, part),
+                                      getattr(image_ref, part))
+
+
+def test_ladder_residuals_are_the_gathered_floats():
+    chain, ham, jumps = ladder_model(5)
+    ops = [ens.materialize(normalize="frobenius")
+           for _, ens, _ in eigenoperator_set(chain, 2.4, 1.6)]
+    route = _DiagonalRoute(ham.matrix, jumps)
+    reference = ReferenceDiagonalRoute(ham.matrix, jumps)
+    for op in ops:
+        d = op.matrix.diagonal()
+        assert route.residual(d, -8.0) == reference.residual(d, -8.0)
+
+
+def test_register_values_broadcast_each_table():
+    # values() writes each amplitude into its block of the register; on
+    # arange it gathers by key, and the two agree, for one-slot jumps and
+    # multi-slot tables, with flipped bits inside and outside the slots
+    rng = np.random.default_rng(7)
+    table = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    table[[2, 5]] = 0
+    maps = [transition_operator(6, (1, 4), (2,), 0.8),
+            Monomial(6, 0b010010, (0, 3, 4), table),
+            Monomial(5, 0, (4, 0, 2), table),
+            Monomial(5, 0b10001, (), np.array([0.5 - 2j]))]
+    maps += [jump for _, _, jumps in admitted_jump_sets() for jump in jumps]
+    for jump in maps:
+        states = np.arange(1 << jump.total_spins)
+        assert np.array_equal(jump.values(), jump.values(states))
+        # the CSR's data: row r holds the amplitude of r ^ flip
+        want = monomial_operator(jump.total_spins, states, jump.flip,
+                                 jump.values(states ^ jump.flip)).matrix
+        got = jump.operator().matrix
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def test_zero_operand_raises_naming_its_position():
