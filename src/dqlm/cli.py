@@ -16,7 +16,6 @@ one JSON object on stderr.
 """
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -934,11 +933,7 @@ RUNNERS = {
 
 # -- argument parsing ------------------------------------------------------
 
-@functools.cache
 def build_parser():
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, and building it (about 3 ms, most of it argparse's help
-    formatters) is the largest fixed cost of a `main` call."""
     parser = JsonArgumentParser(prog="dqlm",
                                 description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)

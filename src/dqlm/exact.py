@@ -31,13 +31,12 @@ brute-force enumeration of the same marginals is kept alongside as the
 cross-check path.
 
 Materializing many ensembles on one sector (`materialize_each`, the
-eigenoperator ladder) enumerates the sector once and takes all their
-log weights from one pass over the register.
+eigenoperator ladder) enumerates the sector once and takes their log
+weights from stacked passes over the register, up to 8 MB each (the
+whole L = 7 ladder in one).
 """
 
-import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,13 +102,18 @@ class DiagonalEnsemble:
         return next(materialize_each([self], normalize, strip_phase))
 
 
+_STACK_BYTES = 1 << 23   # stacked log weights materialize_each holds
+
+
 def materialize_each(ensembles, normalize="trace", strip_phase=True):
     """`materialize` of each ensemble in turn, the same floats, for
     ensembles on one layout and one projection sector. The sector is
-    enumerated once, and the log weights of all of them come from one
-    pass over the register (`_register_log_weights` on the stacked
-    coefficients, gathered at the sector's states unless the sector is
-    the whole register). A generator: it builds one operator at a time."""
+    enumerated once, and the log weights come from passes over the
+    register (`_register_log_weights` on stacked coefficients, gathered
+    at the sector's states unless the sector is the whole register),
+    each stacking at most `_STACK_BYTES` of them: all 64 of the L = 7
+    ladder in one, 4 rows at a time at L = 9. A generator: it builds
+    one operator at a time."""
     first = ensembles[0]
     if any((ens.layout, ens.constraints) != (first.layout, first.constraints)
            for ens in ensembles):
@@ -119,23 +123,26 @@ def materialize_each(ensembles, normalize="trace", strip_phase=True):
     sec = first.sector()
     if sec.dim == 0:
         raise EmptySectorError(f"empty projection sector for {first.label}")
-    table = _register_log_weights([ens.coefficient_array() for ens in ensembles])
-    if sec.dim < first.layout.nstates:
-        table = table[:, sec.states]
-    for logw in table:
-        w = np.exp(logw - logw.real.max())
-        if strip_phase:
-            lead = w[np.argmax(np.abs(w))]
-            w = w * (np.abs(lead) / lead)
-        if normalize == "trace":
-            s = w.sum()
-            if np.abs(s) > 1e-12 * np.abs(w).sum():
-                w = w / s
-            else:
+    coeffs = np.array([ens.coefficient_array() for ens in ensembles])
+    rows = max(1, _STACK_BYTES // (16 << first.layout.total_spins))
+    for start in range(0, len(coeffs), rows):
+        table = _register_log_weights(coeffs[start:start + rows])
+        if sec.dim < first.layout.nstates:
+            table = table[:, sec.states]
+        for logw in table:
+            w = np.exp(logw - logw.real.max())
+            if strip_phase:
+                lead = w[np.argmax(np.abs(w))]
+                w = w * (np.abs(lead) / lead)
+            if normalize == "trace":
+                s = w.sum()
+                if np.abs(s) > 1e-12 * np.abs(w).sum():
+                    w = w / s
+                else:
+                    w = w / np.linalg.norm(w)
+            elif normalize == "frobenius":
                 w = w / np.linalg.norm(w)
-        elif normalize == "frobenius":
-            w = w / np.linalg.norm(w)
-        yield monomial_operator(first.layout.total_spins, sec.states, 0, w)
+            yield monomial_operator(first.layout.total_spins, sec.states, 0, w)
 
 
 def _register_log_weights(zcoeff):
@@ -159,26 +166,15 @@ def _register_log_weights(zcoeff):
     return table.reshape(zc.shape[:-1] + table.shape[-1:])
 
 
-@functools.lru_cache(maxsize=16)
-def _generator_rows(layout):
-    """`generator_slot_coefficients` of every site, in `generator_sites`
-    order, as one read-only int8 array: built once per layout, since a
-    ladder asks for the same rows once per eigenoperator."""
-    rows = np.array([generator_slot_coefficients(layout, site)
-                     for site in generator_sites(layout)])
-    rows.setflags(write=False)
-    return rows
-
-
 def generator_sum_coefficients(layout, site_coeffs):
     """Per-slot coefficients of sum_site c_site G_site."""
-    rows = _generator_rows(layout)
-    if len(site_coeffs) != len(rows):
+    sites = generator_sites(layout)
+    if len(site_coeffs) != len(sites):
         raise EnsembleError(
-            f"need {len(rows)} generator coefficients, got {len(site_coeffs)}")
+            f"need {len(sites)} generator coefficients, got {len(site_coeffs)}")
     out = np.zeros(layout.total_spins, dtype=np.complex128)
-    for c, row in zip(site_coeffs, rows):
-        out += c * row
+    for c, site in zip(site_coeffs, sites):
+        out += c * generator_slot_coefficients(layout, site)
     return out
 
 
@@ -392,10 +388,7 @@ def _dp_step(table, weights, up, dn, moves, codes):
     would add up, times a power of two per key."""
     keys, mant, exps = table
     (w_up, e_up), (w_dn, e_dn) = weights
-    if not moves:   # no constraint tells the two shifts apart
-        if e_up == e_dn:
-            return (keys + up, *_normalized(mant * w_up + mant * w_dn,
-                                            exps + e_up))
+    if not moves:   # no constraint tells the two shifts apart: no merge
         index = np.concatenate([np.arange(len(keys))] * 2)
         return (keys + up, *_combine(
             index, np.concatenate([mant * w_up, mant * w_dn]),

@@ -226,16 +226,20 @@ class SparseOperator:
     """A scipy CSR matrix carrying the tag of the basis it acts on.
 
     Kept canonical: sorted indices, duplicates summed, stored zeros pruned.
-    Treat instances as immutable; operations return new objects.
+    Treat instances as immutable; operations return new objects. With
+    `canonical`, `matrix` is a complex CSR known to be in that form
+    already, and is kept as it is, with no copy and no check.
     """
 
     __slots__ = ("matrix", "basis")
 
-    def __init__(self, matrix, basis):
-        m = sp.csr_matrix(matrix, dtype=np.complex128)
-        m.sum_duplicates()
-        m.sort_indices()
-        m.eliminate_zeros()
+    def __init__(self, matrix, basis, canonical=False):
+        m = matrix
+        if not canonical:
+            m = sp.csr_matrix(matrix, dtype=np.complex128)
+            m.sum_duplicates()
+            m.sort_indices()
+            m.eliminate_zeros()
         if m.shape[0] != m.shape[1]:
             raise BasisMismatchError(f"operator must be square, got {m.shape}")
         self.matrix = m
@@ -302,7 +306,7 @@ def monomial_operator(total_spins, rows, flip, data):
     the rows: indptr is their running count (indptr[r] = the number of
     rows below r), the columns are rows ^ flip, and nothing is sorted. A
     complex `data` array is kept, not copied; zero entries are left out,
-    as `SparseOperator` prunes them.
+    so the CSR is canonical as built and `SparseOperator` takes it as is.
     """
     n = 1 << total_spins
     rows = np.asarray(rows, dtype=np.int32)
@@ -317,7 +321,8 @@ def monomial_operator(total_spins, rows, flip, data):
         indptr[rows + 1] = 1
         np.cumsum(indptr, out=indptr)
     matrix = sp.csr_matrix((data, rows ^ np.int32(flip), indptr), shape=(n, n))
-    return SparseOperator(matrix, f"spins:{total_spins}")
+    matrix.has_canonical_format = True
+    return SparseOperator(matrix, f"spins:{total_spins}", canonical=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,34 +370,24 @@ class Monomial:
             out.append((tuple(source), tuple(target), amplitude))
         return shape, out
 
-    def values(self, states=None):
-        """The amplitude taking each state c of `states` to c ^ flip,
-        gathered from the table by each state's key. Without `states`, on
-        the whole register in index order, with no key and no gather: each
-        nonzero amplitude is broadcast into its block."""
-        if states is None:
-            return self._on_register(image=False)
+    def values(self, states):
+        """The amplitude taking each state c of `states` to c ^ flip."""
         key = np.zeros(np.shape(states), dtype=np.intp)
         for k, slot in enumerate(self.slots):
             key |= ((states >> slot) & 1) << k
         return self.table[key]
 
-    def _on_register(self, image):
-        """An array over the register holding each amplitude at its source
-        states c, or (`image`) at their images c ^ flip."""
-        shape, blocks = self.blocks()
-        out = np.zeros(1 << self.total_spins, dtype=np.complex128)
-        view = out.reshape(shape)
-        for source, target, amplitude in blocks:
-            view[target if image else source] = amplitude
-        return out
-
     def operator(self):
         """The map as a SparseOperator over the whole register: row r holds
-        the amplitude of r ^ flip, at the column r ^ flip."""
+        the amplitude of r ^ flip, at the column r ^ flip, each amplitude
+        broadcast into its block of images (`blocks`)."""
+        shape, blocks = self.blocks()
+        data = np.zeros(1 << self.total_spins, dtype=np.complex128)
+        view = data.reshape(shape)
+        for _, target, amplitude in blocks:
+            view[target] = amplitude
         rows = np.arange(1 << self.total_spins, dtype=np.int32)
-        return monomial_operator(self.total_spins, rows, self.flip,
-                                 self._on_register(image=True))
+        return monomial_operator(self.total_spins, rows, self.flip, data)
 
 
 def register_axes(total_spins, slots):

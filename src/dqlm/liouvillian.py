@@ -172,10 +172,10 @@ class _DiagonalRoute:
     added block by block: d's view at a block's source states, times its
     weight, into the rates' view at their images. The route holds K's
     diagonal (8 bytes per register state), the blocks' index tuples and
-    H's row indices; no array over the register per jump and no index of
-    the register states. Each product and sum is the one a gather of
-    (w_mu d)[r ^ flip_mu] over the register would make, in the same jump
-    order, so the rates are the same floats.
+    the size of each of H's rows; no array over the register per jump and
+    no index of the register states or of H's entries. Each product and
+    sum is the one a gather of (w_mu d)[r ^ flip_mu] over the register
+    would make, in the same jump order, so the rates are the same floats.
 
     `image` builds L[rho] as CSR; `residual` takes the Frobenius norm of
     L[rho] - lam rho from the same two parts without building it.
@@ -184,8 +184,7 @@ class _DiagonalRoute:
     def __init__(self, ham, jumps):
         n = ham.shape[0]
         self.ham = ham
-        self.ham_rows = np.repeat(np.arange(n, dtype=ham.indices.dtype),
-                                  np.diff(ham.indptr))
+        self.ham_row_sizes = np.diff(ham.indptr)
         self.loss = np.zeros(n)
         self.gains = []
         for jump in jumps:
@@ -211,7 +210,7 @@ class _DiagonalRoute:
         if not d.imag.any():
             d = d.real
         diff = d.take(self.ham.indices)
-        diff -= d.take(self.ham_rows)
+        diff -= np.repeat(d, self.ham_row_sizes)
         rates = -self.loss * d
         for shape, blocks in self.gains:
             into, source_of = rates.reshape(shape), d.reshape(shape)

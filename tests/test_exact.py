@@ -585,8 +585,15 @@ def assert_same_operator(got, want):
                               getattr(want.matrix, part)), part
 
 
+@pytest.mark.parametrize("stack_bytes", [None, 1, 3 * 16 << 9],
+                         ids=["default", "one-row", "three-rows"])
 @pytest.mark.parametrize("normalize", ["trace", "frobenius", "raw"])
-def test_stacked_materialize_gives_the_per_operand_floats(normalize):
+def test_stacked_materialize_gives_the_per_operand_floats(
+        normalize, stack_bytes, monkeypatch):
+    # the stack is cut into chunks of whole rows (three rows: the L = 5
+    # chain's 9 spins); every cut gives the same operators
+    if stack_bytes is not None:
+        monkeypatch.setattr(exact, "_STACK_BYTES", stack_bytes)
     chain = build_layout("chain-obc", 5)
     groups = [
         [ens for _, ens, _ in eigenoperator_set(chain, 2.4, 1.6)],

@@ -9,6 +9,7 @@ from dqlm.lattice import (
     build_layout,
     commutator,
     diagonal_operator,
+    monomial_operator,
     register_axes,
     single_spin_operator,
     state_bit,
@@ -257,3 +258,20 @@ def test_register_axes_split_the_register_at_the_slots():
             picked = np.take(states, bit, axis=ax).ravel()
             assert picked.size == 64 and (state_bit(picked, slot) == bit).all()
     assert register_axes(3, ()) == ((8,), {})
+
+
+def test_monomial_operators_are_canonical_as_built():
+    # monomial_operator skips SparseOperator's canonicalization; the CSR
+    # it builds must be the one that canonicalization would give
+    rng = np.random.default_rng(3)
+    for flip in (0, 0b101, 0b11111):
+        rows = np.sort(rng.choice(32, size=20, replace=False))
+        data = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        data[[1, 7]] = 0
+        op = monomial_operator(5, rows, flip, data)
+        want = SparseOperator(sp.csr_matrix(
+            (data, (rows, rows ^ flip)), shape=(32, 32)), op.basis).matrix
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op.matrix, part), getattr(want, part))
+        assert op.matrix.has_canonical_format and op.nnz == 18
+        assert op.matrix.dtype == np.complex128
