@@ -1,14 +1,15 @@
 """Config-driven experiment runner.
 
 One JSON config document drives every task; subcommand flags override
-config values. Each part of the config is checked in one place, and an
-unknown key anywhere is refused: the model section by
+config values. One table, `FLAGS`, gives each flag, the tasks that take
+it and the config key it sets. Each part of the config is checked in
+one place, and an unknown key anywhere is refused: the model section by
 `ModelSpec.from_dict` and the dataclasses it fills, every other key by
-its row of `CONFIG_KEYS`. Each run writes CSV
-artifacts (header row with column names and units, 17 significant
-digits) plus a manifest JSON with the config echo, artifact hashes,
-timings, and diagnostics. Files are written atomically (temp + rename)
-and CSV payloads are byte-identical across reruns of the same config.
+its row of `FLAGS`. Each run writes CSV artifacts (header row with
+column names and units, 17 significant digits) plus a manifest JSON
+with the config echo, artifact hashes, timings, and diagnostics. Files
+are written atomically (temp + rename) and CSV payloads are
+byte-identical across reruns of the same config.
 
 Exit codes: 0 success, 2 config/flag error, 3 infeasible sector or a
 block over the dense cap, 4 solver or verification failure. Errors print
@@ -23,6 +24,7 @@ import resource
 import sys
 import time
 from dataclasses import fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,7 +44,8 @@ from .exact import (
     special_steady_states,
     steady_site_coefficients,
 )
-from .lattice import LayoutError, build_layout, commutator, is_integer
+from .lattice import LAYOUT_KINDS, LayoutError, build_layout, commutator, \
+    is_integer
 from .liouvillian import LEAK_TOL, AssemblyError, assemble, assemble_twisted, \
     diagonal_expectation, steady_residual
 from .models import (
@@ -80,85 +83,180 @@ EXIT_CONFIG = 2
 EXIT_SECTOR = 3
 EXIT_SOLVER = 4
 
-TASKS = ("spectrum", "steady-state", "dynamics", "winding", "verify-exact",
-         "profile")
+# each task and its help line
+TASKS = {
+    "spectrum": "sector-projected spectra",
+    "steady-state": "kernel states and profiles",
+    "dynamics": "quench time evolution",
+    "winding": "twisted-boundary phase scans",
+    "verify-exact": "run the analytic residual battery",
+    "profile": "analytic layer profiles",
+}
+# the tasks that build a model from the config's `model` section
+_MODEL_TASKS = ("spectrum", "steady-state", "dynamics", "winding")
 
 _RATE_FIELDS = tuple(f.name for f in fields(JumpSpec) if f.name != "family")
 
 
-# -- config checks: each a (what it expects, predicate) pair ---------------
+# -- config checks: what each expects, its predicate, and how a flag's
+# text becomes such a value (an argparse type, or choices) ---------------
+
+class _Check(NamedTuple):
+    text: str = None
+    ok: Callable = None
+    type: Callable = None
+    choices: tuple = None
+
 
 def _integer(low):
-    return f"an integer >= {low}", lambda v: is_integer(v) and v >= low
+    return _Check(f"an integer >= {low}", lambda v: is_integer(v) and v >= low,
+                  int)
 
 
 def _choice(*options):
-    return f"one of {', '.join(options)}", lambda v: v in options
+    return _Check(f"one of {', '.join(options)}", lambda v: v in options,
+                  choices=options)
 
 
 def _or_null(check):
-    text, ok = check
-    return f"{text}, or null", lambda v: v is None or ok(v)
+    return check._replace(text=f"{check.text}, or null",
+                          ok=lambda v: v is None or check.ok(v))
 
 
 def _list(check, low=0, exactly=None):
-    text, ok = check
     size = exactly if exactly else f"{low} or more"
-    return (f"a list of {size} items, each {text}",
-            lambda v: isinstance(v, list) and all(ok(x) for x in v)
-            and (len(v) == exactly if exactly else len(v) >= low))
+    return _Check(f"a list of {size} items, each {check.text}",
+                  lambda v: isinstance(v, list) and all(map(check.ok, v))
+                  and (len(v) == exactly if exactly else len(v) >= low),
+                  _comma_list(check.type))
 
 
-_INTEGER = ("an integer", is_integer)
-_POSITIVE = ("a number > 0", lambda v: is_number(v) and v > 0)
-_RATE = ("a number >= 0", lambda v: is_number(v) and v >= 0)
+def _comma_list(convert):
+    """The argparse type of a comma-separated list of ints or floats."""
+    def parse(text):
+        try:
+            return [convert(tok) for tok in text.split(",") if tok != ""]
+        except ValueError:
+            what = "integers" if convert is int else "numbers"
+            raise argparse.ArgumentTypeError(f"expects comma-separated {what}")
+    return parse
 
-# every config key outside `model`, by section (None: the top level)
-CONFIG_KEYS = {
-    None: {"task": _choice(*TASKS),
-           "output_dir": ("a string", lambda v: isinstance(v, str))},
-    "sector": {"n_particles": _or_null(_integer(0))},
-    "spectrum": {"boundary": _choice("obc", "pbc", "both")},
-    "winding": {"phi_steps": _integer(2),
-                "variant": _choice("lindblad", "double-space")},
-    "dynamics": {"t_final": _POSITIVE, "t_points": _integer(2),
-                 "initial_sites": _list(_integer(1)),
-                 "rtol": _POSITIVE, "atol": _POSITIVE},
-    "profile": {"layout": _choice("chain", "hierarchical", "square-2d"),
-                "L": _integer(2), "Ly": _integer(2),
-                "beta": _POSITIVE, "beta_prime": _or_null(_POSITIVE),
-                "alpha": _POSITIVE, "alpha_prime": _POSITIVE,
-                "fillings": _list(_RATE, 1),
-                "sector": _or_null(_list(_INTEGER, exactly=2))},
-    "verify": {"L": _integer(3)},
-    "tolerances": {"kernel_tol": _POSITIVE, "dense_cap": _integer(1),
-                   "leak_tol": _POSITIVE},
-}
+
+_INTEGER = _Check("an integer", is_integer, int)
+_POSITIVE = _Check("a number > 0", lambda v: is_number(v) and v > 0, float)
+_RATE = _Check("a number >= 0", lambda v: is_number(v) and v >= 0, float)
+
+
+class Flag(NamedTuple):
+    """One row of `FLAGS`: a flag, the tasks that take it, the dotted
+    config key it sets (its argparse dest) and that key's check, whose
+    argparse type or choices are the flag's. A row without a key is a
+    flag that `build_config` writes by code of its own (or --config); a
+    row without a check gives the flag's argparse type itself; a row
+    without a flag checks a config key that no flag sets."""
+
+    flag: str
+    tasks: tuple
+    key: str = None
+    check: _Check = None
+    type: Callable = None
+    metavar: str = None
+    help: str = None
+
+
+# every flag of every task, each task's in the order of its --help, and
+# the check of every config key outside `model` (those under `model` are
+# `ModelSpec.from_dict`'s)
+FLAGS = (
+    Flag("--config", tuple(TASKS), help="JSON config file"),
+    Flag("--output-dir", tuple(TASKS), "output_dir",
+         _Check("a string", lambda v: isinstance(v, str))),
+    Flag("--layout", ("profile",), "profile.layout",
+         _choice("chain", "hierarchical", "square-2d")),
+    Flag("--L", _MODEL_TASKS, "model.layout.L", type=int),
+    Flag("--L", ("verify-exact",), "verify.L", _integer(3)),
+    Flag("--L", ("profile",), "profile.L", _integer(2)),
+    Flag("--Ly", _MODEL_TASKS, "model.layout.Ly", type=int),
+    Flag("--Ly", ("profile",), "profile.Ly", _integer(2)),
+    Flag("--layout", ("spectrum", "steady-state", "dynamics"),
+         check=_choice("chain", *LAYOUT_KINDS)),
+    Flag("--J", _MODEL_TASKS, "model.hamiltonian.J", type=float),
+    Flag("--J1", _MODEL_TASKS, "model.hamiltonian.J1", type=float),
+    Flag("--J2", _MODEL_TASKS, "model.hamiltonian.J2", type=float),
+    Flag("--jump-family", _MODEL_TASKS, check=_choice(*JUMP_FAMILIES)),
+    *(Flag(f"--{name.replace('_', '-')}", _MODEL_TASKS, type=float)
+      for name in _RATE_FIELDS),
+    Flag("--add-gauge-fix", _MODEL_TASKS, type=float, metavar="STRENGTH"),
+    Flag("--disorder-seed", _MODEL_TASKS, type=int),
+    Flag("--n-particles", _MODEL_TASKS, "sector.n_particles",
+         _or_null(_integer(0))),
+    Flag("--dense-cap", _MODEL_TASKS, "tolerances.dense_cap", _integer(1)),
+    Flag("--kernel-tol", _MODEL_TASKS, "tolerances.kernel_tol", _POSITIVE),
+    Flag("--boundary", ("spectrum",), "spectrum.boundary",
+         _choice("obc", "pbc", "both")),
+    Flag("--boundary", ("steady-state", "dynamics"),
+         check=_choice("obc", "pbc")),
+    Flag("--t-final", ("dynamics",), "dynamics.t_final", _POSITIVE),
+    Flag("--t-points", ("dynamics",), "dynamics.t_points", _integer(2)),
+    Flag("--initial-sites", ("dynamics",), "dynamics.initial_sites",
+         _list(_integer(1)), metavar="N1,N2,..."),
+    Flag("--rtol", ("dynamics",), "dynamics.rtol", _POSITIVE),
+    Flag("--atol", ("dynamics",), "dynamics.atol", _POSITIVE),
+    Flag("--phi-steps", ("winding",), "winding.phi_steps", _integer(2)),
+    Flag("--variant", ("winding",), "winding.variant",
+         _choice("lindblad", "double-space")),
+    Flag("--beta", ("profile",), "profile.beta", _POSITIVE),
+    Flag("--beta-prime", ("profile",), "profile.beta_prime",
+         _or_null(_POSITIVE)),
+    Flag("--alpha", ("profile",), "profile.alpha", _POSITIVE),
+    Flag("--alpha-prime", ("profile",), "profile.alpha_prime", _POSITIVE),
+    Flag("--fillings", ("profile",), "profile.fillings", _list(_RATE, 1),
+         metavar="F1,F2,..."),
+    Flag("--sector", ("profile",), "profile.sector",
+         _or_null(_list(_INTEGER, exactly=2)), metavar="N2,D2"),
+    Flag(None, (), "task", _choice(*TASKS)),
+    Flag(None, (), "tolerances.leak_tol", _POSITIVE),
+)
+
+
+def _key_checks():
+    """The check of every config key outside `model` in `FLAGS`, by
+    section (None: the top level)."""
+    sections = {}
+    for row in FLAGS:
+        if row.key and row.check and not row.key.startswith("model."):
+            section, _, key = row.key.rpartition(".")
+            sections.setdefault(section or None, {})[key] = row.check
+    return sections
+
+
+_KEY_CHECKS = _key_checks()
 
 
 def _validate(cfg):
     """Refuse a config key or value the CLI does not accept: the keys
-    outside `model` against `CONFIG_KEYS` (`CliError`, kind "schema"),
-    then the model section through `ModelSpec.from_dict` (`ModelError` or
-    `LayoutError`), as configured and as each leg of the task builds it
-    (`task_models`), so that no model error comes after the first output."""
-    for section, checks in CONFIG_KEYS.items():
+    outside `model` against their rows of `FLAGS` (`CliError`, kind
+    "schema"), then the model section through `ModelSpec.from_dict`
+    (`ModelError` or `LayoutError`), as configured and as each leg of the
+    task builds it (`task_models`), so that no model error comes after
+    the first output."""
+    for section, checks in _KEY_CHECKS.items():
         node = cfg if section is None else cfg.get(section, {})
         if not isinstance(node, dict):
             raise CliError(EXIT_CONFIG, "schema",
                            f"config section {section!r} must be an object, "
                            f"got {json.dumps(node)}")
         for key, value in node.items():
-            if section is None and (key in CONFIG_KEYS or key == "model"):
+            if section is None and (key in _KEY_CHECKS or key == "model"):
                 continue
             path = key if section is None else f"{section}.{key}"
             if key not in checks:
                 raise CliError(EXIT_CONFIG, "schema",
                                f"unknown config key {path!r}")
-            text, ok = checks[key]
-            if not ok(value):
+            check = checks[key]
+            if not check.ok(value):
                 raise CliError(EXIT_CONFIG, "schema",
-                               f"config key {path!r} must be {text}, "
+                               f"config key {path!r} must be {check.text}, "
                                f"got {json.dumps(value)}")
     ModelSpec.from_dict(cfg["model"])
     task_models(cfg)
@@ -389,35 +487,12 @@ def build_config(args):
         _deep_merge(cfg, file_cfg)
     cfg["task"] = task
 
-    # profile and verify-exact build no model: their sizes go to their own
-    # section
-    sizes = {"profile": "profile", "verify-exact": "verify"}.get(
-        task, "model.layout")
-    simple = {
-        "output_dir": "output_dir",
-        "L": f"{sizes}.L",
-        "Ly": f"{sizes}.Ly",
-        "J": "model.hamiltonian.J",
-        "J1": "model.hamiltonian.J1",
-        "J2": "model.hamiltonian.J2",
-        "n_particles": "sector.n_particles",
-        "dense_cap": "tolerances.dense_cap",
-        "kernel_tol": "tolerances.kernel_tol",
-        "phi_steps": "winding.phi_steps",
-        "variant": "winding.variant",
-        "t_final": "dynamics.t_final",
-        "t_points": "dynamics.t_points",
-        "rtol": "dynamics.rtol",
-        "atol": "dynamics.atol",
-        "beta": "profile.beta",
-        "beta_prime": "profile.beta_prime",
-        "alpha": "profile.alpha",
-        "alpha_prime": "profile.alpha_prime",
-    }
-    for attr, dotted in simple.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            _set_path(cfg, dotted, value)
+    # every flag given, at its key; then the flags with code of their own
+    for row in FLAGS:
+        if row.key and task in row.tasks:
+            value = getattr(args, row.key)
+            if value is not None:
+                _set_path(cfg, row.key, value)
     if getattr(args, "jump_family", None) is not None:
         jump = _first_jump(cfg)
         jump["family"] = args.jump_family
@@ -438,50 +513,19 @@ def build_config(args):
         if model.get("disorder") is None:
             model["disorder"] = {}
         _set_path(cfg, "model.disorder.seed", args.disorder_seed)
+    # the model tasks' --boundary and --layout rewrite the layout kind
+    # (spectrum's --boundary and profile's --layout have keys of their own)
     if getattr(args, "boundary", None) is not None:
-        # only the spectrum subparser accepts "both"
-        if task == "spectrum":
-            _set_path(cfg, "spectrum.boundary", args.boundary)
-        else:
-            _set_path(cfg, "model.layout.kind",
-                      "chain-obc" if args.boundary == "obc" else "chain-pbc")
-    if getattr(args, "initial_sites", None) is not None:
-        _set_path(cfg, "dynamics.initial_sites",
-                  _parse_int_list(args.initial_sites, "initial-sites"))
-    if getattr(args, "fillings", None) is not None:
-        _set_path(cfg, "profile.fillings",
-                  _parse_float_list(args.fillings, "fillings"))
-    if getattr(args, "sector", None) is not None:
-        _set_path(cfg, "profile.sector",
-                  _parse_int_list(args.sector, "sector"))
+        _set_path(cfg, "model.layout.kind", f"chain-{args.boundary}")
     if getattr(args, "layout", None) is not None:
-        if task == "profile":
-            _set_path(cfg, "profile.layout", args.layout)
-        else:
-            kind = {"chain": "chain-obc"}.get(args.layout, args.layout)
-            _set_path(cfg, "model.layout.kind", kind)
-            if kind == "hierarchical":
-                _set_path(cfg, "model.hamiltonian.kind", "hierarchical")
-            elif kind == "square-2d":
-                _set_path(cfg, "model.hamiltonian.kind", "qlm-2d")
+        kind = {"chain": "chain-obc"}.get(args.layout, args.layout)
+        _set_path(cfg, "model.layout.kind", kind)
+        if kind == "hierarchical":
+            _set_path(cfg, "model.hamiltonian.kind", "hierarchical")
+        elif kind == "square-2d":
+            _set_path(cfg, "model.hamiltonian.kind", "qlm-2d")
     _validate(cfg)
     return cfg
-
-
-def _parse_int_list(text, name):
-    try:
-        return [int(tok) for tok in str(text).split(",") if tok != ""]
-    except ValueError:
-        raise CliError(EXIT_CONFIG, "usage",
-                       f"--{name} expects comma-separated integers")
-
-
-def _parse_float_list(text, name):
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok != ""]
-    except ValueError:
-        raise CliError(EXIT_CONFIG, "usage",
-                       f"--{name} expects comma-separated numbers")
 
 
 # -- model construction ----------------------------------------------------
@@ -939,72 +983,18 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="task", required=True,
                                 parser_class=JsonArgumentParser)
-
-    def common(p, layout_flag=True):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--L", type=int, dest="L")
-        p.add_argument("--Ly", type=int, dest="Ly")
-        if layout_flag:
-            p.add_argument("--layout",
-                           choices=["chain", "chain-obc", "chain-pbc",
-                                    "hierarchical", "square-2d"])
-        p.add_argument("--J", type=float)
-        p.add_argument("--J1", type=float)
-        p.add_argument("--J2", type=float)
-        p.add_argument("--jump-family", choices=JUMP_FAMILIES)
-        for name in _RATE_FIELDS:
-            p.add_argument(f"--{name.replace('_', '-')}", type=float,
-                           dest=name)
-        p.add_argument("--add-gauge-fix", type=float, dest="add_gauge_fix",
-                       metavar="STRENGTH")
-        p.add_argument("--disorder-seed", type=int, dest="disorder_seed")
-        p.add_argument("--n-particles", type=int, dest="n_particles")
-        p.add_argument("--dense-cap", type=int, dest="dense_cap")
-        p.add_argument("--kernel-tol", type=float, dest="kernel_tol")
-
-    p_spec = sub.add_parser("spectrum", help="sector-projected spectra")
-    common(p_spec)
-    p_spec.add_argument("--boundary", choices=["obc", "pbc", "both"])
-
-    p_ss = sub.add_parser("steady-state", help="kernel states and profiles")
-    common(p_ss)
-    p_ss.add_argument("--boundary", choices=["obc", "pbc"])
-
-    p_dyn = sub.add_parser("dynamics", help="quench time evolution")
-    common(p_dyn)
-    p_dyn.add_argument("--boundary", choices=["obc", "pbc"])
-    p_dyn.add_argument("--t-final", type=float, dest="t_final")
-    p_dyn.add_argument("--t-points", type=int, dest="t_points")
-    p_dyn.add_argument("--initial-sites", dest="initial_sites",
-                       metavar="N1,N2,...")
-    p_dyn.add_argument("--rtol", type=float)
-    p_dyn.add_argument("--atol", type=float)
-
-    p_wind = sub.add_parser("winding", help="twisted-boundary phase scans")
-    common(p_wind, layout_flag=False)
-    p_wind.add_argument("--phi-steps", type=int, dest="phi_steps")
-    p_wind.add_argument("--variant", choices=["lindblad", "double-space"])
-
-    p_ver = sub.add_parser("verify-exact",
-                           help="run the analytic residual battery")
-    p_ver.add_argument("--config", help="JSON config file")
-    p_ver.add_argument("--output-dir", dest="output_dir")
-    p_ver.add_argument("--L", type=int, dest="L")
-
-    p_prof = sub.add_parser("profile", help="analytic layer profiles")
-    p_prof.add_argument("--config", help="JSON config file")
-    p_prof.add_argument("--output-dir", dest="output_dir")
-    p_prof.add_argument("--layout",
-                        choices=["chain", "hierarchical", "square-2d"])
-    p_prof.add_argument("--L", type=int, dest="L")
-    p_prof.add_argument("--Ly", type=int, dest="Ly")
-    p_prof.add_argument("--beta", type=float)
-    p_prof.add_argument("--beta-prime", type=float, dest="beta_prime")
-    p_prof.add_argument("--alpha", type=float)
-    p_prof.add_argument("--alpha-prime", type=float, dest="alpha_prime")
-    p_prof.add_argument("--fillings", metavar="F1,F2,...")
-    p_prof.add_argument("--sector", metavar="N2,D2")
+    parsers = {task: sub.add_parser(task, help=text)
+               for task, text in TASKS.items()}
+    # each task's flags in table order; a flag sets its key (or, without
+    # one, the attribute argparse names after it)
+    for row in FLAGS:
+        check = row.check or _Check(type=row.type)
+        for task in row.tasks:
+            name = row.flag[2:].replace("-", "_")
+            parsers[task].add_argument(
+                row.flag, dest=row.key or name, type=check.type,
+                choices=check.choices, help=row.help,
+                metavar=None if check.choices else row.metavar or name.upper())
     return parser
 
 

@@ -26,7 +26,8 @@ chain table spans 1e-1360 between its keys), and wherever unscaled
 floats stay normal the digits are the ones they would hold. Emptiness
 is decided from the keys alone: a sector no key reaches raises
 `EmptySectorError` (exit 3 in the CLI); a reached sector whose weight is
-zero or not finite raises `UnrepresentableWeightError` (exit 4). A
+not finite raises `UnrepresentableWeightError` (exit 4). The DP takes
+real coefficients only (positive weights, which cannot cancel). A
 brute-force enumeration of the same marginals is kept alongside as the
 cross-check path.
 
@@ -67,7 +68,7 @@ class EmptySectorError(EnsembleError):
 
 class UnrepresentableWeightError(EnsembleError):
     """A reachable charge sector whose weight has no floating-point value:
-    an inf or nan coefficient, or complex weights that cancel to zero."""
+    an inf or nan coefficient."""
 
 
 @dataclass(frozen=True)
@@ -91,21 +92,22 @@ class DiagonalEnsemble:
     def sector(self):
         return enumerate_sector(self.layout, self.constraints)
 
-    def materialize(self, normalize="trace", strip_phase=True):
+    def materialize(self, normalize="trace"):
         """Full-space sparse diagonal operator on the projection sector,
-        built as CSR straight from the ascending sector states.
+        built as CSR straight from the ascending sector states, with the
+        phase of its largest entry divided out.
 
         normalize: "trace" (fall back to Frobenius for traceless
         operators), "frobenius", or "raw" (still shifted by the largest
         magnitude, so "raw" is defined up to one overall constant).
         """
-        return next(materialize_each([self], normalize, strip_phase))
+        return next(materialize_each([self], normalize))
 
 
 _STACK_BYTES = 1 << 23   # stacked log weights materialize_each holds
 
 
-def materialize_each(ensembles, normalize="trace", strip_phase=True):
+def materialize_each(ensembles, normalize="trace"):
     """`materialize` of each ensemble in turn, the same floats, for
     ensembles on one layout and one projection sector. The sector is
     enumerated once, and the log weights come from passes over the
@@ -131,9 +133,8 @@ def materialize_each(ensembles, normalize="trace", strip_phase=True):
             table = table[:, sec.states]
         for logw in table:
             w = np.exp(logw - logw.real.max())
-            if strip_phase:
-                lead = w[np.argmax(np.abs(w))]
-                w = w * (np.abs(lead) / lead)
+            lead = w[np.argmax(np.abs(w))]
+            w = w * (np.abs(lead) / lead)
             if normalize == "trace":
                 s = w.sum()
                 if np.abs(s) > 1e-12 * np.abs(w).sum():
@@ -337,46 +338,19 @@ class _KeyCodes:
         return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
 
 
-def _ldexp(values, exponents):
-    """values * 2**exponents, exactly, for real or complex values."""
-    if np.iscomplexobj(values):
-        return np.ldexp(values.view(np.float64),
-                        np.repeat(exponents, 2)).view(np.complex128)
-    return np.ldexp(values, exponents)
-
-
-def _normalized(values, exponents):
-    """(mantissas, exponents) of values * 2**exponents, each mantissa's
-    larger part in [1/2, 1) (or 0), by exact powers of two."""
-    if not np.iscomplexobj(values):
-        mant, shift = np.frexp(values)
-        return mant, exponents + shift
-    part = np.maximum(np.abs(values.real), np.abs(values.imag))
-    shift = np.frexp(part)[1]
-    return _ldexp(values, -shift), exponents + shift
-
-
 def _combine(index, terms, exponents, size):
     """(mantissa, exponent) of sum_j terms[j] * 2**exponents[j] over
     index[j] = i, for every i < size, each added in input order from 0:
     the terms of one i are first brought to their largest exponent by
     exact powers of two, so the sum is the one unscaled floats would give
-    wherever those stay normal. An i without terms gives 0."""
+    wherever those stay normal. Each mantissa is in [1/2, 1), or 0 for
+    an i without terms."""
     top = np.zeros(size, dtype=np.int64)
     top[index] = exponents
     np.maximum.at(top, index, exponents)
-    total = _add_by_index(index, _ldexp(terms, exponents - top[index]), size)
-    return _normalized(total, top)
-
-
-def _add_by_index(index, terms, size):
-    """out[i] = the sum of terms[index == i], each in input order from 0."""
-    if not np.iscomplexobj(terms):
-        return np.bincount(index, terms, size)
-    out = np.empty(size, dtype=np.complex128)
-    out.real = np.bincount(index, terms.real, size)
-    out.imag = np.bincount(index, terms.imag, size)
-    return out
+    mant, shift = np.frexp(np.bincount(
+        index, np.ldexp(terms, exponents - top[index]), size))
+    return mant, top + shift
 
 
 def _dp_step(table, weights, up, dn, moves, codes):
@@ -448,11 +422,14 @@ def _dp_sweep(slot_order, weights, qup, qdn, target, closing, codes):
 
 
 def _slot_weight(x):
-    """exp(x) as (mantissa, exponent), exp(x) = mantissa * 2**exponent:
-    np.exp(x) itself with exponent 0 where it stays normal, and
-    exp(x - e ln 2) with exponent e where it would underflow."""
+    """exp(x) of a complex array with zero imaginary parts as real
+    (mantissa, exponent), exp(x) = mantissa * 2**exponent: np.exp(x)
+    itself with exponent 0 where it stays normal, and exp(x - e ln 2)
+    with exponent e where it would underflow. It takes the real part of
+    the complex exp, the weights of a complex DP: the real exp differs
+    from it in the last bit on some inputs."""
     e = np.where(x.real < -700.0, np.ceil(x.real / np.log(2.0)), 0.0)
-    return np.exp(x - e * np.log(2.0)), e.astype(np.int64)
+    return np.exp(x - e * np.log(2.0)).real, e.astype(np.int64)
 
 
 def _dp_bit_marginals(zcoeff, constraints):
@@ -470,12 +447,13 @@ def _dp_bit_marginals(zcoeff, constraints):
     components miss their target are pruned as soon as the last
     supporting slot has been consumed.
 
-    Emptiness is decided from the keys alone: a sector no key reaches
-    raises `EmptySectorError`. A reached sector whose weight is not
-    finite (an inf or nan coefficient) or zero (complex weights that
-    cancel) raises `UnrepresentableWeightError`. Finite coefficients
-    give finite, nonzero slot weights (`_slot_weight`), so every other
-    reached sector has a weight.
+    The coefficients must be real (`EnsembleError` otherwise), so every
+    weight is positive. Emptiness is decided from the keys alone: a
+    sector no key reaches raises `EmptySectorError`. A reached sector
+    whose weight is not finite (an inf or nan coefficient) raises
+    `UnrepresentableWeightError`. Finite coefficients give finite,
+    positive slot weights (`_slot_weight`), which cannot cancel, so
+    every other reached sector has a weight.
 
     All slots' marginals come from one reduction: every forward key of
     every slot is matched with the backward key completing it to the
@@ -483,14 +461,13 @@ def _dp_bit_marginals(zcoeff, constraints):
     """
     total = len(zcoeff)
     c = np.asarray(zcoeff, dtype=np.complex128)
+    if c.imag.any():
+        raise EnsembleError("the profile DP takes real coefficients only")
     finite = np.isfinite(c).all()
     if not finite:   # the keys alone still decide emptiness
         c = np.zeros_like(c)
     shift = np.abs(c.real) / 2
     weights = [_slot_weight(c / 2 - shift), _slot_weight(-c / 2 - shift)]
-    if not any(w.imag.any() for w, _ in weights):
-        # the real parts are the products and sums a complex DP would form
-        weights = [(w.real, e) for w, e in weights]
     ncons = len(constraints)
     qup = np.array([q[0] for q in constraints], dtype=np.int64).reshape(ncons, total).T
     qdn = np.array([q[1] for q in constraints], dtype=np.int64).reshape(ncons, total).T
@@ -518,9 +495,6 @@ def _dp_bit_marginals(zcoeff, constraints):
             "the charge sector is reached, but its weight is not finite: "
             "a coefficient is inf or nan")
     z, z_exponent = mant[at_target][0], exps[at_target][0]
-    if z == 0:
-        raise UnrepresentableWeightError(
-            "the charge sector is reached, but its weights cancel to zero")
     backward = _dp_sweep(range(total - 1, -1, -1), weights, qup, qdn, target,
                          first, codes)[::-1]
 
@@ -544,9 +518,10 @@ def _dp_bit_marginals(zcoeff, constraints):
     hit = np.flatnonzero(b_codes[match] == f_codes)
     acc, acc_exponent = _combine(f_slot[hit], f_vals[hit] * b_vals[match[hit]],
                                  f_exps[hit] + b_exps[match[hit]], total)
-    # complex division, as the scalars of a complex DP divide
-    ratio = acc.astype(np.complex128) / np.complex128(z)
-    return _ldexp(ratio, acc_exponent - z_exponent)
+    # complex division, as the scalars of a complex DP divide: its last
+    # bit differs from the real one's on some inputs
+    ratio = (acc.astype(np.complex128) / np.complex128(z)).real
+    return np.ldexp(ratio, acc_exponent - z_exponent)
 
 
 def _layer_views(layout, p_up):
@@ -581,9 +556,12 @@ def ensemble_marginals(ens):
     return _realize(_layer_views(ens.layout, p_up))
 
 
-def enumeration_marginals(ens, max_spins=16):
+_ENUMERATION_SPINS = 16   # the largest register enumeration_marginals takes
+
+
+def enumeration_marginals(ens):
     """Brute-force marginals; the independent cross-check of the DP path."""
-    if ens.layout.total_spins > max_spins:
+    if ens.layout.total_spins > _ENUMERATION_SPINS:
         raise EnsembleError("enumeration limited to small registers")
     sec = ens.sector()
     if sec.dim == 0:

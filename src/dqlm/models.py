@@ -40,7 +40,14 @@ from .lattice import (
 )
 from .symmetry import gauss_generator, generator_sites
 
-HAMILTONIAN_KINDS = ("qlm", "hierarchical", "qlm-2d", "none")
+# each Hamiltonian kind and the couplings it reads
+HAMILTONIAN_COUPLINGS = {
+    "qlm": ("J",),
+    "hierarchical": ("J1", "J2"),
+    "qlm-2d": ("J1", "J2"),
+    "none": (),
+}
+HAMILTONIAN_KINDS = tuple(HAMILTONIAN_COUPLINGS)
 # each jump family and the JumpSpec rates it reads
 JUMP_RATES = {
     "biased": ("gamma_up", "gamma_down", "gamma_up_v", "gamma_down_v"),
@@ -180,7 +187,9 @@ class ModelSpec:
         section. A "qlm" Hamiltonian kind (the default) on a hierarchical
         or square-2d layout means that layout's own Hamiltonian. Refuses
         an unknown or missing key and a non-object where an object
-        belongs; the dataclasses it fills check the values."""
+        belongs; the dataclasses it fills check the values. A coupling
+        other than 1.0 that the Hamiltonian kind does not read (see
+        `HAMILTONIAN_COUPLINGS`) is refused too: it would change nothing."""
         _section(d, "model", ("layout", "hamiltonian", "jumps", "disorder"),
                  ("layout",))
         lay = _section(d["layout"], "model.layout", ("kind", "L", "Ly"),
@@ -204,9 +213,17 @@ class ModelSpec:
             _section(dis, "model.disorder",
                      tuple(f.name for f in fields(DisorderSpec)))
         dis = DisorderSpec(**dis) if dis else None
-        return ModelSpec(layout, kind, J=ham.get("J", 1.0),
+        spec = ModelSpec(layout, kind, J=ham.get("J", 1.0),
                          J1=ham.get("J1", 1.0), J2=ham.get("J2", 1.0),
                          twist=ham.get("twist", 0.0), jumps=jumps, disorder=dis)
+        reads = HAMILTONIAN_COUPLINGS[kind]
+        unread = [f"{name}={getattr(spec, name)}" for name in ("J", "J1", "J2")
+                  if name not in reads and getattr(spec, name) != 1.0]
+        if unread:
+            raise ModelError(
+                f"a {kind} Hamiltonian does not read {', '.join(unread)}; it "
+                f"reads {'/'.join(reads) or 'no coupling'}")
+        return spec
 
 
 def _section(value, where, keys, required=()):

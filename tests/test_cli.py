@@ -211,10 +211,14 @@ PROFILE_L8 = ("profile", "--layout", "chain", "--L", "8", "--beta", "3")
     (("winding", "--config", "cfg.json"),
      {"model": {"layout": {"kind": "chain-pbc", "L": 3},
                 "hamiltonian": {"twist": 0.5}}}, 2, "usage"),
+    # a coupling the Hamiltonian kind does not read would change nothing
+    (("spectrum", "--L", "4", "--J1", "5", "--J2", "7"), None, 2, "model"),
+    (("steady-state", "--layout", "hierarchical", "--L", "4", "--J", "9"),
+     None, 2, "model"),
 ], ids=["missing-config", "list-root", "filling-outside-sites",
         "unreachable-hierarchical-sector", "sector-against-sites",
         "initial-sites-not-integers", "fillings-not-numbers",
-        "winding-twist-in-config"])
+        "winding-twist-in-config", "J1-J2-on-a-chain", "J-on-the-ladder"])
 def test_refused_input_exits_with_its_kind_and_no_csv(tmp_path, monkeypatch,
                                                       capsys, argv, cfg,
                                                       code, kind):
@@ -808,6 +812,8 @@ REFUSED_CONFIGS = [
     {"model": {"hamiltonian": {"J2": None}}},
     {"model": {"hamiltonian": {"twist": -0.5}}},
     {"model": {"hamiltonian": {"J": float("nan")}}},
+    {"model": {"hamiltonian": {"J1": 0.5}}},
+    {"model": {"hamiltonian": {"kind": "none", "J": 2.0}}},
     {"model": {"jumps": {"family": "biased"}}},
     {"model": {"jumps": None}},
     {"model": {"jumps": [3]}},
@@ -972,6 +978,58 @@ def test_integral_floats_are_not_integers(tmp_path, monkeypatch, capsys, task,
     assert code == 2
     assert stderr_error(capsys)["exit_code"] == 2
     assert left == []
+
+
+# a value each flag with a config key takes, other than any task's default
+FLAG_VALUES = {
+    "--output-dir": "elsewhere", "--layout": "square-2d", "--L": "5",
+    "--Ly": "3", "--J": "0.5", "--J1": "0.5", "--J2": "0.5",
+    "--n-particles": "3", "--dense-cap": "100", "--kernel-tol": "0.25",
+    "--boundary": "both", "--t-final": "5", "--t-points": "11",
+    "--initial-sites": "2,3", "--rtol": "1e-7", "--atol": "1e-7",
+    "--phi-steps": "4", "--variant": "lindblad", "--beta": "2",
+    "--beta-prime": "2", "--alpha": "0.5", "--alpha-prime": "0.5",
+    "--fillings": "0.25,0.75", "--sector": "0,2",
+}
+KEYED_FLAGS = [(task, row) for row in cli.FLAGS if row.flag and row.key
+               for task in row.tasks]
+
+
+def config_value(cfg, key):
+    for part in key.split("."):
+        cfg = cfg.get(part) if isinstance(cfg, dict) else None
+    return cfg
+
+
+@pytest.mark.parametrize("task, row", KEYED_FLAGS,
+                         ids=[f"{task}{row.flag}" for task, row in KEYED_FLAGS])
+def test_each_flag_sets_its_config_key(task, row, monkeypatch):
+    validate = cli._validate
+    args = cli.build_parser().parse_args([task, row.flag, FLAG_VALUES[row.flag]])
+    value = getattr(args, row.key)
+    assert value is not None
+    assert config_value(cli.default_config(task), row.key) != value
+    # the write, apart from the checks: winding, say, refuses any J1 but
+    # the default, since its chain reads J
+    monkeypatch.setattr(cli, "_validate", lambda cfg: None)
+    cfg = cli.build_config(args)
+    assert config_value(cfg, row.key) == value
+    if not row.key.startswith("model."):
+        validate(cfg)
+
+
+def test_each_flag_and_config_key_has_one_row():
+    pairs = [(task, row.flag) for row in cli.FLAGS if row.flag
+             for task in row.tasks]
+    assert len(pairs) == len(set(pairs))
+    keys = [row.key for row in cli.FLAGS
+            if row.key and not row.key.startswith("model.")]
+    assert len(keys) == len(set(keys))
+    # a key outside `model` is checked by its row, one under it by the
+    # model parser
+    for row in cli.FLAGS:
+        if row.key:
+            assert (row.check is None) == row.key.startswith("model."), row
 
 
 def test_none_hamiltonian_is_a_config_kind(tmp_path):

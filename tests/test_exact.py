@@ -367,6 +367,13 @@ def test_error_paths():
         enumeration_marginals(big)
     with pytest.raises(EnsembleError):
         exact_steady_state(layout, 2.0).materialize(normalize="bogus")
+    # the profile DP takes real coefficients only, refused before the
+    # sector is looked at: an eigenoperator's ln(-1) links are complex
+    for n in (2, 9):
+        eig, _ = exact_eigenoperator(layout, (1, 0, 1), 2.4, 1.6,
+                                     n_particles=n)
+        with pytest.raises(EnsembleError, match="real coefficients only"):
+            ensemble_marginals(eig)
 
 
 # -- the array DP against the dict DP it replaced, and against enumeration --
@@ -603,13 +610,12 @@ def test_stacked_materialize_gives_the_per_operand_floats(
                             hier_charges=(-1, 1))],
     ]
     for group in groups:
-        for strip in (True, False):
-            got = list(materialize_each(group, normalize, strip))
-            assert len(got) == len(group)
-            for ens, op in zip(group, got):
-                want = reference_materialize(ens, normalize, strip)
-                assert_same_operator(op, want)
-                assert_same_operator(ens.materialize(normalize, strip), want)
+        got = list(materialize_each(group, normalize))
+        assert len(got) == len(group)
+        for ens, op in zip(group, got):
+            want = reference_materialize(ens, normalize)
+            assert_same_operator(op, want)
+            assert_same_operator(ens.materialize(normalize), want)
 
 
 def test_stacked_log_weights_are_each_rows_own():

@@ -281,6 +281,18 @@ def test_spec_roundtrip():
      "model.disorder must be an object"),
     ({"layout": {"kind": "chain-obc", "L": 4}, "disorder": {"strength": 1.0}},
      "'strength' in model.disorder"),
+    # a coupling the Hamiltonian kind does not read, unless at its default
+    # 1.0; a non-number keeps its own error
+    ({"layout": {"kind": "chain-obc", "L": 4},
+      "hamiltonian": {"J1": 5.0, "J2": 7.0}}, "J1=5.0, J2=7.0; it reads J$"),
+    ({"layout": {"kind": "hierarchical", "L": 3}, "hamiltonian": {"J": 9.0}},
+     "J=9.0; it reads J1/J2"),
+    ({"layout": {"kind": "square-2d", "L": 2, "Ly": 2},
+      "hamiltonian": {"J": 0.5, "J1": 1.0}}, "does not read J=0.5;"),
+    ({"layout": {"kind": "chain-obc", "L": 4},
+      "hamiltonian": {"kind": "none", "J": 2}}, "J=2; it reads no coupling"),
+    ({"layout": {"kind": "chain-obc", "L": 4}, "hamiltonian": {"J1": "5"}},
+     "J1 must be a number"),
 ])
 def test_from_dict_refuses_malformed_sections(d, named):
     with pytest.raises(ModelError, match=named):
